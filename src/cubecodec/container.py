@@ -12,11 +12,15 @@ eigenvalues (4N + 4NP + 4P bytes); the CSI block is P u16 knot indices
 (2P bytes).
 
 Rate control is an integer binary search on the single shared plane
-quality.  A stream whose compression rate lands within the requested
-tolerance counts as an in-window success; when the quality grid straddles
-the window, the search falls back to the smallest achievable rate at or
-above the target and reports ``in_window=False``.  Targets that are
-unreachable even at quality 1 raise :class:`RateError`.
+quality, run count-then-emit: each plane is normalized and transformed once,
+each probe quantizes every plane and counts its Huffman bits, and the stream
+size is worked out from the layout above (:func:`stream_nbytes`) without
+serializing anything.  Only the chosen quality is entropy coded.  A stream
+whose compression rate lands within the requested tolerance counts as an
+in-window success; when the quality grid straddles the window, the search
+falls back to the smallest achievable rate at or above the target and
+reports ``in_window=False``.  Targets that are unreachable even at quality 1
+raise :class:`RateError`.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .reduction import (
     pca_forward,
     pca_inverse,
 )
-from .spatial import EncodedPlane, decode_plane, encode_plane
+from .spatial import PLANE_HEADER_NBYTES, EncodedPlane, PlaneTransform, decode_plane, encode_plane
 
 SCMP_MAGIC = b"SCMP"
 SCMP_VERSION = 1
@@ -121,6 +125,15 @@ def pca_side_nbytes(n: int, p: int) -> int:
 
 def csi_side_nbytes(p: int) -> int:
     return 2 * p
+
+
+def stream_nbytes(method: str, p: int, bands: int, payload_nbytes: int) -> int:
+    """Byte size of a serialized stream whose plane payloads total ``payload_nbytes``.
+
+    Equals ``len(serialize_stream(stream))`` without building the bytes.
+    """
+    side = pca_side_nbytes(bands, p) if method == "pca" else csi_side_nbytes(p)
+    return _HEADER.size + 4 * bands + side + p * PLANE_HEADER_NBYTES + payload_nbytes
 
 
 def serialize_stream(stream: CompressedStream) -> bytes:
@@ -273,51 +286,52 @@ def compress_with_report(cube: SpectralCube, method: str, p: int,
     """Compress a cube; returns (stream, RateReport).
 
     Exactly one of ``rate`` and ``quality`` drives the plane quality: a
-    fixed ``quality`` skips rate control entirely.
+    fixed ``quality`` skips rate control entirely.  Each rate probe counts
+    the stream size without emitting or serializing it; only the chosen
+    quality is entropy coded.
     """
     if (rate is None) == (quality is None):
         raise ArgumentError("provide exactly one of rate target or fixed quality")
-    planes, side = spectral_forward(cube, method, p)
+    reduced, side = spectral_forward(cube, method, p)
+    transforms = [PlaneTransform.of(plane) for plane in reduced.planes]
+    del reduced  # free the planes: the transforms carry all the search and the emit need
+    overhead = stream_nbytes(method, p, cube.bands, 0)
 
     def build(q: int) -> CompressedStream:
-        return _assemble(cube, method, p, side, encode_planes(planes, q), q)
+        return _assemble(cube, method, p, side, [t.encode(q) for t in transforms], q)
+
+    def probe(q: int) -> float:
+        return compression_rate(cube, overhead + sum(t.payload_nbytes(q) for t in transforms))
 
     if quality is not None:
         stream = build(int(quality))
-        cr = compression_rate(cube, len(serialize_stream(stream)))
+        cr = compression_rate(cube, overhead + sum(len(pl.payload) for pl in stream.planes))
         return stream, RateReport(quality=int(quality), achieved_cr=cr,
                                   in_window=True, encodes=1)
 
     lo_cr, hi_cr = rate.window
-    best_above = None  # (cr, q, stream) with smallest cr >= target
+    best_above = None  # (cr, q) with smallest cr >= target
     encodes = 0
     lo, hi = 1, 100
-    result = None
     while lo <= hi:
         mid = (lo + hi) // 2
-        stream = build(mid)
+        cr = probe(mid)
         encodes += 1
-        cr = compression_rate(cube, len(serialize_stream(stream)))
         if lo_cr <= cr <= hi_cr:
-            result = (stream, RateReport(quality=mid, achieved_cr=cr,
-                                         in_window=True, encodes=encodes))
-            break
+            return build(mid), RateReport(quality=mid, achieved_cr=cr,
+                                          in_window=True, encodes=encodes)
         if cr >= rate.target_cr and (best_above is None or cr < best_above[0]):
-            best_above = (cr, mid, stream)
+            best_above = (cr, mid)
         if cr > hi_cr:
             lo = mid + 1  # too much compression: raise quality
         else:
             hi = mid - 1  # too little compression: lower quality
-    if result is not None:
-        return result
     if best_above is None:
-        stream = build(1)
-        cr = compression_rate(cube, len(serialize_stream(stream)))
+        cr = probe(1)
         if cr >= lo_cr:
             # quality 1 itself lands at or above the window floor
-            return stream, RateReport(quality=1, achieved_cr=cr,
-                                      in_window=cr <= hi_cr, encodes=encodes + 1)
-        overhead = len(serialize_stream(stream)) - sum(len(pl.payload) for pl in stream.planes)
+            return build(1), RateReport(quality=1, achieved_cr=cr,
+                                        in_window=cr <= hi_cr, encodes=encodes + 1)
         if overhead * rate.target_cr >= cube.scub_size:
             raise RateError(
                 f"stream overhead alone ({overhead} B) exceeds the byte budget for "
@@ -325,8 +339,8 @@ def compress_with_report(cube: SpectralCube, method: str, p: int,
         raise RateError(
             f"target CR {rate.target_cr} unreachable: quality 1 achieves only {cr:.4g}",
             best_cr=cr)
-    cr, q, stream = best_above
-    return stream, RateReport(quality=q, achieved_cr=cr, in_window=False, encodes=encodes)
+    cr, q = best_above
+    return build(q), RateReport(quality=q, achieved_cr=cr, in_window=False, encodes=encodes)
 
 
 def compress(cube: SpectralCube, method: str, p: int,

@@ -8,6 +8,17 @@ the standard luminance tables.  No subsampling anywhere; every lossy step
 is confined to quantization (and the float normalization), so the entropy
 stage is exactly invertible.
 
+The encoder is split in two.  :class:`PlaneTransform` holds everything that
+does not depend on quality (normalization, padding, DCT), so a rate search
+transforms each plane once.  The entropy stage builds every block's Huffman
+symbols with array operations (ITU-T T.81 Annex F.1.2 with the Annex K.3
+tables): a DC category and amplitude, an AC run/size symbol per nonzero
+coefficient with any ZRL codes of its zero run folded into the same field,
+and an EOB unless the last coefficient is nonzero.  The symbol lengths serve
+two consumers: :func:`entropy_count_bits` sums them, which is all a rate
+probe needs, and :func:`entropy_encode_blocks` places each field at its
+cumulative bit offset and packs the bits into bytes.
+
 The bitstream is MSB-first and zero-padded to a whole byte.  A plane record
 serializes as:
 
@@ -169,41 +180,92 @@ def _quantize(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # entropy stage (bijective on quantized blocks)
 
-class _BitWriter:
-    __slots__ = ("acc", "nbits", "out")
-
-    def __init__(self):
-        self.acc = 0
-        self.nbits = 0
-        self.out = bytearray()
-
-    def write(self, code: int, length: int):
-        acc = (self.acc << length) | code
-        nbits = self.nbits + length
-        out = self.out
-        while nbits >= 8:
-            nbits -= 8
-            out.append((acc >> nbits) & 0xFF)
-        self.acc = acc & ((1 << nbits) - 1)
-        self.nbits = nbits
-
-    def finish(self) -> bytes:
-        if self.nbits:
-            self.out.append((self.acc << (8 - self.nbits)) & 0xFF)
-            self.acc = 0
-            self.nbits = 0
-        return bytes(self.out)
-
-
-def _amplitude(value: int) -> tuple[int, int]:
-    """JPEG magnitude coding: (bits, size category) for a nonzero value."""
-    size = int(value if value > 0 else -value).bit_length()
-    bits = value if value > 0 else value + (1 << size) - 1
-    return bits, size
-
-
 def _extend(bits: int, size: int) -> int:
     return bits if bits >= (1 << (size - 1)) else bits - (1 << size) + 1
+
+
+def _code_table(codes, nsymbols):
+    """Canonical codes as (code, length) arrays indexed by symbol; length 0 = unused."""
+    code = np.zeros(nsymbols, dtype=np.int64)
+    length = np.zeros(nsymbols, dtype=np.uint8)
+    for symbol, (c, ln) in codes.items():
+        code[symbol] = c
+        length[symbol] = ln
+    return code, length
+
+
+_DC_CODE, _DC_LEN = _code_table(_DC_CODES, 12)
+_AC_CODE, _AC_LEN = _code_table(_AC_CODES, 256)
+# k ZRL codes back to back, k = 0..3: a run of at most 62 zeros needs three
+_ZRL_CODE, _ZRL_LEN = _AC_CODES[_ZRL]
+_ZRLS_CODE = np.array([sum(_ZRL_CODE << (_ZRL_LEN * i) for i in range(k)) for k in range(4)],
+                      dtype=np.int64)
+_ZRLS_LEN = (_ZRL_LEN * np.arange(4)).astype(np.uint8)
+#: size category (bit length) of every magnitude a category <= 11 allows
+_CATEGORY = np.frexp(np.arange(2048))[1].astype(np.uint8)
+_AC_POS = np.arange(1, 64, dtype=np.uint8)
+
+
+class _Symbols:
+    """Annex F.1.2 symbols of quantized blocks, built with array operations.
+
+    ``lengths`` is an ``(n, 65)`` array in stream order: per block the DC
+    difference, the 63 AC positions of the zigzag scan, then the EOB.  The
+    DC entry and each nonzero AC entry are one whole field -- the ZRL codes
+    of the zero run before the coefficient, its Huffman code and its
+    amplitude bits, at most 3 * 11 + 16 + 10 bits -- and every other entry
+    has length 0.  :meth:`fields` gives the matching bit patterns.
+    """
+
+    def __init__(self, qblocks: np.ndarray):
+        q = np.asarray(qblocks)
+        if q.ndim != 3 or q.shape[1:] != (8, 8) or q.dtype.kind not in "iu":
+            raise ArgumentError(f"expected (n, 8, 8) integer blocks, got {q.dtype} {q.shape}")
+        zz = q.reshape(-1, 64)[:, ZIGZAG_ORDER]
+        dc = np.diff(zz[:, 0].astype(np.int64), prepend=0)
+        ac = zz[:, 1:]
+        too_big = (dc < -2047) | (dc > 2047)
+        if too_big.any():
+            raise ValidationError(f"DC difference {dc[too_big][0]} exceeds category 11")
+        too_big = (ac < -1023) | (ac > 1023)
+        if too_big.any():
+            raise ValidationError(f"AC coefficient {ac[too_big][0]} exceeds category 10")
+        dc_size = _CATEGORY[np.abs(dc)]
+        ac_size = _CATEGORY[np.abs(ac)]
+        nonzero = ac != 0
+        # zigzag position of the last nonzero AC before each position (0 = none)
+        last = np.maximum.accumulate(np.where(nonzero, _AC_POS, 0), axis=1)
+        run = _AC_POS - 1 - np.pad(last[:, :-1], ((0, 0), (1, 0)))
+        self.dc, self.ac = dc, ac
+        self.dc_size, self.ac_size = dc_size, ac_size
+        self.symbol = ((run & 15) << 4) | ac_size
+        self.zrls = run >> 4
+        self.lengths = np.empty((zz.shape[0], 65), dtype=np.uint8)
+        self.lengths[:, 0] = _DC_LEN[dc_size] + dc_size
+        self.lengths[:, 1:64] = np.where(
+            nonzero, _ZRLS_LEN[self.zrls] + _AC_LEN[self.symbol] + ac_size, 0)
+        self.lengths[:, 64] = np.where(last[:, -1] == 63, 0, _AC_LEN[_EOB])
+
+    def fields(self) -> np.ndarray:
+        out = np.empty(self.lengths.shape, dtype=np.int64)
+        dc_size = self.dc_size.astype(np.int64)
+        out[:, 0] = (_DC_CODE[dc_size] << dc_size) | _amplitude_bits(self.dc, dc_size)
+        ac_size = self.ac_size.astype(np.int64)
+        code = (_ZRLS_CODE[self.zrls] << _AC_LEN[self.symbol]) | _AC_CODE[self.symbol]
+        out[:, 1:64] = (code << ac_size) | _amplitude_bits(self.ac, ac_size)
+        out[:, 64] = _AC_CODE[_EOB]
+        return out
+
+
+def _amplitude_bits(values: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """JPEG magnitude coding: v for v > 0, v + 2**size - 1 for v < 0."""
+    values = values.astype(np.int64)
+    return np.where(values < 0, values + (1 << size) - 1, values)
+
+
+def entropy_count_bits(qblocks: np.ndarray) -> int:
+    """Bit length of :func:`entropy_encode_blocks` output before its byte padding."""
+    return int(_Symbols(qblocks).lengths.sum())
 
 
 def entropy_encode_blocks(qblocks: np.ndarray) -> bytes:
@@ -212,43 +274,27 @@ def entropy_encode_blocks(qblocks: np.ndarray) -> bytes:
     Exactly invertible by :func:`entropy_decode_blocks`; includes the
     zigzag scan and the raster-order DC differential.
     """
-    q = np.asarray(qblocks)
-    if q.ndim != 3 or q.shape[1:] != (8, 8):
-        raise ArgumentError(f"expected (n, 8, 8) blocks, got shape {q.shape}")
-    zz = q.reshape(-1, 64)[:, ZIGZAG_ORDER]
-    dc = zz[:, 0].astype(np.int64)
-    diffs = np.diff(dc, prepend=0)
-    writer = _BitWriter()
-    write = writer.write
-    dc_codes = _DC_CODES
-    ac_codes = _AC_CODES
-    for i in range(zz.shape[0]):
-        diff = int(diffs[i])
-        if diff == 0:
-            write(*dc_codes[0])
-        else:
-            bits, size = _amplitude(diff)
-            if size > 11:
-                raise ValidationError(f"DC difference {diff} exceeds category 11")
-            write(*dc_codes[size])
-            write(bits, size)
-        row = zz[i]
-        nz = np.flatnonzero(row[1:]) + 1
-        prev = 0
-        for pos in nz:
-            run = int(pos) - prev - 1
-            while run > 15:
-                write(*ac_codes[_ZRL])
-                run -= 16
-            bits, size = _amplitude(int(row[pos]))
-            if size > 10:
-                raise ValidationError(f"AC coefficient {row[pos]} exceeds category 10")
-            write(*ac_codes[(run << 4) | size])
-            write(bits, size)
-            prev = int(pos)
-        if prev != 63:
-            write(*ac_codes[_EOB])
-    return writer.finish()
+    symbols = _Symbols(qblocks)
+    kept = symbols.lengths > 0
+    if not kept.any():
+        return b""
+    lengths = symbols.lengths[kept].astype(np.int64)
+    fields = symbols.fields()[kept].astype(np.uint64)
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    # place each field in the 64-bit word its first bit falls in; a field
+    # that runs past the word's end (over > 0) spills its low bits into the
+    # next word, and no word boundary is crossed by more than one field
+    word = starts >> 6
+    over = lengths - 64 + (starts & 63)
+    heads = ((fields << np.maximum(-over, 0).astype(np.uint64))
+             >> np.maximum(over, 0).astype(np.uint64))
+    words = np.zeros((int(ends[-1]) + 63) // 64, dtype=np.uint64)
+    first = np.flatnonzero(np.diff(word, prepend=-1))
+    words[word[first]] = np.bitwise_or.reduceat(heads, first)
+    spills = over > 0
+    words[word[spills] + 1] |= fields[spills] << (64 - over[spills]).astype(np.uint64)
+    return words.astype(">u8").tobytes()[: (int(ends[-1]) + 7) // 8]
 
 
 def entropy_decode_blocks(payload: bytes, nblocks: int) -> np.ndarray:
@@ -257,8 +303,13 @@ def entropy_decode_blocks(payload: bytes, nblocks: int) -> np.ndarray:
     Raises :class:`CorruptError` on truncated or invalid bitstreams, or when
     more than 7 padding bits remain after the last block.
     """
-    buf = bytes(payload) + b"\x00\x00"
     total_bits = len(payload) * 8
+    # every block costs at least 6 bits (DC category 0 + EOB): bound the
+    # claimed count by the payload before it sizes an allocation
+    if nblocks * 6 > total_bits:
+        raise CorruptError(f"{len(payload)}-byte payload cannot hold {nblocks} blocks")
+    # a 16-bit peek at the last bit position reads 3 bytes from its start
+    buf = bytes(payload) + b"\x00\x00\x00"
     pos = 0
     zz = np.zeros((nblocks, 64), dtype=np.int32)
     prev_dc = 0
@@ -333,6 +384,7 @@ class PlaneNorm:
 
 
 _PLANE_HEADER = struct.Struct("<IIBddI")
+PLANE_HEADER_NBYTES = _PLANE_HEADER.size
 
 
 @dataclass(frozen=True)
@@ -384,28 +436,52 @@ def _from_blocks(blocks: np.ndarray, h8: int, w8: int) -> np.ndarray:
     return blocks.reshape(h8 // 8, w8 // 8, 8, 8).transpose(0, 2, 1, 3).reshape(h8, w8)
 
 
+@dataclass(frozen=True, eq=False)
+class PlaneTransform:
+    """The quality-independent half of :func:`encode_plane`.
+
+    Holds a plane's normalization and the DCT coefficients of its padded,
+    level-shifted 8x8 blocks, so a rate search can quantize and count the
+    same plane at many qualities without transforming it again.
+    """
+
+    norm: PlaneNorm
+    width: int
+    height: int
+    coeffs: np.ndarray  # (nblocks, 8, 8)
+
+    @classmethod
+    def of(cls, plane: np.ndarray) -> "PlaneTransform":
+        p = np.asarray(plane, dtype=np.float64)
+        if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 1:
+            raise ValidationError(f"plane must be 2-D and non-empty, got shape {p.shape}")
+        if not np.all(np.isfinite(p)):
+            raise ValidationError("plane contains non-finite values")
+        height, width = p.shape
+        mn = float(p.min())
+        mx = float(p.max())
+        norm = PlaneNorm(offset=mn, scale=(mx - mn) / 255.0 if mx > mn else 1.0)
+        normalized = (p - norm.offset) / norm.scale
+        padded = np.pad(normalized, ((0, (-height) % 8), (0, (-width) % 8)), mode="edge")
+        coeffs = _dct_batch(_to_blocks(padded) - 128.0)
+        return cls(norm=norm, width=width, height=height, coeffs=coeffs)
+
+    def quantized(self, quality: int) -> np.ndarray:
+        return _quantize(self.coeffs, quality_to_table(BASE_LUMA_QUANT, quality))
+
+    def payload_nbytes(self, quality: int) -> int:
+        """Payload size :meth:`encode` would produce, counted without emitting it."""
+        return (entropy_count_bits(self.quantized(quality)) + 7) // 8
+
+    def encode(self, quality: int) -> EncodedPlane:
+        payload = entropy_encode_blocks(self.quantized(quality))
+        return EncodedPlane(norm=self.norm, quality=int(quality),
+                            width=self.width, height=self.height, payload=payload)
+
+
 def encode_plane(plane: np.ndarray, quality: int) -> EncodedPlane:
     """Encode one real-valued plane at the given quality (1..100)."""
-    p = np.asarray(plane, dtype=np.float64)
-    if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 1:
-        raise ValidationError(f"plane must be 2-D and non-empty, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise ValidationError("plane contains non-finite values")
-    table = quality_to_table(BASE_LUMA_QUANT, quality)
-    height, width = p.shape
-    mn = float(p.min())
-    mx = float(p.max())
-    norm = PlaneNorm(offset=mn, scale=(mx - mn) / 255.0 if mx > mn else 1.0)
-    normalized = (p - norm.offset) / norm.scale
-    pad_h = (-height) % 8
-    pad_w = (-width) % 8
-    padded = np.pad(normalized, ((0, pad_h), (0, pad_w)), mode="edge")
-    blocks = _to_blocks(padded)
-    coeffs = _dct_batch(blocks - 128.0)
-    qblocks = _quantize(coeffs, table)
-    payload = entropy_encode_blocks(qblocks)
-    return EncodedPlane(norm=norm, quality=int(quality),
-                        width=width, height=height, payload=payload)
+    return PlaneTransform.of(plane).encode(quality)
 
 
 def decode_plane(enc: EncodedPlane) -> np.ndarray:

@@ -153,3 +153,47 @@ def max_principal_angle(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
 @pytest.fixture(scope="session")
 def dct_tensor():
     return naive_dct_tensor()
+
+
+# ---------------------------------------------------------------------------
+# symbol-at-a-time Huffman encoder (oracle for the vectorized entropy stage):
+# Annex F.1.2 written out per coefficient into one Python integer
+
+def reference_huffman_encode(qblocks) -> bytes:
+    from cubecodec.spatial import _AC_CODES, _DC_CODES, ZIGZAG_ORDER
+
+    acc = 0
+    nbits = 0
+
+    def put(code, length):
+        nonlocal acc, nbits
+        acc = (acc << length) | code
+        nbits += length
+
+    def amplitude(v):
+        size = abs(v).bit_length()
+        return (v if v > 0 else v + (1 << size) - 1), size
+
+    prev_dc = 0
+    for block in np.asarray(qblocks).reshape(-1, 64):
+        zz = [int(v) for v in block[ZIGZAG_ORDER]]
+        bits, size = amplitude(zz[0] - prev_dc)
+        prev_dc = zz[0]
+        put(*_DC_CODES[size])
+        put(bits, size)
+        run = 0
+        for k in range(1, 64):
+            if zz[k] == 0:
+                run += 1
+                continue
+            while run > 15:
+                put(*_AC_CODES[0xF0])
+                run -= 16
+            bits, size = amplitude(zz[k])
+            put(*_AC_CODES[(run << 4) | size])
+            put(bits, size)
+            run = 0
+        if run:
+            put(*_AC_CODES[0x00])
+    pad = -nbits % 8
+    return ((acc << pad).to_bytes((nbits + pad) // 8, "big") if nbits else b"")

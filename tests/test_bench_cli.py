@@ -1,6 +1,7 @@
 """Benchmark harness and CLI tests."""
 
 import math
+import struct
 
 import pytest
 
@@ -21,6 +22,7 @@ from cubecodec.bench import (
     run_benchmark,
 )
 from cubecodec.cli import cli_main
+from cubecodec.container import compress, serialize_stream
 from cubecodec.cube import read_cube, synthesize_cube, write_cube
 from cubecodec.errors import ArgumentError, ValidationError
 
@@ -225,6 +227,22 @@ def test_cli_data_errors(tmp_path, capsys):
                      str(tmp_path / "x")]) == 2  # SCUB given where SCMP expected
     assert cli_main(["evaluate", "--original", str(tmp_path / "missing.scub"),
                      "--reconstructed", str(b)]) == 2
+
+
+def test_cli_decompress_rejects_oversized_dimensions(tmp_path, capsys):
+    # header and plane records claim 2**31 x 2**31: rejected before any allocation
+    blob = bytearray(serialize_stream(compress(synthesize_cube(8, 8, 4, "ramp", 0),
+                                               "csi", 2, quality=50)))
+    big = 2 ** 31
+    struct.pack_into("<II", blob, 10, big, big)
+    record = 19 + 4 * 4 + 2 * 2
+    for _ in range(2):
+        struct.pack_into("<II", blob, record, big, big)
+        record += 29 + struct.unpack_from("<I", blob, record + 25)[0]
+    path = tmp_path / "forged.scmp"
+    path.write_bytes(bytes(blob))
+    assert cli_main(["decompress", "--in", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_rate_error(tmp_path):

@@ -15,6 +15,7 @@ from cubecodec.container import (
     parse_stream,
     pca_side_nbytes,
     serialize_stream,
+    stream_nbytes,
 )
 from cubecodec.cube import SpectralCube, scub_nbytes, synthesize_cube, write_cube
 from cubecodec.errors import ArgumentError, CorruptError, FormatError, RateError
@@ -50,8 +51,9 @@ def test_stream_layout_sizes():
         stream = compress(cube, method, p, quality=50)
         blob = serialize_stream(stream)
         side = pca_side_nbytes(n, p) if method == "pca" else csi_side_nbytes(p)
-        planes = sum(29 + len(pl.payload) for pl in stream.planes)
-        assert len(blob) == 19 + 4 * n + side + planes
+        payload = sum(len(pl.payload) for pl in stream.planes)
+        assert len(blob) == 19 + 4 * n + side + 29 * p + payload
+        assert stream_nbytes(method, p, n, payload) == len(blob)
 
 
 def test_side_info_accounting():

@@ -15,12 +15,13 @@ from cubecodec.spatial import (
     dct8_forward,
     dct8_inverse,
     encode_plane,
+    entropy_count_bits,
     entropy_decode_blocks,
     entropy_encode_blocks,
     quality_to_table,
 )
 
-from conftest import naive_dct
+from conftest import naive_dct, reference_huffman_encode
 
 
 def _random_qblocks(rng, n, zero_fraction=0.8):
@@ -115,6 +116,88 @@ def test_entropy_rejects_truncation_and_garbage():
         entropy_decode_blocks(payload + b"\xff\xff\xff\xff", 20)
     with pytest.raises(CorruptError):
         entropy_decode_blocks(b"\xff\xff\xff", 1)
+
+
+def test_entropy_decode_peek_at_payload_end():
+    # the second block's AC code starts on the last payload bit
+    with pytest.raises(CorruptError):
+        entropy_decode_blocks(bytes.fromhex("bb40"), 2)
+
+
+def test_entropy_decode_bounds_block_count_before_allocating():
+    with pytest.raises(CorruptError):
+        entropy_decode_blocks(b"\x00" * 8, 2 ** 40)
+
+
+def _blocks_from_zigzag(zz):
+    out = np.zeros((len(zz), 64), dtype=np.int32)
+    out[:, ZIGZAG_ORDER] = zz
+    return out.reshape(-1, 8, 8)
+
+
+_NONZERO = st.integers(-1023, 1023).filter(bool)
+
+
+@st.composite
+def _sparse_qblocks(draw):
+    n = draw(st.integers(1, 8))
+    zz = np.zeros((n, 64), dtype=np.int64)
+    for i in range(n):
+        zz[i, 0] = draw(st.integers(-1023, 1023))  # DC differences up to category 11
+        positions = draw(st.lists(st.integers(1, 63), unique=True, max_size=12))
+        if draw(st.booleans()):
+            positions.append(63)  # last coefficient nonzero: no EOB
+        for k in positions:
+            zz[i, k] = draw(_NONZERO)
+    return _blocks_from_zigzag(zz)
+
+
+def _check_entropy_stage(blocks):
+    payload = entropy_encode_blocks(blocks)
+    assert payload == reference_huffman_encode(blocks)
+    assert (entropy_count_bits(blocks) + 7) // 8 == len(payload)
+    assert np.array_equal(entropy_decode_blocks(payload, len(blocks)), blocks)
+
+
+@given(_sparse_qblocks())
+def test_entropy_encoder_matches_reference_and_count(blocks):
+    _check_entropy_stage(blocks)
+
+
+@pytest.mark.parametrize("case", ["three_zrl", "last_at_63", "all_zero", "extreme_categories",
+                                  "run_of_16"])
+def test_entropy_encoder_edge_blocks(case):
+    zz = np.zeros((3, 64), dtype=np.int64)
+    if case == "three_zrl":
+        zz[:, 63] = [1, -1, 5]  # run of 62: three ZRLs, then (14, size)
+    elif case == "last_at_63":
+        zz[:, 1:] = 1
+        zz[1, 62] = 0
+    elif case == "extreme_categories":
+        zz[:, 0] = [1023, -1024, 1023]  # DC differences 1023, -2047, 2047
+        zz[:, 1] = [1023, -1023, 512]
+    elif case == "run_of_16":
+        zz[:, [16, 33, 50]] = 7  # runs of exactly 15 and 16 zeros
+        zz[1, 17] = -2
+    _check_entropy_stage(_blocks_from_zigzag(zz))
+
+
+def test_entropy_encoder_rejects_oversized_categories():
+    dc12 = np.zeros((2, 8, 8), dtype=np.int32)
+    dc12[1, 0, 0] = 2048  # DC difference category 12
+    ac11 = np.zeros((1, 8, 8), dtype=np.int32)
+    ac11[0, 3, 4] = -1024  # AC category 11
+    for blocks in (dc12, ac11):
+        with pytest.raises(ValidationError):
+            entropy_encode_blocks(blocks)
+        with pytest.raises(ValidationError):
+            entropy_count_bits(blocks)
+
+
+def test_entropy_encoder_rejects_misshaped_or_float_blocks():
+    for blocks in (np.zeros((2, 8, 7), dtype=np.int32), np.zeros((2, 8, 8))):
+        with pytest.raises(ArgumentError):
+            entropy_encode_blocks(blocks)
 
 
 def test_zigzag_order_is_a_permutation():
