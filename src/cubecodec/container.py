@@ -43,7 +43,14 @@ from .reduction import (
     pca_forward,
     pca_inverse,
 )
-from .spatial import PLANE_HEADER_NBYTES, EncodedPlane, PlaneTransform, decode_plane, encode_plane
+from .spatial import (  # noqa: F401 -- decode_plane stays importable from this module
+    PLANE_HEADER_NBYTES,
+    EncodedPlane,
+    PlaneTransform,
+    decode_plane,
+    decode_plane_stack,
+    encode_plane,
+)
 
 SCMP_MAGIC = b"SCMP"
 SCMP_VERSION = 1
@@ -253,8 +260,8 @@ def encode_planes(planes: ReducedPlanes, quality: int) -> list[EncodedPlane]:
 
 
 def decode_planes(encoded: list[EncodedPlane]) -> ReducedPlanes:
-    decoded = np.stack([decode_plane(e) for e in encoded])
-    return ReducedPlanes(width=encoded[0].width, height=encoded[0].height, planes=decoded)
+    return ReducedPlanes(width=encoded[0].width, height=encoded[0].height,
+                         planes=decode_plane_stack(encoded))
 
 
 def _stream_side(side):
@@ -352,9 +359,17 @@ def compress(cube: SpectralCube, method: str, p: int,
 
 
 def decompress(stream: CompressedStream) -> SpectralCube:
-    """Decode all planes and invert the spectral reduction."""
-    planes = decode_planes(stream.planes)
-    cube = spectral_inverse(planes, stream.side, stream.method, stream.wavelengths)
+    """Decode all planes and invert the spectral reduction.
+
+    A plane norm that scales the planes past float64, or a reconstruction
+    outside float32, raises :class:`CorruptError` before the cube is cast.
+    """
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            planes = decode_planes(stream.planes)
+            cube = spectral_inverse(planes, stream.side, stream.method, stream.wavelengths)
+    except ValidationError as exc:
+        raise CorruptError(f"decoded values out of range: {exc}") from None
     if (cube.width, cube.height, cube.bands) != (stream.width, stream.height, stream.bands):
         raise CorruptError("decoded dimensions disagree with stream header")
     return cube

@@ -29,6 +29,7 @@ SCUB_VERSION = 1
 SCUB_DTYPE_F32 = 1
 
 _HEADER = struct.Struct("<4sBBHIII")
+_F32_MAX = float(np.finfo(np.float32).max)
 
 #: patterns understood by :func:`synthesize_cube`
 PATTERNS = ("flat", "ramp", "gaussian-spectra", "random-smooth")
@@ -63,7 +64,11 @@ class SpectralCube:
             raise ValidationError("wavelengths contain non-finite values")
         if self.bands > 1 and not np.all(np.diff(wl) > 0):
             raise ValidationError("wavelengths must be strictly increasing")
-        s = np.ascontiguousarray(self.samples, dtype=np.float32)
+        s = np.asarray(self.samples)
+        if s.dtype != np.float32 and s.size and not (-_F32_MAX <= s.min() and s.max() <= _F32_MAX):
+            # checked before the cast, which would turn such values into inf
+            raise ValidationError("samples are non-finite or outside the float32 range")
+        s = np.ascontiguousarray(s, dtype=np.float32)
         if s.shape != (self.bands, self.height, self.width):
             raise ValidationError(
                 f"samples has shape {s.shape}, expected "

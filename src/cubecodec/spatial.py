@@ -17,7 +17,10 @@ coefficient with any ZRL codes of its zero run folded into the same field,
 and an EOB unless the last coefficient is nonzero.  The symbol lengths serve
 two consumers: :func:`entropy_count_bits` sums them, which is all a rate
 probe needs, and :func:`entropy_encode_blocks` places each field at its
-cumulative bit offset and packs the bits into bytes.
+cumulative bit offset and packs the bits into bytes.  The decoder
+(:func:`entropy_decode_planes`) has no per-symbol loop either: it finds every
+block's start by pointer doubling over per-bit-position symbol tables, then
+steps all blocks of all planes at once, one symbol each per step.
 
 The bitstream is MSB-first and zero-padded to a whole byte.  A plane record
 serializes as:
@@ -153,10 +156,6 @@ def _dct_batch(blocks: np.ndarray) -> np.ndarray:
     return _DCT @ blocks @ _DCT.T
 
 
-def _idct_batch(coeffs: np.ndarray) -> np.ndarray:
-    return _DCT.T @ coeffs @ _DCT
-
-
 # ---------------------------------------------------------------------------
 # quantization
 
@@ -179,10 +178,6 @@ def _quantize(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # entropy stage (bijective on quantized blocks)
-
-def _extend(bits: int, size: int) -> int:
-    return bits if bits >= (1 << (size - 1)) else bits - (1 << size) + 1
-
 
 def _code_table(codes, nsymbols):
     """Canonical codes as (code, length) arrays indexed by symbol; length 0 = unused."""
@@ -297,75 +292,211 @@ def entropy_encode_blocks(qblocks: np.ndarray) -> bytes:
     return words.astype(">u8").tobytes()[: (int(ends[-1]) + 7) // 8]
 
 
-def entropy_decode_blocks(payload: bytes, nblocks: int) -> np.ndarray:
-    """Exact inverse of :func:`entropy_encode_blocks`.
+# ---------------------------------------------------------------------------
+# entropy decoding (ITU-T T.81 Annex F.2.2) without a per-symbol loop
+#
+# Where an AC symbol ends, and how far it moves the zigzag index k (run + 1;
+# 16 for ZRL; 64 for EOB, which ends the block), depend only on the bit
+# position the symbol starts at.  Stage 1 tabulates both for every bit
+# position and composes the tables by pointer doubling over 2**0 .. 2**5
+# symbols, so the symbol at which a block's k reaches 64 -- its last -- is
+# found with six lookups, and a loop over blocks chains every block's start.
+# Stage 2 then decodes the coefficients of every block of every plane at once,
+# one AC symbol per block per step, in at most 63 steps.
+#
+# Stage 1 follows the chain of symbol lengths only.  It rejects invalid codes,
+# and a block that runs past its plane's payload, which then ends or starts
+# past the payload's last bit.  Stage 2 rejects what depends on k (a ZRL that
+# reaches 64, a run past index 63) and a DC predictor that leaves int32.
 
-    Raises :class:`CorruptError` on truncated or invalid bitstreams, or when
-    more than 7 padding bits remain after the last block.
+#: bit positions whose stage-1 tables are built at once; bounds their memory
+#: to about 2.5 MB whatever the stream size
+_STAGE1_BITS = 1 << 15
+#: more than the longest block: DC 9 + 11 bits, then 63 AC symbols of 16 + 10
+_BLOCK_BITS = 2048
+#: the longest AC symbol (16-bit code + 10 amplitude bits)
+_AC_SYMBOL_BITS = 26
+_DOUBLINGS = 6  # 2**5 + ... + 2**0 = 63 symbols
+
+# Per 16-bit peek: the symbol's length with its amplitude bits (0 = invalid
+# code), its amplitude size, and its k-step.  An invalid code steps 64 like
+# an EOB, so no doubling jump passes one.  k after a step may reach 64 after
+# a coefficient but only 63 after a ZRL; past an EOB it is always >= 64.
+_AC_SIZE = (_AC_LUT_SYM & 15).astype(np.intp)
+_AC_SIZE_KEY = _AC_SIZE << 11
+_AC_ADVANCE = np.where(_AC_LUT_LEN > 0, _AC_LUT_LEN + _AC_SIZE, 0).astype(np.intp)
+_AC_STEP = np.select([_AC_LUT_LEN == 0, _AC_LUT_SYM == _EOB, _AC_LUT_SYM == _ZRL],
+                     [64, 64, 16], (_AC_LUT_SYM >> 4) + 1).astype(np.uint16)
+_AC_K_LIMIT = np.select([_AC_LUT_SYM == _EOB, _AC_LUT_SYM == _ZRL], [255, 63], 64)
+_DC_SIZE = np.maximum(_DC_LUT_SYM, 0).astype(np.intp)
+_DC_ADVANCE = bytes(np.where(_DC_LUT_LEN > 0, _DC_LUT_LEN + _DC_SIZE, 0).astype(np.uint8))
+#: zigzag slot written after a step to k: the coefficient's, k - 1.  A ZRL
+#: writes 0 into its run and an EOB 0 into slot 63, neither of them written
+#: yet, which spares selecting the coefficient lanes.
+_STEP_SLOT = ZIGZAG_ORDER[np.minimum(np.arange(-1, 127), 63)]
+_PEEK16_SHIFTS = np.arange(24, 16, -1)
+
+
+def _extend_table() -> np.ndarray:
+    size = np.arange(12)[:, None]
+    bits = np.arange(2048) & ((1 << size) - 1)
+    return np.where(bits < (1 << size) >> 1, bits - (1 << size) + 1, bits).ravel()
+
+
+#: ``_EXTEND[size << 11 | bits]``: the value of the low ``size`` amplitude
+#: bits (Annex F.2.2.1 EXTEND, inverse of :func:`_amplitude_bits`); 0 for size 0
+_EXTEND = _extend_table()
+
+
+def _bit_windows(data: bytes) -> np.ndarray:
+    """``windows[i]``: the 40 bits of bytes i .. i + 4, zero past the end.
+
+    A peek of up to 32 bits at any bit position is then one lookup and one
+    shift.
     """
-    total_bits = len(payload) * 8
-    # every block costs at least 6 bits (DC category 0 + EOB): bound the
-    # claimed count by the payload before it sizes an allocation
-    if nblocks * 6 > total_bits:
-        raise CorruptError(f"{len(payload)}-byte payload cannot hold {nblocks} blocks")
-    # a 16-bit peek at the last bit position reads 3 bytes from its start
-    buf = bytes(payload) + b"\x00\x00\x00"
-    pos = 0
-    zz = np.zeros((nblocks, 64), dtype=np.int32)
-    prev_dc = 0
-    dc_sym, dc_len = _DC_LUT_SYM, _DC_LUT_LEN
-    ac_sym, ac_len = _AC_LUT_SYM, _AC_LUT_LEN
+    padded = data + bytes(8)
+    windows = np.empty(len(data) + 1, dtype=np.int64)
+    for offset in range(8):
+        words = np.frombuffer(padded, dtype=">u8", offset=offset,
+                              count=len(range(offset, windows.size, 8)))
+        windows[offset::8] = words >> 24
+    return windows
 
-    def peek16(at):
-        bi = at >> 3
-        window = (buf[bi] << 16) | (buf[bi + 1] << 8) | buf[bi + 2]
-        return (window >> (8 - (at & 7))) & 0xFFFF
 
-    for i in range(nblocks):
-        v = peek16(pos)
-        size = int(dc_sym[v])
-        ln = int(dc_len[v])
-        if ln == 0 or pos + ln > total_bits:
-            raise CorruptError(f"bad DC code in block {i}")
-        pos += ln
-        if size:
-            if pos + size > total_bits:
-                raise CorruptError(f"truncated DC amplitude in block {i}")
-            bits = peek16(pos) >> (16 - size)
-            pos += size
-            prev_dc += _extend(bits, size)
-        zz[i, 0] = prev_dc
-        k = 1
-        while k < 64:
-            v = peek16(pos)
-            sym = int(ac_sym[v])
-            ln = int(ac_len[v])
-            if ln == 0 or pos + ln > total_bits:
-                raise CorruptError(f"bad AC code in block {i}")
-            pos += ln
-            if sym == _EOB:
-                break
-            if sym == _ZRL:
-                k += 16
-                if k > 63:
-                    raise CorruptError(f"zero run overflows block {i}")
-                continue
-            run = sym >> 4
-            size = sym & 0xF
-            k += run
-            if k > 63:
-                raise CorruptError(f"coefficient index overflows block {i}")
-            if pos + size > total_bits:
-                raise CorruptError(f"truncated AC amplitude in block {i}")
-            bits = peek16(pos) >> (16 - size)
-            pos += size
-            zz[i, k] = _extend(bits, size)
-            k += 1
-    if total_bits - pos >= 8:
-        raise CorruptError(f"{total_bits - pos} unread payload bits after last block")
-    out = np.zeros((nblocks, 64), dtype=np.int32)
-    out[:, ZIGZAG_ORDER] = zz
-    return out.reshape(nblocks, 8, 8)
+def _peek32(windows: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """The 32 bits starting at each bit position ``pos``."""
+    return (windows[pos >> 3] >> (8 - (pos & 7))) & 0xFFFFFFFF
+
+
+def _symbol_tables(windows: np.ndarray, lo: int, hi: int):
+    """Stage-1 doubling tables for the bit positions ``lo`` (byte aligned) to ``hi``.
+
+    Returns ``(jump, step)`` per level j, coarsest first: from local position
+    b, 2**j AC symbols end at ``jump[b]`` and move k by ``step[b]``.  An
+    invalid code jumps to itself with step 64; so do the positions from
+    ``hi`` on, which a symbol ends in when it runs past ``hi``.
+    """
+    n = hi - lo
+    peeks = ((windows[lo >> 3:(hi + 7) >> 3, None] >> _PEEK16_SHIFTS) & 0xFFFF).ravel()[:n]
+    jump = np.arange(n + _AC_SYMBOL_BITS, dtype=np.intp)
+    jump[:n] += _AC_ADVANCE[peeks]
+    step = np.full(n + _AC_SYMBOL_BITS, 64, dtype=np.uint16)
+    step[:n] = _AC_STEP[peeks]
+    del peeks
+    jumps, steps = [jump], [step]
+    for _ in range(_DOUBLINGS - 1):
+        step = step + step[jump]  # at most 32 * 64: no overflow
+        jump = jump[jump]
+        jumps.append(jump)
+        steps.append(step)
+    return [(memoryview(j), memoryview(s)) for j, s in zip(jumps[::-1], steps[::-1])]
+
+
+def _block_starts(windows: np.ndarray, plane_ends: list[int], nblocks: list[int]) -> np.ndarray:
+    """Stage 1: the bit position of every block's DC symbol, planes back to back."""
+    starts = np.empty(sum(nblocks), dtype=np.int64)
+    words = memoryview(windows)
+    dc_advance = _DC_ADVANCE
+    i = 0  # block index over all planes
+    built = -1  # the tables cover the block starts below this position
+    begin = 0
+    for end, count in zip(plane_ends, nblocks):
+        s = begin
+        for _ in range(count):
+            if s >= end:
+                raise CorruptError(f"block {i} starts past its plane's payload")
+            if s >= built:
+                lo = s & ~7
+                built = lo + _STAGE1_BITS
+                levels = _symbol_tables(windows, lo, min(built + _BLOCK_BITS, plane_ends[-1]))
+                last_symbol = levels[-1][0]
+            starts[i] = s
+            advance = dc_advance[(words[s >> 3] >> (24 - (s & 7))) & 0xFFFF]
+            if not advance:
+                raise CorruptError(f"bad DC code in block {i}")
+            # jump while k = 1 + moved stays below 64, then take the block's last symbol
+            pos = s + advance - lo
+            moved = 0
+            for jump, step in levels:
+                if moved + step[pos] < 63:
+                    moved += step[pos]
+                    pos = jump[pos]
+            last = last_symbol[pos]
+            if last == pos:
+                raise CorruptError(f"bad AC code or truncated payload in block {i}")
+            s = last + lo
+            i += 1
+        if not 0 <= end - s < 8:
+            raise CorruptError(f"the last block ends at bit {s - begin} of a {end - begin}-bit payload")
+        begin = end
+    return starts
+
+
+def _decode_coefficients(windows: np.ndarray, starts: np.ndarray, nblocks: list[int]) -> np.ndarray:
+    """Stage 2: the quantized coefficients of every block, natural order, as (n, 64)."""
+    n = starts.size
+    bits = _peek32(windows, starts)
+    peeks = bits >> 16
+    size = _DC_SIZE[peeks]
+    pos = starts + _DC_LUT_LEN[peeks] + size
+    diff = _EXTEND[(size << 11) | ((bits >> (32 - (pos - starts))) & 0x7FF)]
+    del bits, peeks, size
+    # DC differences accumulate within each plane
+    counts = np.asarray(nblocks)
+    first = (np.cumsum(counts) - counts)[counts > 0]
+    running = np.cumsum(diff)
+    running -= np.repeat((running - diff)[first], counts[counts > 0])
+    if n and (running.min() < -2 ** 31 or running.max() >= 2 ** 31):
+        raise CorruptError("DC predictor leaves the int32 range")
+    out = np.zeros((n, 64), dtype=np.int32)
+    out[:, 0] = running
+    del diff, running
+    flat = out.reshape(-1)
+    row = np.arange(0, 64 * n, 64)
+    k = np.ones(n, dtype=np.int64)
+    while k.size:
+        bits = _peek32(windows, pos)
+        peeks = bits >> 16
+        k += _AC_STEP[peeks]
+        if np.any(k > _AC_K_LIMIT[peeks]):
+            block = int(row[np.flatnonzero(k > _AC_K_LIMIT[peeks])[0]]) // 64
+            raise CorruptError(f"zero run or coefficient index overflows block {block}")
+        advance = _AC_ADVANCE[peeks]
+        pos += advance
+        flat[row + _STEP_SLOT[k]] = _EXTEND[_AC_SIZE_KEY[peeks] | ((bits >> (32 - advance)) & 0x7FF)]
+        going = np.flatnonzero(k < 64)
+        if going.size < k.size:
+            row, pos, k = row[going], pos[going], k[going]
+    return out
+
+
+def entropy_decode_planes(payloads: list[bytes], nblocks: list[int]) -> np.ndarray:
+    """Decode the Huffman bitstreams of several planes in one pass.
+
+    ``payloads[i]`` holds ``nblocks[i]`` blocks.  Returns every plane's
+    quantized blocks (natural order) back to back as an
+    ``(sum(nblocks), 8, 8)`` int32 array.  Raises :class:`CorruptError` on
+    truncated or invalid bitstreams, when more than 7 padding bits remain
+    after a plane's last block, or when the DC predictor leaves int32.
+    """
+    nblocks = [int(count) for count in nblocks]
+    plane_ends = []
+    total_bits = 0
+    for payload, count in zip(payloads, nblocks, strict=True):
+        # every block costs at least 6 bits (DC category 0 + EOB): bound the
+        # claimed count by the payload before it sizes an allocation
+        if count * 6 > len(payload) * 8:
+            raise CorruptError(f"{len(payload)}-byte payload cannot hold {count} blocks")
+        total_bits += len(payload) * 8
+        plane_ends.append(total_bits)
+    windows = _bit_windows(b"".join(payloads))
+    starts = _block_starts(windows, plane_ends, nblocks)
+    return _decode_coefficients(windows, starts, nblocks).reshape(-1, 8, 8)
+
+
+def entropy_decode_blocks(payload: bytes, nblocks: int) -> np.ndarray:
+    """Exact inverse of :func:`entropy_encode_blocks`: one plane of :func:`entropy_decode_planes`."""
+    return entropy_decode_planes([payload], [nblocks])
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +563,6 @@ def _to_blocks(padded: np.ndarray) -> np.ndarray:
     return padded.reshape(h // 8, 8, w // 8, 8).transpose(0, 2, 1, 3).reshape(-1, 8, 8)
 
 
-def _from_blocks(blocks: np.ndarray, h8: int, w8: int) -> np.ndarray:
-    return blocks.reshape(h8 // 8, w8 // 8, 8, 8).transpose(0, 2, 1, 3).reshape(h8, w8)
-
-
 @dataclass(frozen=True, eq=False)
 class PlaneTransform:
     """The quality-independent half of :func:`encode_plane`.
@@ -484,14 +611,40 @@ def encode_plane(plane: np.ndarray, quality: int) -> EncodedPlane:
     return PlaneTransform.of(plane).encode(quality)
 
 
+def decode_plane_stack(planes: list[EncodedPlane]) -> np.ndarray:
+    """Decode plane records of one size into a ``(P, H, W)`` float64 array (no clamping).
+
+    Entropy decodes every plane in one :func:`entropy_decode_planes` call,
+    then dequantizes and inverse transforms all blocks in one batched matmul
+    that writes straight into the output's padded layout.
+    """
+    planes = list(planes)
+    if not planes:
+        raise ArgumentError("no plane records to decode")
+    width, height = planes[0].width, planes[0].height
+    if any((p.width, p.height) != (width, height) for p in planes):
+        raise ArgumentError("plane records differ in size")
+    nblocks = planes[0].nblocks
+    qblocks = entropy_decode_planes([p.payload for p in planes], [nblocks] * len(planes))
+    coeffs = qblocks.reshape(len(planes), nblocks, 8, 8).astype(np.float64)
+    del qblocks
+    coeffs *= np.stack([quality_to_table(BASE_LUMA_QUANT, p.quality) for p in planes])[:, None]
+    half = _DCT.T @ coeffs
+    del coeffs
+    h8 = ((height + 7) // 8) * 8
+    w8 = ((width + 7) // 8) * 8
+    padded = np.empty((len(planes), h8, w8))
+    # (P, h8/8, 8, w8/8, 8) viewed block-major: the IDCT's output lands in place
+    blocks = padded.reshape(len(planes), h8 // 8, 8, w8 // 8, 8).transpose(0, 1, 3, 2, 4)
+    np.matmul(half.reshape(blocks.shape), _DCT, out=blocks)
+    del half
+    out = padded[:, :height, :width]
+    out += 128.0
+    out *= np.array([p.norm.scale for p in planes])[:, None, None]
+    out += np.array([p.norm.offset for p in planes])[:, None, None]
+    return np.ascontiguousarray(out)
+
+
 def decode_plane(enc: EncodedPlane) -> np.ndarray:
     """Decode a plane record back to its (H, W) float64 values (no clamping)."""
-    table = quality_to_table(BASE_LUMA_QUANT, enc.quality)
-    qblocks = entropy_decode_blocks(enc.payload, enc.nblocks)
-    coeffs = qblocks.astype(np.float64) * table
-    blocks = _idct_batch(coeffs) + 128.0
-    h8 = ((enc.height + 7) // 8) * 8
-    w8 = ((enc.width + 7) // 8) * 8
-    padded = _from_blocks(blocks, h8, w8)
-    normalized = padded[: enc.height, : enc.width]
-    return normalized * enc.norm.scale + enc.norm.offset
+    return decode_plane_stack([enc])[0]

@@ -197,3 +197,82 @@ def reference_huffman_encode(qblocks) -> bytes:
             put(*_AC_CODES[0x00])
     pad = -nbits % 8
     return ((acc << pad).to_bytes((nbits + pad) // 8, "big") if nbits else b"")
+
+
+def flip_bit(data: bytes, bit: int) -> bytes:
+    """``data`` with bit ``bit`` (MSB-first) inverted."""
+    flipped = bytearray(data)
+    flipped[bit >> 3] ^= 0x80 >> (bit & 7)
+    return bytes(flipped)
+
+
+# ---------------------------------------------------------------------------
+# symbol-at-a-time Huffman decoder (oracle for the two-stage decoder): Annex
+# F.2.2 walked one code at a time through 16-bit peeks
+
+def reference_huffman_decode(payload: bytes, nblocks: int) -> np.ndarray:
+    from cubecodec.errors import CorruptError
+    from cubecodec.spatial import (_AC_LUT_LEN, _AC_LUT_SYM, _DC_LUT_LEN, _DC_LUT_SYM,
+                                   ZIGZAG_ORDER)
+
+    def extend(bits, size):
+        return bits if bits >= (1 << (size - 1)) else bits - (1 << size) + 1
+
+    total_bits = len(payload) * 8
+    if nblocks * 6 > total_bits:
+        raise CorruptError(f"{len(payload)}-byte payload cannot hold {nblocks} blocks")
+    buf = bytes(payload) + b"\x00\x00\x00"
+    pos = 0
+    zz = np.zeros((nblocks, 64), dtype=np.int32)
+    prev_dc = 0
+
+    def peek16(at):
+        bi = at >> 3
+        window = (buf[bi] << 16) | (buf[bi + 1] << 8) | buf[bi + 2]
+        return (window >> (8 - (at & 7))) & 0xFFFF
+
+    for i in range(nblocks):
+        v = peek16(pos)
+        size = int(_DC_LUT_SYM[v])
+        ln = int(_DC_LUT_LEN[v])
+        if ln == 0 or pos + ln > total_bits:
+            raise CorruptError(f"bad DC code in block {i}")
+        pos += ln
+        if size:
+            if pos + size > total_bits:
+                raise CorruptError(f"truncated DC amplitude in block {i}")
+            bits = peek16(pos) >> (16 - size)
+            pos += size
+            prev_dc += extend(bits, size)
+        zz[i, 0] = prev_dc
+        k = 1
+        while k < 64:
+            v = peek16(pos)
+            sym = int(_AC_LUT_SYM[v])
+            ln = int(_AC_LUT_LEN[v])
+            if ln == 0 or pos + ln > total_bits:
+                raise CorruptError(f"bad AC code in block {i}")
+            pos += ln
+            if sym == 0x00:
+                break
+            if sym == 0xF0:
+                k += 16
+                if k > 63:
+                    raise CorruptError(f"zero run overflows block {i}")
+                continue
+            run = sym >> 4
+            size = sym & 0xF
+            k += run
+            if k > 63:
+                raise CorruptError(f"coefficient index overflows block {i}")
+            if pos + size > total_bits:
+                raise CorruptError(f"truncated AC amplitude in block {i}")
+            bits = peek16(pos) >> (16 - size)
+            pos += size
+            zz[i, k] = extend(bits, size)
+            k += 1
+    if total_bits - pos >= 8:
+        raise CorruptError(f"{total_bits - pos} unread payload bits after last block")
+    out = np.zeros((nblocks, 64), dtype=np.int32)
+    out[:, ZIGZAG_ORDER] = zz
+    return out.reshape(nblocks, 8, 8)

@@ -2,8 +2,11 @@
 
 import math
 import struct
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cubecodec.bench import (
     BenchConfig,
@@ -22,9 +25,11 @@ from cubecodec.bench import (
     run_benchmark,
 )
 from cubecodec.cli import cli_main
-from cubecodec.container import compress, serialize_stream
+from cubecodec.container import compress, decompress, parse_stream, serialize_stream
 from cubecodec.cube import read_cube, synthesize_cube, write_cube
-from cubecodec.errors import ArgumentError, ValidationError
+from cubecodec.errors import ArgumentError, CodecError, ValidationError
+
+from conftest import flip_bit
 
 _TINY = "synth:gaussian-spectra:16x16x31:3"
 
@@ -243,6 +248,31 @@ def test_cli_decompress_rejects_oversized_dimensions(tmp_path, capsys):
     path.write_bytes(bytes(blob))
     assert cli_main(["decompress", "--in", str(path), "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+_VALID_STREAMS = {
+    method: serialize_stream(compress(synthesize_cube(16, 8, 6, "random-smooth", 7),
+                                      method, 3, quality=60))
+    for method in ("pca", "csi")
+}
+
+
+@given(st.sampled_from(sorted(_VALID_STREAMS)), st.booleans(), st.data())
+def test_cli_decompress_exits_2_on_damaged_streams(method, truncate, data):
+    blob = _VALID_STREAMS[method]
+    if truncate:
+        damaged = blob[:data.draw(st.integers(0, len(blob) - 1))]
+    else:
+        damaged = flip_bit(blob, data.draw(st.integers(0, 8 * len(blob) - 1)))
+    try:
+        decompress(parse_stream(damaged))
+        expected = 0
+    except CodecError:
+        expected = 2
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "damaged.scmp"
+        path.write_bytes(damaged)
+        assert cli_main(["decompress", "--in", str(path), "--out", str(Path(tmp) / "x")]) == expected
 
 
 def test_cli_rate_error(tmp_path):

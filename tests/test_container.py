@@ -1,5 +1,8 @@
 """End-to-end codec tests: stream format, rate control, reconstruction."""
 
+import struct
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,10 +21,10 @@ from cubecodec.container import (
     stream_nbytes,
 )
 from cubecodec.cube import SpectralCube, scub_nbytes, synthesize_cube, write_cube
-from cubecodec.errors import ArgumentError, CorruptError, FormatError, RateError
+from cubecodec.errors import ArgumentError, CodecError, CorruptError, FormatError, RateError
 from cubecodec.bench import make_skin_cube
 
-from conftest import random_cube
+from conftest import flip_bit, random_cube
 
 
 def _flat_cube(width=16, height=16, bands=8):
@@ -187,6 +190,42 @@ def test_decompress_rejects_corrupt_payload():
         decompress(parsed)  # either parse or decode must reject; never crash
     except CorruptError:
         pass
+
+
+def _damaged(blob):
+    """Every truncation and every single-bit flip of ``blob``."""
+    for count in range(len(blob)):
+        yield blob[:count]
+    for bit in range(8 * len(blob)):
+        yield flip_bit(blob, bit)
+
+
+@pytest.mark.parametrize("method", ["pca", "csi"])
+def test_every_truncation_and_bit_flip_decodes_or_raises_codec_error(method):
+    cube = synthesize_cube(8, 8, 6, "random-smooth", 5)
+    blob = serialize_stream(compress(cube, method, 3, quality=50))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for damaged in _damaged(blob):
+            try:
+                decompress(parse_stream(damaged))
+            except CodecError:
+                pass
+
+
+@pytest.mark.parametrize("method", ["pca", "csi"])
+@pytest.mark.parametrize("scale", [1e300, 1e308])
+def test_huge_plane_scale_is_corrupt_before_the_float32_cast(method, scale):
+    stream = compress(synthesize_cube(16, 16, 8, "ramp", 0), method, 3, quality=50)
+    blob = bytearray(serialize_stream(stream))
+    record = len(blob) - sum(len(plane.to_bytes()) for plane in stream.planes)
+    struct.pack_into("<d", blob, record + 17, scale)  # after u32 w, u32 h, u8 q, f64 offset
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        parsed = parse_stream(bytes(blob))
+        assert parsed.planes[0].norm.scale == scale
+        with pytest.raises(CorruptError):
+            decompress(parsed)
 
 
 # ---------------------------------------------------------------------------

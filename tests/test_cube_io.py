@@ -1,6 +1,7 @@
 """Cube model, SCUB container, and synthetic-cube generator tests."""
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,17 @@ def test_nonfinite_sample_is_validation_error():
     struct.pack_into("<f", blob, len(blob) - 4, float("nan"))
     with pytest.raises(ValidationError):
         read_cube(bytes(blob))
+
+
+def test_samples_outside_float32_are_rejected_before_the_cast():
+    wl = np.array([400.0, 410.0], dtype=np.float32)
+    for value in (1e39, -1e300, np.inf, np.nan):
+        samples = np.full((2, 1, 1), 0.5)
+        samples[1, 0, 0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError):
+                SpectralCube(width=1, height=1, bands=2, wavelengths=wl, samples=samples)
 
 
 def test_constructor_validates_shapes_and_dims():

@@ -1,8 +1,10 @@
-"""Golden-bytes gate: the encoder's output is pinned byte for byte.
+"""Golden-bytes gate: the encoder's output and the decoder's are pinned byte for byte.
 
-The digests were recorded with the symbol-at-a-time Huffman encoder that
-preceded the vectorized one; any change to the SCMP bytes, the quality the
-rate search picks or its probe count fails here.
+The stream digests were recorded with the symbol-at-a-time Huffman encoder
+that preceded the vectorized one; any change to the SCMP bytes, the quality
+the rate search picks or its probe count fails here.  The decoded-plane
+digests were recorded with the symbol-at-a-time decoder and the per-plane
+dequantize + IDCT that preceded the two-stage decoder and the batched one.
 """
 
 import hashlib
@@ -10,8 +12,14 @@ import hashlib
 import pytest
 
 from cubecodec.bench import BUILTIN_CORPUS, _BUILTIN_BUILDERS, make_sweep_cube
-from cubecodec.container import RateTarget, compress_with_report, serialize_stream, spectral_forward
-from cubecodec.spatial import encode_plane
+from cubecodec.container import (
+    RateTarget,
+    compress_with_report,
+    decode_planes,
+    serialize_stream,
+    spectral_forward,
+)
+from cubecodec.spatial import decode_plane_stack, encode_plane
 
 # (image, method, p) -> (sha256 of the SCMP bytes, chosen quality, rate probes) at CR 8
 GOLDEN_STREAMS = {
@@ -39,6 +47,35 @@ GOLDEN_STREAMS = {
     ("chart", "csi", 20): ("a8add35cfe24954738308ae85a594fe523356f36da4c4dae54b92be533a1f102", 100, 7),
     ("chart", "csi", 24): ("4a58c5dc0450c8b4ac9b9e7bf0798a14c558f547ddca2495d1298310e208a73f", 98, 7),
     ("chart", "csi", 28): ("42733d3a1efdd0bb533da933b24638f82d4d824b0ae9916ff07c7d0dfaee6ada", 97, 5),
+}
+
+# (image, method, p) -> sha256 of the decoded (P, H, W) float64 planes of the
+# rate-controlled stream above
+GOLDEN_DECODED = {
+    ("skin", "pca", 20): "5286717506e9c67535d9a47295dbddbaaff817e946728f4d75f39379c7071b77",
+    ("skin", "pca", 24): "e606f5a063ded454e5973b5728973ef67cffa37af04d32ba1a038e306c191531",
+    ("skin", "pca", 28): "96b142ca0bac14acacb11759093f1f143a3b940f0235500774ad227377477244",
+    ("skin", "csi", 20): "a33564ca28a746d3df6c0a021b25a63248f65d71bb0dec202489df41fab67df0",
+    ("skin", "csi", 24): "08d9cf98ec0b4d64a655ac095a02aedc62ec1f0362b7b2968b0fca6b71bf57e7",
+    ("skin", "csi", 28): "b16d4287f089deb47418143ab8ae401353be48a956f2b3a9ca724c26dbf69ff2",
+    ("narrowband", "pca", 20): "21fb2c3ba13162f8994126d7ed202f08df2848a92a70133d279f4033a844fb58",
+    ("narrowband", "pca", 24): "f6786a5c67b1fb10854e97716d251863e5f8fe6b76cf885d8b21e50b6eb0deb6",
+    ("narrowband", "pca", 28): "b23dd65dc6aaa159b9e9f4ef21fa632d46271d6cc989e0b2f3830de06df7a00a",
+    ("narrowband", "csi", 20): "e3708a3a67fa0e617c606ba4200730b6829a8ca4428233dc745abf4b66449696",
+    ("narrowband", "csi", 24): "9a4733a198f1230d8c9bcea60d91a2b6680f7ef5262890621c745c58dc11f4b1",
+    ("narrowband", "csi", 28): "1b625174e3435b267753a78e34f4f7516027a37a961e4e8ad42c6c7dd7ed5b6a",
+    ("dark", "pca", 20): "7fc631feeb5eff4c23fd426226768062aff5e4c9bf1908e2488bd6bef481e0c3",
+    ("dark", "pca", 24): "e19b031c6751c8d48751fdaa077ae0874cf566a254c1b05e62adea2212973e8a",
+    ("dark", "pca", 28): "3601428c3eb31f419f593f9c05b275b2254ea6101c8ca9b03ab5c0b21e942e63",
+    ("dark", "csi", 20): "22b2f7bedf136bbad7d20c4aab9a33b35cd0793d771351e1f1ffc0621ee4e342",
+    ("dark", "csi", 24): "222bc1bbcabccf597ea7298e6f81d3c209c83219c0b546098d4fb3068df9bd5c",
+    ("dark", "csi", 28): "d0901382aa9eea35e63a747d7ddd2b5a5f1eea58f81ae4b3577d9d85cd6e7c54",
+    ("chart", "pca", 20): "161148e52d869612658fc92c127e469c487fd90a3c8a9f9633e66fc6a1af6163",
+    ("chart", "pca", 24): "d2df106ce0a7c05b536c40fc79b09ad1960042b7d986ab269c77132cf5ffd909",
+    ("chart", "pca", 28): "b9b04ffbc8f2efe9a3ee5182001854b1498ef099875471164a1ac38286a9a7ea",
+    ("chart", "csi", 20): "e0e5bcfb3ef1f63fdaf4de7873686091565d79e7dff1500e38d6bb599ab6dc93",
+    ("chart", "csi", 24): "7c2a7dff1495ed80584bb605f44a22b95951b9a33a211aa4d7b43636f843b179",
+    ("chart", "csi", 28): "78a703dae6253e7370504c2b3f04b8481de4c8ea84259b792c98afdc3848276b",
 }
 
 # quality -> first 16 hex digits of the sha256 over the payloads of every
@@ -72,6 +109,37 @@ GOLDEN_PAYLOADS = {
 }
 
 
+# quality -> first 16 hex digits of the sha256 over the decoded float64
+# planes of the same PCA then CSI plane records
+GOLDEN_DECODED_PLANES = {
+    1: "714443f75c0e027c", 2: "5c6efea1fbf6224a", 3: "a8eebac993704360", 4: "1b21026460e20faf",
+    5: "ec5989571b4a89ec", 6: "b0c00ce67250676f", 7: "5004f72d69abc933", 8: "5ad82f6052b52dca",
+    9: "ad90645a227a63ef", 10: "da06521af78c8810", 11: "c19bc397cf15a33f", 12: "9eed64a5e9d455d2",
+    13: "63af12982ea4e0b1", 14: "a8e6ebb1de050ca6", 15: "fb7c4a896c2628d8", 16: "e77837273e8a5213",
+    17: "07efe1f89226ea93", 18: "166a24c187ad3de7", 19: "3e2aacc11ce2ee6f", 20: "9012592f34a44645",
+    21: "bfbf55e95f8a1df3", 22: "d4d78ba44a076a86", 23: "8648920fecdbca7c", 24: "891da1d0c377bb6f",
+    25: "6aabc7ce683e2620", 26: "616f8d2ebfce50c7", 27: "68d2cd6f4620d27c", 28: "c439792198cdfdd2",
+    29: "e740f458e5ae98d9", 30: "2a671d1cdac6da85", 31: "344d92b31ed2ef76", 32: "75f4c6ed4c1b475e",
+    33: "58322f3c7e8c95b1", 34: "d66192ab555e2746", 35: "686bb87f1a82903c", 36: "6a8b61c7c8c08c41",
+    37: "b854443a7f990cc3", 38: "7cd0f08dae829438", 39: "4eff9ea528b702bd", 40: "254286c251078a29",
+    41: "8f23bcee01a44e2a", 42: "0bdd2e59162f192f", 43: "37007d5854b93fab", 44: "86646fa98cd36a3a",
+    45: "2af83f46bc76818b", 46: "6a1266097c8d5f7c", 47: "4ea9b1081da43706", 48: "a217ce603663325d",
+    49: "abaa44c86d57068d", 50: "37cb5e3eaacdfefb", 51: "bbecc5325e18d838", 52: "bf448e4e5eb92e8e",
+    53: "2eff1a3209f59161", 54: "5cd21a02c21c8d78", 55: "c95e0bf90f3b6215", 56: "aa499c88cd8d71ff",
+    57: "383bed4286c3b605", 58: "f85598bdbeb0df99", 59: "4629f83fb6e49ebe", 60: "ec66d81a9e02c5c5",
+    61: "b2a5ea2732a99984", 62: "510e976b3b5e41d7", 63: "fe70f30027b4b8e6", 64: "46b54656876d902f",
+    65: "57e8a67d39c1a69c", 66: "009cf091b3e90fee", 67: "18d960be8f3fc323", 68: "8f7e24a333d1b393",
+    69: "d85963801549479a", 70: "338990233722a618", 71: "ca0e1d88133408c5", 72: "312681e2487bfcc1",
+    73: "4dc17ef864d24a0f", 74: "672807e91da96b39", 75: "ec4126a92c9bd520", 76: "8f7af070f631eb5b",
+    77: "773ad7e5d7b7b46a", 78: "86729a5c55add29f", 79: "69efb9f58df6fc5e", 80: "007c29a4fe308360",
+    81: "8f3900d7f5fda12f", 82: "17e8292dded3ed48", 83: "64135df0a7edc1f7", 84: "d05c08396adab4e3",
+    85: "2048d02d2767b65d", 86: "42212053026c2298", 87: "ce0a705228bf2ab9", 88: "6bb37c472c3903c8",
+    89: "357ba9c3590342f9", 90: "c333eea995bde93d", 91: "f4d30e0a7edbc1c5", 92: "bbe1a206465f73f8",
+    93: "b29f0fe22324e23e", 94: "269609453319b5f6", 95: "5f379d01e46b5629", 96: "df270d1c240ea865",
+    97: "7fd446893af051bc", 98: "848aac4606a6d5c7", 99: "be791d6e57fd9ecd", 100: "2817404c19c2c92f",
+}
+
+
 @pytest.mark.parametrize("image", BUILTIN_CORPUS)
 def test_rate_controlled_streams_are_pinned(image):
     cube = _BUILTIN_BUILDERS[image]()
@@ -80,14 +148,20 @@ def test_rate_controlled_streams_are_pinned(image):
             stream, report = compress_with_report(cube, method, p, rate=RateTarget(8.0))
             digest = hashlib.sha256(serialize_stream(stream)).hexdigest()
             assert (digest, report.quality, report.encodes) == GOLDEN_STREAMS[image, method, p]
+            decoded = decode_planes(stream.planes).planes
+            assert hashlib.sha256(decoded.tobytes()).hexdigest() == GOLDEN_DECODED[image, method, p]
 
 
 def test_entropy_payloads_are_pinned_at_every_quality():
     cube = make_sweep_cube(64, 64)
     planes = [spectral_forward(cube, method, 20)[0] for method in ("pca", "csi")]
     for quality, expected in GOLDEN_PAYLOADS.items():
-        digest = hashlib.sha256()
+        payloads = hashlib.sha256()
+        decoded = hashlib.sha256()
         for reduced in planes:
-            for plane in reduced.planes:
-                digest.update(encode_plane(plane, quality).payload)
-        assert digest.hexdigest()[:16] == expected, f"quality {quality}"
+            encoded = [encode_plane(plane, quality) for plane in reduced.planes]
+            for plane in encoded:
+                payloads.update(plane.payload)
+            decoded.update(decode_plane_stack(encoded).tobytes())
+        assert payloads.hexdigest()[:16] == expected, f"quality {quality}"
+        assert decoded.hexdigest()[:16] == GOLDEN_DECODED_PLANES[quality], f"quality {quality}"

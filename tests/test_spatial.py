@@ -1,9 +1,12 @@
 """Plane codec tests: DCT, quality scaling, entropy stage, full pipeline."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from cubecodec import spatial
 from cubecodec.cube import synthesize_cube
 from cubecodec.errors import ArgumentError, CorruptError, ValidationError
 from cubecodec.spatial import (
@@ -17,11 +20,12 @@ from cubecodec.spatial import (
     encode_plane,
     entropy_count_bits,
     entropy_decode_blocks,
+    entropy_decode_planes,
     entropy_encode_blocks,
     quality_to_table,
 )
 
-from conftest import naive_dct, reference_huffman_encode
+from conftest import flip_bit, naive_dct, reference_huffman_decode, reference_huffman_encode
 
 
 def _random_qblocks(rng, n, zero_fraction=0.8):
@@ -180,6 +184,106 @@ def test_entropy_encoder_edge_blocks(case):
         zz[:, [16, 33, 50]] = 7  # runs of exactly 15 and 16 zeros
         zz[1, 17] = -2
     _check_entropy_stage(_blocks_from_zigzag(zz))
+
+
+def _reference_or_none(payload, nblocks):
+    try:
+        return reference_huffman_decode(payload, nblocks)
+    except CorruptError:
+        return None
+
+
+def _assert_decodes_like_reference(payloads, nblocks):
+    """All planes decode to the reference's blocks, or CorruptError when any plane's reference raises."""
+    expected = [_reference_or_none(p, n) for p, n in zip(payloads, nblocks)]
+    if any(e is None for e in expected):
+        with pytest.raises(CorruptError):
+            entropy_decode_planes(payloads, nblocks)
+    else:
+        got = entropy_decode_planes(payloads, nblocks)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, np.concatenate(expected))
+
+
+@st.composite
+def _damaged_payloads(draw):
+    """A valid payload, or one truncation, single-bit flip or wrong block count of it."""
+    blocks = draw(_sparse_qblocks())
+    payload = entropy_encode_blocks(blocks)
+    nblocks = len(blocks)
+    kind = draw(st.sampled_from(("intact", "truncate", "flip", "miscount")))
+    if kind == "truncate":
+        payload = payload[:draw(st.integers(0, len(payload) - 1))]
+    elif kind == "flip":
+        payload = flip_bit(payload, draw(st.integers(0, 8 * len(payload) - 1)))
+    elif kind == "miscount":
+        nblocks += draw(st.sampled_from((-1, 1)))
+    return payload, nblocks
+
+
+@settings(max_examples=300)
+@given(_damaged_payloads())
+def test_entropy_decoder_matches_reference_on_damaged_payloads(case):
+    payload, nblocks = case
+    _assert_decodes_like_reference([payload], [nblocks])
+
+
+@settings(max_examples=100)
+@given(st.lists(_damaged_payloads(), min_size=1, max_size=4), st.integers(1, 256))
+def test_multi_plane_decode_matches_reference_with_tiny_stage1_windows(cases, window_bits):
+    # windows of 1-256 bit positions rebuild the stage-1 tables at almost every
+    # block and across plane boundaries; real streams rebuild them every 2**15 bits
+    payloads, nblocks = zip(*cases)
+    with mock.patch.object(spatial, "_STAGE1_BITS", window_bits):
+        _assert_decodes_like_reference(list(payloads), list(nblocks))
+
+
+def test_multi_plane_decode_across_stage1_windows():
+    rng = np.random.default_rng(49)
+    sizes = [700, 3, 1, 1200, 40]
+    blocks = [_random_qblocks(rng, n, zero_fraction=0.85) for n in sizes]
+    payloads = [entropy_encode_blocks(b) for b in blocks]
+    assert sum(map(len, payloads)) * 8 > 3 * spatial._STAGE1_BITS
+    assert np.array_equal(entropy_decode_planes(payloads, sizes), np.concatenate(blocks))
+    for i in range(len(sizes)):
+        # a damaged plane fails the whole call; its blocks may not run on into the next plane
+        cut = payloads[:i] + [payloads[i][:-1]] + payloads[i + 1:]
+        with pytest.raises(CorruptError):
+            entropy_decode_planes(cut, sizes)
+        with pytest.raises(CorruptError):
+            entropy_decode_planes(payloads, sizes[:i] + [sizes[i] + 1] + sizes[i + 1:])
+
+
+def test_entropy_decode_keeps_blocks_inside_their_plane():
+    # plane A's payload 0x09 ends on a symbol boundary inside its only block (DC
+    # category 0, then two (0, 1) coefficients); plane B opens with the bits
+    # 1010 (DC category 4), which would read as A's EOB
+    b_block = np.zeros((1, 8, 8), dtype=np.int32)
+    b_block[0, 0, 0] = -8
+    payloads = [b"\x09", entropy_encode_blocks(b_block)]
+    assert payloads[1][0] >> 4 == 0b1010
+    with pytest.raises(CorruptError):
+        reference_huffman_decode(payloads[0], 1)
+    _assert_decodes_like_reference(payloads, [1, 1])
+
+
+def test_entropy_decode_rejects_invalid_dc_code():
+    # nine 1 bits are no DC code; read as AC codes, the same bits end a block
+    with pytest.raises(CorruptError):
+        entropy_decode_blocks(bytes.fromhex("ffa0af2c28"), 1)
+
+
+def test_entropy_decode_empty_plane():
+    assert entropy_decode_planes([b""], [0]).shape == (0, 8, 8)
+    with pytest.raises(CorruptError):
+        entropy_decode_planes([b"\x00"], [0])
+
+
+def test_entropy_decode_rejects_dc_predictor_overflow():
+    # each block adds +2047 to the DC predictor (category 11, then EOB), which
+    # leaves int32 after 1_049_088 blocks
+    with pytest.raises(CorruptError):
+        entropy_decode_blocks(bytes.fromhex("ff7ffa") * 1_050_000, 1_050_000)
 
 
 def test_entropy_encoder_rejects_oversized_categories():
