@@ -25,6 +25,7 @@ import numpy as np
 
 from .colorimetry import cube_delta_e
 from .container import (
+    SPECTRAL_METHODS,
     RateTarget,
     _assemble,
     compress_with_report,
@@ -51,7 +52,6 @@ CSV_COLUMNS = (
     "de_mean", "de_p95", "de_max",
 )
 
-METHODS = ("pca", "csi")
 BUILTIN_CORPUS = ("skin", "narrowband", "dark", "chart")
 DEFAULT_P_VALUES = (20, 24, 28)
 _NOISE_SIGMA = 0.012  # broadband sensor-noise stand-in, reflectance units
@@ -86,7 +86,7 @@ class BenchConfig:
     """Benchmark run description (see ``parse_config`` for the file format)."""
 
     corpus: list[str]
-    methods: list[str] = field(default_factory=lambda: list(METHODS))
+    methods: list[str] = field(default_factory=lambda: list(SPECTRAL_METHODS))
     p_values: list[int] = field(default_factory=lambda: list(DEFAULT_P_VALUES))
     target_cr: float = 8.0
     tolerance: float = 0.05
@@ -99,7 +99,7 @@ class BenchConfig:
         if not self.methods:
             raise ValidationError("config needs at least one method")
         for m in self.methods:
-            if m not in METHODS:
+            if m not in SPECTRAL_METHODS:
                 raise ValidationError(f"unknown method {m!r}")
         if not self.p_values:
             raise ValidationError("config needs at least one p value")

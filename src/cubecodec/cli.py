@@ -14,7 +14,8 @@ import numpy as np
 
 from . import bench as bench_mod
 from .colorimetry import cie_1931_observer, cube_delta_e, d65_illuminant
-from .container import RateTarget, compress_with_report, decompress, parse_stream, serialize_stream
+from .container import (SPECTRAL_METHODS, RateTarget, compress_with_report, decompress,
+                        parse_stream, serialize_stream)
 from .cube import PATTERNS, read_cube, synthesize_cube, write_cube
 from .errors import CodecError, RateError
 from .spatial import BASE_LUMA_QUANT, ZIGZAG_ORDER, _AC_BITS, _DC_BITS
@@ -36,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compress", help="compress a SCUB cube to an SCMP stream")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
-    p.add_argument("--method", choices=("pca", "csi"), required=True)
+    p.add_argument("--method", choices=tuple(SPECTRAL_METHODS), required=True)
     p.add_argument("--p", dest="p", type=int, required=True,
                    help="retained plane / knot count")
     p.add_argument("--target-cr", type=float, default=8.0)

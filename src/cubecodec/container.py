@@ -6,10 +6,11 @@ Stream layout (little-endian):
     w u32 | h u32 | quality u8 | wavelengths f32 x N |
     side-info block | p x EncodedPlane records
 
-Side info is stored uncompressed in 32-bit floats: the PCA block is the
-band-mean vector, the N x P basis (column-major by component), and the P
-eigenvalues (4N + 4NP + 4P bytes); the CSI block is P u16 knot indices
-(2P bytes).
+Each spectral method is defined once, as an entry of :data:`SPECTRAL_METHODS`
+(tag, side-info type, reduce, expand, side-info size, writer and reader).
+Side info is stored uncompressed: PCA writes the band-mean vector, the N x P
+basis (column-major by component) and the P eigenvalues as f32
+(4N + 4NP + 4P bytes); CSI writes P u16 knot indices (2P bytes).
 
 Rate control is an integer binary search on the single shared plane
 quality, run count-then-emit: each plane is normalized and transformed once,
@@ -26,6 +27,7 @@ raise :class:`RateError`.
 from __future__ import annotations
 
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,10 +56,84 @@ from .spatial import (  # noqa: F401 -- decode_plane stays importable from this 
 
 SCMP_MAGIC = b"SCMP"
 SCMP_VERSION = 1
-METHOD_TAGS = {"pca": 1, "csi": 2}
-_TAG_METHODS = {v: k for k, v in METHOD_TAGS.items()}
 
 _HEADER = struct.Struct("<4sBBHHIIB")
+
+
+@dataclass(frozen=True)
+class SpectralMethod:
+    """One spectral reducer: everything the codec needs to know about it."""
+
+    tag: int  # method byte in the SCMP header
+    side_type: type
+    reduce: Callable  # (cube, p) -> (ReducedPlanes, side info)
+    expand: Callable  # (planes, side info, wavelengths) -> SpectralCube
+    side_nbytes: Callable  # (n, p) -> side-info bytes in the stream
+    write_side: Callable  # side info -> bytes
+    read_side: Callable  # (bytes, n, p) -> side info; raises CorruptError
+
+
+# reduce/expand look the reducers up in this module at call time: rebinding one here takes effect
+
+def _pca_reduce(cube: SpectralCube, p: int):
+    side = pca_fit(cube, p)
+    return pca_forward(cube, side), side
+
+
+def _pca_write(side: PcaSideInfo) -> bytes:
+    values = np.concatenate([side.mean, side.basis.T.ravel(), side.eigenvalues])
+    return values.astype("<f4").tobytes()
+
+
+def _pca_read(data: bytes, n: int, p: int) -> PcaSideInfo:
+    if p > n:
+        raise CorruptError(f"p={p} exceeds n={n} for PCA")
+    values = np.frombuffer(data, dtype="<f4").astype(np.float64)
+    try:
+        side = PcaSideInfo(mean=values[:n], basis=values[n:n + n * p].reshape(p, n).T,
+                           eigenvalues=np.maximum(values[n + n * p:], 0.0))
+        side.check_orthonormal(tol=1e-4)  # loose: basis is f32-rounded in the stream
+    except ValidationError as exc:
+        raise CorruptError(f"bad PCA side info: {exc}") from None
+    return side
+
+
+def _csi_reduce(cube: SpectralCube, p: int):
+    side = csi_select_knots(cube.bands, p)
+    return csi_forward(cube, side), side
+
+
+def _csi_read(data: bytes, n: int, p: int) -> CsiSideInfo:
+    try:
+        side = CsiSideInfo(knot_indices=np.frombuffer(data, dtype="<u2").astype(np.int64))
+        side.check_for_bands(n)
+    except (ValidationError, ArgumentError) as exc:
+        raise CorruptError(f"bad CSI side info: {exc}") from None
+    return side
+
+
+SPECTRAL_METHODS = {
+    "pca": SpectralMethod(
+        tag=1, side_type=PcaSideInfo, reduce=_pca_reduce,
+        expand=lambda planes, side, wl: pca_inverse(planes, side, wl),
+        side_nbytes=lambda n, p: 4 * n + 4 * n * p + 4 * p,
+        write_side=_pca_write, read_side=_pca_read,
+    ),
+    "csi": SpectralMethod(
+        tag=2, side_type=CsiSideInfo, reduce=_csi_reduce,
+        expand=lambda planes, side, wl: csi_inverse(planes, side, wl),
+        side_nbytes=lambda n, p: 2 * p,
+        write_side=lambda side: side.knot_indices.astype("<u2").tobytes(),
+        read_side=_csi_read,
+    ),
+}
+
+
+def spectral_method(method: str) -> SpectralMethod:
+    """The table entry of ``method``; :class:`ArgumentError` if there is none."""
+    if method not in SPECTRAL_METHODS:
+        raise ArgumentError(f"unknown method {method!r}; expected one of {tuple(SPECTRAL_METHODS)}")
+    return SPECTRAL_METHODS[method]
 
 
 @dataclass(frozen=True)
@@ -90,7 +166,7 @@ class RateReport:
 
 @dataclass(eq=False)
 class CompressedStream:
-    method: str  # "pca" | "csi"
+    method: str  # a key of SPECTRAL_METHODS
     p: int
     side: PcaSideInfo | CsiSideInfo
     wavelengths: np.ndarray  # (N,) float32
@@ -101,12 +177,11 @@ class CompressedStream:
     bands: int
 
     def __post_init__(self):
-        if self.method not in METHOD_TAGS:
+        if self.method not in SPECTRAL_METHODS:
             raise ValidationError(f"unknown method {self.method!r}")
         if len(self.planes) != self.p:
             raise ValidationError(f"{len(self.planes)} plane records for p={self.p}")
-        expected = PcaSideInfo if self.method == "pca" else CsiSideInfo
-        if not isinstance(self.side, expected):
+        if not isinstance(self.side, SPECTRAL_METHODS[self.method].side_type):
             raise ValidationError(f"side info type does not match method {self.method!r}")
         self.wavelengths = np.ascontiguousarray(self.wavelengths, dtype=np.float32)
         if self.wavelengths.shape != (self.bands,):
@@ -126,20 +201,12 @@ class CompressedStream:
         )
 
 
-def pca_side_nbytes(n: int, p: int) -> int:
-    return 4 * n + 4 * n * p + 4 * p
-
-
-def csi_side_nbytes(p: int) -> int:
-    return 2 * p
-
-
 def stream_nbytes(method: str, p: int, bands: int, payload_nbytes: int) -> int:
     """Byte size of a serialized stream whose plane payloads total ``payload_nbytes``.
 
     Equals ``len(serialize_stream(stream))`` without building the bytes.
     """
-    side = pca_side_nbytes(bands, p) if method == "pca" else csi_side_nbytes(p)
+    side = SPECTRAL_METHODS[method].side_nbytes(bands, p)
     return _HEADER.size + 4 * bands + side + p * PLANE_HEADER_NBYTES + payload_nbytes
 
 
@@ -147,18 +214,11 @@ def serialize_stream(stream: CompressedStream) -> bytes:
     """Serialize to SCMP bytes; bijective with :func:`parse_stream`."""
     out = bytearray()
     out += _HEADER.pack(
-        SCMP_MAGIC, SCMP_VERSION, METHOD_TAGS[stream.method],
+        SCMP_MAGIC, SCMP_VERSION, SPECTRAL_METHODS[stream.method].tag,
         stream.p, stream.bands, stream.width, stream.height, stream.quality,
     )
     out += np.ascontiguousarray(stream.wavelengths, dtype="<f4").tobytes()
-    if stream.method == "pca":
-        side: PcaSideInfo = stream.side
-        out += np.ascontiguousarray(side.mean, dtype="<f4").tobytes()
-        out += np.ascontiguousarray(side.basis.T, dtype="<f4").tobytes()
-        out += np.ascontiguousarray(side.eigenvalues, dtype="<f4").tobytes()
-    else:
-        side: CsiSideInfo = stream.side
-        out += np.ascontiguousarray(side.knot_indices, dtype="<u2").tobytes()
+    out += SPECTRAL_METHODS[stream.method].write_side(stream.side)
     for plane in stream.planes:
         out += plane.to_bytes()
     return bytes(out)
@@ -173,44 +233,20 @@ def parse_stream(data: bytes) -> CompressedStream:
         raise FormatError(f"bad magic {magic!r}, expected {SCMP_MAGIC!r}")
     if version != SCMP_VERSION:
         raise FormatError(f"unsupported SCMP version {version}")
-    if tag not in _TAG_METHODS:
+    method = next((name for name, m in SPECTRAL_METHODS.items() if m.tag == tag), None)
+    if method is None:
         raise CorruptError(f"unknown method tag {tag}")
-    method = _TAG_METHODS[tag]
     if min(p, n, width, height) < 1 or not 1 <= quality <= 100:
         raise CorruptError("bad header fields")
-    off = _HEADER.size
-
-    def take(count, what):
-        nonlocal off
-        if off + count > len(data):
-            raise CorruptError(f"SCMP truncated inside {what}")
-        chunk = data[off:off + count]
-        off += count
-        return chunk
-
-    wavelengths = np.frombuffer(take(4 * n, "wavelengths"), dtype="<f4").copy()
+    spec = SPECTRAL_METHODS[method]
+    side_at = _HEADER.size + 4 * n
+    off = side_at + spec.side_nbytes(n, p)
+    if off > len(data):
+        raise CorruptError("SCMP truncated before the plane records")
+    wavelengths = np.frombuffer(data, dtype="<f4", count=n, offset=_HEADER.size).copy()
     if n > 1 and not np.all(np.diff(wavelengths) > 0):
         raise CorruptError("wavelengths not strictly increasing")
-    if method == "pca":
-        if p > n:
-            raise CorruptError(f"p={p} exceeds n={n} for PCA")
-        mean = np.frombuffer(take(4 * n, "PCA mean"), dtype="<f4").astype(np.float64)
-        basis = np.frombuffer(take(4 * n * p, "PCA basis"), dtype="<f4").astype(np.float64)
-        basis = basis.reshape(p, n).T
-        eigenvalues = np.frombuffer(take(4 * p, "PCA eigenvalues"), dtype="<f4")
-        eigenvalues = np.maximum(eigenvalues.astype(np.float64), 0.0)
-        try:
-            side = PcaSideInfo(mean=mean, basis=basis, eigenvalues=eigenvalues)
-            side.check_orthonormal(tol=1e-4)  # loose: basis is f32-rounded in the stream
-        except ValidationError as exc:
-            raise CorruptError(f"bad PCA side info: {exc}") from None
-    else:
-        knots = np.frombuffer(take(2 * p, "CSI knots"), dtype="<u2").astype(np.int64)
-        try:
-            side = CsiSideInfo(knot_indices=knots)
-            side.check_for_bands(n)
-        except (ValidationError, ArgumentError) as exc:
-            raise CorruptError(f"bad CSI side info: {exc}") from None
+    side = spec.read_side(data[side_at:off], n, p)
     planes = []
     for i in range(p):
         plane, off = EncodedPlane.from_bytes(data, off)
@@ -237,22 +273,12 @@ def compression_rate(original: SpectralCube, stream_nbytes: int) -> float:
 
 def spectral_forward(cube: SpectralCube, method: str, p: int):
     """Run the chosen reducer; returns (ReducedPlanes, side info)."""
-    if method == "pca":
-        side = pca_fit(cube, p)
-        return pca_forward(cube, side), side
-    if method == "csi":
-        side = csi_select_knots(cube.bands, p)
-        return csi_forward(cube, side), side
-    raise ArgumentError(f"unknown method {method!r}; expected 'pca' or 'csi'")
+    return spectral_method(method).reduce(cube, p)
 
 
 def spectral_inverse(planes: ReducedPlanes, side, method: str, wavelengths) -> SpectralCube:
     """Invert the reducer back to a full cube."""
-    if method == "pca":
-        return pca_inverse(planes, side, wavelengths)
-    if method == "csi":
-        return csi_inverse(planes, side, wavelengths)
-    raise ArgumentError(f"unknown method {method!r}; expected 'pca' or 'csi'")
+    return spectral_method(method).expand(planes, side, wavelengths)
 
 
 def encode_planes(planes: ReducedPlanes, quality: int) -> list[EncodedPlane]:
@@ -264,24 +290,14 @@ def decode_planes(encoded: list[EncodedPlane]) -> ReducedPlanes:
                          planes=decode_plane_stack(encoded))
 
 
-def _stream_side(side):
-    """Round side info to the f32 precision the container stores.
-
-    Keeps the in-memory stream identical to its parse(serialize(...)) image,
-    and makes the encoder-side object match what the decoder will see.
-    """
-    if isinstance(side, PcaSideInfo):
-        return PcaSideInfo(
-            mean=side.mean.astype(np.float32).astype(np.float64),
-            basis=side.basis.astype(np.float32).astype(np.float64),
-            eigenvalues=side.eigenvalues.astype(np.float32).astype(np.float64),
-        )
-    return side
-
-
 def _assemble(cube, method, p, side, encoded, quality) -> CompressedStream:
+    spec = SPECTRAL_METHODS[method]
+    try:  # keep the side info as the decoder will read it (PCA: rounded to f32)
+        side = spec.read_side(spec.write_side(side), cube.bands, p)
+    except CorruptError as exc:  # a fit the stream cannot hold, e.g. beyond float32
+        raise ValidationError(str(exc)) from None
     return CompressedStream(
-        method=method, p=p, side=_stream_side(side), wavelengths=cube.wavelengths,
+        method=method, p=p, side=side, wavelengths=cube.wavelengths,
         quality=quality, planes=encoded, width=cube.width, height=cube.height,
         bands=cube.bands,
     )

@@ -92,10 +92,6 @@ class SpectralCube:
             and np.array_equal(self.samples, other.samples)
         )
 
-    def plane(self, band: int) -> np.ndarray:
-        """Read-only (H, W) view of one band."""
-        return self.samples[band]
-
     def pixel_matrix(self) -> np.ndarray:
         """Read-only (H*W, bands) view: one spectrum per row, raster order."""
         return self.samples.reshape(self.bands, -1).T

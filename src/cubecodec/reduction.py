@@ -127,13 +127,6 @@ class ReducedPlanes:
     def count(self) -> int:
         return self.planes.shape[0]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ReducedPlanes):
-            return NotImplemented
-        return (self.width, self.height) == (other.width, other.height) and np.array_equal(
-            self.planes, other.planes
-        )
-
 
 def pca_fit(cube: SpectralCube, p: int) -> PcaSideInfo:
     """Fit the KLT basis of a cube's band covariance.
@@ -181,13 +174,8 @@ def pca_forward(cube: SpectralCube, side: PcaSideInfo) -> ReducedPlanes:
     return ReducedPlanes(width=cube.width, height=cube.height, planes=planes)
 
 
-def pca_inverse(planes: ReducedPlanes, side: PcaSideInfo, wavelengths,
-                clamp: bool = False, clamp_max: float = 1.0) -> SpectralCube:
-    """Reconstruct a cube from component planes: mean + basis @ scores.
-
-    ``clamp`` limits output to [0, clamp_max]; it is off by default so that
-    evaluation sees the raw reconstruction.
-    """
+def pca_inverse(planes: ReducedPlanes, side: PcaSideInfo, wavelengths) -> SpectralCube:
+    """Reconstruct a cube from component planes: mean + basis @ scores (no clamping)."""
     if planes.count != side.p:
         raise ArgumentError(f"{planes.count} planes for a {side.p}-column basis")
     wl = np.asarray(wavelengths)
@@ -195,8 +183,6 @@ def pca_inverse(planes: ReducedPlanes, side: PcaSideInfo, wavelengths,
         raise ArgumentError(f"wavelengths shape {wl.shape} != ({side.n},)")
     scores = planes.planes.reshape(side.p, -1)  # (P, HW)
     recon = side.basis @ scores + side.mean[:, None]  # (N, HW)
-    if clamp:
-        np.clip(recon, 0.0, clamp_max, out=recon)
     return SpectralCube(
         width=planes.width, height=planes.height, bands=side.n,
         wavelengths=wl, samples=recon.reshape(side.n, planes.height, planes.width),

@@ -15,6 +15,7 @@ from cubecodec.bench import (
     default_config,
     emit_csv,
     emit_table,
+    load_config,
     make_chart_cube,
     make_dark_cube,
     make_narrowband_cube,
@@ -32,6 +33,7 @@ from cubecodec.errors import ArgumentError, CodecError, ValidationError
 from conftest import flip_bit
 
 _TINY = "synth:gaussian-spectra:16x16x31:3"
+_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _tiny_config(**overrides):
@@ -180,6 +182,16 @@ def test_default_config_uses_builtin_corpus():
     assert names == config.corpus
 
 
+def test_shipped_configs():
+    assert load_config(_CONFIGS / "bench-default.cfg") == default_config()
+    # the processing-time sweep of acceptance criterion 3
+    assert load_config(_CONFIGS / "size-sweep.cfg") == BenchConfig(
+        corpus=[], methods=["pca", "csi"], p_values=[20],
+        target_cr=8.0, repetitions=5,
+        size_sweep=[(32, 32), (64, 64), (128, 128), (256, 256)],
+    )
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -216,6 +228,8 @@ def test_cli_usage_errors():
     assert cli_main(["no-such-command"]) == 1
     assert cli_main([]) == 1
     assert cli_main(["compress", "--in", "x"]) == 1  # missing required args
+    assert cli_main(["compress", "--in", "x", "--out", "y", "--method", "dwt",
+                     "--p", "4"]) == 1  # not a spectral method
     assert cli_main(["synth", "--out", "x", "--width", "4", "--height", "4",
                      "--bands", "4", "--pattern", "perlin"]) == 1
     assert cli_main(["--help"]) == 0

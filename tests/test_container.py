@@ -8,20 +8,28 @@ import pytest
 
 from cubecodec.colorimetry import cube_delta_e
 from cubecodec.container import (
+    SPECTRAL_METHODS,
     CompressedStream,
     RateTarget,
     compress,
     compress_with_report,
     compression_rate,
-    csi_side_nbytes,
     decompress,
     parse_stream,
-    pca_side_nbytes,
     serialize_stream,
+    spectral_forward,
+    spectral_inverse,
     stream_nbytes,
 )
 from cubecodec.cube import SpectralCube, scub_nbytes, synthesize_cube, write_cube
-from cubecodec.errors import ArgumentError, CodecError, CorruptError, FormatError, RateError
+from cubecodec.errors import (
+    ArgumentError,
+    CodecError,
+    CorruptError,
+    FormatError,
+    RateError,
+    ValidationError,
+)
 from cubecodec.bench import make_skin_cube
 
 from conftest import flip_bit, random_cube
@@ -53,7 +61,7 @@ def test_stream_layout_sizes():
     for method, p in (("pca", 4), ("csi", 4)):
         stream = compress(cube, method, p, quality=50)
         blob = serialize_stream(stream)
-        side = pca_side_nbytes(n, p) if method == "pca" else csi_side_nbytes(p)
+        side = SPECTRAL_METHODS[method].side_nbytes(n, p)
         payload = sum(len(pl.payload) for pl in stream.planes)
         assert len(blob) == 19 + 4 * n + side + 29 * p + payload
         assert stream_nbytes(method, p, n, payload) == len(blob)
@@ -71,9 +79,34 @@ def test_side_info_accounting():
         height=cube.height, bands=n,
     )
     gap = len(serialize_stream(pca_stream)) - len(serialize_stream(shared))
-    assert gap == pca_side_nbytes(n, p) - csi_side_nbytes(p)
-    assert pca_side_nbytes(n, p) == 4 * n + 4 * n * p + 4 * p
-    assert csi_side_nbytes(p) == 2 * p
+    pca_side = SPECTRAL_METHODS["pca"].side_nbytes(n, p)
+    csi_side = SPECTRAL_METHODS["csi"].side_nbytes(n, p)
+    assert gap == pca_side - csi_side
+    assert pca_side == 4 * n + 4 * n * p + 4 * p
+    assert csi_side == 2 * p
+
+
+def test_side_info_type_must_match_method():
+    cube = random_cube(62, width=8, height=8, bands=6)
+    pca_stream = compress(cube, "pca", 4, quality=50)
+    csi_stream = compress(cube, "csi", 4, quality=50)
+    for stream, other in ((pca_stream, csi_stream), (csi_stream, pca_stream)):
+        with pytest.raises(ValidationError):
+            CompressedStream(
+                method=stream.method, p=4, side=other.side, wavelengths=cube.wavelengths,
+                quality=50, planes=stream.planes, width=cube.width,
+                height=cube.height, bands=cube.bands,
+            )
+
+
+def test_side_info_beyond_float32_is_a_validation_error():
+    # band variances past float32 cannot be stored as PCA eigenvalues
+    wl = (400.0 + 10.0 * np.arange(4)).astype(np.float32)
+    samples = np.clip(np.random.default_rng(0).normal(0.0, 1e38, (4, 8, 8)), -3e38, 3e38)
+    cube = SpectralCube(width=8, height=8, bands=4, wavelengths=wl,
+                        samples=samples.astype(np.float32))
+    with np.errstate(over="ignore"), pytest.raises(ValidationError):
+        compress(cube, "pca", 2, quality=50)
 
 
 def test_parse_rejects_damage():
@@ -286,3 +319,6 @@ def test_method_validation():
         compress(cube, "csi", 1, quality=50)  # spline needs two knots
     with pytest.raises(ArgumentError):
         compress(cube, "pca", 9, quality=50)
+    planes, side = spectral_forward(cube, "csi", 2)
+    with pytest.raises(ArgumentError):
+        spectral_inverse(planes, side, "dwt", cube.wavelengths)

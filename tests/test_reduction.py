@@ -96,17 +96,6 @@ def test_zero_planes_invert_to_mean():
                        side.mean[:, None, None], atol=1e-6)
 
 
-def test_inverse_clamp_flag():
-    side = PcaSideInfo(mean=np.array([2.0]), basis=np.eye(1),
-                       eigenvalues=np.array([1.0]))
-    planes = ReducedPlanes(width=1, height=1, planes=np.full((1, 1, 1), 5.0))
-    raw = pca_inverse(planes, side, np.array([550.0], dtype=np.float32))
-    clamped = pca_inverse(planes, side, np.array([550.0], dtype=np.float32),
-                          clamp=True, clamp_max=1.0)
-    assert float(raw.samples[0, 0, 0]) == 7.0
-    assert float(clamped.samples[0, 0, 0]) == 1.0
-
-
 @pytest.mark.parametrize("seed", range(5))
 def test_fitted_basis_orthonormal(seed):
     cube = random_cube(100 + seed, width=6, height=6, bands=8)
