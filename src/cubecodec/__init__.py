@@ -20,6 +20,7 @@ from .container import (
     compress_with_report,
     compression_rate,
     decompress,
+    decompress_with_report,
     parse_stream,
     serialize_stream,
 )

@@ -1,11 +1,11 @@
 """Benchmark harness: compression rate, stage timings, and color error.
 
-One benchmark row = (image, method, p): compress at the target rate,
-decompress, time the spectral and spatial stages separately (median over
-repetitions, monotonic clock), and score the reconstruction with CIEDE2000
-statistics.  Rows that fail (unreachable rate target, unreadable input)
-stay in the report flagged with an error message so the row count is
-always |corpus| x |methods| x |p-values|.
+One benchmark row = (image, method, p): compress at the target rate, then
+time compress -> serialize -> parse -> decompress at the chosen quality
+(median over repetitions; the stage split comes from the codec's reports),
+and score the reconstruction with CIEDE2000 statistics.  Rows that fail
+(unreachable rate target, unreadable input) stay in the report flagged with
+an error message so the row count is always |corpus| x |methods| x |p-values|.
 
 The default corpus is four synthesized 64x64x31 stand-in cubes covering the
 content classes a spectral-compression study cares about: smooth skin-like
@@ -27,15 +27,11 @@ from .colorimetry import cube_delta_e
 from .container import (
     SPECTRAL_METHODS,
     RateTarget,
-    _assemble,
     compress_with_report,
     compression_rate,
-    decode_planes,
-    encode_planes,
+    decompress_with_report,
     parse_stream,
     serialize_stream,
-    spectral_forward,
-    spectral_inverse,
 )
 from .cube import (
     SpectralCube,
@@ -244,25 +240,6 @@ def resolve_corpus(config: BenchConfig):
 # ---------------------------------------------------------------------------
 # measurement
 
-def _timed_pipeline(cube: SpectralCube, method: str, p: int, quality: int):
-    """One full compress/decompress pass with per-stage wall timing."""
-    t0 = time.perf_counter()
-    planes, side = spectral_forward(cube, method, p)
-    t1 = time.perf_counter()
-    encoded = encode_planes(planes, quality)
-    t2 = time.perf_counter()
-    blob = serialize_stream(_assemble(cube, method, p, side, encoded, quality))
-    parsed = parse_stream(blob)
-    t3 = time.perf_counter()
-    decoded = decode_planes(parsed.planes)
-    t4 = time.perf_counter()
-    recon = spectral_inverse(decoded, parsed.side, method, parsed.wavelengths)
-    t5 = time.perf_counter()
-    t_spectral = (t1 - t0) + (t5 - t4)
-    t_spatial = (t2 - t1) + (t4 - t3)
-    return t_spectral * 1e3, t_spatial * 1e3, (t5 - t0) * 1e3, recon
-
-
 def evaluate_row(cube: SpectralCube, image: str, method: str, p: int,
                  target: RateTarget, repetitions: int) -> EvalReport:
     """Benchmark one (image, method, p) combination."""
@@ -275,10 +252,12 @@ def evaluate_row(cube: SpectralCube, image: str, method: str, p: int,
             assert lo <= achieved <= hi, "rate search reported success outside window"
         t_spec, t_spat, t_tot, recon = [], [], [], None
         for _ in range(repetitions):
-            a, b, c, recon = _timed_pipeline(cube, method, p, rate_report.quality)
-            t_spec.append(a)
-            t_spat.append(b)
-            t_tot.append(c)
+            t0 = time.perf_counter()
+            fixed, enc = compress_with_report(cube, method, p, quality=rate_report.quality)
+            recon, dec = decompress_with_report(parse_stream(serialize_stream(fixed)))
+            t_tot.append((time.perf_counter() - t0) * 1e3)
+            t_spec.append(enc.times.spectral_ms + dec.spectral_ms)
+            t_spat.append(enc.times.spatial_ms + dec.spatial_ms)
         stats = cube_delta_e(cube, recon)
         report.achieved_cr = achieved
         report.quality = rate_report.quality

@@ -27,6 +27,7 @@ raise :class:`RateError`.
 from __future__ import annotations
 
 import struct
+import time
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -45,13 +46,13 @@ from .reduction import (
     pca_forward,
     pca_inverse,
 )
-from .spatial import (  # noqa: F401 -- decode_plane stays importable from this module
+from .spatial import (
+    BASE_LUMA_QUANT,
     PLANE_HEADER_NBYTES,
     EncodedPlane,
     PlaneTransform,
-    decode_plane,
     decode_plane_stack,
-    encode_plane,
+    quality_to_table,
 )
 
 SCMP_MAGIC = b"SCMP"
@@ -155,13 +156,26 @@ class RateTarget:
 
 
 @dataclass(frozen=True)
+class StageTimes:
+    """Wall milliseconds of one compress or decompress, split by stage.
+
+    Spectral: fit + forward on compress, inverse on decompress.  Spatial: plane
+    transform, rate probes and emit on compress, plane decode on decompress.
+    """
+
+    spectral_ms: float
+    spatial_ms: float
+
+
+@dataclass(frozen=True)
 class RateReport:
-    """Outcome of the quality search inside :func:`compress_with_report`."""
+    """Outcome of :func:`compress_with_report`: the quality search and the stage times."""
 
     quality: int
     achieved_cr: float
     in_window: bool
     encodes: int
+    times: StageTimes
 
 
 @dataclass(eq=False)
@@ -269,7 +283,7 @@ def compression_rate(original: SpectralCube, stream_nbytes: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# staged pipeline (also used by the benchmark harness for per-stage timing)
+# pipeline stages
 
 def spectral_forward(cube: SpectralCube, method: str, p: int):
     """Run the chosen reducer; returns (ReducedPlanes, side info)."""
@@ -281,26 +295,42 @@ def spectral_inverse(planes: ReducedPlanes, side, method: str, wavelengths) -> S
     return spectral_method(method).expand(planes, side, wavelengths)
 
 
-def encode_planes(planes: ReducedPlanes, quality: int) -> list[EncodedPlane]:
-    return [encode_plane(planes.planes[k], quality) for k in range(planes.count)]
+def _search_quality(cube: SpectralCube, rate: RateTarget, overhead: int,
+                    transforms: list[PlaneTransform]) -> tuple[int, bool, int]:
+    """Binary-search the plane quality for ``rate``; returns (quality, in window, probes)."""
 
+    def probe(q: int) -> float:
+        return compression_rate(cube, overhead + sum(t.payload_nbytes(q) for t in transforms))
 
-def decode_planes(encoded: list[EncodedPlane]) -> ReducedPlanes:
-    return ReducedPlanes(width=encoded[0].width, height=encoded[0].height,
-                         planes=decode_plane_stack(encoded))
-
-
-def _assemble(cube, method, p, side, encoded, quality) -> CompressedStream:
-    spec = SPECTRAL_METHODS[method]
-    try:  # keep the side info as the decoder will read it (PCA: rounded to f32)
-        side = spec.read_side(spec.write_side(side), cube.bands, p)
-    except CorruptError as exc:  # a fit the stream cannot hold, e.g. beyond float32
-        raise ValidationError(str(exc)) from None
-    return CompressedStream(
-        method=method, p=p, side=side, wavelengths=cube.wavelengths,
-        quality=quality, planes=encoded, width=cube.width, height=cube.height,
-        bands=cube.bands,
-    )
+    lo_cr, hi_cr = rate.window
+    best_above = None  # (cr, q) with smallest cr >= target
+    probes = 0
+    lo, hi = 1, 100
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        cr = probe(mid)
+        probes += 1
+        if lo_cr <= cr <= hi_cr:
+            return mid, True, probes
+        if cr >= rate.target_cr and (best_above is None or cr < best_above[0]):
+            best_above = (cr, mid)
+        if cr > hi_cr:
+            lo = mid + 1  # too much compression: raise quality
+        else:
+            hi = mid - 1  # too little compression: lower quality
+    if best_above is not None:
+        return best_above[1], False, probes
+    cr = probe(1)
+    if cr >= lo_cr:
+        # quality 1 itself lands at or above the window floor
+        return 1, cr <= hi_cr, probes + 1
+    if overhead * rate.target_cr >= cube.scub_size:
+        raise RateError(
+            f"stream overhead alone ({overhead} B) exceeds the byte budget for "
+            f"CR {rate.target_cr}; best achieved CR {cr:.4g}", best_cr=cr)
+    raise RateError(
+        f"target CR {rate.target_cr} unreachable: quality 1 achieves only {cr:.4g}",
+        best_cr=cr)
 
 
 def compress_with_report(cube: SpectralCube, method: str, p: int,
@@ -309,83 +339,71 @@ def compress_with_report(cube: SpectralCube, method: str, p: int,
     """Compress a cube; returns (stream, RateReport).
 
     Exactly one of ``rate`` and ``quality`` drives the plane quality: a
-    fixed ``quality`` skips rate control entirely.  Each rate probe counts
-    the stream size without emitting or serializing it; only the chosen
-    quality is entropy coded.
+    fixed ``quality`` (an integer in 1..100) skips rate control entirely.
+    Each rate probe counts the stream size without emitting or serializing
+    it; only the chosen quality is entropy coded.
     """
     if (rate is None) == (quality is None):
         raise ArgumentError("provide exactly one of rate target or fixed quality")
+    if quality is not None:
+        quality_to_table(BASE_LUMA_QUANT, quality)  # raises unless an integer in 1..100
+    if cube.bands > 0xFFFF:
+        raise ArgumentError(f"SCMP holds at most 65535 bands, cube has {cube.bands}")
+    t0 = time.perf_counter_ns()
     reduced, side = spectral_forward(cube, method, p)
+    t1 = time.perf_counter_ns()
     transforms = [PlaneTransform.of(plane) for plane in reduced.planes]
     del reduced  # free the planes: the transforms carry all the search and the emit need
     overhead = stream_nbytes(method, p, cube.bands, 0)
-
-    def build(q: int) -> CompressedStream:
-        return _assemble(cube, method, p, side, [t.encode(q) for t in transforms], q)
-
-    def probe(q: int) -> float:
-        return compression_rate(cube, overhead + sum(t.payload_nbytes(q) for t in transforms))
-
-    if quality is not None:
-        stream = build(int(quality))
-        cr = compression_rate(cube, overhead + sum(len(pl.payload) for pl in stream.planes))
-        return stream, RateReport(quality=int(quality), achieved_cr=cr,
-                                  in_window=True, encodes=1)
-
-    lo_cr, hi_cr = rate.window
-    best_above = None  # (cr, q) with smallest cr >= target
-    encodes = 0
-    lo, hi = 1, 100
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        cr = probe(mid)
-        encodes += 1
-        if lo_cr <= cr <= hi_cr:
-            return build(mid), RateReport(quality=mid, achieved_cr=cr,
-                                          in_window=True, encodes=encodes)
-        if cr >= rate.target_cr and (best_above is None or cr < best_above[0]):
-            best_above = (cr, mid)
-        if cr > hi_cr:
-            lo = mid + 1  # too much compression: raise quality
-        else:
-            hi = mid - 1  # too little compression: lower quality
-    if best_above is None:
-        cr = probe(1)
-        if cr >= lo_cr:
-            # quality 1 itself lands at or above the window floor
-            return build(1), RateReport(quality=1, achieved_cr=cr,
-                                        in_window=cr <= hi_cr, encodes=encodes + 1)
-        if overhead * rate.target_cr >= cube.scub_size:
-            raise RateError(
-                f"stream overhead alone ({overhead} B) exceeds the byte budget for "
-                f"CR {rate.target_cr}; best achieved CR {cr:.4g}", best_cr=cr)
-        raise RateError(
-            f"target CR {rate.target_cr} unreachable: quality 1 achieves only {cr:.4g}",
-            best_cr=cr)
-    cr, q = best_above
-    return build(q), RateReport(quality=q, achieved_cr=cr, in_window=False, encodes=encodes)
+    if quality is None:
+        quality, in_window, probes = _search_quality(cube, rate, overhead, transforms)
+    else:
+        quality, in_window, probes = int(quality), True, 1
+    encoded = [t.encode(quality) for t in transforms]
+    t2 = time.perf_counter_ns()
+    spec = SPECTRAL_METHODS[method]
+    try:  # keep the side info as the decoder will read it (PCA: rounded to f32)
+        side = spec.read_side(spec.write_side(side), cube.bands, p)
+    except CorruptError as exc:  # a fit the stream cannot hold, e.g. beyond float32
+        raise ValidationError(str(exc)) from None
+    stream = CompressedStream(
+        method=method, p=p, side=side, wavelengths=cube.wavelengths, quality=quality,
+        planes=encoded, width=cube.width, height=cube.height, bands=cube.bands,
+    )
+    cr = compression_rate(cube, overhead + sum(len(plane.payload) for plane in encoded))
+    return stream, RateReport(quality=quality, achieved_cr=cr, in_window=in_window, encodes=probes,
+                              times=StageTimes(spectral_ms=(t1 - t0) / 1e6,
+                                               spatial_ms=(t2 - t1) / 1e6))
 
 
 def compress(cube: SpectralCube, method: str, p: int,
              rate: RateTarget | None = None,
              quality: int | None = None) -> CompressedStream:
     """Compress a cube to a stream (see :func:`compress_with_report`)."""
-    stream, _ = compress_with_report(cube, method, p, rate=rate, quality=quality)
-    return stream
+    return compress_with_report(cube, method, p, rate=rate, quality=quality)[0]
 
 
-def decompress(stream: CompressedStream) -> SpectralCube:
-    """Decode all planes and invert the spectral reduction.
+def decompress_with_report(stream: CompressedStream) -> tuple[SpectralCube, StageTimes]:
+    """Decode all planes and invert the spectral reduction; returns (cube, StageTimes).
 
     A plane norm that scales the planes past float64, or a reconstruction
     outside float32, raises :class:`CorruptError` before the cube is cast.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            planes = decode_planes(stream.planes)
+            t0 = time.perf_counter_ns()
+            decoded = decode_plane_stack(stream.planes)  # (P, H, W)
+            planes = ReducedPlanes(decoded.shape[2], decoded.shape[1], decoded)
+            t1 = time.perf_counter_ns()
             cube = spectral_inverse(planes, stream.side, stream.method, stream.wavelengths)
+            t2 = time.perf_counter_ns()
     except ValidationError as exc:
         raise CorruptError(f"decoded values out of range: {exc}") from None
     if (cube.width, cube.height, cube.bands) != (stream.width, stream.height, stream.bands):
         raise CorruptError("decoded dimensions disagree with stream header")
-    return cube
+    return cube, StageTimes(spectral_ms=(t2 - t1) / 1e6, spatial_ms=(t1 - t0) / 1e6)
+
+
+def decompress(stream: CompressedStream) -> SpectralCube:
+    """Decode a stream back to a cube (see :func:`decompress_with_report`)."""
+    return decompress_with_report(stream)[0]

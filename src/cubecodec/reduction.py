@@ -182,7 +182,8 @@ def pca_inverse(planes: ReducedPlanes, side: PcaSideInfo, wavelengths) -> Spectr
     if wl.shape != (side.n,):
         raise ArgumentError(f"wavelengths shape {wl.shape} != ({side.n},)")
     scores = planes.planes.reshape(side.p, -1)  # (P, HW)
-    recon = side.basis @ scores + side.mean[:, None]  # (N, HW)
+    recon = side.basis @ scores  # (N, HW)
+    recon += side.mean[:, None]  # in place: one (N, HW) array, not two
     return SpectralCube(
         width=planes.width, height=planes.height, bands=side.n,
         wavelengths=wl, samples=recon.reshape(side.n, planes.height, planes.width),

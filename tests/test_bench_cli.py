@@ -26,7 +26,8 @@ from cubecodec.bench import (
     run_benchmark,
 )
 from cubecodec.cli import cli_main
-from cubecodec.container import compress, decompress, parse_stream, serialize_stream
+from cubecodec.colorimetry import cube_delta_e
+from cubecodec.container import RateTarget, compress, decompress, parse_stream, serialize_stream
 from cubecodec.cube import read_cube, synthesize_cube, write_cube
 from cubecodec.errors import ArgumentError, CodecError, ValidationError
 
@@ -57,7 +58,10 @@ def test_row_count_invariant():
 
 
 def test_successful_rows_have_populated_metrics():
-    reports = run_benchmark(_tiny_config())
+    config = _tiny_config()
+    reports = run_benchmark(config)
+    [(_, cube, _)] = resolve_corpus(config)
+    target = RateTarget(config.target_cr, config.tolerance)
     for r in reports:
         assert r.ok, r.error
         assert r.achieved_cr > 0
@@ -65,6 +69,10 @@ def test_successful_rows_have_populated_metrics():
         assert r.t_spectral_ms + r.t_spatial_ms <= r.t_total_ms + 1e-6
         assert math.isfinite(r.de_mean) and r.de_mean >= 0
         assert r.de_mean <= r.de_p95 + 1e-12 or r.de_p95 <= r.de_max
+        # the row scores what the public compress/decompress produce
+        stream = compress(cube, r.method, r.p, rate=target)
+        stats = cube_delta_e(cube, decompress(parse_stream(serialize_stream(stream))))
+        assert (r.de_mean, r.de_p95, r.de_max) == (stats.mean, stats.p95, stats.max)
 
 
 def test_unreadable_image_flags_rows_and_continues():
@@ -246,6 +254,17 @@ def test_cli_data_errors(tmp_path, capsys):
                      str(tmp_path / "x")]) == 2  # SCUB given where SCMP expected
     assert cli_main(["evaluate", "--original", str(tmp_path / "missing.scub"),
                      "--reconstructed", str(b)]) == 2
+
+
+def test_cli_compress_rejects_more_bands_than_scmp_holds(tmp_path, capsys):
+    cube_path = tmp_path / "wide.scub"
+    cube_path.write_bytes(write_cube(synthesize_cube(1, 2, 65536, "flat", 0)))
+    out_path = tmp_path / "wide.scmp"
+    assert cli_main(["compress", "--in", str(cube_path), "--out", str(out_path),
+                     "--method", "csi", "--p", "2", "--quality", "50"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out_path.exists()
 
 
 def test_cli_decompress_rejects_oversized_dimensions(tmp_path, capsys):

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cubecodec import container
 from cubecodec.colorimetry import cube_delta_e
 from cubecodec.container import (
     SPECTRAL_METHODS,
@@ -15,6 +16,7 @@ from cubecodec.container import (
     compress_with_report,
     compression_rate,
     decompress,
+    decompress_with_report,
     parse_stream,
     serialize_stream,
     spectral_forward,
@@ -160,12 +162,35 @@ def test_compression_rate_layout_arithmetic():
 # ---------------------------------------------------------------------------
 # compress / decompress
 
+def _assert_report_roundtrip(stream, report):
+    """decompress_with_report decodes what decompress does; every stage time is >= 0."""
+    rec, times = decompress_with_report(stream)
+    assert rec == decompress(stream)
+    assert min(report.times.spectral_ms, report.times.spatial_ms,
+               times.spectral_ms, times.spatial_ms) >= 0
+    return rec
+
+
 def test_metadata_roundtrip():
     cube = synthesize_cube(12, 10, 31, "gaussian-spectra", seed=3)
     for method, p in (("pca", 6), ("csi", 6)):
-        rec = decompress(compress(cube, method, p, quality=85))
+        rec = _assert_report_roundtrip(*compress_with_report(cube, method, p, quality=85))
         assert (rec.width, rec.height, rec.bands) == (12, 10, 31)
         assert np.array_equal(rec.wavelengths, cube.wavelengths)
+
+
+def _forbid_spectral_fit(monkeypatch):
+    def no_fit(*args):
+        raise AssertionError("the spectral fit ran")
+
+    monkeypatch.setattr(container, "spectral_forward", no_fit)
+
+
+def test_more_bands_than_scmp_holds_are_rejected_before_the_fit(monkeypatch):
+    _forbid_spectral_fit(monkeypatch)
+    cube = _flat_cube(width=1, height=2, bands=65536)  # SCMP stores the band count as u16
+    with pytest.raises(ArgumentError, match="65535 bands"):
+        compress_with_report(cube, "csi", 2, quality=50)
 
 
 def test_compress_is_deterministic():
@@ -264,7 +289,7 @@ def test_huge_plane_scale_is_corrupt_before_the_float32_cast(method, scale):
 # ---------------------------------------------------------------------------
 # rate control
 
-def test_rate_target_validation():
+def test_rate_target_validation(monkeypatch):
     with pytest.raises(ArgumentError):
         RateTarget(target_cr=1.0)
     with pytest.raises(ArgumentError):
@@ -274,6 +299,10 @@ def test_rate_target_validation():
     with pytest.raises(ArgumentError):
         compress_with_report(random_cube(67), "pca", 2,
                              rate=RateTarget(8.0), quality=50)
+    _forbid_spectral_fit(monkeypatch)  # a bad quality is rejected before the fit
+    for quality in (50.7, "50", 0, 101):
+        with pytest.raises(ArgumentError, match="quality must be an integer"):
+            compress_with_report(random_cube(67), "pca", 2, quality=quality)
 
 
 def test_rate_control_lands_in_window():
@@ -284,6 +313,7 @@ def test_rate_control_lands_in_window():
     assert 7.6 <= achieved <= 8.4
     assert achieved == report.achieved_cr
     assert report.encodes <= 7
+    _assert_report_roundtrip(stream, report)
 
 
 def test_rate_fallback_prefers_smallest_cr_at_or_above_target():
