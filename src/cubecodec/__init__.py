@@ -32,6 +32,7 @@ from .errors import (
     FormatError,
     NumericalError,
     RateError,
+    SizeLimitError,
     ValidationError,
 )
 from .reduction import (

@@ -13,15 +13,20 @@ basis (column-major by component) and the P eigenvalues as f32
 (4N + 4NP + 4P bytes); CSI writes P u16 knot indices (2P bytes).
 
 Rate control is an integer binary search on the single shared plane
-quality, run count-then-emit: each plane is normalized and transformed once,
-each probe quantizes every plane and counts its Huffman bits, and the stream
-size is worked out from the layout above (:func:`stream_nbytes`) without
-serializing anything.  Only the chosen quality is entropy coded.  A stream
+quality, run count-then-emit on one :class:`~cubecodec.spatial.PlaneStack`:
+all P planes are normalized and DCT-transformed once, together; each probe
+quantizes and counts the Huffman bits of every plane in one pass over the
+stack, and the stream size is worked out from the layout above
+(:func:`stream_nbytes`) without serializing anything.  Only the chosen
+quality is entropy coded, again in one pass over all planes.  A stream
 whose compression rate lands within the requested tolerance counts as an
 in-window success; when the quality grid straddles the window, the search
 falls back to the smallest achievable rate at or above the target and
 reports ``in_window=False``.  Targets that are unreachable even at quality 1
 raise :class:`RateError`.
+
+A cube of more than :data:`MAX_CUBE_SAMPLES` samples is neither compressed
+nor, going by its header, parsed: :class:`SizeLimitError`.
 """
 
 from __future__ import annotations
@@ -34,7 +39,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cube import SpectralCube
-from .errors import ArgumentError, CorruptError, FormatError, RateError, ValidationError
+from .errors import (
+    ArgumentError,
+    CorruptError,
+    FormatError,
+    RateError,
+    SizeLimitError,
+    ValidationError,
+)
 from .reduction import (
     CsiSideInfo,
     PcaSideInfo,
@@ -50,7 +62,7 @@ from .spatial import (
     BASE_LUMA_QUANT,
     PLANE_HEADER_NBYTES,
     EncodedPlane,
-    PlaneTransform,
+    PlaneStack,
     decode_plane_stack,
     quality_to_table,
 )
@@ -59,6 +71,19 @@ SCMP_MAGIC = b"SCMP"
 SCMP_VERSION = 1
 
 _HEADER = struct.Struct("<4sBBHHIIB")
+
+#: the most samples (bands x width x height) a cube may hold to be compressed,
+#: or a stream may claim to be parsed.  A decode peaks at about 13 bytes per
+#: sample (float64 reconstruction plus the float32 cube), so this bounds it
+#: near 1.7 GB whatever a header says.
+MAX_CUBE_SAMPLES = 1 << 27
+
+
+def _check_cube_size(bands: int, width: int, height: int) -> None:
+    samples = bands * width * height
+    if samples > MAX_CUBE_SAMPLES:
+        raise SizeLimitError(f"{bands} x {width} x {height} = {samples} samples exceeds "
+                             f"MAX_CUBE_SAMPLES = {MAX_CUBE_SAMPLES}")
 
 
 @dataclass(frozen=True)
@@ -252,6 +277,7 @@ def parse_stream(data: bytes) -> CompressedStream:
         raise CorruptError(f"unknown method tag {tag}")
     if min(p, n, width, height) < 1 or not 1 <= quality <= 100:
         raise CorruptError("bad header fields")
+    _check_cube_size(n, width, height)
     spec = SPECTRAL_METHODS[method]
     side_at = _HEADER.size + 4 * n
     off = side_at + spec.side_nbytes(n, p)
@@ -296,11 +322,11 @@ def spectral_inverse(planes: ReducedPlanes, side, method: str, wavelengths) -> S
 
 
 def _search_quality(cube: SpectralCube, rate: RateTarget, overhead: int,
-                    transforms: list[PlaneTransform]) -> tuple[int, bool, int]:
+                    stack: PlaneStack) -> tuple[int, bool, int]:
     """Binary-search the plane quality for ``rate``; returns (quality, in window, probes)."""
 
     def probe(q: int) -> float:
-        return compression_rate(cube, overhead + sum(t.payload_nbytes(q) for t in transforms))
+        return compression_rate(cube, overhead + int(stack.count_nbytes(q).sum()))
 
     lo_cr, hi_cr = rate.window
     best_above = None  # (cr, q) with smallest cr >= target
@@ -349,17 +375,18 @@ def compress_with_report(cube: SpectralCube, method: str, p: int,
         quality_to_table(BASE_LUMA_QUANT, quality)  # raises unless an integer in 1..100
     if cube.bands > 0xFFFF:
         raise ArgumentError(f"SCMP holds at most 65535 bands, cube has {cube.bands}")
+    _check_cube_size(cube.bands, cube.width, cube.height)
     t0 = time.perf_counter_ns()
     reduced, side = spectral_forward(cube, method, p)
     t1 = time.perf_counter_ns()
-    transforms = [PlaneTransform.of(plane) for plane in reduced.planes]
-    del reduced  # free the planes: the transforms carry all the search and the emit need
+    stack = PlaneStack.of(reduced.planes)
+    del reduced  # free the planes: the stack carries all the search and the emit need
     overhead = stream_nbytes(method, p, cube.bands, 0)
     if quality is None:
-        quality, in_window, probes = _search_quality(cube, rate, overhead, transforms)
+        quality, in_window, probes = _search_quality(cube, rate, overhead, stack)
     else:
         quality, in_window, probes = int(quality), True, 1
-    encoded = [t.encode(quality) for t in transforms]
+    encoded = stack.encode(quality)
     t2 = time.perf_counter_ns()
     spec = SPECTRAL_METHODS[method]
     try:  # keep the side info as the decoder will read it (PCA: rounded to f32)
@@ -387,7 +414,8 @@ def decompress_with_report(stream: CompressedStream) -> tuple[SpectralCube, Stag
     """Decode all planes and invert the spectral reduction; returns (cube, StageTimes).
 
     A plane norm that scales the planes past float64, or a reconstruction
-    outside float32, raises :class:`CorruptError` before the cube is cast.
+    outside float32, raises :class:`CorruptError` before the cube is cast;
+    running out of memory raises :class:`SizeLimitError`.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -399,6 +427,9 @@ def decompress_with_report(stream: CompressedStream) -> tuple[SpectralCube, Stag
             t2 = time.perf_counter_ns()
     except ValidationError as exc:
         raise CorruptError(f"decoded values out of range: {exc}") from None
+    except MemoryError:
+        raise SizeLimitError(f"out of memory decoding a {stream.bands} x {stream.width} x "
+                             f"{stream.height} cube") from None
     if (cube.width, cube.height, cube.bands) != (stream.width, stream.height, stream.bands):
         raise CorruptError("decoded dimensions disagree with stream header")
     return cube, StageTimes(spectral_ms=(t2 - t1) / 1e6, spatial_ms=(t1 - t0) / 1e6)

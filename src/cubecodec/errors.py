@@ -21,6 +21,10 @@ class ArgumentError(CodecError):
     """Caller passed an argument outside an operation's domain."""
 
 
+class SizeLimitError(CodecError):
+    """A cube, or a stream's claimed cube, holds more samples than the codec decodes."""
+
+
 class NumericalError(CodecError):
     """A numeric accumulation produced non-finite intermediate values."""
 

@@ -142,9 +142,9 @@ def pca_fit(cube: SpectralCube, p: int) -> PcaSideInfo:
     npix = cube.width * cube.height
     if npix < 2:
         raise ArgumentError("PCA needs at least two pixels")
-    x = cube.pixel_matrix().astype(np.float64)  # (HW, N)
-    mean = x.mean(axis=0)
-    centered = x - mean
+    centered = cube.pixel_matrix().astype(np.float64)  # (HW, N), a copy
+    mean = centered.mean(axis=0)
+    centered -= mean  # in place: one (HW, N) array, not two
     cov = centered.T @ centered / (npix - 1)
     if not np.all(np.isfinite(cov)):
         raise NumericalError("covariance accumulation produced non-finite values")
@@ -168,8 +168,9 @@ def pca_forward(cube: SpectralCube, side: PcaSideInfo) -> ReducedPlanes:
     """Project mean-centered spectra onto the basis: one plane per component."""
     if side.n != cube.bands:
         raise ArgumentError(f"side info is for {side.n} bands, cube has {cube.bands}")
-    x = cube.pixel_matrix().astype(np.float64)
-    scores = (x - side.mean) @ side.basis  # (HW, P)
+    centered = cube.pixel_matrix().astype(np.float64)
+    centered -= side.mean  # in place, as in pca_fit
+    scores = centered @ side.basis  # (HW, P)
     planes = scores.T.reshape(side.p, cube.height, cube.width)
     return ReducedPlanes(width=cube.width, height=cube.height, planes=planes)
 

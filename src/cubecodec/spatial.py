@@ -1,6 +1,6 @@
-"""Baseline-JPEG-style lossy coder for a single real-valued plane.
+"""Baseline-JPEG-style lossy coder for real-valued planes.
 
-Pipeline: affine-normalize the plane into [0, 255] -> pad to 8-multiples by
+Pipeline: affine-normalize each plane into [0, 255] -> pad to 8-multiples by
 edge replication -> per 8x8 block: level shift -128, orthonormal 2-D DCT-II,
 scalar quantization (round half away from zero), zigzag -> DC differential
 in raster order + AC run-length symbols -> canonical Huffman coding with
@@ -8,19 +8,21 @@ the standard luminance tables.  No subsampling anywhere; every lossy step
 is confined to quantization (and the float normalization), so the entropy
 stage is exactly invertible.
 
-The encoder is split in two.  :class:`PlaneTransform` holds everything that
-does not depend on quality (normalization, padding, DCT), so a rate search
-transforms each plane once.  The entropy stage builds every block's Huffman
+The encoder codes all P planes of a stream at once.  :class:`PlaneStack`
+holds what does not depend on quality: the normalizations and the DCT
+coefficients of every block of every plane, as one ``(P * nblocks, 64)``
+array in zigzag order.  The entropy stage builds every block's Huffman
 symbols with array operations (ITU-T T.81 Annex F.1.2 with the Annex K.3
 tables): a DC category and amplitude, an AC run/size symbol per nonzero
 coefficient with any ZRL codes of its zero run folded into the same field,
-and an EOB unless the last coefficient is nonzero.  The symbol lengths serve
-two consumers: :func:`entropy_count_bits` sums them, which is all a rate
-probe needs, and :func:`entropy_encode_blocks` places each field at its
-cumulative bit offset and packs the bits into bytes.  The decoder
-(:func:`entropy_decode_planes`) has no per-symbol loop either: it finds every
-block's start by pointer doubling over per-bit-position symbol tables, then
-steps all blocks of all planes at once, one symbol each per step.
+and an EOB unless the last coefficient is nonzero.  A rate probe sums the
+symbol lengths per plane; the emit places each plane's fields from a byte
+boundary and cuts the packed bits into per-plane payloads.  Both work on
+runs of whole planes of about :data:`_SLAB_BLOCKS` blocks.  The decoder
+(:func:`entropy_decode_planes`) has no per-symbol loop either: it finds
+every block's start by pointer doubling over per-bit-position symbol
+tables, then steps all blocks of all planes at once, one symbol each per
+step.
 
 The bitstream is MSB-first and zero-padded to a whole byte.  A plane record
 serializes as:
@@ -152,16 +154,13 @@ def dct8_inverse(block: np.ndarray) -> np.ndarray:
     return _DCT.T @ b @ _DCT
 
 
-def _dct_batch(blocks: np.ndarray) -> np.ndarray:
-    return _DCT @ blocks @ _DCT.T
-
-
 # ---------------------------------------------------------------------------
 # quantization
 
 def quality_to_table(base: np.ndarray, quality: int) -> np.ndarray:
     """Scale a base quantization table by the standard JPEG quality mapping."""
-    if not isinstance(quality, (int, np.integer)) or not 1 <= quality <= 100:
+    if (isinstance(quality, bool) or not isinstance(quality, (int, np.integer))
+            or not 1 <= quality <= 100):
         raise ArgumentError(f"quality must be an integer in [1, 100], got {quality!r}")
     base = np.asarray(base)
     if base.shape != (8, 8) or np.any(base < 1) or np.any(base > 32767):
@@ -169,11 +168,6 @@ def quality_to_table(base: np.ndarray, quality: int) -> np.ndarray:
     scale = 5000.0 / quality if quality < 50 else 200.0 - 2.0 * quality
     steps = np.floor((base * scale + 50.0) / 100.0)
     return np.clip(steps, 1, 32767).astype(np.int32)
-
-
-def _quantize(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
-    scaled = np.abs(coeffs) / table
-    return (np.sign(coeffs) * np.floor(scaled + 0.5)).astype(np.int32)
 
 
 # ---------------------------------------------------------------------------
@@ -191,105 +185,149 @@ def _code_table(codes, nsymbols):
 
 _DC_CODE, _DC_LEN = _code_table(_DC_CODES, 12)
 _AC_CODE, _AC_LEN = _code_table(_AC_CODES, 256)
-# k ZRL codes back to back, k = 0..3: a run of at most 62 zeros needs three
-_ZRL_CODE, _ZRL_LEN = _AC_CODES[_ZRL]
-_ZRLS_CODE = np.array([sum(_ZRL_CODE << (_ZRL_LEN * i) for i in range(k)) for k in range(4)],
-                      dtype=np.int64)
-_ZRLS_LEN = (_ZRL_LEN * np.arange(4)).astype(np.uint8)
 #: size category (bit length) of every magnitude a category <= 11 allows
 _CATEGORY = np.frexp(np.arange(2048))[1].astype(np.uint8)
+
+
+def _ac_field_tables():
+    """An AC field -- ``run >> 4`` ZRL codes, the code of ``(run & 15, size)``
+    and ``size`` amplitude bits -- as (bits, length) tables.
+
+    ``length`` is indexed by ``run << 4 | size``, 0 for size 0.  ``bits`` is
+    indexed by that times two, plus one for a negative coefficient; XORed
+    with the magnitude it gives the field (a negative amplitude is sent as
+    the magnitude's complement).
+    """
+    index = np.arange(63 << 4)
+    zrls, symbol, size = index >> 8, index & 0xFF, index & 15
+    zrl_code, zrl_len = _AC_CODES[_ZRL]
+    zrls_code = np.array([sum(zrl_code << (zrl_len * i) for i in range(k)) for k in range(4)])
+    code = (zrls_code[zrls] << _AC_LEN[symbol]) | _AC_CODE[symbol]
+    bits = np.where(size > 0, code << size, 0)
+    bits = np.stack([bits, bits | ((1 << size) - 1)], axis=1).ravel()
+    length = np.where(size > 0, zrl_len * zrls + _AC_LEN[symbol] + size, 0)
+    return bits.astype(np.int64), length.astype(np.uint8)
+
+
+_AC_FIELD_BITS, _AC_FIELD_LEN = _ac_field_tables()
 _AC_POS = np.arange(1, 64, dtype=np.uint8)
+#: ``16 * (k - 1)`` per zigzag position k = 1..63: the index of a run over
+#: every AC position before k
+_RUN_BASE = np.arange(0, 16 * 63, 16, dtype=np.uint16)
+#: blocks the stacked coder quantizes and codes at once (rounded to whole
+#: planes, at least one): bounds its temporaries to a few MB
+_SLAB_BLOCKS = 1024
 
 
 class _Symbols:
     """Annex F.1.2 symbols of quantized blocks, built with array operations.
 
-    ``lengths`` is an ``(n, 65)`` array in stream order: per block the DC
-    difference, the 63 AC positions of the zigzag scan, then the EOB.  The
-    DC entry and each nonzero AC entry are one whole field -- the ZRL codes
-    of the zero run before the coefficient, its Huffman code and its
-    amplitude bits, at most 3 * 11 + 16 + 10 bits -- and every other entry
-    has length 0.  :meth:`fields` gives the matching bit patterns.
+    Takes whole planes of ``nblocks`` blocks each, back to back, as their DC
+    values ``dc`` and the size categories ``ac_size`` of their AC
+    coefficients in zigzag order; the DC prediction restarts at each plane's
+    first block.  ``lengths`` is an ``(n, 65)`` array in stream order: per
+    block the DC difference, the 63 AC positions of the zigzag scan, then
+    the EOB.  The DC entry and each nonzero AC entry are one whole field --
+    the ZRL codes of the zero run before the coefficient, its Huffman code
+    and its amplitude bits, at most 3 * 11 + 16 + 10 bits -- and every other
+    entry has length 0.  :meth:`pack` emits them.
     """
 
-    def __init__(self, qblocks: np.ndarray):
-        q = np.asarray(qblocks)
-        if q.ndim != 3 or q.shape[1:] != (8, 8) or q.dtype.kind not in "iu":
-            raise ArgumentError(f"expected (n, 8, 8) integer blocks, got {q.dtype} {q.shape}")
-        zz = q.reshape(-1, 64)[:, ZIGZAG_ORDER]
-        dc = np.diff(zz[:, 0].astype(np.int64), prepend=0)
-        ac = zz[:, 1:]
-        too_big = (dc < -2047) | (dc > 2047)
+    def __init__(self, dc: np.ndarray, ac_size: np.ndarray, nblocks: int):
+        dc = np.asarray(dc, dtype=np.int64)
+        diff = np.diff(dc, prepend=0)
+        diff[::nblocks] = dc[::nblocks]
+        too_big = (diff < -2047) | (diff > 2047)
         if too_big.any():
-            raise ValidationError(f"DC difference {dc[too_big][0]} exceeds category 11")
-        too_big = (ac < -1023) | (ac > 1023)
-        if too_big.any():
-            raise ValidationError(f"AC coefficient {ac[too_big][0]} exceeds category 10")
-        dc_size = _CATEGORY[np.abs(dc)]
-        ac_size = _CATEGORY[np.abs(ac)]
-        nonzero = ac != 0
-        # zigzag position of the last nonzero AC before each position (0 = none)
-        last = np.maximum.accumulate(np.where(nonzero, _AC_POS, 0), axis=1)
-        run = _AC_POS - 1 - np.pad(last[:, :-1], ((0, 0), (1, 0)))
-        self.dc, self.ac = dc, ac
-        self.dc_size, self.ac_size = dc_size, ac_size
-        self.symbol = ((run & 15) << 4) | ac_size
-        self.zrls = run >> 4
-        self.lengths = np.empty((zz.shape[0], 65), dtype=np.uint8)
-        self.lengths[:, 0] = _DC_LEN[dc_size] + dc_size
-        self.lengths[:, 1:64] = np.where(
-            nonzero, _ZRLS_LEN[self.zrls] + _AC_LEN[self.symbol] + ac_size, 0)
-        self.lengths[:, 64] = np.where(last[:, -1] == 63, 0, _AC_LEN[_EOB])
+            raise ValidationError(f"DC difference {diff[too_big][0]} exceeds category 11")
+        if ac_size.size and ac_size.max() > 10:
+            raise ValidationError(f"AC coefficient of category {ac_size.max()} exceeds category 10")
+        self.nblocks = nblocks
+        self.dc = diff
+        self.dc_size = _CATEGORY[np.abs(diff)]
+        # zigzag position of the last nonzero AC up to each position (0 = none)
+        last = np.maximum.accumulate((ac_size > 0) * _AC_POS, axis=1)
+        # run << 4 | size, the run being the zeros since the previous nonzero AC
+        self.index = _RUN_BASE + ac_size
+        self.index[:, 1:] -= last[:, :-1] * np.uint16(16)
+        self.lengths = np.empty((len(diff), 65), dtype=np.uint8)
+        self.lengths[:, 0] = _DC_LEN[self.dc_size] + self.dc_size
+        self.lengths[:, 1:64] = _AC_FIELD_LEN.take(self.index)
+        self.lengths[:, 64] = (last[:, -1] < 63) * _AC_LEN[_EOB]
 
-    def fields(self) -> np.ndarray:
-        out = np.empty(self.lengths.shape, dtype=np.int64)
-        dc_size = self.dc_size.astype(np.int64)
-        out[:, 0] = (_DC_CODE[dc_size] << dc_size) | _amplitude_bits(self.dc, dc_size)
-        ac_size = self.ac_size.astype(np.int64)
-        code = (_ZRLS_CODE[self.zrls] << _AC_LEN[self.symbol]) | _AC_CODE[self.symbol]
-        out[:, 1:64] = (code << ac_size) | _amplitude_bits(self.ac, ac_size)
-        out[:, 64] = _AC_CODE[_EOB]
-        return out
+    def plane_bits(self) -> np.ndarray:
+        """Each plane's bit count before its byte padding."""
+        return self.lengths.reshape(-1, self.nblocks * 65).sum(axis=1, dtype=np.int64)
+
+    def pack(self, ac: np.ndarray, negative: np.ndarray) -> list[bytes]:
+        """Every plane's Huffman bitstream, zero-padded to a whole byte.
+
+        ``ac`` holds the AC magnitudes and ``negative`` marks the negative ones.
+        """
+        # the bit patterns of the fields, 0 where the length is 0
+        fields = np.empty(self.lengths.shape, dtype=np.int64)
+        dc, dc_size = self.dc, self.dc_size.astype(np.int64)
+        # JPEG amplitude bits: v for v >= 0, v + 2**size - 1 for v < 0
+        amplitude = np.where(dc < 0, dc + (1 << dc_size) - 1, dc)
+        fields[:, 0] = (_DC_CODE[dc_size] << dc_size) | amplitude
+        fields[:, 1:64] = _AC_FIELD_BITS.take((self.index << 1) | negative) ^ ac
+        fields[:, 64] = (self.lengths[:, 64] > 0) * _AC_CODE[_EOB]
+        fields = fields.ravel().view(np.uint64)
+        plane_bits = self.plane_bits()
+        plane_bytes = (plane_bits + 7) // 8
+        plane_starts = 8 * (np.cumsum(plane_bytes) - plane_bytes)
+        # the fields of each plane back to back from its byte-aligned start;
+        # the ones of length 0 are 0 and add no bits
+        lengths = self.lengths.reshape(len(plane_bits), -1)
+        ends = np.cumsum(lengths, axis=1, dtype=np.int64)
+        ends += plane_starts[:, None]
+        # place each field in the 64-bit word its first bit falls in; a field
+        # that runs past the word's end (over > 0) spills its low bits into the
+        # next word, and no word boundary is crossed by more than one field
+        word = (ends - lengths).ravel() >> 6
+        over = ends.ravel()  # in place: the bits past the end of the field's first word
+        over -= (word + 1) << 6
+        heads = fields << np.maximum(-over, 0).view(np.uint64)
+        heads >>= np.maximum(over, 0).view(np.uint64)
+        # one word more: a field of length 0 may start at the end of the last plane
+        words = np.zeros(int(plane_bytes.sum()) // 8 + 1, dtype=np.uint64)
+        first = np.append(0, np.flatnonzero(word[1:] != word[:-1]) + 1)
+        words[word[first]] = np.bitwise_or.reduceat(heads, first)
+        spills = np.flatnonzero(over > 0)
+        words[word[spills] + 1] |= fields[spills] << (64 - over[spills]).astype(np.uint64)
+        data = words.astype(">u8").tobytes()
+        return [data[start // 8:start // 8 + count]
+                for start, count in zip(plane_starts.tolist(), plane_bytes.tolist())]
 
 
-def _amplitude_bits(values: np.ndarray, size: np.ndarray) -> np.ndarray:
-    """JPEG magnitude coding: v for v > 0, v + 2**size - 1 for v < 0."""
-    values = values.astype(np.int64)
-    return np.where(values < 0, values + (1 << size) - 1, values)
+def _block_symbols(qblocks: np.ndarray):
+    """Quantized 8x8 blocks (natural order) as one plane: (symbols, AC magnitudes, AC signs)."""
+    q = np.asarray(qblocks)
+    if q.ndim != 3 or q.shape[1:] != (8, 8) or q.dtype.kind not in "iu":
+        raise ArgumentError(f"expected (n, 8, 8) integer blocks, got {q.dtype} {q.shape}")
+    zz = q.reshape(-1, 64).take(ZIGZAG_ORDER, axis=1).astype(np.int64)
+    ac = zz[:, 1:]
+    too_big = (ac < -1023) | (ac > 1023)
+    if too_big.any():
+        raise ValidationError(f"AC coefficient {ac[too_big][0]} exceeds category 10")
+    magnitude = np.abs(ac)
+    return _Symbols(zz[:, 0], _CATEGORY.take(magnitude), max(len(zz), 1)), magnitude, ac < 0
 
 
 def entropy_count_bits(qblocks: np.ndarray) -> int:
     """Bit length of :func:`entropy_encode_blocks` output before its byte padding."""
-    return int(_Symbols(qblocks).lengths.sum())
+    return int(_block_symbols(qblocks)[0].lengths.sum())
 
 
 def entropy_encode_blocks(qblocks: np.ndarray) -> bytes:
     """Pack quantized 8x8 blocks (natural order) into the Huffman bitstream.
 
     Exactly invertible by :func:`entropy_decode_blocks`; includes the
-    zigzag scan and the raster-order DC differential.
+    zigzag scan and the raster-order DC differential.  One plane of the
+    emit :meth:`PlaneStack.encode` runs.
     """
-    symbols = _Symbols(qblocks)
-    kept = symbols.lengths > 0
-    if not kept.any():
-        return b""
-    lengths = symbols.lengths[kept].astype(np.int64)
-    fields = symbols.fields()[kept].astype(np.uint64)
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
-    # place each field in the 64-bit word its first bit falls in; a field
-    # that runs past the word's end (over > 0) spills its low bits into the
-    # next word, and no word boundary is crossed by more than one field
-    word = starts >> 6
-    over = lengths - 64 + (starts & 63)
-    heads = ((fields << np.maximum(-over, 0).astype(np.uint64))
-             >> np.maximum(over, 0).astype(np.uint64))
-    words = np.zeros((int(ends[-1]) + 63) // 64, dtype=np.uint64)
-    first = np.flatnonzero(np.diff(word, prepend=-1))
-    words[word[first]] = np.bitwise_or.reduceat(heads, first)
-    spills = over > 0
-    words[word[spills] + 1] |= fields[spills] << (64 - over[spills]).astype(np.uint64)
-    return words.astype(">u8").tobytes()[: (int(ends[-1]) + 7) // 8]
+    symbols, magnitude, negative = _block_symbols(qblocks)
+    return symbols.pack(magnitude, negative)[0] if len(magnitude) else b""
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +382,7 @@ def _extend_table() -> np.ndarray:
 
 
 #: ``_EXTEND[size << 11 | bits]``: the value of the low ``size`` amplitude
-#: bits (Annex F.2.2.1 EXTEND, inverse of :func:`_amplitude_bits`); 0 for size 0
+#: bits (Annex F.2.2.1 EXTEND, inverse of the encoder's amplitude bits); 0 for size 0
 _EXTEND = _extend_table()
 
 
@@ -558,57 +596,86 @@ class EncodedPlane:
         return plane, start + count
 
 
-def _to_blocks(padded: np.ndarray) -> np.ndarray:
-    h, w = padded.shape
-    return padded.reshape(h // 8, 8, w // 8, 8).transpose(0, 2, 1, 3).reshape(-1, 8, 8)
-
-
 @dataclass(frozen=True, eq=False)
-class PlaneTransform:
-    """The quality-independent half of :func:`encode_plane`.
+class PlaneStack:
+    """The quality-independent half of the plane coder, for P planes of one size.
 
-    Holds a plane's normalization and the DCT coefficients of its padded,
-    level-shifted 8x8 blocks, so a rate search can quantize and count the
-    same plane at many qualities without transforming it again.
+    Holds each plane's normalization and the DCT coefficients of all padded,
+    level-shifted 8x8 blocks, plane after plane, in zigzag order, so a rate
+    search counts every plane at many qualities without transforming them again.
     """
 
-    norm: PlaneNorm
+    norms: tuple[PlaneNorm, ...]
     width: int
     height: int
-    coeffs: np.ndarray  # (nblocks, 8, 8)
+    coeffs: np.ndarray  # (P * nblocks, 64), zigzag order
 
     @classmethod
-    def of(cls, plane: np.ndarray) -> "PlaneTransform":
-        p = np.asarray(plane, dtype=np.float64)
-        if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 1:
-            raise ValidationError(f"plane must be 2-D and non-empty, got shape {p.shape}")
+    def of(cls, planes: np.ndarray) -> "PlaneStack":
+        """Normalize, pad and DCT-transform a ``(P, H, W)`` stack of planes."""
+        p = np.asarray(planes, dtype=np.float64)
+        if p.ndim != 3 or min(p.shape) < 1:
+            raise ValidationError(f"planes must be a non-empty (P, H, W) stack, got {p.shape}")
         if not np.all(np.isfinite(p)):
             raise ValidationError("plane contains non-finite values")
-        height, width = p.shape
-        mn = float(p.min())
-        mx = float(p.max())
-        norm = PlaneNorm(offset=mn, scale=(mx - mn) / 255.0 if mx > mn else 1.0)
-        normalized = (p - norm.offset) / norm.scale
-        padded = np.pad(normalized, ((0, (-height) % 8), (0, (-width) % 8)), mode="edge")
-        coeffs = _dct_batch(_to_blocks(padded) - 128.0)
-        return cls(norm=norm, width=width, height=height, coeffs=coeffs)
+        count, height, width = p.shape
+        flat = p.reshape(count, -1)
+        norms = tuple(PlaneNorm(offset=mn, scale=(mx - mn) / 255.0 if mx > mn else 1.0)
+                      for mn, mx in zip(flat.min(axis=1).tolist(), flat.max(axis=1).tolist()))
+        if height % 8 or width % 8:
+            p = np.pad(p, ((0, 0), (0, -height % 8), (0, -width % 8)), mode="edge")
+        rows, cols = p.shape[1] // 8, p.shape[2] // 8
+        # normalize and level-shift straight into the block layout
+        per_plane = (count, 1, 1, 1, 1)
+        blocks = np.empty((count, rows, cols, 8, 8))
+        np.subtract(p.reshape(count, rows, 8, cols, 8).transpose(0, 1, 3, 2, 4),
+                    np.array([n.offset for n in norms]).reshape(per_plane), out=blocks)
+        blocks /= np.array([n.scale for n in norms]).reshape(per_plane)
+        blocks -= 128.0
+        half = _DCT @ blocks
+        np.matmul(half, _DCT.T, out=blocks)
+        del half
+        return cls(norms=norms, width=width, height=height,
+                   coeffs=blocks.reshape(-1, 64).take(ZIGZAG_ORDER, axis=1))
 
-    def quantized(self, quality: int) -> np.ndarray:
-        return _quantize(self.coeffs, quality_to_table(BASE_LUMA_QUANT, quality))
+    @property
+    def nblocks(self) -> int:
+        """Blocks per plane."""
+        return len(self.coeffs) // len(self.norms)
 
-    def payload_nbytes(self, quality: int) -> int:
-        """Payload size :meth:`encode` would produce, counted without emitting it."""
-        return (entropy_count_bits(self.quantized(quality)) + 7) // 8
+    def _slabs(self, quality: int):
+        """Per run of whole planes of about :data:`_SLAB_BLOCKS` blocks at ``quality``:
+        (coefficients, quantized magnitudes, symbols)."""
+        table = quality_to_table(BASE_LUMA_QUANT, quality).ravel()[ZIGZAG_ORDER]
+        step = self.nblocks * max(1, _SLAB_BLOCKS // self.nblocks)
+        for start in range(0, len(self.coeffs), step):
+            coeffs = self.coeffs[start:start + step]
+            magnitude = np.abs(coeffs)
+            magnitude /= table
+            magnitude += 0.5
+            np.floor(magnitude, out=magnitude)
+            # the size category of a whole number is frexp's exponent (0 for 0)
+            ac_size = np.frexp(magnitude[:, 1:])[1].astype(np.uint8)
+            dc = np.where(coeffs[:, 0] < 0, -magnitude[:, 0], magnitude[:, 0])
+            yield coeffs, magnitude, _Symbols(dc, ac_size, self.nblocks)
 
-    def encode(self, quality: int) -> EncodedPlane:
-        payload = entropy_encode_blocks(self.quantized(quality))
-        return EncodedPlane(norm=self.norm, quality=int(quality),
-                            width=self.width, height=self.height, payload=payload)
+    def count_nbytes(self, quality: int) -> np.ndarray:
+        """Each plane's payload bytes at ``quality``, counted without emitting them."""
+        return (np.concatenate([s.plane_bits() for *_, s in self._slabs(quality)]) + 7) // 8
+
+    def encode(self, quality: int) -> list[EncodedPlane]:
+        """Entropy code every plane at ``quality``."""
+        payloads = []
+        for coeffs, magnitude, symbols in self._slabs(quality):
+            payloads += symbols.pack(magnitude[:, 1:].astype(np.int64), coeffs[:, 1:] < 0)
+        return [EncodedPlane(norm=norm, quality=int(quality), width=self.width,
+                             height=self.height, payload=payload)
+                for norm, payload in zip(self.norms, payloads)]
 
 
 def encode_plane(plane: np.ndarray, quality: int) -> EncodedPlane:
-    """Encode one real-valued plane at the given quality (1..100)."""
-    return PlaneTransform.of(plane).encode(quality)
+    """Encode one real-valued plane at the given quality (1..100) as a one-plane stack."""
+    return PlaneStack.of(np.asarray(plane)[None]).encode(quality)[0]
 
 
 def decode_plane_stack(planes: list[EncodedPlane]) -> np.ndarray:

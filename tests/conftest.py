@@ -8,6 +8,8 @@ check.
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -276,3 +278,21 @@ def reference_huffman_decode(payload: bytes, nblocks: int) -> np.ndarray:
     out = np.zeros((nblocks, 64), dtype=np.int32)
     out[:, ZIGZAG_ORDER] = zz
     return out.reshape(nblocks, 8, 8)
+
+
+def forged_scmp(bands: int, width: int, height: int, p: int = 2, planes: bool = True) -> bytes:
+    """A CSI stream whose header claims a ``bands`` x ``width`` x ``height`` cube.
+
+    The wavelengths increase strictly, the knots span the bands, and each of
+    the ``p`` plane records carries zero bytes at the 6 bits per block that
+    bound a plane's block count: only the claimed size is out of proportion
+    to the stream.  With ``planes=False`` the stream stops after its header.
+    """
+    header = struct.pack("<4sBBHHIIB", b"SCMP", 1, 2, p, bands, width, height, 50)
+    if not planes:
+        return header
+    wavelengths = np.arange(1, bands + 1, dtype="<f4").tobytes()
+    knots = np.linspace(0, bands - 1, p).round().astype("<u2").tobytes()
+    payload = bytes((6 * ((width + 7) // 8) * ((height + 7) // 8) + 7) // 8)
+    record = struct.pack("<IIBddI", width, height, 50, 0.0, 1.0, len(payload)) + payload
+    return header + wavelengths + knots + record * p

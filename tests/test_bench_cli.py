@@ -31,7 +31,7 @@ from cubecodec.container import RateTarget, compress, decompress, parse_stream, 
 from cubecodec.cube import read_cube, synthesize_cube, write_cube
 from cubecodec.errors import ArgumentError, CodecError, ValidationError
 
-from conftest import flip_bit
+from conftest import flip_bit, forged_scmp
 
 _TINY = "synth:gaussian-spectra:16x16x31:3"
 _CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -281,6 +281,17 @@ def test_cli_decompress_rejects_oversized_dimensions(tmp_path, capsys):
     path.write_bytes(bytes(blob))
     assert cli_main(["decompress", "--in", str(path), "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_decompress_rejects_a_decompression_bomb(tmp_path, capsys):
+    # ~290 KB that passes every structural check but claims 65535 x 1024 x 1024
+    path = tmp_path / "bomb.scmp"
+    path.write_bytes(forged_scmp(65535, 1024, 1024))
+    out_path = tmp_path / "x.scub"
+    assert cli_main(["decompress", "--in", str(path), "--out", str(out_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "MAX_CUBE_SAMPLES" in err
+    assert not out_path.exists()
 
 
 _VALID_STREAMS = {

@@ -1,6 +1,7 @@
 """End-to-end codec tests: stream format, rate control, reconstruction."""
 
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -30,11 +31,12 @@ from cubecodec.errors import (
     CorruptError,
     FormatError,
     RateError,
+    SizeLimitError,
     ValidationError,
 )
-from cubecodec.bench import make_skin_cube
+from cubecodec.bench import make_skin_cube, make_sweep_cube
 
-from conftest import flip_bit, random_cube
+from conftest import flip_bit, forged_scmp, random_cube
 
 
 def _flat_cube(width=16, height=16, bands=8):
@@ -193,6 +195,67 @@ def test_more_bands_than_scmp_holds_are_rejected_before_the_fit(monkeypatch):
         compress_with_report(cube, "csi", 2, quality=50)
 
 
+# ---------------------------------------------------------------------------
+# size limit
+
+def _peak_bytes(fn):
+    """The tracemalloc peak while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("blob", [
+    forged_scmp(65535, 1024, 1024),  # ~290 KB that asks for a 65535 x 1024 x 1024 cube
+    forged_scmp(65535, 2 ** 16, 2 ** 16, planes=False),
+], ids=["full-stream", "header-only"])
+def test_forged_cube_size_is_rejected_before_any_large_allocation(blob):
+    peak = _peak_bytes(lambda: pytest.raises(SizeLimitError, parse_stream, blob))
+    assert peak < 2 ** 16  # before even the 256 KiB of wavelengths are read
+
+
+def test_forged_stream_passes_every_other_check(monkeypatch):
+    # without the cap, the forged stream parses and would go on to a decode
+    monkeypatch.setattr(container, "MAX_CUBE_SAMPLES", 2 ** 40)
+    stream = parse_stream(forged_scmp(65535, 1024, 1024))
+    assert (stream.bands, stream.width, stream.height, stream.p) == (65535, 1024, 1024, 2)
+    assert all(len(plane.payload) * 8 == 6 * plane.nblocks for plane in stream.planes)
+
+
+def test_compress_refuses_cubes_above_the_size_cap(monkeypatch):
+    cube = random_cube(71, width=4, height=3, bands=5)  # 60 samples
+    blob = serialize_stream(compress(cube, "csi", 2, quality=50))
+    monkeypatch.setattr(container, "MAX_CUBE_SAMPLES", 59)
+    _forbid_spectral_fit(monkeypatch)
+    with pytest.raises(SizeLimitError):
+        compress_with_report(cube, "csi", 2, quality=50)
+    with pytest.raises(SizeLimitError):  # the decoder draws the same line
+        parse_stream(blob)
+
+
+def test_decode_out_of_memory_raises_size_limit_error(monkeypatch):
+    stream = compress(random_cube(72), "pca", 2, quality=50)
+
+    def exhausted(planes):
+        raise MemoryError
+
+    monkeypatch.setattr(container, "decode_plane_stack", exhausted)
+    with pytest.raises(SizeLimitError):
+        decompress_with_report(stream)
+
+
+@pytest.mark.parametrize("method", ["pca", "csi"])
+def test_sweep256_compress_peak_memory(method):
+    # the stacked plane coder's temporaries must stay below the peak the
+    # spectral stage set before it (41.0 MiB for PCA)
+    cube = make_sweep_cube(256, 256)
+    peak = _peak_bytes(lambda: compress_with_report(cube, method, 20, rate=RateTarget(8.0)))
+    assert peak <= 41.0 * 2 ** 20
+
+
 def test_compress_is_deterministic():
     cube = make_skin_cube(32, 32)
     a = serialize_stream(compress(cube, "pca", 8, quality=77))
@@ -300,7 +363,7 @@ def test_rate_target_validation(monkeypatch):
         compress_with_report(random_cube(67), "pca", 2,
                              rate=RateTarget(8.0), quality=50)
     _forbid_spectral_fit(monkeypatch)  # a bad quality is rejected before the fit
-    for quality in (50.7, "50", 0, 101):
+    for quality in (50.7, "50", 0, 101, True):
         with pytest.raises(ArgumentError, match="quality must be an integer"):
             compress_with_report(random_cube(67), "pca", 2, quality=quality)
 

@@ -18,7 +18,7 @@ from cubecodec.container import (
     serialize_stream,
     spectral_forward,
 )
-from cubecodec.spatial import decode_plane_stack, encode_plane
+from cubecodec.spatial import PlaneStack, decode_plane_stack, encode_plane
 
 # (image, method, p) -> (sha256 of the SCMP bytes, chosen quality, rate probes) at CR 8
 GOLDEN_STREAMS = {
@@ -152,15 +152,26 @@ def test_rate_controlled_streams_are_pinned(image):
 
 
 def test_entropy_payloads_are_pinned_at_every_quality():
+    # each plane alone (encode_plane), and all 20 at once through the stacked
+    # coder compress runs; every plane's counted bytes match its payload
     cube = make_sweep_cube(64, 64)
-    planes = [spectral_forward(cube, method, 20)[0] for method in ("pca", "csi")]
+    methods = ("pca", "csi")
+    planes = [spectral_forward(cube, method, 20)[0] for method in methods]
+    stacks = [PlaneStack.of(reduced.planes) for reduced in planes]
     for quality, expected in GOLDEN_PAYLOADS.items():
         payloads = hashlib.sha256()
+        stacked = hashlib.sha256()
         decoded = hashlib.sha256()
-        for reduced in planes:
+        for reduced, stack, method in zip(planes, stacks, methods):
             encoded = [encode_plane(plane, quality) for plane in reduced.planes]
             for plane in encoded:
                 payloads.update(plane.payload)
             decoded.update(decode_plane_stack(encoded).tobytes())
+            emitted = compress_with_report(cube, method, 20, quality=quality)[0].planes
+            for plane in emitted:
+                stacked.update(plane.payload)
+            counted = stack.count_nbytes(quality).tolist()
+            assert counted == [len(plane.payload) for plane in emitted], f"quality {quality}"
         assert payloads.hexdigest()[:16] == expected, f"quality {quality}"
+        assert stacked.hexdigest()[:16] == expected, f"quality {quality}"
         assert decoded.hexdigest()[:16] == GOLDEN_DECODED_PLANES[quality], f"quality {quality}"

@@ -13,6 +13,7 @@ from cubecodec.spatial import (
     BASE_LUMA_QUANT,
     EncodedPlane,
     PlaneNorm,
+    PlaneStack,
     ZIGZAG_ORDER,
     decode_plane,
     dct8_forward,
@@ -385,6 +386,69 @@ def test_encode_validation():
         encode_plane(np.zeros((0, 4)), 50)
     with pytest.raises(ArgumentError):
         encode_plane(np.zeros((4, 4)), 0)
+
+
+_ODD_SIDE = st.integers(1, 30).filter(lambda side: side % 8)
+
+
+@st.composite
+def _plane_stacks(draw):
+    """1-4 planes of one odd size, random at one of three scales or constant."""
+    count, height, width = draw(st.integers(1, 4)), draw(_ODD_SIDE), draw(_ODD_SIDE)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    planes = rng.normal(0.0, draw(st.sampled_from([1e-3, 1.0, 1e3])), (count, height, width))
+    for plane in planes:
+        if draw(st.booleans()):
+            plane[:] = draw(st.floats(-1e3, 1e3))
+    return planes
+
+
+def _stack_qblocks(stack, quality):
+    """Each plane's quantized blocks, natural order, from the stack's coefficients."""
+    table = quality_to_table(BASE_LUMA_QUANT, quality).ravel()[ZIGZAG_ORDER]
+    zz = np.sign(stack.coeffs) * np.floor(np.abs(stack.coeffs) / table + 0.5)
+    natural = np.empty_like(zz)
+    natural[:, ZIGZAG_ORDER] = zz
+    return natural.astype(np.int32).reshape(len(stack.norms), -1, 8, 8)
+
+
+@settings(max_examples=60)
+@given(_plane_stacks(), st.integers(1, 100), st.integers(1, 40))
+def test_stacked_emit_matches_reference_plane_by_plane(planes, quality, slab_blocks):
+    # slabs of 1-40 blocks split the stack at every plane boundary or none
+    with mock.patch.object(spatial, "_SLAB_BLOCKS", slab_blocks):
+        stack = PlaneStack.of(planes)
+        encoded = stack.encode(quality)
+        counted = stack.count_nbytes(quality)
+    count, height, width = planes.shape
+    assert len(encoded) == len(counted) == count
+    for plane, norm in zip(planes, stack.norms):
+        assert norm.offset == plane.min()
+    # the transform: per-block DCT of the normalized, edge-padded, level-shifted plane
+    for i, norm in enumerate(stack.norms):
+        padded = np.pad((planes[i] - norm.offset) / norm.scale,
+                        ((0, -height % 8), (0, -width % 8)), mode="edge") - 128.0
+        blocks = padded.reshape(padded.shape[0] // 8, 8, -1, 8).swapaxes(1, 2).reshape(-1, 8, 8)
+        expected = np.array([dct8_forward(b).ravel()[ZIGZAG_ORDER] for b in blocks])
+        got = stack.coeffs[i * stack.nblocks:(i + 1) * stack.nblocks]
+        assert np.allclose(got, expected, rtol=0.0, atol=1e-9)
+    # the entropy stage, plane by plane
+    for i, (plane, qblocks) in enumerate(zip(encoded, _stack_qblocks(stack, quality))):
+        assert (plane.width, plane.height, plane.quality) == (width, height, quality)
+        assert plane.payload == reference_huffman_encode(qblocks)
+        assert counted[i] == len(plane.payload)
+        assert plane == encode_plane(planes[i], quality)
+
+
+def test_plane_stack_validation():
+    with pytest.raises(ValidationError):
+        PlaneStack.of(np.zeros((4, 4)))
+    with pytest.raises(ValidationError):
+        PlaneStack.of(np.zeros((0, 4, 4)))
+    with pytest.raises(ValidationError):
+        PlaneStack.of(np.full((2, 3, 3), np.nan))
+    with pytest.raises(ArgumentError):
+        PlaneStack.of(np.zeros((2, 3, 3))).count_nbytes(True)
 
 
 def test_plane_record_serialization_roundtrip():
