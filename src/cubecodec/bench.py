@@ -28,7 +28,6 @@ from .container import (
     SPECTRAL_METHODS,
     RateTarget,
     compress_with_report,
-    compression_rate,
     decompress_with_report,
     parse_stream,
     serialize_stream,
@@ -40,7 +39,7 @@ from .cube import (
     smooth_field,
     synthesize_cube,
 )
-from .errors import ArgumentError, CodecError, ValidationError
+from .errors import ArgumentError, CodecError, RateError, ValidationError
 
 CSV_COLUMNS = (
     "image", "method", "p", "target_cr", "achieved_cr",
@@ -245,11 +244,12 @@ def evaluate_row(cube: SpectralCube, image: str, method: str, p: int,
     """Benchmark one (image, method, p) combination."""
     report = EvalReport(image=image, method=method, p=p, target_cr=target.target_cr)
     try:
-        stream, rate_report = compress_with_report(cube, method, p, rate=target)
-        achieved = compression_rate(cube, len(serialize_stream(stream)))
-        if rate_report.in_window:
-            lo, hi = target.window
-            assert lo <= achieved <= hi, "rate search reported success outside window"
+        _, rate_report = compress_with_report(cube, method, p, rate=target)
+        achieved = rate_report.achieved_cr
+        lo, hi = target.window
+        if rate_report.in_window and not lo <= achieved <= hi:
+            raise RateError(f"rate search reported CR {achieved:.4g} as inside its window "
+                            f"[{lo:.4g}, {hi:.4g}]", best_cr=achieved)
         t_spec, t_spat, t_tot, recon = [], [], [], None
         for _ in range(repetitions):
             t0 = time.perf_counter()

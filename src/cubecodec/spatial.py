@@ -21,7 +21,8 @@ boundary and cuts the packed bits into per-plane payloads.  Both work on
 runs of whole planes of about :data:`_SLAB_BLOCKS` blocks.  The decoder
 (:func:`entropy_decode_planes`) has no per-symbol loop either: it finds
 every block's start by pointer doubling over per-bit-position symbol
-tables, then steps all blocks of all planes at once, one symbol each per
+tables, each level one uint32 array packing a symbol chain's end and its
+k-step, then steps all blocks of all planes at once, one symbol each per
 step.
 
 The bitstream is MSB-first and zero-padded to a whole byte.  A plane record
@@ -339,6 +340,9 @@ def entropy_encode_blocks(qblocks: np.ndarray) -> bytes:
 # position and composes the tables by pointer doubling over 2**0 .. 2**5
 # symbols, so the symbol at which a block's k reaches 64 -- its last -- is
 # found with six lookups, and a loop over blocks chains every block's start.
+# Each level is one uint32 array over a window of bit positions: the end of
+# the 2**j symbols from position b, local to the window, in the low 16 bits,
+# and their summed k-step in the high 16, so composing a level is one gather.
 # Stage 2 then decodes the coefficients of every block of every plane at once,
 # one AC symbol per block per step, in at most 63 steps.
 #
@@ -347,8 +351,10 @@ def entropy_encode_blocks(qblocks: np.ndarray) -> bytes:
 # past the payload's last bit.  Stage 2 rejects what depends on k (a ZRL that
 # reaches 64, a run past index 63) and a DC predictor that leaves int32.
 
-#: bit positions whose stage-1 tables are built at once; bounds their memory
-#: to about 2.5 MB whatever the stream size
+#: bit positions whose stage-1 tables are built at once; bounds them to six
+#: levels of 4 bytes per position, about 0.84 MB, whatever the stream size.
+#: A window's local positions, up to ``_STAGE1_BITS + _BLOCK_BITS +
+#: _AC_SYMBOL_BITS``, must fit the 16-bit jump field.
 _STAGE1_BITS = 1 << 15
 #: more than the longest block: DC 9 + 11 bits, then 63 AC symbols of 16 + 10
 _BLOCK_BITS = 2048
@@ -372,7 +378,13 @@ _DC_ADVANCE = bytes(np.where(_DC_LUT_LEN > 0, _DC_LUT_LEN + _DC_SIZE, 0).astype(
 #: writes 0 into its run and an EOB 0 into slot 63, neither of them written
 #: yet, which spares selecting the coefficient lanes.
 _STEP_SLOT = ZIGZAG_ORDER[np.minimum(np.arange(-1, 127), 63)]
-_PEEK16_SHIFTS = np.arange(24, 16, -1)
+#: per 16-bit peek, the level-0 entry of a symbol starting at local position
+#: 0: ``advance | step << 16``
+_AC_PACKED = (_AC_ADVANCE | _AC_STEP.astype(np.intp) << 16).astype(np.uint32)
+#: every local position a 16-bit jump field holds, and the shift that takes
+#: the 16-bit peek at each out of the 32 bits from its byte: ``16 - (b & 7)``
+_LOCAL = np.arange(1 << 16, dtype=np.uint32)
+_PEEK16_SHIFTS = 16 - (_LOCAL & 7)
 
 
 def _extend_table() -> np.ndarray:
@@ -406,28 +418,38 @@ def _peek32(windows: np.ndarray, pos: np.ndarray) -> np.ndarray:
     return (windows[pos >> 3] >> (8 - (pos & 7))) & 0xFFFFFFFF
 
 
-def _symbol_tables(windows: np.ndarray, lo: int, hi: int):
+def _symbol_tables(windows: np.ndarray, lo: int, hi: int, out: np.ndarray) -> list[memoryview]:
     """Stage-1 doubling tables for the bit positions ``lo`` (byte aligned) to ``hi``.
 
-    Returns ``(jump, step)`` per level j, coarsest first: from local position
-    b, 2**j AC symbols end at ``jump[b]`` and move k by ``step[b]``.  An
-    invalid code jumps to itself with step 64; so do the positions from
-    ``hi`` on, which a symbol ends in when it runs past ``hi``.
+    Returns one uint32 table per level j, coarsest first: from local position
+    b, 2**j AC symbols end at ``t[b] & 0xFFFF`` and move k by ``t[b] >> 16``.
+    An invalid code jumps to itself with step 64; so do the positions from
+    ``hi`` on, which a symbol ends in when it runs past ``hi``.  The tables
+    are written into the rows of ``out``, a ``(_DOUBLINGS, >= hi - lo +
+    _AC_SYMBOL_BITS)`` uint32 array that the caller reuses from window to
+    window.
     """
     n = hi - lo
-    peeks = ((windows[lo >> 3:(hi + 7) >> 3, None] >> _PEEK16_SHIFTS) & 0xFFFF).ravel()[:n]
-    jump = np.arange(n + _AC_SYMBOL_BITS, dtype=np.intp)
-    jump[:n] += _AC_ADVANCE[peeks]
-    step = np.full(n + _AC_SYMBOL_BITS, 64, dtype=np.uint16)
-    step[:n] = _AC_STEP[peeks]
+    m = n + _AC_SYMBOL_BITS
+    peeks = (windows[lo >> 3:(hi + 7) >> 3] >> 8).astype(np.uint32).repeat(8)[:n]
+    peeks >>= _PEEK16_SHIFTS[:n]
+    peeks &= 0xFFFF
+    # every index below is in range: mode="wrap" only skips numpy's bounds check
+    t = out[-1, :m]
+    _AC_PACKED.take(peeks, out=t[:n], mode="wrap")
+    t[:n] += _LOCAL[:n]
+    np.bitwise_or(_LOCAL[n:m], 64 << 16, out=t[n:])
     del peeks
-    jumps, steps = [jump], [step]
-    for _ in range(_DOUBLINGS - 1):
-        step = step + step[jump]  # at most 32 * 64: no overflow
-        jump = jump[jump]
-        jumps.append(jump)
-        steps.append(step)
-    return [(memoryview(j), memoryview(s)) for j, s in zip(jumps[::-1], steps[::-1])]
+    index = np.empty(m, dtype=np.intp)
+    high = np.empty(m, dtype=np.uint32)
+    for level in out[-2::-1]:
+        # jump twice; the two k-steps add in the high half (at most 32 * 64)
+        np.bitwise_and(t, 0xFFFF, out=index)
+        t.take(index, out=level[:m], mode="wrap")
+        np.bitwise_and(t, 0xFFFF0000, out=high)
+        t = level[:m]
+        t += high
+    return [memoryview(level[:m]) for level in out]
 
 
 def _block_starts(windows: np.ndarray, plane_ends: list[int], nblocks: list[int]) -> np.ndarray:
@@ -435,6 +457,9 @@ def _block_starts(windows: np.ndarray, plane_ends: list[int], nblocks: list[int]
     starts = np.empty(sum(nblocks), dtype=np.int64)
     words = memoryview(windows)
     dc_advance = _DC_ADVANCE
+    stop = plane_ends[-1] if plane_ends else 0  # the last plane's last bit
+    tables = np.empty((_DOUBLINGS, min(_STAGE1_BITS + _BLOCK_BITS, stop) + _AC_SYMBOL_BITS),
+                      dtype=np.uint32)
     i = 0  # block index over all planes
     built = -1  # the tables cover the block starts below this position
     begin = 0
@@ -446,8 +471,8 @@ def _block_starts(windows: np.ndarray, plane_ends: list[int], nblocks: list[int]
             if s >= built:
                 lo = s & ~7
                 built = lo + _STAGE1_BITS
-                levels = _symbol_tables(windows, lo, min(built + _BLOCK_BITS, plane_ends[-1]))
-                last_symbol = levels[-1][0]
+                levels = _symbol_tables(windows, lo, min(built + _BLOCK_BITS, stop), tables)
+                last_symbol = levels[-1]
             starts[i] = s
             advance = dc_advance[(words[s >> 3] >> (24 - (s & 7))) & 0xFFFF]
             if not advance:
@@ -455,11 +480,12 @@ def _block_starts(windows: np.ndarray, plane_ends: list[int], nblocks: list[int]
             # jump while k = 1 + moved stays below 64, then take the block's last symbol
             pos = s + advance - lo
             moved = 0
-            for jump, step in levels:
-                if moved + step[pos] < 63:
-                    moved += step[pos]
-                    pos = jump[pos]
-            last = last_symbol[pos]
+            for level in levels:
+                t = level[pos]
+                if moved + (t >> 16) < 63:
+                    moved += t >> 16
+                    pos = t & 0xFFFF
+            last = last_symbol[pos] & 0xFFFF
             if last == pos:
                 raise CorruptError(f"bad AC code or truncated payload in block {i}")
             s = last + lo
@@ -493,17 +519,20 @@ def _decode_coefficients(windows: np.ndarray, starts: np.ndarray, nblocks: list[
     row = np.arange(0, 64 * n, 64)
     k = np.ones(n, dtype=np.int64)
     while k.size:
-        bits = _peek32(windows, pos)
-        peeks = bits >> 16
+        bits = windows[pos >> 3] << (pos & 7)  # the bit at pos is bit 39
+        peeks = (bits >> 24) & 0xFFFF
         k += _AC_STEP[peeks]
-        if np.any(k > _AC_K_LIMIT[peeks]):
+        # stage 1 keeps k <= 63 before a block's last symbol, so only a step
+        # that ends a block can overflow it
+        ending = k.max() >= 64
+        if ending and np.any(k > _AC_K_LIMIT[peeks]):
             block = int(row[np.flatnonzero(k > _AC_K_LIMIT[peeks])[0]]) // 64
             raise CorruptError(f"zero run or coefficient index overflows block {block}")
         advance = _AC_ADVANCE[peeks]
         pos += advance
-        flat[row + _STEP_SLOT[k]] = _EXTEND[_AC_SIZE_KEY[peeks] | ((bits >> (32 - advance)) & 0x7FF)]
-        going = np.flatnonzero(k < 64)
-        if going.size < k.size:
+        flat[row + _STEP_SLOT[k]] = _EXTEND[_AC_SIZE_KEY[peeks] | ((bits >> (40 - advance)) & 0x7FF)]
+        if ending:
+            going = np.flatnonzero(k < 64)
             row, pos, k = row[going], pos[going], k[going]
     return out
 

@@ -1,5 +1,6 @@
 """Benchmark harness and CLI tests."""
 
+import dataclasses
 import math
 import struct
 import tempfile
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from cubecodec import bench
 from cubecodec.bench import (
     BenchConfig,
     CSV_COLUMNS,
@@ -27,7 +29,14 @@ from cubecodec.bench import (
 )
 from cubecodec.cli import cli_main
 from cubecodec.colorimetry import cube_delta_e
-from cubecodec.container import RateTarget, compress, decompress, parse_stream, serialize_stream
+from cubecodec.container import (
+    RateTarget,
+    compress,
+    compression_rate,
+    decompress,
+    parse_stream,
+    serialize_stream,
+)
 from cubecodec.cube import read_cube, synthesize_cube, write_cube
 from cubecodec.errors import ArgumentError, CodecError, ValidationError
 
@@ -73,6 +82,35 @@ def test_successful_rows_have_populated_metrics():
         stream = compress(cube, r.method, r.p, rate=target)
         stats = cube_delta_e(cube, decompress(parse_stream(serialize_stream(stream))))
         assert (r.de_mean, r.de_p95, r.de_max) == (stats.mean, stats.p95, stats.max)
+        assert r.achieved_cr == compression_rate(cube, len(serialize_stream(stream)))
+
+
+def test_rows_serialize_only_the_timed_round_trips(monkeypatch):
+    # the achieved CR comes from the rate report, not from serializing to learn a length
+    calls = []
+    monkeypatch.setattr(bench, "serialize_stream",
+                        lambda stream: calls.append(stream) or serialize_stream(stream))
+    config = _tiny_config(methods=["csi"])
+    [report] = run_benchmark(config)
+    assert report.ok, report.error
+    assert len(calls) == config.repetitions
+
+
+def test_rate_report_outside_its_window_marks_row_failed(monkeypatch):
+    # an in-window claim that the achieved CR contradicts is a codec failure of
+    # the row, also under python -O, and not an AssertionError out of the bench
+    real = bench.compress_with_report
+
+    def misreporting(cube, method, p, rate=None, quality=None):
+        stream, report = real(cube, method, p, rate=rate, quality=quality)
+        if rate is not None:
+            report = dataclasses.replace(report, achieved_cr=2 * rate.target_cr, in_window=True)
+        return stream, report
+
+    monkeypatch.setattr(bench, "compress_with_report", misreporting)
+    [report] = run_benchmark(_tiny_config(methods=["pca"]))
+    assert not report.ok
+    assert report.error.startswith("RateError:") and "window" in report.error
 
 
 def test_unreadable_image_flags_rows_and_continues():

@@ -255,6 +255,78 @@ def test_multi_plane_decode_across_stage1_windows():
             entropy_decode_planes(payloads, sizes[:i] + [sizes[i] + 1] + sizes[i + 1:])
 
 
+def _reference_level0(data: bytes, lo: int, hi: int):
+    """Per local position of the window ``lo``..``hi``: (end, k-step) of one AC
+    symbol, walked with the Huffman lookup; (itself, 64) at an invalid code
+    and from ``hi`` on."""
+    size = hi - lo + spatial._AC_SYMBOL_BITS
+    jump, step = np.arange(size), np.full(size, 64)
+    padded = int.from_bytes(data + bytes(2), "big")
+    for b in range(hi - lo):
+        peek = (padded >> (8 * len(data) - lo - b)) & 0xFFFF
+        length, symbol = int(spatial._AC_LUT_LEN[peek]), int(spatial._AC_LUT_SYM[peek])
+        if length:
+            jump[b] = b + length + (symbol & 15)
+            step[b] = 64 if symbol == 0x00 else 16 if symbol == 0xF0 else (symbol >> 4) + 1
+    return jump, step
+
+
+@st.composite
+def _stage1_windows(draw):
+    """Bits with valid symbols, EOBs and invalid codes, and a window over them."""
+    data = draw(st.binary(max_size=24))
+    if draw(st.booleans()):
+        data += entropy_encode_blocks(draw(_sparse_qblocks()))
+    data += draw(st.binary(min_size=1, max_size=24))
+    lo = 8 * draw(st.integers(0, len(data) - 1))
+    hi = draw(st.integers(lo + 1, 8 * len(data)))
+    return data, lo, hi
+
+
+@settings(max_examples=200)
+@given(_stage1_windows(), st.integers(0, 40))
+def test_stage1_levels_equal_chained_level0_steps(window, spare):
+    # level j, packed as end | k-step << 16, is 2**j level-0 steps chained,
+    # saturating at an invalid code and from hi on; stale entries of a reused
+    # (wider) table must not leak in
+    data, lo, hi = window
+    size = hi - lo + spatial._AC_SYMBOL_BITS
+    out = np.full((spatial._DOUBLINGS, size + spare), 0xDEADBEEF, dtype=np.uint32)
+    levels = spatial._symbol_tables(spatial._bit_windows(data), lo, hi, out)
+    assert len(levels) == spatial._DOUBLINGS
+    jump0, step0 = _reference_level0(data, lo, hi)
+    jump, step, chained = np.arange(size), np.zeros(size, dtype=np.int64), 0
+    for j, level in enumerate(reversed(levels)):
+        while chained < 2 ** j:
+            step += step0[jump]
+            jump = jump0[jump]
+            chained += 1
+        got = np.asarray(level)
+        assert got.shape == (size,)
+        assert np.array_equal(got & 0xFFFF, jump), j
+        assert np.array_equal(got >> 16, step), j
+
+
+def test_stage1_packed_fields_hold_a_window():
+    # a window's local positions fit the 16-bit jump field, and a level-5 step
+    # (at most 32 symbols of step 64) fits the 16-bit step field
+    assert spatial._STAGE1_BITS + spatial._BLOCK_BITS + spatial._AC_SYMBOL_BITS <= 0xFFFF
+    assert 2 ** (spatial._DOUBLINGS - 1) * 64 <= 0xFFFF
+    assert spatial._AC_ADVANCE.max() <= spatial._AC_SYMBOL_BITS and spatial._AC_STEP.max() == 64
+    # the widest window the bound allows still decodes a stream of several windows
+    widest = 0xFFFF - spatial._BLOCK_BITS - spatial._AC_SYMBOL_BITS
+    rng = np.random.default_rng(50)
+    sizes = [900, 2, 1300]
+    blocks = [_random_qblocks(rng, n, zero_fraction=0.85) for n in sizes]
+    payloads = [entropy_encode_blocks(b) for b in blocks]
+    assert sum(map(len, payloads)) * 8 > 2 * widest
+    with mock.patch.object(spatial, "_STAGE1_BITS", widest):
+        got = entropy_decode_planes(payloads, sizes)
+    expected = [reference_huffman_decode(p, n) for p, n in zip(payloads, sizes)]
+    assert np.array_equal(got, np.concatenate(expected))
+    assert np.array_equal(got, np.concatenate(blocks))
+
+
 def test_entropy_decode_keeps_blocks_inside_their_plane():
     # plane A's payload 0x09 ends on a symbol boundary inside its only block (DC
     # category 0, then two (0, 1) coefficients); plane B opens with the bits
