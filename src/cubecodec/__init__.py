@@ -38,7 +38,6 @@ from .errors import (
 from .reduction import (
     CsiSideInfo,
     PcaSideInfo,
-    ReducedPlanes,
     csi_forward,
     csi_inverse,
     csi_select_knots,

@@ -8,6 +8,10 @@ Stream layout (little-endian):
 
 Each spectral method is defined once, as an entry of :data:`SPECTRAL_METHODS`
 (tag, side-info type, reduce, expand, side-info size, writer and reader).
+Reduce returns the P planes as a plain ``(P, H, W)`` float64 array, which
+goes straight to the plane coder; the decoder's ``(P, H, W)`` planes go
+straight to expand, where both methods run one synthesis,
+``matrix @ planes (+ mean)``.
 Side info is stored uncompressed: PCA writes the band-mean vector, the N x P
 basis (column-major by component) and the P eigenvalues as f32
 (4N + 4NP + 4P bytes); CSI writes P u16 knot indices (2P bytes).
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import SpectralCube
+from .cube import MAX_CUBE_SAMPLES, SpectralCube, check_cube_size
 from .errors import (
     ArgumentError,
     CorruptError,
@@ -50,7 +54,6 @@ from .errors import (
 from .reduction import (
     CsiSideInfo,
     PcaSideInfo,
-    ReducedPlanes,
     csi_forward,
     csi_inverse,
     csi_select_knots,
@@ -72,27 +75,13 @@ SCMP_VERSION = 1
 
 _HEADER = struct.Struct("<4sBBHHIIB")
 
-#: the most samples (bands x width x height) a cube may hold to be compressed,
-#: or a stream may claim to be parsed.  A decode peaks at about 13 bytes per
-#: sample (float64 reconstruction plus the float32 cube), so this bounds it
-#: near 1.7 GB whatever a header says.
-MAX_CUBE_SAMPLES = 1 << 27
-
-
-def _check_cube_size(bands: int, width: int, height: int) -> None:
-    samples = bands * width * height
-    if samples > MAX_CUBE_SAMPLES:
-        raise SizeLimitError(f"{bands} x {width} x {height} = {samples} samples exceeds "
-                             f"MAX_CUBE_SAMPLES = {MAX_CUBE_SAMPLES}")
-
-
 @dataclass(frozen=True)
 class SpectralMethod:
     """One spectral reducer: everything the codec needs to know about it."""
 
     tag: int  # method byte in the SCMP header
     side_type: type
-    reduce: Callable  # (cube, p) -> (ReducedPlanes, side info)
+    reduce: Callable  # (cube, p) -> ((P, H, W) float64 planes, side info)
     expand: Callable  # (planes, side info, wavelengths) -> SpectralCube
     side_nbytes: Callable  # (n, p) -> side-info bytes in the stream
     write_side: Callable  # side info -> bytes
@@ -277,14 +266,16 @@ def parse_stream(data: bytes) -> CompressedStream:
         raise CorruptError(f"unknown method tag {tag}")
     if min(p, n, width, height) < 1 or not 1 <= quality <= 100:
         raise CorruptError("bad header fields")
-    _check_cube_size(n, width, height)
+    check_cube_size(n, width, height, MAX_CUBE_SAMPLES)
     spec = SPECTRAL_METHODS[method]
     side_at = _HEADER.size + 4 * n
     off = side_at + spec.side_nbytes(n, p)
     if off > len(data):
         raise CorruptError("SCMP truncated before the plane records")
     wavelengths = np.frombuffer(data, dtype="<f4", count=n, offset=_HEADER.size).copy()
-    if n > 1 and not np.all(np.diff(wavelengths) > 0):
+    if not np.all(np.isfinite(wavelengths)):
+        raise CorruptError("wavelengths contain non-finite values")
+    if not np.all(np.diff(wavelengths) > 0):
         raise CorruptError("wavelengths not strictly increasing")
     side = spec.read_side(data[side_at:off], n, p)
     planes = []
@@ -312,11 +303,11 @@ def compression_rate(original: SpectralCube, stream_nbytes: int) -> float:
 # pipeline stages
 
 def spectral_forward(cube: SpectralCube, method: str, p: int):
-    """Run the chosen reducer; returns (ReducedPlanes, side info)."""
+    """Run the chosen reducer; returns ((P, H, W) float64 planes, side info)."""
     return spectral_method(method).reduce(cube, p)
 
 
-def spectral_inverse(planes: ReducedPlanes, side, method: str, wavelengths) -> SpectralCube:
+def spectral_inverse(planes: np.ndarray, side, method: str, wavelengths) -> SpectralCube:
     """Invert the reducer back to a full cube."""
     return spectral_method(method).expand(planes, side, wavelengths)
 
@@ -375,12 +366,12 @@ def compress_with_report(cube: SpectralCube, method: str, p: int,
         quality_to_table(BASE_LUMA_QUANT, quality)  # raises unless an integer in 1..100
     if cube.bands > 0xFFFF:
         raise ArgumentError(f"SCMP holds at most 65535 bands, cube has {cube.bands}")
-    _check_cube_size(cube.bands, cube.width, cube.height)
+    check_cube_size(cube.bands, cube.width, cube.height, MAX_CUBE_SAMPLES)
     t0 = time.perf_counter_ns()
-    reduced, side = spectral_forward(cube, method, p)
+    planes, side = spectral_forward(cube, method, p)
     t1 = time.perf_counter_ns()
-    stack = PlaneStack.of(reduced.planes)
-    del reduced  # free the planes: the stack carries all the search and the emit need
+    stack = PlaneStack.of(planes)
+    del planes  # free the planes: the stack carries all the search and the emit need
     overhead = stream_nbytes(method, p, cube.bands, 0)
     if quality is None:
         quality, in_window, probes = _search_quality(cube, rate, overhead, stack)
@@ -414,14 +405,13 @@ def decompress_with_report(stream: CompressedStream) -> tuple[SpectralCube, Stag
     """Decode all planes and invert the spectral reduction; returns (cube, StageTimes).
 
     A plane norm that scales the planes past float64, or a reconstruction
-    outside float32, raises :class:`CorruptError` before the cube is cast;
-    running out of memory raises :class:`SizeLimitError`.
+    outside float32 (non-finite planes make one), raises :class:`CorruptError`
+    before the cube is cast; running out of memory raises :class:`SizeLimitError`.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             t0 = time.perf_counter_ns()
-            decoded = decode_plane_stack(stream.planes)  # (P, H, W)
-            planes = ReducedPlanes(decoded.shape[2], decoded.shape[1], decoded)
+            planes = decode_plane_stack(stream.planes)  # (P, H, W)
             t1 = time.perf_counter_ns()
             cube = spectral_inverse(planes, stream.side, stream.method, stream.wavelengths)
             t2 = time.perf_counter_ns()

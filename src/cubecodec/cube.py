@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, CorruptError, FormatError, ValidationError
+from .errors import ArgumentError, CorruptError, FormatError, SizeLimitError, ValidationError
 
 SCUB_MAGIC = b"SCUB"
 SCUB_VERSION = 1
@@ -33,6 +33,21 @@ _F32_MAX = float(np.finfo(np.float32).max)
 
 #: patterns understood by :func:`synthesize_cube`
 PATTERNS = ("flat", "ramp", "gaussian-spectra", "random-smooth")
+
+
+#: the most samples (bands x width x height) a cube may hold to be synthesized
+#: or compressed, or a stream may claim to be parsed.  A decode peaks at about
+#: 13 bytes per sample (float64 reconstruction plus the float32 cube), so this
+#: bounds it near 1.7 GB whatever a header says.
+MAX_CUBE_SAMPLES = 1 << 27
+
+
+def check_cube_size(bands: int, width: int, height: int, limit: int) -> None:
+    """Raise :class:`SizeLimitError` if a cube of these dimensions exceeds ``limit`` samples."""
+    samples = bands * width * height
+    if samples > limit:
+        raise SizeLimitError(f"{bands} x {width} x {height} = {samples} samples exceeds "
+                             f"MAX_CUBE_SAMPLES = {limit}")
 
 
 def scub_nbytes(width: int, height: int, bands: int) -> int:
@@ -234,10 +249,13 @@ def synthesize_cube(width: int, height: int, bands: int,
     """Deterministic test cube with values in [0, 1].
 
     ``random-smooth`` guarantees per-pixel spectra with band-to-band steps
-    <= 0.1, which makes them well suited to spline-based reduction.
+    <= 0.1, which makes them well suited to spline-based reduction.  More than
+    :data:`MAX_CUBE_SAMPLES` samples raise :class:`SizeLimitError` before any
+    allocation.
     """
     if min(width, height, bands) < 1:
         raise ArgumentError(f"dimensions must be >= 1, got {(width, height, bands)}")
+    check_cube_size(bands, width, height, MAX_CUBE_SAMPLES)
     try:
         gen = _GENERATORS[pattern]
     except KeyError:

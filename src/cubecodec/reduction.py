@@ -1,10 +1,14 @@
 """Spectral-dimension reduction: PCA/KLT and cubic-spline band subsampling.
 
-Both reducers turn an N-band cube into P spatial planes plus the side
-information a decoder needs to invert the reduction: the band-mean vector
-and the N x P eigenvector basis for PCA, or the retained band indices for
-the spline method (knots are uniform in band index, endpoints always
-included, so reconstruction never extrapolates).
+Both reducers turn an N-band cube into P spatial planes, a ``(P, H, W)``
+float64 array, plus the side information a decoder needs to invert the
+reduction: the band-mean vector and the N x P eigenvector basis for PCA, or
+the retained band indices for the spline method (knots are uniform in band
+index, endpoints always included, so reconstruction never extrapolates).
+
+Both inverses are linear and share one synthesis, ``matrix @ planes (+ mean)``:
+the matrix is the PCA basis (plus the band means) or the natural-spline
+matrix of :func:`csi_reconstruction_matrix`.
 """
 
 from __future__ import annotations
@@ -106,28 +110,6 @@ class CsiSideInfo:
         return np.array_equal(self.knot_indices, other.knot_indices)
 
 
-@dataclass(eq=False)
-class ReducedPlanes:
-    """P spatial planes produced by a spectral reducer."""
-
-    width: int
-    height: int
-    planes: np.ndarray  # (P, height, width) float64
-
-    def __post_init__(self):
-        self.planes = np.asarray(self.planes, dtype=np.float64)
-        if self.planes.ndim != 3 or self.planes.shape[0] < 1:
-            raise ValidationError("planes must be a (P, H, W) array with P >= 1")
-        if self.planes.shape[1:] != (self.height, self.width):
-            raise ValidationError("plane shape disagrees with width/height")
-        if not np.all(np.isfinite(self.planes)):
-            raise ValidationError("planes contain non-finite values")
-
-    @property
-    def count(self) -> int:
-        return self.planes.shape[0]
-
-
 def pca_fit(cube: SpectralCube, p: int) -> PcaSideInfo:
     """Fit the KLT basis of a cube's band covariance.
 
@@ -164,31 +146,19 @@ def pca_fit(cube: SpectralCube, p: int) -> PcaSideInfo:
     return PcaSideInfo(mean=mean, basis=basis, eigenvalues=eigenvalues)
 
 
-def pca_forward(cube: SpectralCube, side: PcaSideInfo) -> ReducedPlanes:
-    """Project mean-centered spectra onto the basis: one plane per component."""
+def pca_forward(cube: SpectralCube, side: PcaSideInfo) -> np.ndarray:
+    """Project mean-centered spectra onto the basis: one (H, W) plane per component."""
     if side.n != cube.bands:
         raise ArgumentError(f"side info is for {side.n} bands, cube has {cube.bands}")
     centered = cube.pixel_matrix().astype(np.float64)
     centered -= side.mean  # in place, as in pca_fit
     scores = centered @ side.basis  # (HW, P)
-    planes = scores.T.reshape(side.p, cube.height, cube.width)
-    return ReducedPlanes(width=cube.width, height=cube.height, planes=planes)
+    return scores.T.reshape(side.p, cube.height, cube.width)
 
 
-def pca_inverse(planes: ReducedPlanes, side: PcaSideInfo, wavelengths) -> SpectralCube:
+def pca_inverse(planes: np.ndarray, side: PcaSideInfo, wavelengths) -> SpectralCube:
     """Reconstruct a cube from component planes: mean + basis @ scores (no clamping)."""
-    if planes.count != side.p:
-        raise ArgumentError(f"{planes.count} planes for a {side.p}-column basis")
-    wl = np.asarray(wavelengths)
-    if wl.shape != (side.n,):
-        raise ArgumentError(f"wavelengths shape {wl.shape} != ({side.n},)")
-    scores = planes.planes.reshape(side.p, -1)  # (P, HW)
-    recon = side.basis @ scores  # (N, HW)
-    recon += side.mean[:, None]  # in place: one (N, HW) array, not two
-    return SpectralCube(
-        width=planes.width, height=planes.height, bands=side.n,
-        wavelengths=wl, samples=recon.reshape(side.n, planes.height, planes.width),
-    )
+    return _synthesize(side.basis, planes, wavelengths, mean=side.mean)
 
 
 def csi_select_knots(n: int, p: int) -> CsiSideInfo:
@@ -200,11 +170,10 @@ def csi_select_knots(n: int, p: int) -> CsiSideInfo:
     return CsiSideInfo(knot_indices=idx)
 
 
-def csi_forward(cube: SpectralCube, side: CsiSideInfo) -> ReducedPlanes:
+def csi_forward(cube: SpectralCube, side: CsiSideInfo) -> np.ndarray:
     """Retain the knot bands, copied unmodified."""
     side.check_for_bands(cube.bands)
-    planes = cube.samples[side.knot_indices].astype(np.float64)
-    return ReducedPlanes(width=cube.width, height=cube.height, planes=planes)
+    return cube.samples[side.knot_indices].astype(np.float64)
 
 
 def csi_reconstruction_matrix(side: CsiSideInfo, wavelengths: np.ndarray) -> np.ndarray:
@@ -220,17 +189,26 @@ def csi_reconstruction_matrix(side: CsiSideInfo, wavelengths: np.ndarray) -> np.
     return natural_cubic_spline(knot_x, np.eye(side.p), wl)
 
 
-def csi_inverse(planes: ReducedPlanes, side: CsiSideInfo, wavelengths) -> SpectralCube:
+def csi_inverse(planes: np.ndarray, side: CsiSideInfo, wavelengths) -> SpectralCube:
     """Reconstruct all bands per pixel by natural-spline interpolation over knots."""
-    if planes.count != side.p:
-        raise ArgumentError(f"{planes.count} planes for {side.p} knots")
     wl = np.asarray(wavelengths, dtype=np.float64)
-    n = wl.shape[0]
-    side.check_for_bands(n)
-    a = csi_reconstruction_matrix(side, wl)  # (N, P)
-    recon = a @ planes.planes.reshape(side.p, -1)  # (N, HW)
-    return SpectralCube(
-        width=planes.width, height=planes.height, bands=n,
-        wavelengths=np.asarray(wavelengths),
-        samples=recon.reshape(n, planes.height, planes.width),
-    )
+    side.check_for_bands(wl.shape[0])
+    return _synthesize(csi_reconstruction_matrix(side, wl), planes, wavelengths)
+
+
+def _synthesize(matrix: np.ndarray, planes: np.ndarray, wavelengths,
+                mean: np.ndarray | None = None) -> SpectralCube:
+    """The cube ``matrix @ planes (+ mean)``: an (N, P) matrix times (P, H, W) planes."""
+    n, p = matrix.shape
+    planes = np.asarray(planes, dtype=np.float64)
+    if planes.ndim != 3 or planes.shape[0] != p:
+        raise ArgumentError(f"planes of shape {planes.shape} for {p} components")
+    wl = np.asarray(wavelengths)
+    if wl.shape != (n,):
+        raise ArgumentError(f"wavelengths shape {wl.shape} != ({n},)")
+    _, height, width = planes.shape
+    recon = matrix @ planes.reshape(p, -1)  # (N, HW)
+    if mean is not None:
+        recon += mean[:, None]  # in place: one (N, HW) array, not two
+    return SpectralCube(width=width, height=height, bands=n, wavelengths=wl,
+                        samples=recon.reshape(n, height, width))

@@ -147,14 +147,6 @@ def dct8_forward(block: np.ndarray) -> np.ndarray:
     return _DCT @ b @ _DCT.T
 
 
-def dct8_inverse(block: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`dct8_forward` (transpose of the orthonormal transform)."""
-    b = np.asarray(block, dtype=np.float64)
-    if b.shape != (8, 8):
-        raise ArgumentError(f"expected an 8x8 block, got shape {b.shape}")
-    return _DCT.T @ b @ _DCT
-
-
 # ---------------------------------------------------------------------------
 # quantization
 
@@ -313,11 +305,6 @@ def _block_symbols(qblocks: np.ndarray):
         raise ValidationError(f"AC coefficient {ac[too_big][0]} exceeds category 10")
     magnitude = np.abs(ac)
     return _Symbols(zz[:, 0], _CATEGORY.take(magnitude), max(len(zz), 1)), magnitude, ac < 0
-
-
-def entropy_count_bits(qblocks: np.ndarray) -> int:
-    """Bit length of :func:`entropy_encode_blocks` output before its byte padding."""
-    return int(_block_symbols(qblocks)[0].lengths.sum())
 
 
 def entropy_encode_blocks(qblocks: np.ndarray) -> bytes:

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -38,7 +39,7 @@ from cubecodec.container import (
     serialize_stream,
 )
 from cubecodec.cube import read_cube, synthesize_cube, write_cube
-from cubecodec.errors import ArgumentError, CodecError, ValidationError
+from cubecodec.errors import ArgumentError, CodecError, SizeLimitError, ValidationError
 
 from conftest import flip_bit, forged_scmp
 
@@ -330,6 +331,27 @@ def test_cli_decompress_rejects_a_decompression_bomb(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "MAX_CUBE_SAMPLES" in err
     assert not out_path.exists()
+
+
+def test_cli_synth_refuses_an_impossible_size(tmp_path, capsys):
+    # 10^6 x 10^6 x 31 float64 samples would be 7.3 TiB
+    out_path = tmp_path / "huge.scub"
+    tracemalloc.start()
+    try:
+        code = cli_main(["synth", "--out", str(out_path), "--width", "1000000",
+                         "--height", "1000000", "--bands", "31", "--pattern", "random-smooth"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 2 ** 20
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "MAX_CUBE_SAMPLES" in err
+    assert not out_path.exists()
+
+
+def test_size_sweep_refuses_an_impossible_size():
+    with pytest.raises(SizeLimitError):
+        make_sweep_cube(1_000_000, 1_000_000)
 
 
 _VALID_STREAMS = {

@@ -131,6 +131,26 @@ def test_parse_rejects_damage():
         parse_stream(bad_method)
 
 
+def _with_last_wavelength(blob: bytes, value: float) -> bytes:
+    """``blob`` with its last header wavelength overwritten by ``value``."""
+    n = struct.unpack_from("<H", blob, 8)[0]
+    forged = bytearray(blob)
+    struct.pack_into("<f", forged, 19 + 4 * (n - 1), value)
+    return bytes(forged)
+
+
+@pytest.mark.parametrize("method,bands,p,value", [
+    ("pca", 8, 3, np.inf),
+    ("csi", 8, 3, np.inf),
+    ("pca", 1, 1, np.nan),  # one band: there is no order to check
+], ids=["pca-inf", "csi-inf", "pca-single-band-nan"])
+def test_parse_rejects_non_finite_wavelengths(method, bands, p, value):
+    cube = synthesize_cube(16, 16, bands, "random-smooth", 0)
+    blob = _with_last_wavelength(serialize_stream(compress(cube, method, p, quality=75)), value)
+    with pytest.raises(CorruptError, match="non-finite"):
+        parse_stream(blob)
+
+
 def test_truncation_never_crashes_anywhere():
     cube = random_cube(64, width=5, height=4, bands=3)
     blob = serialize_stream(compress(cube, "csi", 3, quality=40))
@@ -254,6 +274,16 @@ def test_sweep256_compress_peak_memory(method):
     cube = make_sweep_cube(256, 256)
     peak = _peak_bytes(lambda: compress_with_report(cube, method, 20, rate=RateTarget(8.0)))
     assert peak <= 41.0 * 2 ** 20
+
+
+@pytest.mark.parametrize("method", ["pca", "csi"])
+def test_sweep256_decompress_peak_memory(method):
+    # the planes, the float64 synthesis and the float32 cube: a chunked
+    # spectral inverse may lower this peak, nothing may raise it
+    cube = make_sweep_cube(256, 256)
+    stream = parse_stream(serialize_stream(compress(cube, method, 20, rate=RateTarget(8.0))))
+    peak = _peak_bytes(lambda: decompress(stream))
+    assert peak <= 36.0 * 2 ** 20
 
 
 def test_compress_is_deterministic():

@@ -5,6 +5,8 @@ that preceded the vectorized one; any change to the SCMP bytes, the quality
 the rate search picks or its probe count fails here.  The decoded-plane
 digests were recorded with the symbol-at-a-time decoder and the per-plane
 dequantize + IDCT that preceded the two-stage decoder and the batched one.
+The decoded-cube digests pin the spectral inverse on top of them: they were
+recorded before PCA and CSI shared one synthesis.
 """
 
 import hashlib
@@ -14,7 +16,10 @@ import pytest
 from cubecodec.bench import BUILTIN_CORPUS, _BUILTIN_BUILDERS, make_sweep_cube
 from cubecodec.container import (
     RateTarget,
+    compress,
     compress_with_report,
+    decompress,
+    parse_stream,
     serialize_stream,
     spectral_forward,
 )
@@ -139,6 +144,22 @@ GOLDEN_DECODED_PLANES = {
 }
 
 
+# (image, method) -> sha256 of the float32 samples of the decompressed cube,
+# p = 20 at quality 90; "sweep128" is make_sweep_cube(128, 128)
+GOLDEN_CUBES = {
+    ("skin", "pca"): "561af62ec4e34a2e12ad0b6834baedc314b409b3592a27a50aa0071be6d7df15",
+    ("skin", "csi"): "824326fb0e17c23ab7c1b397547764f1a20fa836d8761e32744d38c20382f08d",
+    ("narrowband", "pca"): "9ac91a2f97dd62a4b30c9f952c41f4c69bd3a2ff90c841c2aa40db255b07cdfe",
+    ("narrowband", "csi"): "345ce75fed9d584ce63244e8d851d3ba37fb881c909b05fe325d9ca73aa3807e",
+    ("dark", "pca"): "ed02142ccc0e1d1ca73cfec5152e8e49de21a45f531eff0c2b63877c1fcb7bcc",
+    ("dark", "csi"): "a2263361bf8c6e9b373c89168b5385afcd55769e01df716fe8219c7c728cc256",
+    ("chart", "pca"): "8328129437f87ce0246265a068494e9ac5716e2abe52997c968e573471ddbfbf",
+    ("chart", "csi"): "1da44bcabad8ef70003a1b094c618bf91a15265e156ddea08148933997c40040",
+    ("sweep128", "pca"): "fcc44ab3a55f2882da1de8f47b8d862149eadee79c268999b2b84494923d914c",
+    ("sweep128", "csi"): "83f5f341f87a1053f211a52987565c7cdf22330a818bc404ef08cf2255403eda",
+}
+
+
 @pytest.mark.parametrize("image", BUILTIN_CORPUS)
 def test_rate_controlled_streams_are_pinned(image):
     cube = _BUILTIN_BUILDERS[image]()
@@ -157,13 +178,13 @@ def test_entropy_payloads_are_pinned_at_every_quality():
     cube = make_sweep_cube(64, 64)
     methods = ("pca", "csi")
     planes = [spectral_forward(cube, method, 20)[0] for method in methods]
-    stacks = [PlaneStack.of(reduced.planes) for reduced in planes]
+    stacks = [PlaneStack.of(reduced) for reduced in planes]
     for quality, expected in GOLDEN_PAYLOADS.items():
         payloads = hashlib.sha256()
         stacked = hashlib.sha256()
         decoded = hashlib.sha256()
         for reduced, stack, method in zip(planes, stacks, methods):
-            encoded = [encode_plane(plane, quality) for plane in reduced.planes]
+            encoded = [encode_plane(plane, quality) for plane in reduced]
             for plane in encoded:
                 payloads.update(plane.payload)
             decoded.update(decode_plane_stack(encoded).tobytes())
@@ -175,3 +196,11 @@ def test_entropy_payloads_are_pinned_at_every_quality():
         assert payloads.hexdigest()[:16] == expected, f"quality {quality}"
         assert stacked.hexdigest()[:16] == expected, f"quality {quality}"
         assert decoded.hexdigest()[:16] == GOLDEN_DECODED_PLANES[quality], f"quality {quality}"
+
+
+@pytest.mark.parametrize("image,method", list(GOLDEN_CUBES))
+def test_decoded_cubes_are_pinned(image, method):
+    cube = make_sweep_cube(128, 128) if image == "sweep128" else _BUILTIN_BUILDERS[image]()
+    blob = serialize_stream(compress(cube, method, 20, quality=90))
+    samples = decompress(parse_stream(blob)).samples
+    assert hashlib.sha256(samples.tobytes()).hexdigest() == GOLDEN_CUBES[image, method]

@@ -11,7 +11,6 @@ from cubecodec.errors import ArgumentError
 from cubecodec.reduction import (
     CsiSideInfo,
     PcaSideInfo,
-    ReducedPlanes,
     csi_forward,
     csi_inverse,
     csi_select_knots,
@@ -47,7 +46,7 @@ def test_identical_spectra_give_zero_covariance():
     side = pca_fit(cube, 2)
     assert np.all(np.abs(side.eigenvalues) <= 1e-12)
     planes = pca_forward(cube, side)
-    assert np.abs(planes.planes).max() <= 1e-9
+    assert np.abs(planes).max() <= 1e-9
     recon = pca_inverse(planes, side, cube.wavelengths)
     assert np.allclose(recon.samples.astype(np.float64),
                        spectrum.astype(np.float64)[:, None, None], atol=1e-6)
@@ -78,7 +77,7 @@ def test_forward_hand_computed_projection():
                        eigenvalues=np.array([1.0]))
     cube = _cube_from(np.array([[[3.0, 3.0]], [[1.0, 1.0]]]))  # pixel (3, 1)
     planes = pca_forward(cube, side)
-    assert np.allclose(planes.planes[0], 4 / np.sqrt(2), atol=1e-12)
+    assert np.allclose(planes[0], 4 / np.sqrt(2), atol=1e-12)
     # hand computation: mean + basis * score = (4/sqrt2)*(1,1)/sqrt2 = (2, 2),
     # the rank-1 projection of (3, 1) onto span{(1,1)}
     recon = pca_inverse(planes, side, cube.wavelengths)
@@ -89,8 +88,7 @@ def test_forward_hand_computed_projection():
 def test_zero_planes_invert_to_mean():
     cube = random_cube(22, bands=4)
     side = pca_fit(cube, 2)
-    zeros = ReducedPlanes(width=cube.width, height=cube.height,
-                          planes=np.zeros((2, cube.height, cube.width)))
+    zeros = np.zeros((2, cube.height, cube.width))
     recon = pca_inverse(zeros, side, cube.wavelengths)
     assert np.allclose(recon.samples.astype(np.float64),
                        side.mean[:, None, None], atol=1e-6)
@@ -157,8 +155,7 @@ def test_pca_argument_errors():
     with pytest.raises(ArgumentError):
         pca_forward(other, side)
     planes = pca_forward(cube, side)
-    bad = ReducedPlanes(width=cube.width, height=cube.height,
-                        planes=planes.planes[:1])
+    bad = planes[:1]
     with pytest.raises(ArgumentError):
         pca_inverse(bad, side, cube.wavelengths)
 
@@ -202,10 +199,10 @@ def test_forward_copies_knot_bands():
     cube = random_cube(30, bands=5)
     side = csi_select_knots(5, 5)
     planes = csi_forward(cube, side)
-    assert np.array_equal(planes.planes, cube.samples.astype(np.float64))
+    assert np.array_equal(planes, cube.samples.astype(np.float64))
     ends = csi_forward(cube, csi_select_knots(5, 2))
-    assert np.array_equal(ends.planes[0], cube.samples[0].astype(np.float64))
-    assert np.array_equal(ends.planes[1], cube.samples[4].astype(np.float64))
+    assert np.array_equal(ends[0], cube.samples[0].astype(np.float64))
+    assert np.array_equal(ends[1], cube.samples[4].astype(np.float64))
 
 
 def test_forward_direct_indexing_example():
@@ -213,7 +210,7 @@ def test_forward_direct_indexing_example():
     cube = _cube_from(samples)
     side = CsiSideInfo(np.array([0, 2, 4]))
     planes = csi_forward(cube, side)
-    assert np.array_equal(planes.planes.ravel(), [0.0, 2.0, 4.0])
+    assert np.array_equal(planes.ravel(), [0.0, 2.0, 4.0])
 
 
 def test_all_knots_reconstruction_is_exact():
