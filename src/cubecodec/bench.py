@@ -19,6 +19,7 @@ from __future__ import annotations
 import statistics
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -225,14 +226,14 @@ def _load_corpus_entry(entry: str) -> SpectralCube:
 
 def resolve_corpus(config: BenchConfig):
     """Yield (name, cube-or-None, error-or-None) for every effective corpus entry."""
+    loaders = [(entry, partial(_load_corpus_entry, entry)) for entry in config.corpus]
+    loaders += [(f"sweep_{w}x{h}", partial(make_sweep_cube, w, h)) for w, h in config.size_sweep]
     out = []
-    for entry in config.corpus:
+    for name, load in loaders:
         try:
-            out.append((entry, _load_corpus_entry(entry), None))
+            out.append((name, load(), None))
         except (CodecError, OSError) as exc:
-            out.append((entry, None, f"{type(exc).__name__}: {exc}"))
-    for w, h in config.size_sweep:
-        out.append((f"sweep_{w}x{h}", make_sweep_cube(w, h), None))
+            out.append((name, None, f"{type(exc).__name__}: {exc}"))
     return out
 
 
@@ -328,11 +329,36 @@ def emit_table(reports: list[EvalReport]) -> str:
 # ---------------------------------------------------------------------------
 # config file parsing (flat key = value, '#' comments, lists comma-separated)
 
+def _split_list(s: str) -> list[str]:
+    return [item.strip() for item in s.split(",") if item.strip()]
+
+
+def _parse_sizes(s: str) -> list[tuple[int, int]]:
+    sizes = []
+    for item in _split_list(s):
+        w, _, h = item.partition("x")
+        sizes.append((int(w), int(h)))
+    return sizes
+
+
+#: config key -> parser of its value; each key sets the BenchConfig field of its name
+_CONFIG_PARSERS = {
+    "corpus": _split_list,
+    "methods": lambda s: [m.lower() for m in _split_list(s)],
+    "p_values": lambda s: [int(v) for v in _split_list(s)],
+    "target_cr": float,
+    "tolerance": float,
+    "repetitions": int,
+    "size_sweep": _parse_sizes,
+}
+
+
 def parse_config(text: str) -> BenchConfig:
     """Parse the flat key=value benchmark config format.
 
     Recognized keys: corpus, methods, p_values, target_cr, tolerance,
-    repetitions, size_sweep (list of WxH entries).
+    repetitions, size_sweep (list of WxH entries).  Any other key raises
+    :class:`ValidationError`.
     """
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -342,34 +368,17 @@ def parse_config(text: str) -> BenchConfig:
         if "=" not in line:
             raise ValidationError(f"config line {lineno}: expected key = value")
         key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
-
-    def split_list(s):
-        return [item.strip() for item in s.split(",") if item.strip()]
-
-    kwargs = {}
+        key = key.strip()
+        if key not in _CONFIG_PARSERS:
+            raise ValidationError(f"config line {lineno}: unknown key {key!r}; "
+                                  f"expected one of {', '.join(_CONFIG_PARSERS)}")
+        values[key] = val.strip()
+    kwargs = {"corpus": []}
     try:
-        if "corpus" in values:
-            kwargs["corpus"] = split_list(values["corpus"])
-        if "methods" in values:
-            kwargs["methods"] = [m.lower() for m in split_list(values["methods"])]
-        if "p_values" in values:
-            kwargs["p_values"] = [int(v) for v in split_list(values["p_values"])]
-        if "target_cr" in values:
-            kwargs["target_cr"] = float(values["target_cr"])
-        if "tolerance" in values:
-            kwargs["tolerance"] = float(values["tolerance"])
-        if "repetitions" in values:
-            kwargs["repetitions"] = int(values["repetitions"])
-        if "size_sweep" in values:
-            sizes = []
-            for item in split_list(values["size_sweep"]):
-                w, _, h = item.partition("x")
-                sizes.append((int(w), int(h)))
-            kwargs["size_sweep"] = sizes
+        for key, val in values.items():
+            kwargs[key] = _CONFIG_PARSERS[key](val)
     except ValueError as exc:
         raise ValidationError(f"bad config value: {exc}") from None
-    kwargs.setdefault("corpus", [])
     return BenchConfig(**kwargs)
 
 

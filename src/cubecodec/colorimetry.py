@@ -1,10 +1,13 @@
 """Colorimetric rendering and the CIEDE2000 color difference.
 
-Spectra are rendered to CIE XYZ with the 1931 2-degree observer under
-illuminant D65, both tabulated on the 400-700 nm grid at 10 nm steps (the
-constants are compiled in; `cubecodec dump-constants` prints them for
-audit).  Y is normalized so the perfect reflector scores exactly 100.
-Lab conversion uses the standard cube-root/linear branch, and the color
+Rendering is fixed: spectra go to CIE XYZ under illuminant D65 with the CIE
+1931 2-degree observer, both tabulated on the 400-700 nm grid at 10 nm
+steps, and Lab is taken against the D65 white.  No function takes another
+observer or illuminant.  The tables are compiled in (`cubecodec
+dump-constants` prints them for audit); the D65-weighted color-matching
+matrix, its Y normalizer and the reference white are computed once, at
+import.  Y is normalized so the perfect reflector scores exactly 100.  Lab
+conversion uses the standard cube-root/linear branch, and the color
 difference implements the full CIEDE2000 formula with unit weighting
 factors, including the hue-angle special cases.
 """
@@ -116,11 +119,20 @@ def d65_illuminant() -> Illuminant:
     return Illuminant(wavelengths=_CMF_TABLE[:, 0].copy(), power=_D65_POWER.copy())
 
 
-def _resample_to_observer(spectra: np.ndarray, wavelengths: np.ndarray,
-                          observer: ObserverTable) -> np.ndarray:
+#: the observer grid, 400-700 nm at 10 nm
+_WAVELENGTHS = _CMF_TABLE[:, 0]
+#: (M, 3) D65-weighted color-matching functions; the uniform grid step
+#: cancels in the Y normalization
+_WEIGHTS = _D65_POWER[:, None] * _CMF_TABLE[:, 1:]
+# computed through the same matmul kernel as every rendering, so the perfect
+# reflector renders to Y = 100 bit-exactly
+_Y_NORM = float((np.ones((1, _WEIGHTS.shape[0])) @ _WEIGHTS)[0, 1])
+
+
+def _resample_to_observer(spectra: np.ndarray, wavelengths) -> np.ndarray:
     """Linear resampling of (..., N) spectra onto the observer grid."""
     wl = np.asarray(wavelengths, dtype=np.float64)
-    ow = observer.wavelengths
+    ow = _WAVELENGTHS
     if wl.shape[-1] != spectra.shape[-1]:
         raise ArgumentError("spectrum and wavelength grid lengths differ")
     if np.array_equal(wl, ow):
@@ -137,38 +149,24 @@ def _resample_to_observer(spectra: np.ndarray, wavelengths: np.ndarray,
     return spectra[..., idx] * (1.0 - t) + spectra[..., idx + 1] * t
 
 
-def _weights(observer: ObserverTable, illuminant: Illuminant) -> np.ndarray:
-    if not np.array_equal(observer.wavelengths, illuminant.wavelengths):
-        raise ArgumentError("observer and illuminant must share one grid")
-    return np.stack([
-        illuminant.power * observer.xbar,
-        illuminant.power * observer.ybar,
-        illuminant.power * observer.zbar,
-    ], axis=1)  # (M, 3); the uniform grid step cancels in the Y normalization
-
-
-def spectra_to_xyz(spectra: np.ndarray, wavelengths, observer: ObserverTable | None = None,
-                   illuminant: Illuminant | None = None) -> np.ndarray:
+def spectra_to_xyz(spectra: np.ndarray, wavelengths) -> np.ndarray:
     """Render (..., N) reflectance spectra to (..., 3) XYZ, Y in [0, 100]."""
-    observer = observer or cie_1931_observer()
-    illuminant = illuminant or d65_illuminant()
     spectra = np.asarray(spectra, dtype=np.float64)
-    resampled = _resample_to_observer(spectra, wavelengths, observer)
-    w = _weights(observer, illuminant)
-    # normalizer computed through the identical matmul kernel, so the perfect
-    # reflector renders to Y = 100 bit-exactly
-    norm = float((np.ones((1, w.shape[0])) @ w)[0, 1])
-    return 100.0 * ((resampled @ w) / norm)
+    resampled = _resample_to_observer(spectra, wavelengths)
+    return 100.0 * ((resampled @ _WEIGHTS) / _Y_NORM)
 
 
-def spectral_to_xyz(spectrum, wavelengths, observer: ObserverTable | None = None,
-                    illuminant: Illuminant | None = None) -> XyzColor:
+def spectral_to_xyz(spectrum, wavelengths) -> XyzColor:
     """Render one reflectance spectrum; the perfect reflector gives Y = 100 exactly."""
     s = np.asarray(spectrum, dtype=np.float64)
     if s.ndim != 1:
         raise ArgumentError("spectral_to_xyz expects a single spectrum")
-    xyz = spectra_to_xyz(s[None, :], wavelengths, observer, illuminant)[0]
+    xyz = spectra_to_xyz(s[None, :], wavelengths)[0]
     return XyzColor(X=float(xyz[0]), Y=float(xyz[1]), Z=float(xyz[2]))
+
+
+#: the reference white of every Lab conversion: the perfect reflector under D65
+_WHITE = spectral_to_xyz(np.ones(_WAVELENGTHS.shape[0]), _WAVELENGTHS)
 
 
 _LAB_DELTA3 = (6.0 / 29.0) ** 3
@@ -261,24 +259,18 @@ def ciede2000(a: LabColor, b: LabColor) -> float:
     return float(ciede2000_array(np.array([a.L, a.a, a.b]), np.array([b.L, b.a, b.b])))
 
 
-def cube_delta_e(original: SpectralCube, reconstructed: SpectralCube,
-                 observer: ObserverTable | None = None,
-                 illuminant: Illuminant | None = None) -> DeltaEStats:
-    """Per-pixel CIEDE2000 between two cubes rendered under the same conditions."""
+def cube_delta_e(original: SpectralCube, reconstructed: SpectralCube) -> DeltaEStats:
+    """Per-pixel CIEDE2000 between two cubes, both rendered under D65."""
     if (original.width, original.height, original.bands) != (
             reconstructed.width, reconstructed.height, reconstructed.bands):
         raise ArgumentError("cubes have different dimensions")
     if not np.array_equal(original.wavelengths, reconstructed.wavelengths):
         raise ArgumentError("cubes have different wavelength grids")
-    observer = observer or cie_1931_observer()
-    illuminant = illuminant or d65_illuminant()
     wl = original.wavelengths.astype(np.float64)
-    white = spectral_to_xyz(np.ones(observer.wavelengths.shape[0]),
-                            observer.wavelengths, observer, illuminant)
-    xyz_a = spectra_to_xyz(original.pixel_matrix(), wl, observer, illuminant)
-    xyz_b = spectra_to_xyz(reconstructed.pixel_matrix(), wl, observer, illuminant)
-    lab_a = xyz_array_to_lab(xyz_a, white)
-    lab_b = xyz_array_to_lab(xyz_b, white)
+    xyz_a = spectra_to_xyz(original.pixel_matrix(), wl)
+    xyz_b = spectra_to_xyz(reconstructed.pixel_matrix(), wl)
+    lab_a = xyz_array_to_lab(xyz_a, _WHITE)
+    lab_b = xyz_array_to_lab(xyz_b, _WHITE)
     de = ciede2000_array(lab_a, lab_b).reshape(original.height, original.width)
     return DeltaEStats(
         mean=float(de.mean()),

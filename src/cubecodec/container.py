@@ -29,8 +29,9 @@ falls back to the smallest achievable rate at or above the target and
 reports ``in_window=False``.  Targets that are unreachable even at quality 1
 raise :class:`RateError`.
 
-A cube of more than :data:`MAX_CUBE_SAMPLES` samples is neither compressed
-nor, going by its header, parsed: :class:`SizeLimitError`.
+A cube of more than :data:`cubecodec.cube.MAX_CUBE_SAMPLES` samples is
+neither compressed nor, going by its header, parsed: :class:`SizeLimitError`
+from :func:`cubecodec.cube.check_cube_size`, the one place the cap is read.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import MAX_CUBE_SAMPLES, SpectralCube, check_cube_size
+from .cube import SpectralCube, check_cube_size
 from .errors import (
     ArgumentError,
     CorruptError,
@@ -62,7 +63,6 @@ from .reduction import (
     pca_inverse,
 )
 from .spatial import (
-    BASE_LUMA_QUANT,
     PLANE_HEADER_NBYTES,
     EncodedPlane,
     PlaneStack,
@@ -266,7 +266,7 @@ def parse_stream(data: bytes) -> CompressedStream:
         raise CorruptError(f"unknown method tag {tag}")
     if min(p, n, width, height) < 1 or not 1 <= quality <= 100:
         raise CorruptError("bad header fields")
-    check_cube_size(n, width, height, MAX_CUBE_SAMPLES)
+    check_cube_size(n, width, height)
     spec = SPECTRAL_METHODS[method]
     side_at = _HEADER.size + 4 * n
     off = side_at + spec.side_nbytes(n, p)
@@ -363,10 +363,13 @@ def compress_with_report(cube: SpectralCube, method: str, p: int,
     if (rate is None) == (quality is None):
         raise ArgumentError("provide exactly one of rate target or fixed quality")
     if quality is not None:
-        quality_to_table(BASE_LUMA_QUANT, quality)  # raises unless an integer in 1..100
+        quality_to_table(quality)  # raises unless an integer in 1..100
+    if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
+        raise ArgumentError(f"p must be an integer, got {p!r}")
+    p = int(p)
     if cube.bands > 0xFFFF:
         raise ArgumentError(f"SCMP holds at most 65535 bands, cube has {cube.bands}")
-    check_cube_size(cube.bands, cube.width, cube.height, MAX_CUBE_SAMPLES)
+    check_cube_size(cube.bands, cube.width, cube.height)
     t0 = time.perf_counter_ns()
     planes, side = spectral_forward(cube, method, p)
     t1 = time.perf_counter_ns()

@@ -38,16 +38,17 @@ PATTERNS = ("flat", "ramp", "gaussian-spectra", "random-smooth")
 #: the most samples (bands x width x height) a cube may hold to be synthesized
 #: or compressed, or a stream may claim to be parsed.  A decode peaks at about
 #: 13 bytes per sample (float64 reconstruction plus the float32 cube), so this
-#: bounds it near 1.7 GB whatever a header says.
+#: bounds it near 1.7 GB whatever a header says.  The cap lives here only:
+#: every check reads it through :func:`check_cube_size` at call time.
 MAX_CUBE_SAMPLES = 1 << 27
 
 
-def check_cube_size(bands: int, width: int, height: int, limit: int) -> None:
-    """Raise :class:`SizeLimitError` if a cube of these dimensions exceeds ``limit`` samples."""
+def check_cube_size(bands: int, width: int, height: int) -> None:
+    """Raise :class:`SizeLimitError` above :data:`MAX_CUBE_SAMPLES` samples."""
     samples = bands * width * height
-    if samples > limit:
+    if samples > MAX_CUBE_SAMPLES:
         raise SizeLimitError(f"{bands} x {width} x {height} = {samples} samples exceeds "
-                             f"MAX_CUBE_SAMPLES = {limit}")
+                             f"MAX_CUBE_SAMPLES = {MAX_CUBE_SAMPLES}")
 
 
 def scub_nbytes(width: int, height: int, bands: int) -> int:
@@ -255,7 +256,7 @@ def synthesize_cube(width: int, height: int, bands: int,
     """
     if min(width, height, bands) < 1:
         raise ArgumentError(f"dimensions must be >= 1, got {(width, height, bands)}")
-    check_cube_size(bands, width, height, MAX_CUBE_SAMPLES)
+    check_cube_size(bands, width, height)
     try:
         gen = _GENERATORS[pattern]
     except KeyError:

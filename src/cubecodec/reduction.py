@@ -21,8 +21,6 @@ from .cube import SpectralCube
 from .errors import ArgumentError, NumericalError, ValidationError
 from .spline import natural_cubic_spline
 
-ORTHONORMALITY_TOL = 1e-9
-
 
 @dataclass(eq=False)
 class PcaSideInfo:
@@ -62,7 +60,7 @@ class PcaSideInfo:
         g = self.basis.T @ self.basis
         return float(np.abs(g - np.eye(self.p)).max())
 
-    def check_orthonormal(self, tol: float = ORTHONORMALITY_TOL):
+    def check_orthonormal(self, tol: float):
         d = self.orthonormality_defect()
         if d > tol:
             raise ValidationError(f"basis columns not orthonormal: defect {d:.3e} > {tol}")

@@ -94,36 +94,36 @@ _EOB = 0x00
 _ZRL = 0xF0
 
 
-def _build_codes(bits, vals):
-    """Canonical Huffman codes from (BITS, HUFFVAL): symbol -> (code, length)."""
-    codes = {}
-    code = 0
+def _huffman_tables(bits, vals):
+    """Canonical Huffman codes from (BITS, HUFFVAL) (ITU-T T.81 Annex C).
+
+    Returns the (code, length) arrays indexed by symbol, length 0 for an
+    unused symbol, and the 16-bit peek lookup (symbol, length): the symbol
+    whose code each 16-bit value starts with and the code's length, -1 and
+    0 for an invalid code.
+    """
+    code = np.zeros(256, dtype=np.int64)
+    length = np.zeros(256, dtype=np.uint8)
+    peek_symbol = np.full(1 << 16, -1, dtype=np.int16)
+    peek_length = np.zeros(1 << 16, dtype=np.uint8)
+    next_code = 0
     k = 0
-    for i, count in enumerate(bits):
-        for _ in range(count):
-            codes[vals[k]] = (code, i + 1)
-            code += 1
-            k += 1
-        code <<= 1
-    return codes
+    for size, count in enumerate(bits, 1):
+        for symbol in vals[k:k + count]:
+            code[symbol] = next_code
+            length[symbol] = size
+            start = next_code << (16 - size)
+            stop = (next_code + 1) << (16 - size)
+            peek_symbol[start:stop] = symbol
+            peek_length[start:stop] = size
+            next_code += 1
+        k += count
+        next_code <<= 1
+    return code, length, peek_symbol, peek_length
 
 
-def _build_decode_lut(codes):
-    """16-bit peek lookup: value -> (symbol, code length); length 0 = invalid."""
-    sym = np.full(1 << 16, -1, dtype=np.int16)
-    length = np.zeros(1 << 16, dtype=np.uint8)
-    for symbol, (code, ln) in codes.items():
-        start = code << (16 - ln)
-        stop = (code + 1) << (16 - ln)
-        sym[start:stop] = symbol
-        length[start:stop] = ln
-    return sym, length
-
-
-_DC_CODES = _build_codes(_DC_BITS, _DC_VALS)
-_AC_CODES = _build_codes(_AC_BITS, _AC_VALS)
-_DC_LUT_SYM, _DC_LUT_LEN = _build_decode_lut(_DC_CODES)
-_AC_LUT_SYM, _AC_LUT_LEN = _build_decode_lut(_AC_CODES)
+_DC_CODE, _DC_LEN, _DC_LUT_SYM, _DC_LUT_LEN = _huffman_tables(_DC_BITS, _DC_VALS)
+_AC_CODE, _AC_LEN, _AC_LUT_SYM, _AC_LUT_LEN = _huffman_tables(_AC_BITS, _AC_VALS)
 
 # ---------------------------------------------------------------------------
 # DCT
@@ -150,34 +150,19 @@ def dct8_forward(block: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # quantization
 
-def quality_to_table(base: np.ndarray, quality: int) -> np.ndarray:
-    """Scale a base quantization table by the standard JPEG quality mapping."""
+def quality_to_table(quality: int) -> np.ndarray:
+    """Scale :data:`BASE_LUMA_QUANT` by the standard JPEG quality mapping."""
     if (isinstance(quality, bool) or not isinstance(quality, (int, np.integer))
             or not 1 <= quality <= 100):
         raise ArgumentError(f"quality must be an integer in [1, 100], got {quality!r}")
-    base = np.asarray(base)
-    if base.shape != (8, 8) or np.any(base < 1) or np.any(base > 32767):
-        raise ArgumentError("base table must be 8x8 with entries in [1, 32767]")
     scale = 5000.0 / quality if quality < 50 else 200.0 - 2.0 * quality
-    steps = np.floor((base * scale + 50.0) / 100.0)
+    steps = np.floor((BASE_LUMA_QUANT * scale + 50.0) / 100.0)
     return np.clip(steps, 1, 32767).astype(np.int32)
 
 
 # ---------------------------------------------------------------------------
 # entropy stage (bijective on quantized blocks)
 
-def _code_table(codes, nsymbols):
-    """Canonical codes as (code, length) arrays indexed by symbol; length 0 = unused."""
-    code = np.zeros(nsymbols, dtype=np.int64)
-    length = np.zeros(nsymbols, dtype=np.uint8)
-    for symbol, (c, ln) in codes.items():
-        code[symbol] = c
-        length[symbol] = ln
-    return code, length
-
-
-_DC_CODE, _DC_LEN = _code_table(_DC_CODES, 12)
-_AC_CODE, _AC_LEN = _code_table(_AC_CODES, 256)
 #: size category (bit length) of every magnitude a category <= 11 allows
 _CATEGORY = np.frexp(np.arange(2048))[1].astype(np.uint8)
 
@@ -193,7 +178,7 @@ def _ac_field_tables():
     """
     index = np.arange(63 << 4)
     zrls, symbol, size = index >> 8, index & 0xFF, index & 15
-    zrl_code, zrl_len = _AC_CODES[_ZRL]
+    zrl_code, zrl_len = int(_AC_CODE[_ZRL]), int(_AC_LEN[_ZRL])
     zrls_code = np.array([sum(zrl_code << (zrl_len * i) for i in range(k)) for k in range(4)])
     code = (zrls_code[zrls] << _AC_LEN[symbol]) | _AC_CODE[symbol]
     bits = np.where(size > 0, code << size, 0)
@@ -400,11 +385,6 @@ def _bit_windows(data: bytes) -> np.ndarray:
     return windows
 
 
-def _peek32(windows: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """The 32 bits starting at each bit position ``pos``."""
-    return (windows[pos >> 3] >> (8 - (pos & 7))) & 0xFFFFFFFF
-
-
 def _symbol_tables(windows: np.ndarray, lo: int, hi: int, out: np.ndarray) -> list[memoryview]:
     """Stage-1 doubling tables for the bit positions ``lo`` (byte aligned) to ``hi``.
 
@@ -486,11 +466,11 @@ def _block_starts(windows: np.ndarray, plane_ends: list[int], nblocks: list[int]
 def _decode_coefficients(windows: np.ndarray, starts: np.ndarray, nblocks: list[int]) -> np.ndarray:
     """Stage 2: the quantized coefficients of every block, natural order, as (n, 64)."""
     n = starts.size
-    bits = _peek32(windows, starts)
-    peeks = bits >> 16
+    bits = windows[starts >> 3] << (starts & 7)  # the bit at each start is bit 39
+    peeks = (bits >> 24) & 0xFFFF
     size = _DC_SIZE[peeks]
     pos = starts + _DC_LUT_LEN[peeks] + size
-    diff = _EXTEND[(size << 11) | ((bits >> (32 - (pos - starts))) & 0x7FF)]
+    diff = _EXTEND[(size << 11) | ((bits >> (40 - (pos - starts))) & 0x7FF)]
     del bits, peeks, size
     # DC differences accumulate within each plane
     counts = np.asarray(nblocks)
@@ -662,7 +642,7 @@ class PlaneStack:
     def _slabs(self, quality: int):
         """Per run of whole planes of about :data:`_SLAB_BLOCKS` blocks at ``quality``:
         (coefficients, quantized magnitudes, symbols)."""
-        table = quality_to_table(BASE_LUMA_QUANT, quality).ravel()[ZIGZAG_ORDER]
+        table = quality_to_table(quality).ravel()[ZIGZAG_ORDER]
         step = self.nblocks * max(1, _SLAB_BLOCKS // self.nblocks)
         for start in range(0, len(self.coeffs), step):
             coeffs = self.coeffs[start:start + step]
@@ -711,7 +691,7 @@ def decode_plane_stack(planes: list[EncodedPlane]) -> np.ndarray:
     qblocks = entropy_decode_planes([p.payload for p in planes], [nblocks] * len(planes))
     coeffs = qblocks.reshape(len(planes), nblocks, 8, 8).astype(np.float64)
     del qblocks
-    coeffs *= np.stack([quality_to_table(BASE_LUMA_QUANT, p.quality) for p in planes])[:, None]
+    coeffs *= np.stack([quality_to_table(p.quality) for p in planes])[:, None]
     half = _DCT.T @ coeffs
     del coeffs
     h8 = ((height + 7) // 8) * 8

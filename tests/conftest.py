@@ -162,13 +162,14 @@ def dct_tensor():
 # Annex F.1.2 written out per coefficient into one Python integer
 
 def reference_huffman_encode(qblocks) -> bytes:
-    from cubecodec.spatial import _AC_CODES, _DC_CODES, ZIGZAG_ORDER
+    from cubecodec.spatial import _AC_CODE, _AC_LEN, _DC_CODE, _DC_LEN, ZIGZAG_ORDER
 
     acc = 0
     nbits = 0
 
     def put(code, length):
         nonlocal acc, nbits
+        code, length = int(code), int(length)
         acc = (acc << length) | code
         nbits += length
 
@@ -181,7 +182,7 @@ def reference_huffman_encode(qblocks) -> bytes:
         zz = [int(v) for v in block[ZIGZAG_ORDER]]
         bits, size = amplitude(zz[0] - prev_dc)
         prev_dc = zz[0]
-        put(*_DC_CODES[size])
+        put(_DC_CODE[size], _DC_LEN[size])
         put(bits, size)
         run = 0
         for k in range(1, 64):
@@ -189,14 +190,14 @@ def reference_huffman_encode(qblocks) -> bytes:
                 run += 1
                 continue
             while run > 15:
-                put(*_AC_CODES[0xF0])
+                put(_AC_CODE[0xF0], _AC_LEN[0xF0])
                 run -= 16
             bits, size = amplitude(zz[k])
-            put(*_AC_CODES[(run << 4) | size])
+            put(_AC_CODE[(run << 4) | size], _AC_LEN[(run << 4) | size])
             put(bits, size)
             run = 0
         if run:
-            put(*_AC_CODES[0x00])
+            put(_AC_CODE[0x00], _AC_LEN[0x00])
     pad = -nbits % 8
     return ((acc << pad).to_bytes((nbits + pad) // 8, "big") if nbits else b"")
 

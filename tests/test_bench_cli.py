@@ -142,6 +142,17 @@ def test_size_sweep_entries_extend_corpus():
     assert len(reports) == 2
 
 
+def test_bad_size_sweep_entries_flag_their_rows():
+    config = _tiny_config(methods=["pca", "csi"],
+                          size_sweep=[(1_000_000, 1_000_000), (0, 8)])
+    reports = run_benchmark(config)
+    assert len(reports) == 3 * 2 * 1  # corpus + sweep entries x methods x p-values
+    assert [r.image for r in reports[2:]] == ["sweep_1000000x1000000"] * 2 + ["sweep_0x8"] * 2
+    assert all(r.ok for r in reports[:2])
+    assert all(r.error.startswith("SizeLimitError: ") for r in reports[2:4])
+    assert all(r.error.startswith("ArgumentError: ") for r in reports[4:])
+
+
 # ---------------------------------------------------------------------------
 # emission
 
@@ -219,6 +230,11 @@ def test_parse_config_errors():
         parse_config("corpus = skin\nrepetitions = 1")
     with pytest.raises(ValidationError):
         parse_config("corpus = skin\nmethods = jpeg2000")
+    # a misspelled key is named with its line, not silently dropped
+    with pytest.raises(ValidationError, match="line 2: unknown key 'target-cr'"):
+        parse_config("corpus = skin\ntarget-cr = 4")
+    with pytest.raises(ValidationError, match="line 3: unknown key 'method'"):
+        parse_config("# csi only\ncorpus = skin\nmethod = csi")
 
 
 def test_default_config_uses_builtin_corpus():
@@ -397,6 +413,15 @@ def test_cli_bench_with_config(tmp_path, capsys):
     lines = out_csv.read_text().strip().split("\n")
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 2
+
+
+def test_cli_bench_rejects_a_misspelled_config_key(tmp_path, capsys):
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(f"corpus = {_TINY}\ntarget-cr = 4\n")
+    assert cli_main(["bench", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "target-cr" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_dump_constants(capsys):

@@ -239,7 +239,7 @@ def test_forged_cube_size_is_rejected_before_any_large_allocation(blob):
 
 def test_forged_stream_passes_every_other_check(monkeypatch):
     # without the cap, the forged stream parses and would go on to a decode
-    monkeypatch.setattr(container, "MAX_CUBE_SAMPLES", 2 ** 40)
+    monkeypatch.setattr("cubecodec.cube.MAX_CUBE_SAMPLES", 2 ** 40)
     stream = parse_stream(forged_scmp(65535, 1024, 1024))
     assert (stream.bands, stream.width, stream.height, stream.p) == (65535, 1024, 1024, 2)
     assert all(len(plane.payload) * 8 == 6 * plane.nblocks for plane in stream.planes)
@@ -248,7 +248,7 @@ def test_forged_stream_passes_every_other_check(monkeypatch):
 def test_compress_refuses_cubes_above_the_size_cap(monkeypatch):
     cube = random_cube(71, width=4, height=3, bands=5)  # 60 samples
     blob = serialize_stream(compress(cube, "csi", 2, quality=50))
-    monkeypatch.setattr(container, "MAX_CUBE_SAMPLES", 59)
+    monkeypatch.setattr("cubecodec.cube.MAX_CUBE_SAMPLES", 59)
     _forbid_spectral_fit(monkeypatch)
     with pytest.raises(SizeLimitError):
         compress_with_report(cube, "csi", 2, quality=50)
@@ -396,6 +396,17 @@ def test_rate_target_validation(monkeypatch):
     for quality in (50.7, "50", 0, 101, True):
         with pytest.raises(ArgumentError, match="quality must be an integer"):
             compress_with_report(random_cube(67), "pca", 2, quality=quality)
+    for method in ("pca", "csi"):  # so is a p that is not an integer
+        for p in (2.5, True, np.float64(3.0), "3"):
+            with pytest.raises(ArgumentError, match="p must be an integer"):
+                compress_with_report(random_cube(67), method, p, quality=50)
+
+
+@pytest.mark.parametrize("method", ["pca", "csi"])
+def test_numpy_integer_p_gives_the_same_stream(method):
+    cube = random_cube(67)
+    expected = serialize_stream(compress(cube, method, 3, quality=50))
+    assert serialize_stream(compress(cube, method, np.int64(3), quality=50)) == expected
 
 
 def test_rate_control_lands_in_window():

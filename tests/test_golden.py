@@ -6,7 +6,9 @@ the rate search picks or its probe count fails here.  The decoded-plane
 digests were recorded with the symbol-at-a-time decoder and the per-plane
 dequantize + IDCT that preceded the two-stage decoder and the batched one.
 The decoded-cube digests pin the spectral inverse on top of them: they were
-recorded before PCA and CSI shared one synthesis.
+recorded before PCA and CSI shared one synthesis.  The CIEDE2000 values of
+those cubes were recorded while every score still built its D65 weights and
+reference white per call.
 """
 
 import hashlib
@@ -14,6 +16,7 @@ import hashlib
 import pytest
 
 from cubecodec.bench import BUILTIN_CORPUS, _BUILTIN_BUILDERS, make_sweep_cube
+from cubecodec.colorimetry import cube_delta_e
 from cubecodec.container import (
     RateTarget,
     compress,
@@ -160,6 +163,32 @@ GOLDEN_CUBES = {
 }
 
 
+# (image, method) -> cube_delta_e(original, decoded cube above): float.hex of
+# the mean, p95 and max, and the sha256 of the float64 map
+GOLDEN_DELTA_E = {
+    ("skin", "pca"): ("0x1.6620a4aa2e4eap-2", "0x1.6e15c51d76727p-1", "0x1.90266604cb221p+0",
+        "334366d1b9266cda5f2e82004fbca28eea39f079b530aed780a972bf77b403b8"),
+    ("skin", "csi"): ("0x1.02c0044b704b8p-1", "0x1.fb93d2fa6917ap-1", "0x1.f713c2629a560p+0",
+        "498197ab2b43a648f1b3e3fae3623ba25923721221995de50e6fec63dbc14034"),
+    ("narrowband", "pca"): ("0x1.32472d887620fp-1", "0x1.24e0421c1d15ep+0", "0x1.350eb5d0c61dap+1",
+        "ff91756c882512f7be270445819585b433c7e5b396d938ee8e303b674a42a137"),
+    ("narrowband", "csi"): ("0x1.fe5807eb03a01p-1", "0x1.f3df8edc8b758p+0", "0x1.d0c107e5287e9p+1",
+        "2bbe216fa36505fa6476dc5359f508a0dc50c6832db9761eed67652fca817a9a"),
+    ("dark", "pca"): ("0x1.1ba6603ac98a6p-1", "0x1.3d3f865b67bafp+0", "0x1.220c0874d2c2ep+1",
+        "34c298e4b9f76ba79407e578bacfcbcf2739bb414171ad8aa713fcc42b1a8db7"),
+    ("dark", "csi"): ("0x1.707ce3f1b32dap-1", "0x1.815667fe4ab2ep+0", "0x1.864b7cd1cc105p+1",
+        "beb4b0bd3c6515a3919f859b39e5ff393fb811da4a15bea1a5448b3b941a628d"),
+    ("chart", "pca"): ("0x1.4b3a7727c73dbp-1", "0x1.7f6fce5d1852ap+0", "0x1.0b16c9645ec3dp+2",
+        "be7c29313ff01685bac99fc58334db442f87a7ff80f5d67e2f361a463aaf449e"),
+    ("chart", "csi"): ("0x1.cb2a71a90cd88p-1", "0x1.0764288d7cca4p+1", "0x1.5aa401a02db73p+2",
+        "0e30d9a76fe2f11306f25d3c91fdb33e1e3090b2422a29aeb04ea1d7d3b3b4d5"),
+    ("sweep128", "pca"): ("0x1.10cb8be9b471cp-1", "0x1.2041803a4ea98p+0", "0x1.401fe42a42f87p+1",
+        "2993eb89afdc5a7b419ffa00dec7b66fe63d933f4ddc309a00305cdb02959900"),
+    ("sweep128", "csi"): ("0x1.730fb962ec4c2p-1", "0x1.874d2f16b82a0p+0", "0x1.048f13ce7b16cp+2",
+        "0ef17554d4599bd937756c2d16a7b8f5d6098e53870c94a6c9f117dd417a5739"),
+}
+
+
 @pytest.mark.parametrize("image", BUILTIN_CORPUS)
 def test_rate_controlled_streams_are_pinned(image):
     cube = _BUILTIN_BUILDERS[image]()
@@ -202,5 +231,8 @@ def test_entropy_payloads_are_pinned_at_every_quality():
 def test_decoded_cubes_are_pinned(image, method):
     cube = make_sweep_cube(128, 128) if image == "sweep128" else _BUILTIN_BUILDERS[image]()
     blob = serialize_stream(compress(cube, method, 20, quality=90))
-    samples = decompress(parse_stream(blob)).samples
-    assert hashlib.sha256(samples.tobytes()).hexdigest() == GOLDEN_CUBES[image, method]
+    decoded = decompress(parse_stream(blob))
+    assert hashlib.sha256(decoded.samples.tobytes()).hexdigest() == GOLDEN_CUBES[image, method]
+    stats = cube_delta_e(cube, decoded)
+    assert (stats.mean.hex(), stats.p95.hex(), stats.max.hex(),
+            hashlib.sha256(stats.map.tobytes()).hexdigest()) == GOLDEN_DELTA_E[image, method]

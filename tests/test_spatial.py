@@ -59,28 +59,28 @@ def test_dct_shape_validation():
 # quality scaling
 
 def test_quality_50_is_identity():
-    assert np.array_equal(quality_to_table(BASE_LUMA_QUANT, 50), BASE_LUMA_QUANT)
+    assert np.array_equal(quality_to_table(50), BASE_LUMA_QUANT)
 
 
 def test_quality_100_clamps_to_one():
-    assert np.all(quality_to_table(BASE_LUMA_QUANT, 100) == 1)
+    assert np.all(quality_to_table(100) == 1)
 
 
 def test_quality_25_hand_value():
-    base = np.full((8, 8), 16, dtype=np.int32)
-    assert quality_to_table(base, 25)[0, 0] == 32
+    assert BASE_LUMA_QUANT[0, 0] == 16
+    assert quality_to_table(25)[0, 0] == 32
 
 
 @pytest.mark.parametrize("quality", [0, 101, 3.5, "50"])
 def test_quality_out_of_domain(quality):
     with pytest.raises(ArgumentError):
-        quality_to_table(BASE_LUMA_QUANT, quality)
+        quality_to_table(quality)
 
 
 @given(st.integers(1, 99))
 def test_steps_nonincreasing_in_quality(quality):
-    lo = quality_to_table(BASE_LUMA_QUANT, quality)
-    hi = quality_to_table(BASE_LUMA_QUANT, quality + 1)
+    lo = quality_to_table(quality)
+    hi = quality_to_table(quality + 1)
     assert np.all(hi <= lo)
 
 
@@ -380,7 +380,7 @@ def test_flat_plane_minimal_payload():
     assert np.all(qblocks.reshape(4, 64)[:, 1:] == 0)  # every AC is zero
     assert len(enc.payload) <= 8
     dec = decode_plane(enc)
-    dc_step = float(quality_to_table(BASE_LUMA_QUANT, 50)[0, 0])
+    dc_step = float(quality_to_table(50)[0, 0])
     assert np.abs(dec - 0.7).max() <= enc.norm.scale * dc_step / 16.0
 
 
@@ -399,7 +399,7 @@ def test_ramp_block_matches_hand_pipeline(dct_tensor):
     assert enc.norm.offset == 0.0 and enc.norm.scale == 1.0
     got = entropy_decode_blocks(enc.payload, 1)[0]
     coeffs = naive_dct(plane - 128.0, dct_tensor)
-    table = quality_to_table(BASE_LUMA_QUANT, 50)
+    table = quality_to_table(50)
     expected = np.sign(coeffs) * np.floor(np.abs(coeffs) / table + 0.5)
     assert np.array_equal(got, expected.astype(np.int32))
 
@@ -465,7 +465,7 @@ def _plane_stacks(draw):
 
 def _stack_qblocks(stack, quality):
     """Each plane's quantized blocks, natural order, from the stack's coefficients."""
-    table = quality_to_table(BASE_LUMA_QUANT, quality).ravel()[ZIGZAG_ORDER]
+    table = quality_to_table(quality).ravel()[ZIGZAG_ORDER]
     zz = np.sign(stack.coeffs) * np.floor(np.abs(stack.coeffs) / table + 0.5)
     natural = np.empty_like(zz)
     natural[:, ZIGZAG_ORDER] = zz
