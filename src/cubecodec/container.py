@@ -36,6 +36,8 @@ from :func:`cubecodec.cube.check_cube_size`, the one place the cap is read.
 
 from __future__ import annotations
 
+import math
+import numbers
 import struct
 import time
 from collections.abc import Callable
@@ -159,7 +161,11 @@ class RateTarget:
     tolerance: float = 0.05
 
     def __post_init__(self):
-        if not (np.isfinite(self.target_cr) and self.target_cr > 1):
+        for name in ("target_cr", "tolerance"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ArgumentError(f"{name} must be a real number, got {value!r}")
+        if not (math.isfinite(self.target_cr) and self.target_cr > 1):
             raise ArgumentError(f"target_cr must be > 1, got {self.target_cr}")
         if not 0 < self.tolerance < 1:
             raise ArgumentError(f"tolerance must be in (0, 1), got {self.tolerance}")

@@ -16,8 +16,10 @@ from cubecodec.colorimetry import (
     d65_illuminant,
     spectral_to_xyz,
     spectra_to_xyz,
+    xyz_array_to_lab,
     xyz_to_lab,
 )
+from cubecodec.cube import SpectralCube, default_wavelengths
 from cubecodec.errors import ArgumentError
 
 from conftest import random_cube
@@ -97,6 +99,36 @@ def test_resampling_linear_and_coverage():
         spectra_to_xyz(np.ones(21), np.linspace(450, 650, 21))
 
 
+@pytest.mark.parametrize("spectra,wavelengths", [
+    (np.ones(1), [float("nan")]),
+    (np.ones(31), np.full(31, np.nan)),
+    (np.ones(31), np.r_[np.arange(400.0, 700.0, 10.0), np.inf]),
+    (np.ones(31), np.arange(700.0, 399.0, -10.0)),  # decreasing
+    (np.ones(32), np.r_[400.0, np.arange(400.0, 701.0, 10.0)]),  # a repeated wavelength
+])
+def test_wavelength_grid_must_be_finite_and_increasing(spectra, wavelengths):
+    with pytest.raises(ArgumentError, match="finite and strictly increasing"):
+        spectra_to_xyz(spectra, wavelengths)
+
+
+def test_renderings_are_views_of_channel_planes():
+    obs = cie_1931_observer()
+    spectra = np.random.default_rng(58).uniform(0, 1, (4, 5, 31))
+    xyz = spectra_to_xyz(spectra, obs.wavelengths)
+    lab = xyz_array_to_lab(xyz, spectral_to_xyz(np.ones(31), obs.wavelengths))
+    for values in (xyz, lab):
+        assert values.shape == (4, 5, 3)
+        assert np.moveaxis(values, -1, 0).flags.c_contiguous
+
+
+def test_color_arrays_must_have_three_channels():
+    white = XyzColor(94.94, 100.0, 108.71)
+    with pytest.raises(ArgumentError):
+        xyz_array_to_lab(np.ones((5, 4)), white)
+    with pytest.raises(ArgumentError):
+        ciede2000_array(np.ones((6, 2)), np.ones((6, 2)))
+
+
 def test_lab_of_white_and_black():
     white = XyzColor(94.94, 100.0, 108.71)
     lab = xyz_to_lab(white, white)
@@ -161,9 +193,11 @@ def test_array_form_matches_scalar():
     lab1 = rng.uniform([-0, -100, -100], [100, 100, 100], (40, 3))
     lab2 = rng.uniform([-0, -100, -100], [100, 100, 100], (40, 3))
     batch = ciede2000_array(lab1, lab2)
+    against_first = ciede2000_array(lab1, lab2[0])  # broadcast against one color
     for i in range(40):
         single = ciede2000(LabColor(*lab1[i]), LabColor(*lab2[i]))
         assert batch[i] == single
+        assert against_first[i] == ciede2000(LabColor(*lab1[i]), LabColor(*lab2[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -196,3 +230,23 @@ def test_dimension_mismatch_rejected():
                       samples=c.samples)
     with pytest.raises(ArgumentError):
         cube_delta_e(a, shifted)
+
+
+@pytest.mark.parametrize("width,height,bands", [
+    (8193, 1, 31),  # one pixel past a whole chunk
+    (100, 90, 31),  # 9000 pixels, two chunks
+    (130, 130, 61),  # three chunks, resampled from the 5 nm grid
+])
+def test_chunked_map_matches_whole_frame(width, height, bands):
+    # the chunked scoring is the same public functions over column slices:
+    # its map equals one whole-frame pass bit for bit
+    rng = np.random.default_rng(59)
+    wl = default_wavelengths(bands)
+    a, b = (SpectralCube(width, height, bands, wl, rng.uniform(0, 1, (bands, height, width)))
+            for _ in range(2))
+    wl = wl.astype(np.float64)
+    white = spectral_to_xyz(np.ones(31), cie_1931_observer().wavelengths)
+    labs = [xyz_array_to_lab(spectra_to_xyz(c.samples.reshape(bands, -1).T, wl), white)
+            for c in (a, b)]
+    whole = ciede2000_array(*labs).reshape(height, width)
+    assert np.array_equal(cube_delta_e(a, b).map, whole)

@@ -286,6 +286,16 @@ def test_sweep256_decompress_peak_memory(method):
     assert peak <= 36.0 * 2 ** 20
 
 
+@pytest.mark.parametrize("method", ["pca", "csi"])
+def test_sweep256_score_peak_memory(method):
+    # scoring walks band-major pixel chunks into one preallocated map
+    # (3.2 MiB); whole-frame (H*W, 3) stacks took 23.6 MiB
+    cube = make_sweep_cube(256, 256)
+    recon = decompress(compress(cube, method, 20, rate=RateTarget(8.0)))
+    peak = _peak_bytes(lambda: cube_delta_e(cube, recon))
+    assert peak <= 6.0 * 2 ** 20
+
+
 def test_compress_is_deterministic():
     cube = make_skin_cube(32, 32)
     a = serialize_stream(compress(cube, "pca", 8, quality=77))
@@ -387,6 +397,20 @@ def test_rate_target_validation(monkeypatch):
         RateTarget(target_cr=1.0)
     with pytest.raises(ArgumentError):
         RateTarget(target_cr=8.0, tolerance=0.0)
+    for target_cr in ("8", True, None, 8 + 0j, np.array([8.0])):
+        with pytest.raises(ArgumentError, match="target_cr must be a real number"):
+            RateTarget(target_cr)
+    for tolerance in ("0.1", True, None):
+        with pytest.raises(ArgumentError, match="tolerance must be a real number"):
+            RateTarget(8.0, tolerance=tolerance)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ArgumentError):
+            RateTarget(bad)
+        with pytest.raises(ArgumentError):
+            RateTarget(8.0, tolerance=bad)
+    # numpy scalars and integers are real numbers
+    assert RateTarget(np.float64(8.0), np.float32(0.1)).window == pytest.approx((7.2, 8.8))
+    assert RateTarget(8, tolerance=np.float64(0.05)).target_cr == 8
     with pytest.raises(ArgumentError):
         compress_with_report(random_cube(67), "pca", 2)  # neither rate nor quality
     with pytest.raises(ArgumentError):

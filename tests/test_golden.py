@@ -8,7 +8,8 @@ dequantize + IDCT that preceded the two-stage decoder and the batched one.
 The decoded-cube digests pin the spectral inverse on top of them: they were
 recorded before PCA and CSI shared one synthesis.  The CIEDE2000 values of
 those cubes were recorded while every score still built its D65 weights and
-reference white per call.
+reference white per call, and the ΔE maps of two more cubes while every score
+still rendered the whole frame pixel-major.
 """
 
 import hashlib
@@ -26,6 +27,7 @@ from cubecodec.container import (
     serialize_stream,
     spectral_forward,
 )
+from cubecodec.cube import synthesize_cube
 from cubecodec.spatial import PlaneStack, decode_plane_stack, encode_plane
 
 # (image, method, p) -> (sha256 of the SCMP bytes, chosen quality, rate probes) at CR 8
@@ -189,6 +191,30 @@ GOLDEN_DELTA_E = {
 }
 
 
+# cubes whose scoring takes the paths the corpus above does not: "synth61" is
+# synthesize_cube(96, 96, 61, "random-smooth", seed=61), 61 bands on the
+# default 5 nm grid, so its spectra are resampled onto the observer grid;
+# "sweep100x90" is make_sweep_cube(100, 90), whose 9000 pixels are not a
+# whole number of scoring chunks
+GOLDEN_DELTA_E_BUILDERS = {
+    ("synth61", "pca"): lambda: synthesize_cube(96, 96, 61, "random-smooth", seed=61),
+    ("sweep100x90", "csi"): lambda: make_sweep_cube(100, 90),
+}
+
+# (image, method) -> sha256 of the float32 samples of the cube decompressed
+# at p = 20, quality 90, then cube_delta_e(original, decoded) as in
+# GOLDEN_DELTA_E; recorded while each score still rendered the whole frame
+# pixel-major
+GOLDEN_DELTA_E_MAPS = {
+    ("synth61", "pca"): ("8da9b2d0e42f441a1df912222b2b1ebab8a5dcc176a363fd26466f99429d3eea",
+        "0x1.fdc47094c2a64p-5", "0x1.1a4b8533b5200p-3", "0x1.557ace079f612p-2",
+        "1ee15526666345aa209728f55c70a72007968492e0483c874c87a53e041fbd0c"),
+    ("sweep100x90", "csi"): ("d40a1912102c59a1fa22069a3b063233b0170d30e2533ef0f1936d9639353c09",
+        "0x1.74dfc2c228ce4p-1", "0x1.86f59c8efcabbp+0", "0x1.9ee21472fa0f5p+1",
+        "869bd390feb0fee5bfe905c1787304764b4a34d473c7b9013a16995e232fbac9"),
+}
+
+
 @pytest.mark.parametrize("image", BUILTIN_CORPUS)
 def test_rate_controlled_streams_are_pinned(image):
     cube = _BUILTIN_BUILDERS[image]()
@@ -236,3 +262,13 @@ def test_decoded_cubes_are_pinned(image, method):
     stats = cube_delta_e(cube, decoded)
     assert (stats.mean.hex(), stats.p95.hex(), stats.max.hex(),
             hashlib.sha256(stats.map.tobytes()).hexdigest()) == GOLDEN_DELTA_E[image, method]
+
+
+@pytest.mark.parametrize("image,method", list(GOLDEN_DELTA_E_MAPS))
+def test_delta_e_maps_are_pinned(image, method):
+    cube = GOLDEN_DELTA_E_BUILDERS[image, method]()
+    decoded = decompress(parse_stream(serialize_stream(compress(cube, method, 20, quality=90))))
+    stats = cube_delta_e(cube, decoded)
+    assert (hashlib.sha256(decoded.samples.tobytes()).hexdigest(), stats.mean.hex(),
+            stats.p95.hex(), stats.max.hex(),
+            hashlib.sha256(stats.map.tobytes()).hexdigest()) == GOLDEN_DELTA_E_MAPS[image, method]
