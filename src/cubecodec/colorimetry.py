@@ -162,6 +162,8 @@ def spectra_to_xyz(spectra: np.ndarray, wavelengths) -> np.ndarray:
     result is a (..., 3) view of the (3, M) X/Y/Z planes.
     """
     spectra = np.asarray(spectra, dtype=np.float64)
+    if spectra.ndim == 0 or spectra.shape[-1] == 0:
+        raise ArgumentError(f"spectra need at least one band on the last axis, got shape {spectra.shape}")
     bands = spectra.reshape(-1, spectra.shape[-1]).T
     xyz = 100.0 * ((_WEIGHTS.T @ _resample_to_observer(bands, wavelengths)) / _Y_NORM)
     return xyz.T.reshape(spectra.shape[:-1] + (3,))

@@ -22,7 +22,8 @@ all P planes are normalized and DCT-transformed once, together; each probe
 quantizes and counts the Huffman bits of every plane in one pass over the
 stack, and the stream size is worked out from the layout above
 (:func:`stream_nbytes`) without serializing anything.  Only the chosen
-quality is entropy coded, again in one pass over all planes.  A stream
+quality is entropy coded, again in one pass over all planes, from the
+symbols of the last probe when the search ends on it.  A stream
 whose compression rate lands within the requested tolerance counts as an
 in-window success; when the quality grid straddles the window, the search
 falls back to the smallest achievable rate at or above the target and

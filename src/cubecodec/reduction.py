@@ -21,6 +21,13 @@ from .cube import SpectralCube
 from .errors import ArgumentError, NumericalError, ValidationError
 from .spline import natural_cubic_spline
 
+#: :func:`pca_forward` zero-pads the pixel count to a multiple of this.  A
+#: BLAS matrix product may round the columns past the last whole register
+#: block of its kernel (8 wide in OpenBLAS's Haswell DGEMM) differently from
+#: the others: unpadded, the last ``H*W % 8`` pixels of a band-major product
+#: could differ in the last bit from the pixel-major product's.
+_PIXEL_PAD = 16
+
 
 @dataclass(eq=False)
 class PcaSideInfo:
@@ -145,13 +152,24 @@ def pca_fit(cube: SpectralCube, p: int) -> PcaSideInfo:
 
 
 def pca_forward(cube: SpectralCube, side: PcaSideInfo) -> np.ndarray:
-    """Project mean-centered spectra onto the basis: one (H, W) plane per component."""
+    """Project mean-centered spectra onto the basis: one (H, W) plane per component.
+
+    Runs band-major: ``basis.T @ (samples - mean)`` on the (N, H*W) samples
+    gives the (P, H*W) planes contiguous, where the pixel-major product
+    ``(H*W, N) @ (N, P)`` gives their transpose.  Every score rounds as in
+    that product, bit for bit on every cube tried (see :data:`_PIXEL_PAD`).
+    """
     if side.n != cube.bands:
         raise ArgumentError(f"side info is for {side.n} bands, cube has {cube.bands}")
-    centered = cube.pixel_matrix().astype(np.float64)
-    centered -= side.mean  # in place, as in pca_fit
-    scores = centered @ side.basis  # (HW, P)
-    return scores.T.reshape(side.p, cube.height, cube.width)
+    n, npix = cube.bands, cube.width * cube.height
+    # numpy runs a one-row product as a matrix-vector one, whose rounding
+    # depends on the layout: that one keeps the pixel-major (H*W, N) view
+    padded = npix if side.p == 1 else npix + -npix % _PIXEL_PAD
+    centered = np.empty((n, padded))
+    np.subtract(cube.samples.reshape(n, -1), side.mean[:, None], out=centered[:, :npix])
+    centered[:, npix:] = 0.0
+    scores = (centered.T @ side.basis).T if side.p == 1 else side.basis.T @ centered
+    return np.ascontiguousarray(scores[:, :npix]).reshape(side.p, cube.height, cube.width)
 
 
 def pca_inverse(planes: np.ndarray, side: PcaSideInfo, wavelengths) -> SpectralCube:

@@ -16,7 +16,8 @@ symbols with array operations (ITU-T T.81 Annex F.1.2 with the Annex K.3
 tables): a DC category and amplitude, an AC run/size symbol per nonzero
 coefficient with any ZRL codes of its zero run folded into the same field,
 and an EOB unless the last coefficient is nonzero.  A rate probe sums the
-symbol lengths per plane; the emit places each plane's fields from a byte
+symbol lengths per plane; the emit, which takes the last probe's symbols
+when it codes that quality, places each plane's fields from a byte
 boundary and cuts the packed bits into per-plane payloads.  Both work on
 runs of whole planes of about :data:`_SLAB_BLOCKS` blocks.  The decoder
 (:func:`entropy_decode_planes`) has no per-symbol loop either: it finds
@@ -35,7 +36,7 @@ serializes as:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -192,8 +193,8 @@ _AC_POS = np.arange(1, 64, dtype=np.uint8)
 #: ``16 * (k - 1)`` per zigzag position k = 1..63: the index of a run over
 #: every AC position before k
 _RUN_BASE = np.arange(0, 16 * 63, 16, dtype=np.uint16)
-#: blocks the stacked coder quantizes and codes at once (rounded to whole
-#: planes, at least one): bounds its temporaries to a few MB
+#: blocks the stacked coder transforms, quantizes and codes at once (rounded
+#: to whole planes, at least one): bounds its temporaries to a few MB
 _SLAB_BLOCKS = 1024
 
 
@@ -254,26 +255,27 @@ class _Symbols:
         plane_bits = self.plane_bits()
         plane_bytes = (plane_bits + 7) // 8
         plane_starts = 8 * (np.cumsum(plane_bytes) - plane_bytes)
-        # the fields of each plane back to back from its byte-aligned start;
-        # the ones of length 0 are 0 and add no bits
-        lengths = self.lengths.reshape(len(plane_bits), -1)
-        ends = np.cumsum(lengths, axis=1, dtype=np.int64)
+        # the end bit of every field, the fields of each plane back to back
+        # from its byte-aligned start; the ones of length 0 are 0 and add no bits
+        ends = np.cumsum(self.lengths.reshape(len(plane_bits), -1), axis=1, dtype=np.int64)
         ends += plane_starts[:, None]
-        # place each field in the 64-bit word its first bit falls in; a field
-        # that runs past the word's end (over > 0) spills its low bits into the
-        # next word, and no word boundary is crossed by more than one field
-        word = (ends - lengths).ravel() >> 6
-        over = ends.ravel()  # in place: the bits past the end of the field's first word
-        over -= (word + 1) << 6
-        heads = fields << np.maximum(-over, 0).view(np.uint64)
-        heads >>= np.maximum(over, 0).view(np.uint64)
-        # one word more: a field of length 0 may start at the end of the last plane
-        words = np.zeros(int(plane_bytes.sum()) // 8 + 1, dtype=np.uint64)
+        ends = ends.ravel().view(np.uint64)
+        # a field (at most 59 bits) that ends at bit e puts its last e & 63 bits
+        # at the top of word e >> 6 (none on a word boundary: numpy shifts a
+        # uint64 by 64 to 0) and the rest at the bottom of the word before.
+        # Words are offset by one, so words[0] takes the empty heads of the
+        # fields that end in the stream's first word.
+        used = ends & 63
+        tails = fields << (64 - used)
+        fields >>= used  # in place: the heads
+        word = ends >> 6
+        word += 1
+        # one word more: a field of length 0 may end on the stream's last bit
+        words = np.zeros(int(plane_bytes.sum()) // 8 + 2, dtype=np.uint64)
         first = np.append(0, np.flatnonzero(word[1:] != word[:-1]) + 1)
-        words[word[first]] = np.bitwise_or.reduceat(heads, first)
-        spills = np.flatnonzero(over > 0)
-        words[word[spills] + 1] |= fields[spills] << (64 - over[spills]).astype(np.uint64)
-        data = words.astype(">u8").tobytes()
+        words[word[first]] = np.bitwise_or.reduceat(tails, first)
+        words[word[first] - 1] |= np.bitwise_or.reduceat(fields, first)
+        data = words[1:].astype(">u8").tobytes()
         return [data[start // 8:start // 8 + count]
                 for start, count in zip(plane_starts.tolist(), plane_bytes.tolist())]
 
@@ -592,7 +594,7 @@ class EncodedPlane:
         return plane, start + count
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class PlaneStack:
     """The quality-independent half of the plane coder, for P planes of one size.
 
@@ -605,10 +607,16 @@ class PlaneStack:
     width: int
     height: int
     coeffs: np.ndarray  # (P * nblocks, 64), zigzag order
+    # (quality, per-slab symbols) of the last count_nbytes
+    _probe: tuple | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def of(cls, planes: np.ndarray) -> "PlaneStack":
-        """Normalize, pad and DCT-transform a ``(P, H, W)`` stack of planes."""
+        """Normalize, pad and DCT-transform a ``(P, H, W)`` stack of planes.
+
+        Works on runs of whole planes of about :data:`_SLAB_BLOCKS` blocks, so
+        its temporaries are a run's size and only the coefficients are full-size.
+        """
         p = np.asarray(planes, dtype=np.float64)
         if p.ndim != 3 or min(p.shape) < 1:
             raise ValidationError(f"planes must be a non-empty (P, H, W) stack, got {p.shape}")
@@ -618,21 +626,31 @@ class PlaneStack:
         flat = p.reshape(count, -1)
         norms = tuple(PlaneNorm(offset=mn, scale=(mx - mn) / 255.0 if mx > mn else 1.0)
                       for mn, mx in zip(flat.min(axis=1).tolist(), flat.max(axis=1).tolist()))
-        if height % 8 or width % 8:
-            p = np.pad(p, ((0, 0), (0, -height % 8), (0, -width % 8)), mode="edge")
-        rows, cols = p.shape[1] // 8, p.shape[2] // 8
-        # normalize and level-shift straight into the block layout
-        per_plane = (count, 1, 1, 1, 1)
-        blocks = np.empty((count, rows, cols, 8, 8))
-        np.subtract(p.reshape(count, rows, 8, cols, 8).transpose(0, 1, 3, 2, 4),
-                    np.array([n.offset for n in norms]).reshape(per_plane), out=blocks)
-        blocks /= np.array([n.scale for n in norms]).reshape(per_plane)
-        blocks -= 128.0
-        half = _DCT @ blocks
-        np.matmul(half, _DCT.T, out=blocks)
-        del half
-        return cls(norms=norms, width=width, height=height,
-                   coeffs=blocks.reshape(-1, 64).take(ZIGZAG_ORDER, axis=1))
+        rows, cols = (height + 7) // 8, (width + 7) // 8
+        offsets = np.array([n.offset for n in norms])[:, None, None]
+        scales = np.array([n.scale for n in norms])[:, None, None]
+        # in a band of 8 rows, block c's zigzag element at natural (u, v) sits
+        # at u * 8 * cols + 8 * c + v
+        gather = (ZIGZAG_ORDER // 8 * 8 * cols + ZIGZAG_ORDER % 8) + 8 * np.arange(cols)[:, None]
+        coeffs = np.empty((count * rows * cols, 64))
+        run = max(1, _SLAB_BLOCKS // (rows * cols))
+        for start in range(0, count, run):
+            # normalize, level-shift and pad a run of planes
+            x = np.subtract(p[start:start + run], offsets[start:start + run])
+            if height % 8 or width % 8:
+                x = np.pad(x, ((0, 0), (0, -height % 8), (0, -width % 8)), mode="edge")
+            x /= scales[start:start + run]
+            x -= 128.0
+            # the 2-D DCT of every block as two wide products, back into x: the
+            # DCT matrix times each band of 8 rows, then every 8 columns of that
+            # times its transpose
+            half = _DCT @ x.reshape(-1, 8, 8 * cols)
+            np.matmul(half.reshape(-1, 8), _DCT.T, out=x.reshape(-1, 8))
+            del half
+            # every index is in range: mode="wrap" only skips numpy's bounds check
+            out = coeffs[start * rows * cols:(start + len(x)) * rows * cols]
+            x.reshape(-1, 64 * cols).take(gather, axis=1, out=out.reshape(-1, cols, 64), mode="wrap")
+        return cls(norms=norms, width=width, height=height, coeffs=coeffs)
 
     @property
     def nblocks(self) -> int:
@@ -641,7 +659,7 @@ class PlaneStack:
 
     def _slabs(self, quality: int):
         """Per run of whole planes of about :data:`_SLAB_BLOCKS` blocks at ``quality``:
-        (coefficients, quantized magnitudes, symbols)."""
+        (coefficients, quantized magnitudes)."""
         table = quality_to_table(quality).ravel()[ZIGZAG_ORDER]
         step = self.nblocks * max(1, _SLAB_BLOCKS // self.nblocks)
         for start in range(0, len(self.coeffs), step):
@@ -650,19 +668,32 @@ class PlaneStack:
             magnitude /= table
             magnitude += 0.5
             np.floor(magnitude, out=magnitude)
-            # the size category of a whole number is frexp's exponent (0 for 0)
-            ac_size = np.frexp(magnitude[:, 1:])[1].astype(np.uint8)
-            dc = np.where(coeffs[:, 0] < 0, -magnitude[:, 0], magnitude[:, 0])
-            yield coeffs, magnitude, _Symbols(dc, ac_size, self.nblocks)
+            yield coeffs, magnitude
+
+    def _symbols(self, coeffs: np.ndarray, magnitude: np.ndarray) -> _Symbols:
+        """The symbols of one of :meth:`_slabs`' runs."""
+        # the size category of a whole number is frexp's exponent (0 for 0)
+        ac_size = np.frexp(magnitude[:, 1:])[1].astype(np.uint8)
+        dc = np.where(coeffs[:, 0] < 0, -magnitude[:, 0], magnitude[:, 0])
+        return _Symbols(dc, ac_size, self.nblocks)
 
     def count_nbytes(self, quality: int) -> np.ndarray:
-        """Each plane's payload bytes at ``quality``, counted without emitting them."""
-        return (np.concatenate([s.plane_bits() for *_, s in self._slabs(quality)]) + 7) // 8
+        """Each plane's payload bytes at ``quality``, counted without emitting them.
+
+        The symbols of the last quality counted are kept: a rate search ends
+        on the quality it probed last, and its emit then packs them as they are.
+        """
+        self._probe = None  # one probe's symbols alive at a time
+        symbols = [self._symbols(*slab) for slab in self._slabs(quality)]
+        self._probe = (quality, symbols)
+        return (np.concatenate([s.plane_bits() for s in symbols]) + 7) // 8
 
     def encode(self, quality: int) -> list[EncodedPlane]:
         """Entropy code every plane at ``quality``."""
+        kept = self._probe[1] if self._probe is not None and self._probe[0] == quality else None
         payloads = []
-        for coeffs, magnitude, symbols in self._slabs(quality):
+        for i, (coeffs, magnitude) in enumerate(self._slabs(quality)):
+            symbols = kept[i] if kept else self._symbols(coeffs, magnitude)
             payloads += symbols.pack(magnitude[:, 1:].astype(np.int64), coeffs[:, 1:] < 0)
         return [EncodedPlane(norm=norm, quality=int(quality), width=self.width,
                              height=self.height, payload=payload)

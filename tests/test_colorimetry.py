@@ -111,6 +111,13 @@ def test_wavelength_grid_must_be_finite_and_increasing(spectra, wavelengths):
         spectra_to_xyz(spectra, wavelengths)
 
 
+@pytest.mark.parametrize("spectra", [np.ones((2, 0)), np.ones(0), np.ones((3, 4, 0)), np.float64(1.0)],
+                         ids=["2x0", "0", "3x4x0", "0-d"])
+def test_spectra_without_bands_are_an_argument_error(spectra):
+    with pytest.raises(ArgumentError, match="at least one band"):
+        spectra_to_xyz(spectra, [])
+
+
 def test_renderings_are_views_of_channel_planes():
     obs = cie_1931_observer()
     spectra = np.random.default_rng(58).uniform(0, 1, (4, 5, 31))

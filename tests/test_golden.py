@@ -58,6 +58,22 @@ GOLDEN_STREAMS = {
     ("chart", "csi", 28): ("42733d3a1efdd0bb533da933b24638f82d4d824b0ae9916ff07c7d0dfaee6ada", 97, 5),
 }
 
+# out-of-window rate searches, which return the quality whose rate is the
+# smallest at or above the target: "fallback64" is synthesize_cube(64, 64,
+# 31, "random-smooth", seed=12), which stays above the window even at quality
+# 100, its last probe; on skin and chart the window is 0.1% wide, and the
+# quality returned is not the last one probed.  Recorded while every emit
+# still built its symbols again.
+# (image, method, p, rate) -> (sha256 of the SCMP bytes, chosen quality, rate probes)
+GOLDEN_FALLBACK_STREAMS = {
+    ("fallback64", "pca", 8, RateTarget(8.0)):
+        ("913e073508c3b2409a74028948f4a96cabce395e065592b2b7d19159c2bcc6cc", 100, 7),
+    ("skin", "pca", 20, RateTarget(8.0, tolerance=0.001)):
+        ("72a0c4a761fddbdd40e51ba713746b3e08c41d380b3f9ba882ae97a1a7df3236", 94, 6),
+    ("chart", "csi", 20, RateTarget(8.0, tolerance=0.001)):
+        ("340693d66ae3f6da2dd678e2a79f17be99e0c48ff3e4e612b36d88de1d7eb021", 99, 7),
+}
+
 # (image, method, p) -> sha256 of the decoded (P, H, W) float64 planes of the
 # rate-controlled stream above
 GOLDEN_DECODED = {
@@ -225,6 +241,18 @@ def test_rate_controlled_streams_are_pinned(image):
             assert (digest, report.quality, report.encodes) == GOLDEN_STREAMS[image, method, p]
             decoded = decode_plane_stack(stream.planes)
             assert hashlib.sha256(decoded.tobytes()).hexdigest() == GOLDEN_DECODED[image, method, p]
+
+
+@pytest.mark.parametrize("image,method,p,rate", list(GOLDEN_FALLBACK_STREAMS))
+def test_out_of_window_streams_are_pinned(image, method, p, rate):
+    if image == "fallback64":
+        cube = synthesize_cube(64, 64, 31, "random-smooth", seed=12)
+    else:
+        cube = _BUILTIN_BUILDERS[image]()
+    stream, report = compress_with_report(cube, method, p, rate=rate)
+    assert not report.in_window
+    digest = hashlib.sha256(serialize_stream(stream)).hexdigest()
+    assert (digest, report.quality, report.encodes) == GOLDEN_FALLBACK_STREAMS[image, method, p, rate]
 
 
 def test_entropy_payloads_are_pinned_at_every_quality():

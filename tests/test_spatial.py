@@ -177,6 +177,76 @@ def test_entropy_encoder_edge_blocks(case):
     _check_entropy_stage(_blocks_from_zigzag(zz))
 
 
+def _pack_planes(planes):
+    """Planes of zigzag-ordered quantized blocks, one block count, packed in one call.
+
+    Returns the payloads and the end bit of every field of nonzero length in
+    the packed stream, each plane from its byte-aligned start.
+    """
+    zz = np.concatenate(planes).astype(np.int64)
+    magnitude = np.abs(zz[:, 1:])
+    symbols = spatial._Symbols(zz[:, 0], spatial._CATEGORY[magnitude], len(planes[0]))
+    plane_bytes = (symbols.plane_bits() + 7) // 8
+    starts = 8 * (np.cumsum(plane_bytes) - plane_bytes)
+    lengths = symbols.lengths.reshape(len(planes), -1).astype(np.int64)
+    ends = np.cumsum(lengths, axis=1) + starts[:, None]
+    return symbols.pack(magnitude, zz[:, 1:] < 0), sorted(set(ends[lengths > 0].tolist()))
+
+
+def _zigzag_blocks(*blocks):
+    """Blocks given as {zigzag index: value}, as (n, 64) zigzag rows."""
+    zz = np.zeros((len(blocks), 64), dtype=np.int64)
+    for row, block in zip(zz, blocks):
+        for k, value in block.items():
+            row[k] = value
+    return zz
+
+
+def test_numpy_shifts_a_uint64_by_64_to_zero():
+    # _Symbols.pack relies on it: a field that ends on a word boundary has no tail
+    ones = np.full(4, 2 ** 64 - 1, dtype=np.uint64)
+    assert not (ones << (64 - np.zeros(4, dtype=np.uint64))).any()
+
+
+# two blocks of 64 bits: DC 16 and an EOB (12 bits), then the same DC and a
+# 50-bit field for zigzag 63 (three ZRLs, the (14, 1) code, one bit), no EOB
+_WORD_PLANE = _zigzag_blocks({0: 16}, {0: 16, 63: 1})
+_EOB_PLANE = _zigzag_blocks({}, {})  # DC category 0 and an EOB: 6 bits each
+
+
+def _dense_plane(seed, n=2):
+    rng = np.random.default_rng(seed)
+    zz = rng.integers(-300, 300, (n, 64))
+    zz[rng.uniform(size=zz.shape) < 0.2] = 0
+    return zz
+
+
+@pytest.mark.parametrize("case", ["end_on_word", "end_before_64", "padding_to_word",
+                                  "eob_then_dense", "dense_then_eob"])
+def test_pack_edge_layouts_match_reference(case):
+    if case == "end_on_word":
+        # the 50-bit field ends on bit 64 and the next plane's on bit 128, the
+        # stream's end, with the zero-length EOB slot after each
+        planes = [_WORD_PLANE, _WORD_PLANE]
+    elif case == "end_before_64":
+        planes = [_EOB_PLANE, _EOB_PLANE]
+    elif case == "padding_to_word":
+        # 58 bits padded to 64: the next plane starts a fresh word
+        planes = [_zigzag_blocks({}, {63: -1}), _dense_plane(5)]
+    else:
+        planes = [_EOB_PLANE, _dense_plane(6)]
+        if case == "dense_then_eob":
+            planes.reverse()
+    payloads, ends = _pack_planes(planes)
+    if case == "end_on_word":
+        assert {64, 128} <= set(ends) and ends[-1] == 128
+    elif case == "end_before_64":
+        assert ends[-1] < 64
+    elif case == "padding_to_word":
+        assert ends[:4] == [2, 6, 8, 58] and ends[4] > 64
+    assert payloads == [reference_huffman_encode(_blocks_from_zigzag(zz)) for zz in planes]
+
+
 def _reference_or_none(payload, nblocks):
     try:
         return reference_huffman_decode(payload, nblocks)
@@ -498,6 +568,40 @@ def test_stacked_emit_matches_reference_plane_by_plane(planes, quality, slab_blo
         assert plane.payload == reference_huffman_encode(qblocks)
         assert counted[i] == len(plane.payload)
         assert plane == encode_plane(planes[i], quality)
+
+
+def _stack_for_reuse():
+    # 5 planes of 30 blocks: with _SLAB_BLOCKS at 30, one plane per slab
+    planes = np.random.default_rng(49).normal(0.0, 40.0, (5, 37, 45))
+    return PlaneStack.of(planes)
+
+
+@pytest.mark.parametrize("probed", [None, 90, 40], ids=["fresh", "same_quality", "other_quality"])
+def test_emit_after_a_probe_matches_a_fresh_emit(probed):
+    with mock.patch.object(spatial, "_SLAB_BLOCKS", 30):
+        expected = _stack_for_reuse().encode(90)
+        stack = _stack_for_reuse()
+        if probed is not None:
+            stack.count_nbytes(probed)
+        first, second = stack.encode(90), stack.encode(90)
+    assert first == expected
+    assert second == expected
+    assert [len(plane.payload) for plane in expected] == stack.count_nbytes(90).tolist()
+
+
+def test_emit_reuses_the_symbols_of_the_last_probe_only(monkeypatch):
+    built = []
+    symbols = spatial._Symbols
+    monkeypatch.setattr(spatial, "_Symbols", lambda *args: built.append(1) or symbols(*args))
+    monkeypatch.setattr(spatial, "_SLAB_BLOCKS", 30)
+    stack = _stack_for_reuse()
+    stack.count_nbytes(40)
+    stack.count_nbytes(90)
+    assert len(built) == 10
+    stack.encode(90)
+    assert len(built) == 10  # the probe's symbols, packed as they are
+    stack.encode(40)
+    assert len(built) == 15  # only the last probe's symbols are kept
 
 
 def test_plane_stack_validation():
