@@ -7,9 +7,7 @@ from .colorimetry import (
     LabColor,
     XyzColor,
     ciede2000,
-    cie_1931_observer,
     cube_delta_e,
-    d65_illuminant,
     spectral_to_xyz,
     xyz_to_lab,
 )

@@ -357,8 +357,8 @@ def parse_config(text: str) -> BenchConfig:
     """Parse the flat key=value benchmark config format.
 
     Recognized keys: corpus, methods, p_values, target_cr, tolerance,
-    repetitions, size_sweep (list of WxH entries).  Any other key raises
-    :class:`ValidationError`.
+    repetitions, size_sweep (list of WxH entries).  Any other key, or a key
+    given twice, raises :class:`ValidationError`.
     """
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -372,6 +372,8 @@ def parse_config(text: str) -> BenchConfig:
         if key not in _CONFIG_PARSERS:
             raise ValidationError(f"config line {lineno}: unknown key {key!r}; "
                                   f"expected one of {', '.join(_CONFIG_PARSERS)}")
+        if key in values:
+            raise ValidationError(f"config line {lineno}: repeated key {key!r}")
         values[key] = val.strip()
     kwargs = {"corpus": []}
     try:

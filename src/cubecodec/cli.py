@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench as bench_mod
-from .colorimetry import cie_1931_observer, cube_delta_e, d65_illuminant
+from .colorimetry import _CMF_TABLE, _D65_POWER, cube_delta_e
 from .container import (SPECTRAL_METHODS, RateTarget, compress_with_report, decompress,
                         parse_stream, serialize_stream)
 from .cube import PATTERNS, read_cube, synthesize_cube, write_cube
@@ -133,13 +133,10 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_dump_constants(args) -> int:
-    obs = cie_1931_observer()
-    ill = d65_illuminant()
     print("# CIE 1931 2-deg observer and D65 (400-700 nm, 10 nm)")
     print("wavelength_nm,xbar,ybar,zbar,d65_power")
-    for i, wl in enumerate(obs.wavelengths):
-        print(f"{wl:.0f},{obs.xbar[i]:.6f},{obs.ybar[i]:.6f},"
-              f"{obs.zbar[i]:.6f},{ill.power[i]:.4f}")
+    for (wl, xbar, ybar, zbar), power in zip(_CMF_TABLE, _D65_POWER):
+        print(f"{wl:.0f},{xbar:.6f},{ybar:.6f},{zbar:.6f},{power:.4f}")
     print("\n# base luminance quantization table")
     for row in BASE_LUMA_QUANT:
         print(" ".join(f"{v:4d}" for v in row))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cube import SpectralCube
-from .errors import ArgumentError
+from .errors import ArgumentError, SizeLimitError
 
 # CIE 1931 2-degree standard observer, 400-700 nm at 10 nm.
 _CMF_TABLE = np.array([
@@ -74,24 +74,6 @@ _D65_POWER = np.array([
 
 
 @dataclass(frozen=True)
-class ObserverTable:
-    """Color matching functions on a common wavelength grid."""
-
-    wavelengths: np.ndarray
-    xbar: np.ndarray
-    ybar: np.ndarray
-    zbar: np.ndarray
-
-
-@dataclass(frozen=True)
-class Illuminant:
-    """Relative spectral power distribution on the observer grid."""
-
-    wavelengths: np.ndarray
-    power: np.ndarray
-
-
-@dataclass(frozen=True)
 class XyzColor:
     X: float
     Y: float
@@ -113,16 +95,6 @@ class DeltaEStats:
     max: float
     p95: float
     map: np.ndarray  # (H, W)
-
-
-def cie_1931_observer() -> ObserverTable:
-    t = _CMF_TABLE
-    return ObserverTable(wavelengths=t[:, 0].copy(), xbar=t[:, 1].copy(),
-                         ybar=t[:, 2].copy(), zbar=t[:, 3].copy())
-
-
-def d65_illuminant() -> Illuminant:
-    return Illuminant(wavelengths=_CMF_TABLE[:, 0].copy(), power=_D65_POWER.copy())
 
 
 #: the observer grid, 400-700 nm at 10 nm
@@ -306,6 +278,7 @@ def cube_delta_e(original: SpectralCube, reconstructed: SpectralCube) -> DeltaES
 
     Each cube's band-major samples are scored in chunks of
     :data:`_CHUNK_PIXELS` pixels, straight into one preallocated map.
+    Running out of memory raises :class:`SizeLimitError`.
     """
     if (original.width, original.height, original.bands) != (
             reconstructed.width, reconstructed.height, reconstructed.bands):
@@ -318,11 +291,15 @@ def cube_delta_e(original: SpectralCube, reconstructed: SpectralCube) -> DeltaES
     npix = bands_a.shape[1]
     nchunks = -(-npix // _CHUNK_PIXELS)
     edges = [npix * i // nchunks for i in range(nchunks + 1)]
-    de = np.empty(npix)
-    for lo, hi in zip(edges, edges[1:]):
-        lab_a = xyz_array_to_lab(spectra_to_xyz(bands_a[:, lo:hi].T, wl), _WHITE)
-        lab_b = xyz_array_to_lab(spectra_to_xyz(bands_b[:, lo:hi].T, wl), _WHITE)
-        de[lo:hi] = ciede2000_array(lab_a, lab_b)
+    try:
+        de = np.empty(npix)
+        for lo, hi in zip(edges, edges[1:]):
+            lab_a = xyz_array_to_lab(spectra_to_xyz(bands_a[:, lo:hi].T, wl), _WHITE)
+            lab_b = xyz_array_to_lab(spectra_to_xyz(bands_b[:, lo:hi].T, wl), _WHITE)
+            de[lo:hi] = ciede2000_array(lab_a, lab_b)
+    except MemoryError:
+        raise SizeLimitError(f"out of memory scoring a {original.bands} x {original.width} x "
+                             f"{original.height} cube") from None
     de = de.reshape(original.height, original.width)
     return DeltaEStats(
         mean=float(de.mean()),

@@ -365,7 +365,8 @@ def compress_with_report(cube: SpectralCube, method: str, p: int,
     Exactly one of ``rate`` and ``quality`` drives the plane quality: a
     fixed ``quality`` (an integer in 1..100) skips rate control entirely.
     Each rate probe counts the stream size without emitting or serializing
-    it; only the chosen quality is entropy coded.
+    it; only the chosen quality is entropy coded.  Running out of memory
+    raises :class:`SizeLimitError`.
     """
     if (rate is None) == (quality is None):
         raise ArgumentError("provide exactly one of rate target or fixed quality")
@@ -377,18 +378,22 @@ def compress_with_report(cube: SpectralCube, method: str, p: int,
     if cube.bands > 0xFFFF:
         raise ArgumentError(f"SCMP holds at most 65535 bands, cube has {cube.bands}")
     check_cube_size(cube.bands, cube.width, cube.height)
-    t0 = time.perf_counter_ns()
-    planes, side = spectral_forward(cube, method, p)
-    t1 = time.perf_counter_ns()
-    stack = PlaneStack.of(planes)
-    del planes  # free the planes: the stack carries all the search and the emit need
-    overhead = stream_nbytes(method, p, cube.bands, 0)
-    if quality is None:
-        quality, in_window, probes = _search_quality(cube, rate, overhead, stack)
-    else:
-        quality, in_window, probes = int(quality), True, 1
-    encoded = stack.encode(quality)
-    t2 = time.perf_counter_ns()
+    try:
+        t0 = time.perf_counter_ns()
+        planes, side = spectral_forward(cube, method, p)
+        t1 = time.perf_counter_ns()
+        stack = PlaneStack.of(planes)
+        del planes  # free the planes: the stack carries all the search and the emit need
+        overhead = stream_nbytes(method, p, cube.bands, 0)
+        if quality is None:
+            quality, in_window, probes = _search_quality(cube, rate, overhead, stack)
+        else:
+            quality, in_window, probes = int(quality), True, 1
+        encoded = stack.encode(quality)
+        t2 = time.perf_counter_ns()
+    except MemoryError:
+        raise SizeLimitError(f"out of memory compressing a {cube.bands} x {cube.width} x "
+                             f"{cube.height} cube") from None
     spec = SPECTRAL_METHODS[method]
     try:  # keep the side info as the decoder will read it (PCA: rounded to f32)
         side = spec.read_side(spec.write_side(side), cube.bands, p)

@@ -140,14 +140,6 @@ def _dct_matrix() -> np.ndarray:
 _DCT = _dct_matrix()
 
 
-def dct8_forward(block: np.ndarray) -> np.ndarray:
-    """Orthonormal 2-D DCT-II of an 8x8 block."""
-    b = np.asarray(block, dtype=np.float64)
-    if b.shape != (8, 8):
-        raise ArgumentError(f"expected an 8x8 block, got shape {b.shape}")
-    return _DCT @ b @ _DCT.T
-
-
 # ---------------------------------------------------------------------------
 # quantization
 
@@ -297,9 +289,9 @@ def _block_symbols(qblocks: np.ndarray):
 def entropy_encode_blocks(qblocks: np.ndarray) -> bytes:
     """Pack quantized 8x8 blocks (natural order) into the Huffman bitstream.
 
-    Exactly invertible by :func:`entropy_decode_blocks`; includes the
-    zigzag scan and the raster-order DC differential.  One plane of the
-    emit :meth:`PlaneStack.encode` runs.
+    Exactly invertible by :func:`entropy_decode_planes` as one plane of
+    ``len(qblocks)`` blocks; includes the zigzag scan and the raster-order
+    DC differential.  One plane of the emit :meth:`PlaneStack.encode` runs.
     """
     symbols, magnitude, negative = _block_symbols(qblocks)
     return symbols.pack(magnitude, negative)[0] if len(magnitude) else b""
@@ -530,11 +522,6 @@ def entropy_decode_planes(payloads: list[bytes], nblocks: list[int]) -> np.ndarr
     return _decode_coefficients(windows, starts, nblocks).reshape(-1, 8, 8)
 
 
-def entropy_decode_blocks(payload: bytes, nblocks: int) -> np.ndarray:
-    """Exact inverse of :func:`entropy_encode_blocks`: one plane of :func:`entropy_decode_planes`."""
-    return entropy_decode_planes([payload], [nblocks])
-
-
 # ---------------------------------------------------------------------------
 # plane codec
 
@@ -700,11 +687,6 @@ class PlaneStack:
                 for norm, payload in zip(self.norms, payloads)]
 
 
-def encode_plane(plane: np.ndarray, quality: int) -> EncodedPlane:
-    """Encode one real-valued plane at the given quality (1..100) as a one-plane stack."""
-    return PlaneStack.of(np.asarray(plane)[None]).encode(quality)[0]
-
-
 def decode_plane_stack(planes: list[EncodedPlane]) -> np.ndarray:
     """Decode plane records of one size into a ``(P, H, W)`` float64 array (no clamping).
 
@@ -737,8 +719,3 @@ def decode_plane_stack(planes: list[EncodedPlane]) -> np.ndarray:
     out *= np.array([p.norm.scale for p in planes])[:, None, None]
     out += np.array([p.norm.offset for p in planes])[:, None, None]
     return np.ascontiguousarray(out)
-
-
-def decode_plane(enc: EncodedPlane) -> np.ndarray:
-    """Decode a plane record back to its (H, W) float64 values (no clamping)."""
-    return decode_plane_stack([enc])[0]

@@ -34,10 +34,10 @@ from cubecodec.reduction import (
     pca_inverse,
 )
 from cubecodec.spatial import (
-    dct8_forward,
-    encode_plane,
-    decode_plane,
-    entropy_decode_blocks,
+    ZIGZAG_ORDER,
+    PlaneStack,
+    decode_plane_stack,
+    entropy_decode_planes,
     entropy_encode_blocks,
 )
 from cubecodec.spline import natural_cubic_spline
@@ -151,13 +151,16 @@ def test_criterion_4_rate_control(corpus_run):
 
 def test_criterion_5_oracle_equivalences():
     start = time.perf_counter()
-    # (a) DCT against the definitional double sum, 1000 blocks
+    # (a) the DCT compress runs against the definitional double sum, 1000
+    # blocks, each a plane of the stack and normalized as the stack does
     tensor = naive_dct_tensor()
     rng = np.random.default_rng(2024)
     blocks = rng.uniform(-128, 127, (1000, 8, 8))
+    stack = PlaneStack.of(blocks)
     worst_dct = 0.0
-    for block in blocks:
-        diff = np.abs(dct8_forward(block) - naive_dct(block, tensor)).max()
+    for block, norm, coeffs in zip(blocks, stack.norms, stack.coeffs):
+        expected = naive_dct((block - norm.offset) / norm.scale - 128.0, tensor)
+        diff = np.abs(coeffs - expected.ravel()[ZIGZAG_ORDER]).max()
         worst_dct = max(worst_dct, diff)
     assert worst_dct <= 1e-10
 
@@ -240,7 +243,7 @@ def test_criterion_6_invariant_suites():
     blocks[rng.uniform(size=blocks.shape) < 0.85] = 0
     blocks[:, 0, 0] = rng.integers(-1000, 1000, 10_000)
     payload = entropy_encode_blocks(blocks)
-    assert np.array_equal(entropy_decode_blocks(payload, 10_000), blocks)
+    assert np.array_equal(entropy_decode_planes([payload], [10_000]), blocks)
 
     # SCUB and SCMP serialization round trips, bit-exact
     cube = random_cube(6200, width=5, height=4, bands=6)
@@ -254,11 +257,11 @@ def test_criterion_6_invariant_suites():
     # rate and distortion monotone in quality (non-strict)
     rng = np.random.default_rng(64)
     plane = rng.uniform(0, 1, (24, 24))
-    qualities = (10, 30, 50, 70, 90)
-    sizes = [len(encode_plane(plane, q).payload) for q in qualities]
+    stack = PlaneStack.of(plane[None])
+    encoded = [stack.encode(q)[0] for q in (10, 30, 50, 70, 90)]
+    sizes = [len(enc.payload) for enc in encoded]
     assert all(a <= b for a, b in zip(sizes, sizes[1:]))
-    mses = [float(np.mean((decode_plane(encode_plane(plane, q)) - plane) ** 2))
-            for q in qualities]
+    mses = [float(np.mean((decode_plane_stack([enc])[0] - plane) ** 2)) for enc in encoded]
     for better, worse in zip(mses[1:], mses[:-1]):
         assert better <= worse + 1e-12
 

@@ -1,6 +1,7 @@
 """Benchmark harness and CLI tests."""
 
 import dataclasses
+import hashlib
 import math
 import struct
 import tempfile
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from cubecodec import bench
+from cubecodec import bench, colorimetry, spatial
 from cubecodec.bench import (
     BenchConfig,
     CSV_COLUMNS,
@@ -235,6 +236,9 @@ def test_parse_config_errors():
         parse_config("corpus = skin\ntarget-cr = 4")
     with pytest.raises(ValidationError, match="line 3: unknown key 'method'"):
         parse_config("# csi only\ncorpus = skin\nmethod = csi")
+    # a repeated key is an error too, not a silent last-one-wins
+    with pytest.raises(ValidationError, match="line 2: repeated key 'corpus'"):
+        parse_config("corpus = skin\ncorpus = dark\n")
 
 
 def test_default_config_uses_builtin_corpus():
@@ -320,6 +324,25 @@ def test_cli_compress_rejects_more_bands_than_scmp_holds(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", ["compress", "evaluate"])
+def test_cli_out_of_memory_is_a_data_error(tmp_path, capsys, monkeypatch, command):
+    def exhausted(*args):
+        raise MemoryError
+
+    cube_path = tmp_path / "cube.scub"
+    cube_path.write_bytes(write_cube(synthesize_cube(8, 8, 31, "ramp", 0)))
+    if command == "compress":
+        monkeypatch.setattr(spatial.PlaneStack, "of", exhausted)
+        argv = ["compress", "--in", str(cube_path), "--out", str(tmp_path / "x.scmp"),
+                "--method", "pca", "--p", "4", "--quality", "50"]
+    else:
+        monkeypatch.setattr(colorimetry, "spectra_to_xyz", exhausted)
+        argv = ["evaluate", "--original", str(cube_path), "--reconstructed", str(cube_path)]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "out of memory" in err
 
 
 def test_cli_decompress_rejects_oversized_dimensions(tmp_path, capsys):
@@ -424,11 +447,24 @@ def test_cli_bench_rejects_a_misspelled_config_key(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_cli_bench_rejects_a_repeated_config_key(tmp_path, capsys):
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(f"corpus = {_TINY}\nmethods = csi\nmethods = pca\n")
+    assert cli_main(["bench", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "line 3: repeated key 'methods'" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_dump_constants(capsys):
     assert cli_main(["dump-constants"]) == 0
     out = capsys.readouterr().out
     assert "wavelength_nm" in out
     assert "zigzag" in out
+    # the compiled-in tables, byte for byte
+    assert len(out.splitlines()) == 50
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9494a4cd1b5c7169c9a91d23e5953814bf384e6f914e18846fd9d75cec08ab82")
 
 
 def test_cli_roundtrip_preserves_cube(tmp_path):

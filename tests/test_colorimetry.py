@@ -6,21 +6,22 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from cubecodec import colorimetry
 from cubecodec.colorimetry import (
+    _CMF_TABLE,
+    _D65_POWER,
     LabColor,
     XyzColor,
-    cie_1931_observer,
     ciede2000,
     ciede2000_array,
     cube_delta_e,
-    d65_illuminant,
     spectral_to_xyz,
     spectra_to_xyz,
     xyz_array_to_lab,
     xyz_to_lab,
 )
 from cubecodec.cube import SpectralCube, default_wavelengths
-from cubecodec.errors import ArgumentError
+from cubecodec.errors import ArgumentError, SizeLimitError
 
 from conftest import random_cube
 from data_ciede2000 import CIEDE2000_PAIRS
@@ -28,36 +29,33 @@ from data_ciede2000 import CIEDE2000_PAIRS
 _LABS = st.tuples(st.floats(0, 100), st.floats(-120, 120), st.floats(-120, 120))
 
 
+#: the observer grid, 400-700 nm at 10 nm
+_GRID = _CMF_TABLE[:, 0]
+
+
 def _fsum_white():
     """Independent high-precision summation of the tristimulus normalizer."""
-    obs = cie_1931_observer()
-    ill = d65_illuminant()
-    sx = math.fsum(float(s) * float(x) for s, x in zip(ill.power, obs.xbar))
-    sy = math.fsum(float(s) * float(y) for s, y in zip(ill.power, obs.ybar))
-    sz = math.fsum(float(s) * float(z) for s, z in zip(ill.power, obs.zbar))
+    _, xbar, ybar, zbar = _CMF_TABLE.T
+    sx = math.fsum(float(s) * float(x) for s, x in zip(_D65_POWER, xbar))
+    sy = math.fsum(float(s) * float(y) for s, y in zip(_D65_POWER, ybar))
+    sz = math.fsum(float(s) * float(z) for s, z in zip(_D65_POWER, zbar))
     return 100.0 * sx / sy, 100.0 * sz / sy
 
 
 def test_constant_tables_are_consistent():
-    obs = cie_1931_observer()
-    ill = d65_illuminant()
-    assert obs.wavelengths[0] == 400.0 and obs.wavelengths[-1] == 700.0
-    assert np.all(np.diff(obs.wavelengths) == 10.0)
-    for arr in (obs.xbar, obs.ybar, obs.zbar, ill.power):
-        assert arr.shape == (31,)
-        assert np.all(arr >= 0.0)
-    assert np.array_equal(obs.wavelengths, ill.wavelengths)
+    assert _CMF_TABLE.shape == (31, 4) and _D65_POWER.shape == (31,)
+    assert _GRID[0] == 400.0 and _GRID[-1] == 700.0
+    assert np.all(np.diff(_GRID) == 10.0)
+    assert np.all(_CMF_TABLE[:, 1:] >= 0.0) and np.all(_D65_POWER >= 0.0)
 
 
 def test_perfect_reflector_gives_y_100_exactly():
-    obs = cie_1931_observer()
-    white = spectral_to_xyz(np.ones(31), obs.wavelengths)
+    white = spectral_to_xyz(np.ones(31), _GRID)
     assert white.Y == 100.0
 
 
 def test_white_xz_match_fsum_oracle():
-    obs = cie_1931_observer()
-    white = spectral_to_xyz(np.ones(31), obs.wavelengths)
+    white = spectral_to_xyz(np.ones(31), _GRID)
     xn, zn = _fsum_white()
     # values pinned from the oracle on this observer/illuminant/grid
     assert abs(xn - 94.94009398608972) <= 1e-9
@@ -67,33 +65,29 @@ def test_white_xz_match_fsum_oracle():
 
 
 def test_zero_reflectance_is_black():
-    obs = cie_1931_observer()
-    black = spectral_to_xyz(np.zeros(31), obs.wavelengths)
+    black = spectral_to_xyz(np.zeros(31), _GRID)
     assert (black.X, black.Y, black.Z) == (0.0, 0.0, 0.0)
 
 
 def test_rendering_is_linear_in_reflectance():
-    obs = cie_1931_observer()
     rng = np.random.default_rng(50)
     for _ in range(10):
         r1 = rng.uniform(0, 1, 31)
         r2 = rng.uniform(0, 1, 31)
         alpha, beta = rng.uniform(-2, 2, 2)
-        mixed = spectra_to_xyz(alpha * r1 + beta * r2, obs.wavelengths)
-        parts = (alpha * spectra_to_xyz(r1, obs.wavelengths)
-                 + beta * spectra_to_xyz(r2, obs.wavelengths))
+        mixed = spectra_to_xyz(alpha * r1 + beta * r2, _GRID)
+        parts = alpha * spectra_to_xyz(r1, _GRID) + beta * spectra_to_xyz(r2, _GRID)
         assert np.abs(mixed - parts).max() <= 1e-10
 
 
 def test_resampling_linear_and_coverage():
-    obs = cie_1931_observer()
     # a 5 nm grid spanning the observer: linear resampling must agree with
     # direct evaluation of a linear-in-wavelength reflectance
     wl = np.arange(395.0, 706.0, 5.0)
     spectrum = 0.1 + (wl - 395.0) / 1000.0
     xyz_fine = spectra_to_xyz(spectrum, wl)
-    on_grid = 0.1 + (obs.wavelengths - 395.0) / 1000.0
-    xyz_grid = spectra_to_xyz(on_grid, obs.wavelengths)
+    on_grid = 0.1 + (_GRID - 395.0) / 1000.0
+    xyz_grid = spectra_to_xyz(on_grid, _GRID)
     assert np.abs(xyz_fine - xyz_grid).max() <= 1e-10
     with pytest.raises(ArgumentError):
         spectra_to_xyz(np.ones(21), np.linspace(450, 650, 21))
@@ -119,10 +113,9 @@ def test_spectra_without_bands_are_an_argument_error(spectra):
 
 
 def test_renderings_are_views_of_channel_planes():
-    obs = cie_1931_observer()
     spectra = np.random.default_rng(58).uniform(0, 1, (4, 5, 31))
-    xyz = spectra_to_xyz(spectra, obs.wavelengths)
-    lab = xyz_array_to_lab(xyz, spectral_to_xyz(np.ones(31), obs.wavelengths))
+    xyz = spectra_to_xyz(spectra, _GRID)
+    lab = xyz_array_to_lab(xyz, spectral_to_xyz(np.ones(31), _GRID))
     for values in (xyz, lab):
         assert values.shape == (4, 5, 3)
         assert np.moveaxis(values, -1, 0).flags.c_contiguous
@@ -226,6 +219,16 @@ def test_mean_is_mean_of_map():
     assert stats.map.min() >= 0.0
 
 
+def test_scoring_out_of_memory_raises_size_limit_error(monkeypatch):
+    def exhausted(spectra, wavelengths):
+        raise MemoryError
+
+    cube = random_cube(57, width=5, height=4, bands=31)
+    monkeypatch.setattr(colorimetry, "spectra_to_xyz", exhausted)
+    with pytest.raises(SizeLimitError, match="out of memory scoring"):
+        cube_delta_e(cube, cube)
+
+
 def test_dimension_mismatch_rejected():
     a = random_cube(55, width=4, height=4, bands=31)
     b = random_cube(56, width=5, height=4, bands=31)
@@ -252,7 +255,7 @@ def test_chunked_map_matches_whole_frame(width, height, bands):
     a, b = (SpectralCube(width, height, bands, wl, rng.uniform(0, 1, (bands, height, width)))
             for _ in range(2))
     wl = wl.astype(np.float64)
-    white = spectral_to_xyz(np.ones(31), cie_1931_observer().wavelengths)
+    white = spectral_to_xyz(np.ones(31), _GRID)
     labs = [xyz_array_to_lab(spectra_to_xyz(c.samples.reshape(bands, -1).T, wl), white)
             for c in (a, b)]
     whole = ciede2000_array(*labs).reshape(height, width)

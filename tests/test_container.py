@@ -268,6 +268,16 @@ def test_decode_out_of_memory_raises_size_limit_error(monkeypatch):
 
 
 @pytest.mark.parametrize("method", ["pca", "csi"])
+def test_compress_out_of_memory_raises_size_limit_error(monkeypatch, method):
+    def exhausted(planes):
+        raise MemoryError
+
+    monkeypatch.setattr(container.PlaneStack, "of", exhausted)
+    with pytest.raises(SizeLimitError, match="out of memory compressing"):
+        compress_with_report(random_cube(73), method, 2, quality=50)
+
+
+@pytest.mark.parametrize("method", ["pca", "csi"])
 def test_sweep256_compress_peak_memory(method):
     # the peak is PCA's band-major forward: the (N, H*W) float64 centered
     # samples and the (P, H*W) planes (25.5 MiB; CSI 21.0 MiB).  The plane

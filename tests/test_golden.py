@@ -28,7 +28,7 @@ from cubecodec.container import (
     spectral_forward,
 )
 from cubecodec.cube import synthesize_cube
-from cubecodec.spatial import PlaneStack, decode_plane_stack, encode_plane
+from cubecodec.spatial import PlaneStack, decode_plane_stack
 
 # (image, method, p) -> (sha256 of the SCMP bytes, chosen quality, rate probes) at CR 8
 GOLDEN_STREAMS = {
@@ -256,18 +256,19 @@ def test_out_of_window_streams_are_pinned(image, method, p, rate):
 
 
 def test_entropy_payloads_are_pinned_at_every_quality():
-    # each plane alone (encode_plane), and all 20 at once through the stacked
-    # coder compress runs; every plane's counted bytes match its payload
+    # each plane alone as a one-plane stack, and all 20 at once through the
+    # stacked coder compress runs; every plane's counted bytes match its payload
     cube = make_sweep_cube(64, 64)
     methods = ("pca", "csi")
     planes = [spectral_forward(cube, method, 20)[0] for method in methods]
     stacks = [PlaneStack.of(reduced) for reduced in planes]
+    singles = [[PlaneStack.of(plane[None]) for plane in reduced] for reduced in planes]
     for quality, expected in GOLDEN_PAYLOADS.items():
         payloads = hashlib.sha256()
         stacked = hashlib.sha256()
         decoded = hashlib.sha256()
-        for reduced, stack, method in zip(planes, stacks, methods):
-            encoded = [encode_plane(plane, quality) for plane in reduced]
+        for single, stack, method in zip(singles, stacks, methods):
+            encoded = [one.encode(quality)[0] for one in single]
             for plane in encoded:
                 payloads.update(plane.payload)
             decoded.update(decode_plane_stack(encoded).tobytes())

@@ -15,10 +15,7 @@ from cubecodec.spatial import (
     PlaneNorm,
     PlaneStack,
     ZIGZAG_ORDER,
-    decode_plane,
-    dct8_forward,
-    encode_plane,
-    entropy_decode_blocks,
+    decode_plane_stack,
     entropy_decode_planes,
     entropy_encode_blocks,
     quality_to_table,
@@ -37,22 +34,32 @@ def _random_qblocks(rng, n, zero_fraction=0.8):
 # ---------------------------------------------------------------------------
 # DCT
 
+def _normalized_blocks(planes, stack):
+    """Each plane's 8x8 blocks as :meth:`PlaneStack.of` normalizes them, block-major."""
+    _, height, width = planes.shape
+    for plane, norm in zip(planes, stack.norms):
+        padded = np.pad((plane - norm.offset) / norm.scale,
+                        ((0, -height % 8), (0, -width % 8)), mode="edge") - 128.0
+        yield from padded.reshape(padded.shape[0] // 8, 8, -1, 8).swapaxes(1, 2).reshape(-1, 8, 8)
+
+
 def test_constant_block_has_pure_dc():
-    out = dct8_forward(np.full((8, 8), 2.5))
-    assert abs(out[0, 0] - 8 * 2.5) <= 1e-12
-    out[0, 0] = 0.0
+    planes = np.full((1, 8, 8), 2.5)
+    stack = PlaneStack.of(planes)
+    (block,) = _normalized_blocks(planes, stack)
+    out = stack.coeffs[0].copy()
+    assert abs(out[0] - 8 * block[0, 0]) <= 1e-12
+    out[0] = 0.0
     assert np.abs(out).max() <= 1e-12
 
 
 def test_forward_matches_naive_double_sum(dct_tensor):
     rng = np.random.default_rng(41)
-    block = rng.uniform(-128, 127, (8, 8))
-    assert np.abs(dct8_forward(block) - naive_dct(block, dct_tensor)).max() <= 1e-10
-
-
-def test_dct_shape_validation():
-    with pytest.raises(ArgumentError):
-        dct8_forward(np.zeros((4, 4)))
+    planes = rng.uniform(-128, 127, (1, 8, 8))
+    stack = PlaneStack.of(planes)
+    (block,) = _normalized_blocks(planes, stack)
+    expected = naive_dct(block, dct_tensor).ravel()[ZIGZAG_ORDER]
+    assert np.abs(stack.coeffs[0] - expected).max() <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +98,7 @@ def test_entropy_roundtrip_fixed_batch():
     rng = np.random.default_rng(42)
     blocks = _random_qblocks(rng, 500)
     payload = entropy_encode_blocks(blocks)
-    assert np.array_equal(entropy_decode_blocks(payload, 500), blocks)
+    assert np.array_equal(entropy_decode_planes([payload], [500]), blocks)
 
 
 @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 12))
@@ -99,7 +106,7 @@ def test_entropy_roundtrip_random(seed, n):
     rng = np.random.default_rng(seed)
     blocks = _random_qblocks(rng, n, zero_fraction=float(rng.uniform(0.3, 0.99)))
     payload = entropy_encode_blocks(blocks)
-    assert np.array_equal(entropy_decode_blocks(payload, n), blocks)
+    assert np.array_equal(entropy_decode_planes([payload], [n]), blocks)
 
 
 def test_entropy_rejects_truncation_and_garbage():
@@ -107,22 +114,22 @@ def test_entropy_rejects_truncation_and_garbage():
     blocks = _random_qblocks(rng, 20, zero_fraction=0.5)
     payload = entropy_encode_blocks(blocks)
     with pytest.raises(CorruptError):
-        entropy_decode_blocks(payload[: len(payload) // 2], 20)
+        entropy_decode_planes([payload[: len(payload) // 2]], [20])
     with pytest.raises(CorruptError):
-        entropy_decode_blocks(payload + b"\xff\xff\xff\xff", 20)
+        entropy_decode_planes([payload + b"\xff\xff\xff\xff"], [20])
     with pytest.raises(CorruptError):
-        entropy_decode_blocks(b"\xff\xff\xff", 1)
+        entropy_decode_planes([b"\xff\xff\xff"], [1])
 
 
 def test_entropy_decode_peek_at_payload_end():
     # the second block's AC code starts on the last payload bit
     with pytest.raises(CorruptError):
-        entropy_decode_blocks(bytes.fromhex("bb40"), 2)
+        entropy_decode_planes([bytes.fromhex("bb40")], [2])
 
 
 def test_entropy_decode_bounds_block_count_before_allocating():
     with pytest.raises(CorruptError):
-        entropy_decode_blocks(b"\x00" * 8, 2 ** 40)
+        entropy_decode_planes([b"\x00" * 8], [2 ** 40])
 
 
 def _blocks_from_zigzag(zz):
@@ -151,7 +158,7 @@ def _sparse_qblocks(draw):
 def _check_entropy_stage(blocks):
     payload = entropy_encode_blocks(blocks)
     assert payload == reference_huffman_encode(blocks)
-    assert np.array_equal(entropy_decode_blocks(payload, len(blocks)), blocks)
+    assert np.array_equal(entropy_decode_planes([payload], [len(blocks)]), blocks)
 
 
 @given(_sparse_qblocks())
@@ -403,7 +410,7 @@ def test_entropy_decode_keeps_blocks_inside_their_plane():
 def test_entropy_decode_rejects_invalid_dc_code():
     # nine 1 bits are no DC code; read as AC codes, the same bits end a block
     with pytest.raises(CorruptError):
-        entropy_decode_blocks(bytes.fromhex("ffa0af2c28"), 1)
+        entropy_decode_planes([bytes.fromhex("ffa0af2c28")], [1])
 
 
 def test_entropy_decode_empty_plane():
@@ -416,7 +423,7 @@ def test_entropy_decode_rejects_dc_predictor_overflow():
     # each block adds +2047 to the DC predictor (category 11, then EOB), which
     # leaves int32 after 1_049_088 blocks
     with pytest.raises(CorruptError):
-        entropy_decode_blocks(bytes.fromhex("ff7ffa") * 1_050_000, 1_050_000)
+        entropy_decode_planes([bytes.fromhex("ff7ffa") * 1_050_000], [1_050_000])
 
 
 def test_entropy_encoder_rejects_oversized_categories():
@@ -445,11 +452,11 @@ def test_zigzag_order_is_a_permutation():
 # plane pipeline
 
 def test_flat_plane_minimal_payload():
-    enc = encode_plane(np.full((16, 16), 0.7), 50)
-    qblocks = entropy_decode_blocks(enc.payload, enc.nblocks)
+    (enc,) = PlaneStack.of(np.full((1, 16, 16), 0.7)).encode(50)
+    qblocks = entropy_decode_planes([enc.payload], [enc.nblocks])
     assert np.all(qblocks.reshape(4, 64)[:, 1:] == 0)  # every AC is zero
     assert len(enc.payload) <= 8
-    dec = decode_plane(enc)
+    dec = decode_plane_stack([enc])[0]
     dc_step = float(quality_to_table(50)[0, 0])
     assert np.abs(dec - 0.7).max() <= enc.norm.scale * dc_step / 16.0
 
@@ -457,7 +464,7 @@ def test_flat_plane_minimal_payload():
 def test_nonmultiple_dimensions_roundtrip():
     rng = np.random.default_rng(44)
     plane = rng.uniform(0, 1, (13, 17))
-    dec = decode_plane(encode_plane(plane, 50))
+    dec = decode_plane_stack(PlaneStack.of(plane[None]).encode(50))[0]
     assert dec.shape == (13, 17)
     assert np.all(np.isfinite(dec))
 
@@ -465,9 +472,9 @@ def test_nonmultiple_dimensions_roundtrip():
 def test_ramp_block_matches_hand_pipeline(dct_tensor):
     # values span exactly [0, 255] so normalization is the identity map
     plane = (np.arange(64, dtype=np.float64).reshape(8, 8) * 255.0) / 63.0
-    enc = encode_plane(plane, 50)
+    (enc,) = PlaneStack.of(plane[None]).encode(50)
     assert enc.norm.offset == 0.0 and enc.norm.scale == 1.0
-    got = entropy_decode_blocks(enc.payload, 1)[0]
+    got = entropy_decode_planes([enc.payload], [1])[0]
     coeffs = naive_dct(plane - 128.0, dct_tensor)
     table = quality_to_table(50)
     expected = np.sign(coeffs) * np.floor(np.abs(coeffs) / table + 0.5)
@@ -477,7 +484,7 @@ def test_ramp_block_matches_hand_pipeline(dct_tensor):
 def test_high_quality_psnr_on_smooth_plane():
     cube = synthesize_cube(64, 64, 31, "random-smooth", seed=11)
     plane = cube.samples[15].astype(np.float64)
-    dec = decode_plane(encode_plane(plane, 100))
+    dec = decode_plane_stack(PlaneStack.of(plane[None]).encode(100))[0]
     mse = float(np.mean((dec - plane) ** 2))
     value_range = float(plane.max() - plane.min())
     psnr = 10.0 * np.log10(value_range ** 2 / mse)
@@ -486,15 +493,16 @@ def test_high_quality_psnr_on_smooth_plane():
 
 def test_payload_monotone_in_quality():
     rng = np.random.default_rng(45)
-    plane = rng.uniform(0, 1, (24, 24))
-    sizes = [len(encode_plane(plane, q).payload) for q in (10, 30, 50, 70, 90)]
+    stack = PlaneStack.of(rng.uniform(0, 1, (1, 24, 24)))
+    sizes = [len(stack.encode(q)[0].payload) for q in (10, 30, 50, 70, 90)]
     assert all(a <= b for a, b in zip(sizes, sizes[1:]))
 
 
 def test_distortion_monotone_in_quality():
     rng = np.random.default_rng(46)
-    plane = rng.uniform(0, 1, (24, 24))
-    mses = [float(np.mean((decode_plane(encode_plane(plane, q)) - plane) ** 2))
+    planes = rng.uniform(0, 1, (1, 24, 24))
+    stack = PlaneStack.of(planes)
+    mses = [float(np.mean((decode_plane_stack(stack.encode(q)) - planes) ** 2))
             for q in (10, 30, 50, 70, 90)]
     for better, worse in zip(mses[1:], mses[:-1]):
         assert better <= worse + 1e-12
@@ -504,18 +512,18 @@ def test_padding_equivalence():
     rng = np.random.default_rng(47)
     plane = rng.uniform(0, 1, (13, 17))
     padded = np.pad(plane, ((0, 3), (0, 7)), mode="edge")
-    direct = decode_plane(encode_plane(plane, 60))
-    via_padded = decode_plane(encode_plane(padded, 60))[:13, :17]
+    direct = decode_plane_stack(PlaneStack.of(plane[None]).encode(60))[0]
+    via_padded = decode_plane_stack(PlaneStack.of(padded[None]).encode(60))[0, :13, :17]
     assert np.array_equal(direct, via_padded)
 
 
 def test_encode_validation():
     with pytest.raises(ValidationError):
-        encode_plane(np.array([[np.inf, 0.0]]), 50)
+        PlaneStack.of(np.array([[[np.inf, 0.0]]]))
     with pytest.raises(ValidationError):
-        encode_plane(np.zeros((0, 4)), 50)
+        PlaneStack.of(np.zeros((1, 0, 4)))
     with pytest.raises(ArgumentError):
-        encode_plane(np.zeros((4, 4)), 0)
+        PlaneStack.of(np.zeros((1, 4, 4))).encode(0)
 
 
 _ODD_SIDE = st.integers(1, 30).filter(lambda side: side % 8)
@@ -544,7 +552,7 @@ def _stack_qblocks(stack, quality):
 
 @settings(max_examples=60)
 @given(_plane_stacks(), st.integers(1, 100), st.integers(1, 40))
-def test_stacked_emit_matches_reference_plane_by_plane(planes, quality, slab_blocks):
+def test_stacked_emit_matches_reference_plane_by_plane(dct_tensor, planes, quality, slab_blocks):
     # slabs of 1-40 blocks split the stack at every plane boundary or none
     with mock.patch.object(spatial, "_SLAB_BLOCKS", slab_blocks):
         stack = PlaneStack.of(planes)
@@ -555,19 +563,15 @@ def test_stacked_emit_matches_reference_plane_by_plane(planes, quality, slab_blo
     for plane, norm in zip(planes, stack.norms):
         assert norm.offset == plane.min()
     # the transform: per-block DCT of the normalized, edge-padded, level-shifted plane
-    for i, norm in enumerate(stack.norms):
-        padded = np.pad((planes[i] - norm.offset) / norm.scale,
-                        ((0, -height % 8), (0, -width % 8)), mode="edge") - 128.0
-        blocks = padded.reshape(padded.shape[0] // 8, 8, -1, 8).swapaxes(1, 2).reshape(-1, 8, 8)
-        expected = np.array([dct8_forward(b).ravel()[ZIGZAG_ORDER] for b in blocks])
-        got = stack.coeffs[i * stack.nblocks:(i + 1) * stack.nblocks]
-        assert np.allclose(got, expected, rtol=0.0, atol=1e-9)
+    expected = [naive_dct(block, dct_tensor).ravel()[ZIGZAG_ORDER]
+                for block in _normalized_blocks(planes, stack)]
+    assert np.allclose(stack.coeffs, expected, rtol=0.0, atol=1e-9)
     # the entropy stage, plane by plane
     for i, (plane, qblocks) in enumerate(zip(encoded, _stack_qblocks(stack, quality))):
         assert (plane.width, plane.height, plane.quality) == (width, height, quality)
         assert plane.payload == reference_huffman_encode(qblocks)
         assert counted[i] == len(plane.payload)
-        assert plane == encode_plane(planes[i], quality)
+        assert plane == PlaneStack.of(planes[i][None]).encode(quality)[0]
 
 
 def _stack_for_reuse():
@@ -617,7 +621,7 @@ def test_plane_stack_validation():
 
 def test_plane_record_serialization_roundtrip():
     rng = np.random.default_rng(48)
-    enc = encode_plane(rng.uniform(0, 1, (9, 21)), 35)
+    (enc,) = PlaneStack.of(rng.uniform(0, 1, (1, 9, 21))).encode(35)
     blob = enc.to_bytes()
     back, offset = EncodedPlane.from_bytes(blob)
     assert offset == len(blob)
