@@ -83,8 +83,7 @@ def _cmd_compress(args) -> int:
         stream, report = compress_with_report(cube, args.method, args.p, rate=rate)
     blob = serialize_stream(stream)
     Path(args.outfile).write_bytes(blob)
-    cr = cube.scub_size / len(blob)
-    print(f"achieved_cr={cr:.6g} quality={report.quality} "
+    print(f"achieved_cr={report.achieved_cr:.6g} quality={report.quality} "
           f"in_window={report.in_window} bytes={len(blob)}")
     return EXIT_OK
 

@@ -4,7 +4,13 @@ Stream layout (little-endian):
 
     magic "SCMP" | version u8=1 | method u8 (1=PCA, 2=CSI) | p u16 | n u16 |
     w u32 | h u32 | quality u8 | wavelengths f32 x N |
-    side-info block | p x EncodedPlane records
+    side-info block | p x (u32 w | u32 h | u8 q | f64 offset | f64 scale |
+                           u32 n | payload)
+
+Each plane record repeats the header's w, h and q, then holds its
+:class:`~cubecodec.spatial.PlaneNorm` and n payload bytes.
+:class:`CompressedStream` states each fact once: p and N are its plane and
+wavelength counts.
 
 Each spectral method is defined once, as an entry of :data:`SPECTRAL_METHODS`
 (tag, side-info type, reduce, expand, side-info size, writer and reader).
@@ -66,8 +72,8 @@ from .reduction import (
     pca_inverse,
 )
 from .spatial import (
-    PLANE_HEADER_NBYTES,
     EncodedPlane,
+    PlaneNorm,
     PlaneStack,
     decode_plane_stack,
     quality_to_table,
@@ -77,6 +83,7 @@ SCMP_MAGIC = b"SCMP"
 SCMP_VERSION = 1
 
 _HEADER = struct.Struct("<4sBBHHIIB")
+_PLANE_HEADER = struct.Struct("<IIBddI")
 
 @dataclass(frozen=True)
 class SpectralMethod:
@@ -199,37 +206,68 @@ class RateReport:
     times: StageTimes
 
 
+def _check_int(name: str, value, lo: int, hi: int):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not lo <= value <= hi:
+        raise ValidationError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+
+
 @dataclass(eq=False)
 class CompressedStream:
+    """An SCMP stream as values; built only if :func:`serialize_stream` can write it
+    and :func:`parse_stream` reads the bytes back to an equal stream."""
+
     method: str  # a key of SPECTRAL_METHODS
-    p: int
     side: PcaSideInfo | CsiSideInfo
     wavelengths: np.ndarray  # (N,) float32
     quality: int
     planes: list[EncodedPlane]
     width: int
     height: int
-    bands: int
 
     def __post_init__(self):
         if self.method not in SPECTRAL_METHODS:
             raise ValidationError(f"unknown method {self.method!r}")
-        if len(self.planes) != self.p:
-            raise ValidationError(f"{len(self.planes)} plane records for p={self.p}")
-        if not isinstance(self.side, SPECTRAL_METHODS[self.method].side_type):
-            raise ValidationError(f"side info type does not match method {self.method!r}")
+        spec = SPECTRAL_METHODS[self.method]
+        if not 1 <= len(self.planes) <= 0xFFFF:
+            raise ValidationError(f"planes must hold 1 to 65535 plane records, got {len(self.planes)}")
+        _check_int("quality", self.quality, 1, 100)
+        _check_int("width", self.width, 1, 2 ** 32 - 1)
+        _check_int("height", self.height, 1, 2 ** 32 - 1)
         self.wavelengths = np.ascontiguousarray(self.wavelengths, dtype=np.float32)
-        if self.wavelengths.shape != (self.bands,):
-            raise ValidationError("wavelength count disagrees with bands")
+        if self.wavelengths.ndim != 1 or not 1 <= len(self.wavelengths) <= 0xFFFF:
+            raise ValidationError(f"wavelengths has shape {self.wavelengths.shape}, not (1..65535,)")
+        if not np.all(np.isfinite(self.wavelengths)):
+            raise ValidationError("wavelengths contain non-finite values")
+        if not np.all(np.diff(self.wavelengths) > 0):
+            raise ValidationError("wavelengths not strictly increasing")
+        if not isinstance(self.side, spec.side_type):
+            raise ValidationError(f"side info type does not match method {self.method!r}")
+        if self.side.p != self.p:
+            raise ValidationError(f"side info for p={self.side.p} beside {self.p} plane records")
+        # keep the side info as the decoder reads it (PCA: rounded to f32)
+        side = spec.write_side(self.side)
+        if len(side) != spec.side_nbytes(self.bands, self.p):
+            raise ValidationError(f"side info does not fit {self.bands} bands")
+        try:
+            self.side = spec.read_side(side, self.bands, self.p)
+        except CorruptError as exc:  # e.g. a fit beyond float32, or knots past the bands
+            raise ValidationError(str(exc)) from None
+
+    @property
+    def p(self) -> int:
+        return len(self.planes)
+
+    @property
+    def bands(self) -> int:
+        return len(self.wavelengths)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CompressedStream):
             return NotImplemented
         return (
             self.method == other.method
-            and self.p == other.p
             and self.quality == other.quality
-            and (self.width, self.height, self.bands) == (other.width, other.height, other.bands)
+            and (self.width, self.height) == (other.width, other.height)
             and np.array_equal(self.wavelengths, other.wavelengths)
             and self.side == other.side
             and self.planes == other.planes
@@ -242,7 +280,7 @@ def stream_nbytes(method: str, p: int, bands: int, payload_nbytes: int) -> int:
     Equals ``len(serialize_stream(stream))`` without building the bytes.
     """
     side = SPECTRAL_METHODS[method].side_nbytes(bands, p)
-    return _HEADER.size + 4 * bands + side + p * PLANE_HEADER_NBYTES + payload_nbytes
+    return _HEADER.size + 4 * bands + side + p * _PLANE_HEADER.size + payload_nbytes
 
 
 def serialize_stream(stream: CompressedStream) -> bytes:
@@ -255,7 +293,9 @@ def serialize_stream(stream: CompressedStream) -> bytes:
     out += np.ascontiguousarray(stream.wavelengths, dtype="<f4").tobytes()
     out += SPECTRAL_METHODS[stream.method].write_side(stream.side)
     for plane in stream.planes:
-        out += plane.to_bytes()
+        out += _PLANE_HEADER.pack(stream.width, stream.height, stream.quality,
+                                  plane.norm.offset, plane.norm.scale, len(plane.payload))
+        out += plane.payload
     return bytes(out)
 
 
@@ -280,23 +320,30 @@ def parse_stream(data: bytes) -> CompressedStream:
     if off > len(data):
         raise CorruptError("SCMP truncated before the plane records")
     wavelengths = np.frombuffer(data, dtype="<f4", count=n, offset=_HEADER.size).copy()
-    if not np.all(np.isfinite(wavelengths)):
-        raise CorruptError("wavelengths contain non-finite values")
-    if not np.all(np.diff(wavelengths) > 0):
-        raise CorruptError("wavelengths not strictly increasing")
     side = spec.read_side(data[side_at:off], n, p)
     planes = []
     for i in range(p):
-        plane, off = EncodedPlane.from_bytes(data, off)
-        if (plane.width, plane.height) != (width, height) or plane.quality != quality:
+        if off + _PLANE_HEADER.size > len(data):
+            raise CorruptError("truncated plane record header")
+        w, h, q, norm_offset, norm_scale, count = _PLANE_HEADER.unpack_from(data, off)
+        if (w, h, q) != (width, height, quality):
             raise CorruptError(f"plane record {i} disagrees with stream header")
-        planes.append(plane)
+        off += _PLANE_HEADER.size
+        if off + count > len(data):
+            raise CorruptError("truncated plane payload")
+        try:
+            norm = PlaneNorm(offset=norm_offset, scale=norm_scale)
+        except ValidationError as exc:
+            raise CorruptError(str(exc)) from None
+        planes.append(EncodedPlane(norm=norm, payload=bytes(data[off:off + count])))
+        off += count
     if off != len(data):
         raise CorruptError(f"{len(data) - off} trailing bytes after last plane")
-    return CompressedStream(
-        method=method, p=p, side=side, wavelengths=wavelengths, quality=quality,
-        planes=planes, width=width, height=height, bands=n,
-    )
+    try:
+        return CompressedStream(method=method, side=side, wavelengths=wavelengths,
+                                quality=quality, planes=planes, width=width, height=height)
+    except ValidationError as exc:  # the wavelengths, the one field not checked above
+        raise CorruptError(str(exc)) from None
 
 
 def compression_rate(original: SpectralCube, stream_nbytes: int) -> float:
@@ -394,15 +441,9 @@ def compress_with_report(cube: SpectralCube, method: str, p: int,
     except MemoryError:
         raise SizeLimitError(f"out of memory compressing a {cube.bands} x {cube.width} x "
                              f"{cube.height} cube") from None
-    spec = SPECTRAL_METHODS[method]
-    try:  # keep the side info as the decoder will read it (PCA: rounded to f32)
-        side = spec.read_side(spec.write_side(side), cube.bands, p)
-    except CorruptError as exc:  # a fit the stream cannot hold, e.g. beyond float32
-        raise ValidationError(str(exc)) from None
-    stream = CompressedStream(
-        method=method, p=p, side=side, wavelengths=cube.wavelengths, quality=quality,
-        planes=encoded, width=cube.width, height=cube.height, bands=cube.bands,
-    )
+    stream = CompressedStream(method=method, side=side, wavelengths=cube.wavelengths,
+                              quality=quality, planes=encoded, width=cube.width,
+                              height=cube.height)
     cr = compression_rate(cube, overhead + sum(len(plane.payload) for plane in encoded))
     return stream, RateReport(quality=quality, achieved_cr=cr, in_window=in_window, encodes=probes,
                               times=StageTimes(spectral_ms=(t1 - t0) / 1e6,
@@ -426,7 +467,8 @@ def decompress_with_report(stream: CompressedStream) -> tuple[SpectralCube, Stag
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             t0 = time.perf_counter_ns()
-            planes = decode_plane_stack(stream.planes)  # (P, H, W)
+            planes = decode_plane_stack(stream.planes, stream.width, stream.height,
+                                        stream.quality)  # (P, H, W)
             t1 = time.perf_counter_ns()
             cube = spectral_inverse(planes, stream.side, stream.method, stream.wavelengths)
             t2 = time.perf_counter_ns()
@@ -435,8 +477,6 @@ def decompress_with_report(stream: CompressedStream) -> tuple[SpectralCube, Stag
     except MemoryError:
         raise SizeLimitError(f"out of memory decoding a {stream.bands} x {stream.width} x "
                              f"{stream.height} cube") from None
-    if (cube.width, cube.height, cube.bands) != (stream.width, stream.height, stream.bands):
-        raise CorruptError("decoded dimensions disagree with stream header")
     return cube, StageTimes(spectral_ms=(t2 - t1) / 1e6, spatial_ms=(t1 - t0) / 1e6)
 
 

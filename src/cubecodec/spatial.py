@@ -26,16 +26,11 @@ tables, each level one uint32 array packing a symbol chain's end and its
 k-step, then steps all blocks of all planes at once, one symbol each per
 step.
 
-The bitstream is MSB-first and zero-padded to a whole byte.  A plane record
-serializes as:
-
-    u32 width | u32 height | u8 quality | f64 norm.offset | f64 norm.scale |
-    u32 payload-byte-count | Huffman bitstream
+The bitstream is MSB-first and zero-padded to a whole byte.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -537,48 +532,12 @@ class PlaneNorm:
             raise ValidationError(f"bad normalization offset={self.offset} scale={self.scale}")
 
 
-_PLANE_HEADER = struct.Struct("<IIBddI")
-PLANE_HEADER_NBYTES = _PLANE_HEADER.size
-
-
 @dataclass(frozen=True)
 class EncodedPlane:
-    """One entropy-coded plane plus everything needed to decode it."""
+    """One entropy-coded plane: its normalization and Huffman bitstream."""
 
     norm: PlaneNorm
-    quality: int
-    width: int
-    height: int
     payload: bytes
-
-    @property
-    def nblocks(self) -> int:
-        return ((self.height + 7) // 8) * ((self.width + 7) // 8)
-
-    def to_bytes(self) -> bytes:
-        return _PLANE_HEADER.pack(
-            self.width, self.height, self.quality,
-            self.norm.offset, self.norm.scale, len(self.payload),
-        ) + self.payload
-
-    @classmethod
-    def from_bytes(cls, data: bytes, offset: int = 0) -> tuple["EncodedPlane", int]:
-        """Parse one self-delimiting plane record; returns (plane, next offset)."""
-        if offset + _PLANE_HEADER.size > len(data):
-            raise CorruptError("truncated plane record header")
-        width, height, quality, n_off, n_scale, count = _PLANE_HEADER.unpack_from(data, offset)
-        if min(width, height) < 1 or not 1 <= quality <= 100:
-            raise CorruptError(f"bad plane record fields w={width} h={height} q={quality}")
-        start = offset + _PLANE_HEADER.size
-        if start + count > len(data):
-            raise CorruptError("truncated plane payload")
-        try:
-            norm = PlaneNorm(offset=n_off, scale=n_scale)
-        except ValidationError as exc:
-            raise CorruptError(str(exc)) from None
-        plane = cls(norm=norm, quality=quality, width=width, height=height,
-                    payload=bytes(data[start:start + count]))
-        return plane, start + count
 
 
 @dataclass(eq=False)
@@ -591,8 +550,6 @@ class PlaneStack:
     """
 
     norms: tuple[PlaneNorm, ...]
-    width: int
-    height: int
     coeffs: np.ndarray  # (P * nblocks, 64), zigzag order
     # (quality, per-slab symbols) of the last count_nbytes
     _probe: tuple | None = field(default=None, init=False, repr=False)
@@ -637,7 +594,7 @@ class PlaneStack:
             # every index is in range: mode="wrap" only skips numpy's bounds check
             out = coeffs[start * rows * cols:(start + len(x)) * rows * cols]
             x.reshape(-1, 64 * cols).take(gather, axis=1, out=out.reshape(-1, cols, 64), mode="wrap")
-        return cls(norms=norms, width=width, height=height, coeffs=coeffs)
+        return cls(norms=norms, coeffs=coeffs)
 
     @property
     def nblocks(self) -> int:
@@ -682,13 +639,14 @@ class PlaneStack:
         for i, (coeffs, magnitude) in enumerate(self._slabs(quality)):
             symbols = kept[i] if kept else self._symbols(coeffs, magnitude)
             payloads += symbols.pack(magnitude[:, 1:].astype(np.int64), coeffs[:, 1:] < 0)
-        return [EncodedPlane(norm=norm, quality=int(quality), width=self.width,
-                             height=self.height, payload=payload)
+        return [EncodedPlane(norm=norm, payload=payload)
                 for norm, payload in zip(self.norms, payloads)]
 
 
-def decode_plane_stack(planes: list[EncodedPlane]) -> np.ndarray:
-    """Decode plane records of one size into a ``(P, H, W)`` float64 array (no clamping).
+def decode_plane_stack(planes: list[EncodedPlane], width: int, height: int,
+                       quality: int) -> np.ndarray:
+    """Decode ``width`` x ``height`` planes coded at ``quality`` into a ``(P, H, W)``
+    float64 array (no clamping).
 
     Entropy decodes every plane in one :func:`entropy_decode_planes` call,
     then dequantizes and inverse transforms all blocks in one batched matmul
@@ -697,14 +655,11 @@ def decode_plane_stack(planes: list[EncodedPlane]) -> np.ndarray:
     planes = list(planes)
     if not planes:
         raise ArgumentError("no plane records to decode")
-    width, height = planes[0].width, planes[0].height
-    if any((p.width, p.height) != (width, height) for p in planes):
-        raise ArgumentError("plane records differ in size")
-    nblocks = planes[0].nblocks
+    nblocks = ((height + 7) // 8) * ((width + 7) // 8)
     qblocks = entropy_decode_planes([p.payload for p in planes], [nblocks] * len(planes))
     coeffs = qblocks.reshape(len(planes), nblocks, 8, 8).astype(np.float64)
     del qblocks
-    coeffs *= np.stack([quality_to_table(p.quality) for p in planes])[:, None]
+    coeffs *= quality_to_table(quality)
     half = _DCT.T @ coeffs
     del coeffs
     h8 = ((height + 7) // 8) * 8

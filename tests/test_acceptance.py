@@ -261,7 +261,8 @@ def test_criterion_6_invariant_suites():
     encoded = [stack.encode(q)[0] for q in (10, 30, 50, 70, 90)]
     sizes = [len(enc.payload) for enc in encoded]
     assert all(a <= b for a, b in zip(sizes, sizes[1:]))
-    mses = [float(np.mean((decode_plane_stack([enc])[0] - plane) ** 2)) for enc in encoded]
+    mses = [float(np.mean((decode_plane_stack([enc], 24, 24, q)[0] - plane) ** 2))
+            for q, enc in zip((10, 30, 50, 70, 90), encoded)]
     for better, worse in zip(mses[1:], mses[:-1]):
         assert better <= worse + 1e-12
 

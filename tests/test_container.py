@@ -1,11 +1,14 @@
 """End-to-end codec tests: stream format, rate control, reconstruction."""
 
+import dataclasses
+import functools
 import struct
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubecodec import container
 from cubecodec.colorimetry import cube_delta_e
@@ -78,9 +81,9 @@ def test_side_info_accounting():
     pca_stream = compress(cube, "pca", p, quality=50)
     csi_stream = compress(cube, "csi", p, quality=50)
     shared = CompressedStream(
-        method="csi", p=p, side=csi_stream.side, wavelengths=cube.wavelengths,
+        method="csi", side=csi_stream.side, wavelengths=cube.wavelengths,
         quality=50, planes=pca_stream.planes, width=cube.width,
-        height=cube.height, bands=n,
+        height=cube.height,
     )
     gap = len(serialize_stream(pca_stream)) - len(serialize_stream(shared))
     pca_side = SPECTRAL_METHODS["pca"].side_nbytes(n, p)
@@ -97,9 +100,9 @@ def test_side_info_type_must_match_method():
     for stream, other in ((pca_stream, csi_stream), (csi_stream, pca_stream)):
         with pytest.raises(ValidationError):
             CompressedStream(
-                method=stream.method, p=4, side=other.side, wavelengths=cube.wavelengths,
+                method=stream.method, side=other.side, wavelengths=cube.wavelengths,
                 quality=50, planes=stream.planes, width=cube.width,
-                height=cube.height, bands=cube.bands,
+                height=cube.height,
             )
 
 
@@ -157,6 +160,76 @@ def test_truncation_never_crashes_anywhere():
     for cut in range(len(blob)):
         with pytest.raises((CorruptError, FormatError)):
             parse_stream(blob[:cut])
+
+
+def test_plane_record_damage_is_corrupt():
+    cube = random_cube(48, width=21, height=9, bands=4)
+    stream = compress(cube, "csi", 3, quality=35)
+    blob = serialize_stream(stream)
+    assert stream.planes[-1].payload
+    first = stream_nbytes("csi", 3, 4, 0) - 3 * container._PLANE_HEADER.size
+    second = first + container._PLANE_HEADER.size + len(stream.planes[0].payload)
+    with pytest.raises(CorruptError, match="truncated plane record header"):
+        parse_stream(blob[:first + 10])
+    with pytest.raises(CorruptError, match="truncated plane payload"):
+        parse_stream(blob[:-1])
+    forged = bytearray(blob)
+    forged[second + 8] = 36  # the second record's quality byte
+    with pytest.raises(CorruptError, match="plane record 1 disagrees with stream header"):
+        parse_stream(bytes(forged))
+    forged = bytearray(blob)
+    struct.pack_into("<d", forged, first + 17, 0.0)  # the first record's norm scale
+    with pytest.raises(CorruptError, match="bad normalization"):
+        parse_stream(bytes(forged))
+
+
+def test_streams_scmp_cannot_hold_are_rejected_when_built():
+    cube = random_cube(74, width=8, height=8, bands=6)
+    q50 = compress(cube, "pca", 4, quality=50)
+    # planes coded at quality 90 under a quality-50 header are the quality-50
+    # stream the bytes state, and decode as such
+    mixed = dataclasses.replace(q50, planes=compress(cube, "pca", 4, quality=90).planes)
+    assert parse_stream(serialize_stream(mixed)) == mixed
+    assert decompress(mixed) == decompress(parse_stream(serialize_stream(mixed)))
+    for changes in ({"side": compress(cube, "pca", 3, quality=50).side},
+                    {"quality": 300}, {"quality": 0}, {"quality": 50.5}, {"quality": True},
+                    {"width": 2 ** 32}, {"height": 0},
+                    {"planes": []}, {"planes": q50.planes[:1] * 65536},
+                    {"wavelengths": np.arange(1, 65537, dtype=np.float32)}):
+        (field, _), = changes.items()
+        with pytest.raises(ValidationError, match=field):
+            dataclasses.replace(q50, **changes)
+
+
+@functools.cache
+def _compressed(size, method, p, quality):
+    width, height, bands = size
+    return compress(random_cube(75, width=width, height=height, bands=bands), method, p,
+                    quality=quality)
+
+
+_COMPRESSED = st.builds(_compressed, st.sampled_from([(8, 8, 6), (9, 7, 6), (8, 8, 8)]),
+                        st.sampled_from(["pca", "csi"]), st.integers(2, 4),
+                        st.sampled_from([30, 90]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_COMPRESSED, _COMPRESSED, st.data())
+def test_stream_from_two_compresses_is_rejected_or_round_trips(a, b, data):
+    # each field from either stream: other quality, p, size or method's side
+    parts = {field.name: getattr(data.draw(st.sampled_from([a, b])), field.name)
+             for field in dataclasses.fields(CompressedStream)}
+    try:
+        stream = CompressedStream(**parts)
+    except ValidationError:
+        return
+    blob = serialize_stream(stream)
+    assert parse_stream(blob) == stream
+    assert serialize_stream(parse_stream(blob)) == blob
+    try:
+        decompress(stream)
+    except CodecError:
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +315,7 @@ def test_forged_stream_passes_every_other_check(monkeypatch):
     monkeypatch.setattr("cubecodec.cube.MAX_CUBE_SAMPLES", 2 ** 40)
     stream = parse_stream(forged_scmp(65535, 1024, 1024))
     assert (stream.bands, stream.width, stream.height, stream.p) == (65535, 1024, 1024, 2)
-    assert all(len(plane.payload) * 8 == 6 * plane.nblocks for plane in stream.planes)
+    assert all(len(plane.payload) * 8 == 6 * 128 * 128 for plane in stream.planes)
 
 
 def test_compress_refuses_cubes_above_the_size_cap(monkeypatch):
@@ -259,7 +332,7 @@ def test_compress_refuses_cubes_above_the_size_cap(monkeypatch):
 def test_decode_out_of_memory_raises_size_limit_error(monkeypatch):
     stream = compress(random_cube(72), "pca", 2, quality=50)
 
-    def exhausted(planes):
+    def exhausted(planes, width, height, quality):
         raise MemoryError
 
     monkeypatch.setattr(container, "decode_plane_stack", exhausted)
@@ -391,7 +464,8 @@ def test_every_truncation_and_bit_flip_decodes_or_raises_codec_error(method):
 def test_huge_plane_scale_is_corrupt_before_the_float32_cast(method, scale):
     stream = compress(synthesize_cube(16, 16, 8, "ramp", 0), method, 3, quality=50)
     blob = bytearray(serialize_stream(stream))
-    record = len(blob) - sum(len(plane.to_bytes()) for plane in stream.planes)
+    record = len(blob) - sum(container._PLANE_HEADER.size + len(plane.payload)
+                             for plane in stream.planes)
     struct.pack_into("<d", blob, record + 17, scale)  # after u32 w, u32 h, u8 q, f64 offset
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -11,7 +11,6 @@ from cubecodec.cube import synthesize_cube
 from cubecodec.errors import ArgumentError, CorruptError, ValidationError
 from cubecodec.spatial import (
     BASE_LUMA_QUANT,
-    EncodedPlane,
     PlaneNorm,
     PlaneStack,
     ZIGZAG_ORDER,
@@ -453,10 +452,10 @@ def test_zigzag_order_is_a_permutation():
 
 def test_flat_plane_minimal_payload():
     (enc,) = PlaneStack.of(np.full((1, 16, 16), 0.7)).encode(50)
-    qblocks = entropy_decode_planes([enc.payload], [enc.nblocks])
+    qblocks = entropy_decode_planes([enc.payload], [4])
     assert np.all(qblocks.reshape(4, 64)[:, 1:] == 0)  # every AC is zero
     assert len(enc.payload) <= 8
-    dec = decode_plane_stack([enc])[0]
+    dec = decode_plane_stack([enc], 16, 16, 50)[0]
     dc_step = float(quality_to_table(50)[0, 0])
     assert np.abs(dec - 0.7).max() <= enc.norm.scale * dc_step / 16.0
 
@@ -464,7 +463,7 @@ def test_flat_plane_minimal_payload():
 def test_nonmultiple_dimensions_roundtrip():
     rng = np.random.default_rng(44)
     plane = rng.uniform(0, 1, (13, 17))
-    dec = decode_plane_stack(PlaneStack.of(plane[None]).encode(50))[0]
+    dec = decode_plane_stack(PlaneStack.of(plane[None]).encode(50), 17, 13, 50)[0]
     assert dec.shape == (13, 17)
     assert np.all(np.isfinite(dec))
 
@@ -484,7 +483,7 @@ def test_ramp_block_matches_hand_pipeline(dct_tensor):
 def test_high_quality_psnr_on_smooth_plane():
     cube = synthesize_cube(64, 64, 31, "random-smooth", seed=11)
     plane = cube.samples[15].astype(np.float64)
-    dec = decode_plane_stack(PlaneStack.of(plane[None]).encode(100))[0]
+    dec = decode_plane_stack(PlaneStack.of(plane[None]).encode(100), 64, 64, 100)[0]
     mse = float(np.mean((dec - plane) ** 2))
     value_range = float(plane.max() - plane.min())
     psnr = 10.0 * np.log10(value_range ** 2 / mse)
@@ -502,7 +501,7 @@ def test_distortion_monotone_in_quality():
     rng = np.random.default_rng(46)
     planes = rng.uniform(0, 1, (1, 24, 24))
     stack = PlaneStack.of(planes)
-    mses = [float(np.mean((decode_plane_stack(stack.encode(q)) - planes) ** 2))
+    mses = [float(np.mean((decode_plane_stack(stack.encode(q), 24, 24, q) - planes) ** 2))
             for q in (10, 30, 50, 70, 90)]
     for better, worse in zip(mses[1:], mses[:-1]):
         assert better <= worse + 1e-12
@@ -512,8 +511,8 @@ def test_padding_equivalence():
     rng = np.random.default_rng(47)
     plane = rng.uniform(0, 1, (13, 17))
     padded = np.pad(plane, ((0, 3), (0, 7)), mode="edge")
-    direct = decode_plane_stack(PlaneStack.of(plane[None]).encode(60))[0]
-    via_padded = decode_plane_stack(PlaneStack.of(padded[None]).encode(60))[0, :13, :17]
+    direct = decode_plane_stack(PlaneStack.of(plane[None]).encode(60), 17, 13, 60)[0]
+    via_padded = decode_plane_stack(PlaneStack.of(padded[None]).encode(60), 24, 16, 60)[0, :13, :17]
     assert np.array_equal(direct, via_padded)
 
 
@@ -558,7 +557,7 @@ def test_stacked_emit_matches_reference_plane_by_plane(dct_tensor, planes, quali
         stack = PlaneStack.of(planes)
         encoded = stack.encode(quality)
         counted = stack.count_nbytes(quality)
-    count, height, width = planes.shape
+    count = len(planes)
     assert len(encoded) == len(counted) == count
     for plane, norm in zip(planes, stack.norms):
         assert norm.offset == plane.min()
@@ -568,7 +567,7 @@ def test_stacked_emit_matches_reference_plane_by_plane(dct_tensor, planes, quali
     assert np.allclose(stack.coeffs, expected, rtol=0.0, atol=1e-9)
     # the entropy stage, plane by plane
     for i, (plane, qblocks) in enumerate(zip(encoded, _stack_qblocks(stack, quality))):
-        assert (plane.width, plane.height, plane.quality) == (width, height, quality)
+        assert plane.norm == stack.norms[i]
         assert plane.payload == reference_huffman_encode(qblocks)
         assert counted[i] == len(plane.payload)
         assert plane == PlaneStack.of(planes[i][None]).encode(quality)[0]
@@ -617,19 +616,6 @@ def test_plane_stack_validation():
         PlaneStack.of(np.full((2, 3, 3), np.nan))
     with pytest.raises(ArgumentError):
         PlaneStack.of(np.zeros((2, 3, 3))).count_nbytes(True)
-
-
-def test_plane_record_serialization_roundtrip():
-    rng = np.random.default_rng(48)
-    (enc,) = PlaneStack.of(rng.uniform(0, 1, (1, 9, 21))).encode(35)
-    blob = enc.to_bytes()
-    back, offset = EncodedPlane.from_bytes(blob)
-    assert offset == len(blob)
-    assert back == enc
-    with pytest.raises(CorruptError):
-        EncodedPlane.from_bytes(blob[:-1])
-    with pytest.raises(CorruptError):
-        EncodedPlane.from_bytes(blob[:10])
 
 
 def test_plane_norm_validation():
