@@ -2,15 +2,7 @@
 a baseline-JPEG-style spatial coder, and a colorimetric benchmark harness."""
 
 from .bench import BenchConfig, EvalReport, default_config, emit_csv, emit_table, run_benchmark
-from .colorimetry import (
-    DeltaEStats,
-    LabColor,
-    XyzColor,
-    ciede2000,
-    cube_delta_e,
-    spectral_to_xyz,
-    xyz_to_lab,
-)
+from .colorimetry import DeltaEStats, cube_delta_e
 from .container import (
     CompressedStream,
     RateTarget,

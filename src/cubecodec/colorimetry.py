@@ -2,11 +2,11 @@
 
 Rendering is fixed: spectra go to CIE XYZ under illuminant D65 with the CIE
 1931 2-degree observer, both tabulated on the 400-700 nm grid at 10 nm
-steps, and Lab is taken against the D65 white.  No function takes another
-observer or illuminant.  The tables are compiled in (`cubecodec
-dump-constants` prints them for audit); the D65-weighted color-matching
-matrix, its Y normalizer and the reference white are computed once, at
-import.  Y is normalized so the perfect reflector scores exactly 100.  Lab
+steps, and Lab is always taken against the D65 white, the perfect reflector
+rendered the same way.  No function takes another observer, illuminant or
+white.  The tables are compiled in (`cubecodec dump-constants` prints them
+for audit); the D65-weighted color-matching matrix, its Y normalizer and the
+reference white are computed once, at import.  Y is normalized so the perfect reflector scores exactly 100.  Lab
 conversion uses the standard cube-root/linear branch, and the color
 difference implements the full CIEDE2000 formula with unit weighting
 factors, including the hue-angle special cases.
@@ -74,20 +74,6 @@ _D65_POWER = np.array([
 
 
 @dataclass(frozen=True)
-class XyzColor:
-    X: float
-    Y: float
-    Z: float
-
-
-@dataclass(frozen=True)
-class LabColor:
-    L: float
-    a: float
-    b: float
-
-
-@dataclass(frozen=True)
 class DeltaEStats:
     """Per-image CIEDE2000 statistics between two cubes."""
 
@@ -141,17 +127,10 @@ def spectra_to_xyz(spectra: np.ndarray, wavelengths) -> np.ndarray:
     return xyz.T.reshape(spectra.shape[:-1] + (3,))
 
 
-def spectral_to_xyz(spectrum, wavelengths) -> XyzColor:
-    """Render one reflectance spectrum; the perfect reflector gives Y = 100 exactly."""
-    s = np.asarray(spectrum, dtype=np.float64)
-    if s.ndim != 1:
-        raise ArgumentError("spectral_to_xyz expects a single spectrum")
-    xyz = spectra_to_xyz(s[None, :], wavelengths)[0]
-    return XyzColor(X=float(xyz[0]), Y=float(xyz[1]), Z=float(xyz[2]))
-
-
-#: the reference white of every Lab conversion: the perfect reflector under D65
-_WHITE = spectral_to_xyz(np.ones(_WAVELENGTHS.shape[0]), _WAVELENGTHS)
+#: (3,) XYZ of the reference white of every Lab conversion: the perfect
+#: reflector under D65 (Y = 100 exactly), rendered as one spectrum: a product
+#: over more columns can round the last bits differently
+_WHITE = spectra_to_xyz(np.ones((1, _WAVELENGTHS.shape[0])), _WAVELENGTHS)[0]
 
 
 _LAB_DELTA3 = (6.0 / 29.0) ** 3
@@ -169,26 +148,19 @@ def _planes(values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(values, -1, 0).reshape(3, -1))
 
 
-def xyz_array_to_lab(xyz: np.ndarray, white: XyzColor) -> np.ndarray:
-    """(..., 3) XYZ -> (..., 3) Lab under the given reference white.
+def xyz_array_to_lab(xyz: np.ndarray) -> np.ndarray:
+    """(..., 3) XYZ -> (..., 3) Lab against the D65 white :data:`_WHITE`.
 
     Each channel is worked on as one contiguous plane; the result is a
     (..., 3) view of the (3, ...) L/a/b planes.
     """
-    if not (white.X > 0 and white.Y > 0 and white.Z > 0):
-        raise ArgumentError("reference white must have positive components")
     xyz = np.asarray(xyz, dtype=np.float64)
     x, y, z = _planes(xyz)
-    fx = _lab_f(x / white.X)
-    fy = _lab_f(y / white.Y)
-    fz = _lab_f(z / white.Z)
+    fx = _lab_f(x / _WHITE[0])
+    fy = _lab_f(y / _WHITE[1])
+    fz = _lab_f(z / _WHITE[2])
     lab = np.stack([116.0 * fy - 16.0, 500.0 * (fx - fy), 200.0 * (fy - fz)])
     return np.moveaxis(lab.reshape((3,) + xyz.shape[:-1]), 0, -1)
-
-
-def xyz_to_lab(xyz: XyzColor, white: XyzColor) -> LabColor:
-    lab = xyz_array_to_lab(np.array([xyz.X, xyz.Y, xyz.Z]), white)
-    return LabColor(L=float(lab[0]), a=float(lab[1]), b=float(lab[2]))
 
 
 _POW25_7 = 25.0 ** 7
@@ -197,7 +169,8 @@ _POW25_7 = 25.0 ** 7
 def ciede2000_array(lab1: np.ndarray, lab2: np.ndarray) -> np.ndarray:
     """CIEDE2000 on (..., 3) Lab arrays with kL = kC = kH = 1.
 
-    The formula runs on contiguous 1-D L/a/b planes.
+    The formula runs on contiguous 1-D L/a/b planes.  Nothing is checked
+    for finiteness: a non-finite Lab component gives NaN for its pair.
     """
     lab1, lab2 = np.broadcast_arrays(np.asarray(lab1, dtype=np.float64),
                                      np.asarray(lab2, dtype=np.float64))
@@ -256,14 +229,6 @@ def ciede2000_array(lab1: np.ndarray, lab2: np.ndarray) -> np.ndarray:
     return np.sqrt(x * x + y * y + z * z + rt * y * z).reshape(lab1.shape[:-1])
 
 
-def ciede2000(a: LabColor, b: LabColor) -> float:
-    """CIEDE2000 between two Lab colors."""
-    for c in (a, b):
-        if not all(np.isfinite(v) for v in (c.L, c.a, c.b)):
-            raise ArgumentError("Lab components must be finite")
-    return float(ciede2000_array(np.array([a.L, a.a, a.b]), np.array([b.L, b.a, b.b])))
-
-
 #: the most pixels scored per step of :func:`cube_delta_e`: the band-major
 #: samples are walked in column chunks of at most this width, so each step's
 #: float64 spectra (N x 8192, 2 MB at N = 31) and its planes stay small.  The
@@ -294,8 +259,8 @@ def cube_delta_e(original: SpectralCube, reconstructed: SpectralCube) -> DeltaES
     try:
         de = np.empty(npix)
         for lo, hi in zip(edges, edges[1:]):
-            lab_a = xyz_array_to_lab(spectra_to_xyz(bands_a[:, lo:hi].T, wl), _WHITE)
-            lab_b = xyz_array_to_lab(spectra_to_xyz(bands_b[:, lo:hi].T, wl), _WHITE)
+            lab_a = xyz_array_to_lab(spectra_to_xyz(bands_a[:, lo:hi].T, wl))
+            lab_b = xyz_array_to_lab(spectra_to_xyz(bands_b[:, lo:hi].T, wl))
             de[lo:hi] = ciede2000_array(lab_a, lab_b)
     except MemoryError:
         raise SizeLimitError(f"out of memory scoring a {original.bands} x {original.width} x "

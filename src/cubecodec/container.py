@@ -356,16 +356,6 @@ def compression_rate(original: SpectralCube, stream_nbytes: int) -> float:
 # ---------------------------------------------------------------------------
 # pipeline stages
 
-def spectral_forward(cube: SpectralCube, method: str, p: int):
-    """Run the chosen reducer; returns ((P, H, W) float64 planes, side info)."""
-    return spectral_method(method).reduce(cube, p)
-
-
-def spectral_inverse(planes: np.ndarray, side, method: str, wavelengths) -> SpectralCube:
-    """Invert the reducer back to a full cube."""
-    return spectral_method(method).expand(planes, side, wavelengths)
-
-
 def _search_quality(cube: SpectralCube, rate: RateTarget, overhead: int,
                     stack: PlaneStack) -> tuple[int, bool, int]:
     """Binary-search the plane quality for ``rate``; returns (quality, in window, probes)."""
@@ -427,7 +417,7 @@ def compress_with_report(cube: SpectralCube, method: str, p: int,
     check_cube_size(cube.bands, cube.width, cube.height)
     try:
         t0 = time.perf_counter_ns()
-        planes, side = spectral_forward(cube, method, p)
+        planes, side = spectral_method(method).reduce(cube, p)
         t1 = time.perf_counter_ns()
         stack = PlaneStack.of(planes)
         del planes  # free the planes: the stack carries all the search and the emit need
@@ -470,7 +460,7 @@ def decompress_with_report(stream: CompressedStream) -> tuple[SpectralCube, Stag
             planes = decode_plane_stack(stream.planes, stream.width, stream.height,
                                         stream.quality)  # (P, H, W)
             t1 = time.perf_counter_ns()
-            cube = spectral_inverse(planes, stream.side, stream.method, stream.wavelengths)
+            cube = SPECTRAL_METHODS[stream.method].expand(planes, stream.side, stream.wavelengths)
             t2 = time.perf_counter_ns()
     except ValidationError as exc:
         raise CorruptError(f"decoded values out of range: {exc}") from None

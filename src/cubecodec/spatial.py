@@ -650,8 +650,14 @@ def decode_plane_stack(planes: list[EncodedPlane], width: int, height: int,
 
     Entropy decodes every plane in one :func:`entropy_decode_planes` call,
     then dequantizes and inverse transforms all blocks in one batched matmul
-    that writes straight into the output's padded layout.
+    that writes straight into the output's padded layout.  The size must be
+    integers in 1..2**32 - 1, as SCMP stores them.
     """
+    for name, size in (("width", width), ("height", height)):
+        if (isinstance(size, bool) or not isinstance(size, (int, np.integer))
+                or not 1 <= size <= 0xFFFFFFFF):
+            raise ArgumentError(f"{name} must be an integer in [1, 4294967295], got {size!r}")
+    width, height = int(width), int(height)
     planes = list(planes)
     if not planes:
         raise ArgumentError("no plane records to decode")

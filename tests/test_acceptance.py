@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from cubecodec.bench import BenchConfig, default_config, run_benchmark
-from cubecodec.colorimetry import LabColor, ciede2000
+from cubecodec.colorimetry import ciede2000_array
 from cubecodec.container import (
     RateTarget,
     compress,
@@ -72,11 +72,10 @@ def corpus_run():
 
 def test_criterion_1_ciede2000_verification_pairs():
     start = time.perf_counter()
-    worst = 0.0
-    for l1, a1, b1, l2, a2, b2, expected in CIEDE2000_PAIRS:
-        got = ciede2000(LabColor(l1, a1, b1), LabColor(l2, a2, b2))
-        worst = max(worst, abs(got - expected))
-        assert abs(got - expected) <= 1e-4
+    pairs = np.array(CIEDE2000_PAIRS)
+    diffs = np.abs(ciede2000_array(pairs[:, 0:3], pairs[:, 3:6]) - pairs[:, 6])
+    worst = float(diffs.max())
+    assert len(diffs) == 34 and worst <= 1e-4
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     _announce(1, "CIEDE2000 34-pair verification", elapsed,

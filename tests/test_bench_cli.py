@@ -281,6 +281,34 @@ def test_cli_synth_compress_decompress_evaluate(tmp_path, capsys):
     assert de_mean < 1.0
 
 
+@pytest.mark.parametrize("bands,method,rate_args,scmp_sha256,evaluate_out", [
+    (31, "pca", ["--target-cr", "8"],
+     "37c2b877bc55583fa8b85074e02b5be9fbb3b389e97642b7f2e4cf4d327e5e81",
+     "de_mean=0.0580209\nde_p95=0.118321\nde_max=0.170009\n"),
+    # 61 bands on the default 5 nm grid: scoring resamples onto the observer grid
+    (61, "csi", ["--quality", "90"],
+     "2aa45f5472759583aa048fa8c64c0ce6cf381a81df686b224e19cbdce990c18c",
+     "de_mean=1.65897\nde_p95=3.82573\nde_max=5.93047\n"),
+])
+def test_cli_stream_and_evaluate_output_are_pinned(tmp_path, capsys, bands, method, rate_args,
+                                                   scmp_sha256, evaluate_out):
+    # the synth -> compress -> decompress -> evaluate runs of CI's packaging
+    # step; CI checks the same SCMP bytes and evaluate output (sha256 bc3c5eb8...
+    # and 8905db2f...) with the installed CLI
+    cube_path, stream_path, recon_path = (tmp_path / name for name in
+                                          ("cube.scub", "cube.scmp", "recon.scub"))
+    assert cli_main(["synth", "--out", str(cube_path), "--width", "16", "--height", "16",
+                     "--bands", str(bands), "--pattern", "random-smooth", "--seed", "7"]) == 0
+    assert cli_main(["compress", "--in", str(cube_path), "--out", str(stream_path),
+                     "--method", method, "--p", "8", *rate_args]) == 0
+    assert cli_main(["decompress", "--in", str(stream_path), "--out", str(recon_path)]) == 0
+    assert hashlib.sha256(stream_path.read_bytes()).hexdigest() == scmp_sha256
+    capsys.readouterr()
+    assert cli_main(["evaluate", "--original", str(cube_path),
+                     "--reconstructed", str(recon_path)]) == 0
+    assert capsys.readouterr().out == evaluate_out
+
+
 def test_cli_quality_override(tmp_path):
     cube_path = tmp_path / "cube.scub"
     write_cube(synthesize_cube(16, 16, 8, "ramp", 0))

@@ -19,13 +19,13 @@ import pytest
 from cubecodec.bench import BUILTIN_CORPUS, _BUILTIN_BUILDERS, make_sweep_cube
 from cubecodec.colorimetry import cube_delta_e
 from cubecodec.container import (
+    SPECTRAL_METHODS,
     RateTarget,
     compress,
     compress_with_report,
     decompress,
     parse_stream,
     serialize_stream,
-    spectral_forward,
 )
 from cubecodec.cube import synthesize_cube
 from cubecodec.spatial import PlaneStack, decode_plane_stack
@@ -260,7 +260,7 @@ def test_entropy_payloads_are_pinned_at_every_quality():
     # stacked coder compress runs; every plane's counted bytes match its payload
     cube = make_sweep_cube(64, 64)
     methods = ("pca", "csi")
-    planes = [spectral_forward(cube, method, 20)[0] for method in methods]
+    planes = [SPECTRAL_METHODS[method].reduce(cube, 20)[0] for method in methods]
     stacks = [PlaneStack.of(reduced) for reduced in planes]
     singles = [[PlaneStack.of(plane[None]) for plane in reduced] for reduced in planes]
     for quality, expected in GOLDEN_PAYLOADS.items():

@@ -468,6 +468,18 @@ def test_nonmultiple_dimensions_roundtrip():
     assert np.all(np.isfinite(dec))
 
 
+@pytest.mark.parametrize("width,height", [
+    (-8, 8), (8.0, 8), (0, 8), (True, 8), (2 ** 32, 8), ("8", 8),
+    (8, True), (8, 0), (8, -1), (8, np.float64(8.0)),
+])
+def test_decode_size_must_be_a_positive_u32(width, height):
+    (enc,) = PlaneStack.of(np.full((1, 8, 8), 0.5)).encode(50)
+    with pytest.raises(ArgumentError, match="must be an integer in"):
+        decode_plane_stack([enc], width, height, 50)
+    # numpy integers in range are sizes too
+    assert decode_plane_stack([enc], np.uint32(8), np.int64(8), 50).shape == (1, 8, 8)
+
+
 def test_ramp_block_matches_hand_pipeline(dct_tensor):
     # values span exactly [0, 255] so normalization is the identity map
     plane = (np.arange(64, dtype=np.float64).reshape(8, 8) * 255.0) / 63.0
