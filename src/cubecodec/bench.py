@@ -35,6 +35,7 @@ from .container import (
 )
 from .cube import (
     SpectralCube,
+    chunks,
     default_wavelengths,
     read_cube,
     smooth_field,
@@ -192,13 +193,15 @@ def make_sweep_cube(width: int, height: int, seed: int = 2105) -> SpectralCube:
     """Textured cube for timing sweeps: smooth spectra plus a narrow feature."""
     rng = np.random.default_rng(seed)
     base = synthesize_cube(width, height, 31, "random-smooth", seed=seed)
-    wl = default_wavelengths(31).astype(np.float64)
     amp = smooth_field(rng, height, width, 0.0, 0.35, cells=4)
-    peak = amp[None] * _gauss(wl, 630.0, 14.0)[:, None, None]
-    values = _finish(0.8 * base.samples.astype(np.float64) + peak, rng)
+    gauss = _gauss(default_wavelengths(31).astype(np.float64), 630.0, 14.0)
+    samples = np.empty(base.samples.shape, dtype=np.float32)
+    # a chunk of bands at a time; the noise is drawn in the same order
+    for lo, hi in chunks(31, width * height, align=1):
+        peak = amp[None] * gauss[lo:hi, None, None]
+        samples[lo:hi] = _finish(0.8 * base.samples[lo:hi].astype(np.float64) + peak, rng)
     return SpectralCube(width=width, height=height, bands=31,
-                        wavelengths=base.wavelengths,
-                        samples=values.astype(np.float32))
+                        wavelengths=base.wavelengths, samples=samples)
 
 
 _BUILTIN_BUILDERS = {

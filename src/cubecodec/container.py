@@ -14,10 +14,14 @@ wavelength counts.
 
 Each spectral method is defined once, as an entry of :data:`SPECTRAL_METHODS`
 (tag, side-info type, reduce, expand, side-info size, writer and reader).
-Reduce returns the P planes as a plain ``(P, H, W)`` float64 array, which
-goes straight to the plane coder; the decoder's ``(P, H, W)`` planes go
-straight to expand, where both methods run one synthesis,
-``matrix @ planes (+ mean)``.
+Reduce returns the P planes as a plain ``(P, H, W)`` array (PCA's float64
+scores, CSI's float32 knot bands), which goes straight to the plane coder.
+The decoder entropy decodes every plane first; expand then takes the planes
+as :class:`~cubecodec.spatial.PlaneBands`, dequantized and inverse
+transformed one band of rows at a time, and both methods run one synthesis,
+``matrix @ planes (+ mean)``, chunk by chunk into the float32 cube.  The
+decoder makes no whole-cube float64 array, so a decode peaks near the size
+of its cube.
 Side info is stored uncompressed: PCA writes the band-mean vector, the N x P
 basis (column-major by component) and the P eigenvalues as f32
 (4N + 4NP + 4P bytes); CSI writes P u16 knot indices (2P bytes).
@@ -60,6 +64,7 @@ from .errors import (
     RateError,
     SizeLimitError,
     ValidationError,
+    check_int,
 )
 from .reduction import (
     CsiSideInfo,
@@ -73,9 +78,9 @@ from .reduction import (
 )
 from .spatial import (
     EncodedPlane,
+    PlaneBands,
     PlaneNorm,
     PlaneStack,
-    decode_plane_stack,
     quality_to_table,
 )
 
@@ -91,8 +96,8 @@ class SpectralMethod:
 
     tag: int  # method byte in the SCMP header
     side_type: type
-    reduce: Callable  # (cube, p) -> ((P, H, W) float64 planes, side info)
-    expand: Callable  # (planes, side info, wavelengths) -> SpectralCube
+    reduce: Callable  # (cube, p) -> ((P, H, W) planes, side info)
+    expand: Callable  # (planes or PlaneBands, side info, wavelengths) -> SpectralCube
     side_nbytes: Callable  # (n, p) -> side-info bytes in the stream
     write_side: Callable  # side info -> bytes
     read_side: Callable  # (bytes, n, p) -> side info; raises CorruptError
@@ -187,8 +192,9 @@ class RateTarget:
 class StageTimes:
     """Wall milliseconds of one compress or decompress, split by stage.
 
-    Spectral: fit + forward on compress, inverse on decompress.  Spatial: plane
-    transform, rate probes and emit on compress, plane decode on decompress.
+    Spectral: fit + forward on compress, the synthesis of every band on
+    decompress.  Spatial: plane transform, rate probes and emit on compress,
+    entropy decode, dequantize and IDCT on decompress.
     """
 
     spectral_ms: float
@@ -204,11 +210,6 @@ class RateReport:
     in_window: bool
     encodes: int
     times: StageTimes
-
-
-def _check_int(name: str, value, lo: int, hi: int):
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not lo <= value <= hi:
-        raise ValidationError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
 
 
 @dataclass(eq=False)
@@ -230,9 +231,9 @@ class CompressedStream:
         spec = SPECTRAL_METHODS[self.method]
         if not 1 <= len(self.planes) <= 0xFFFF:
             raise ValidationError(f"planes must hold 1 to 65535 plane records, got {len(self.planes)}")
-        _check_int("quality", self.quality, 1, 100)
-        _check_int("width", self.width, 1, 2 ** 32 - 1)
-        _check_int("height", self.height, 1, 2 ** 32 - 1)
+        check_int("quality", self.quality, 1, 100, ValidationError)
+        check_int("width", self.width, 1, 2 ** 32 - 1, ValidationError)
+        check_int("height", self.height, 1, 2 ** 32 - 1, ValidationError)
         self.wavelengths = np.ascontiguousarray(self.wavelengths, dtype=np.float32)
         if self.wavelengths.ndim != 1 or not 1 <= len(self.wavelengths) <= 0xFFFF:
             raise ValidationError(f"wavelengths has shape {self.wavelengths.shape}, not (1..65535,)")
@@ -409,9 +410,7 @@ def compress_with_report(cube: SpectralCube, method: str, p: int,
         raise ArgumentError("provide exactly one of rate target or fixed quality")
     if quality is not None:
         quality_to_table(quality)  # raises unless an integer in 1..100
-    if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
-        raise ArgumentError(f"p must be an integer, got {p!r}")
-    p = int(p)
+    p = check_int("p", p, 1, 0xFFFF)
     if cube.bands > 0xFFFF:
         raise ArgumentError(f"SCMP holds at most 65535 bands, cube has {cube.bands}")
     check_cube_size(cube.bands, cube.width, cube.height)
@@ -450,15 +449,17 @@ def compress(cube: SpectralCube, method: str, p: int,
 def decompress_with_report(stream: CompressedStream) -> tuple[SpectralCube, StageTimes]:
     """Decode all planes and invert the spectral reduction; returns (cube, StageTimes).
 
-    A plane norm that scales the planes past float64, or a reconstruction
-    outside float32 (non-finite planes make one), raises :class:`CorruptError`
-    before the cube is cast; running out of memory raises :class:`SizeLimitError`.
+    The planes are entropy decoded first, then dequantized, inverse
+    transformed and synthesized one band of rows at a time: the spectral time
+    is the synthesis's share of that.  A plane norm that scales the planes
+    past float64, or a reconstruction outside float32 (non-finite planes make
+    one), raises :class:`CorruptError` before it is cast; running out of
+    memory raises :class:`SizeLimitError`.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             t0 = time.perf_counter_ns()
-            planes = decode_plane_stack(stream.planes, stream.width, stream.height,
-                                        stream.quality)  # (P, H, W)
+            planes = PlaneBands(stream.planes, stream.width, stream.height, stream.quality)
             t1 = time.perf_counter_ns()
             cube = SPECTRAL_METHODS[stream.method].expand(planes, stream.side, stream.wavelengths)
             t2 = time.perf_counter_ns()
@@ -467,7 +468,8 @@ def decompress_with_report(stream: CompressedStream) -> tuple[SpectralCube, Stag
     except MemoryError:
         raise SizeLimitError(f"out of memory decoding a {stream.bands} x {stream.width} x "
                              f"{stream.height} cube") from None
-    return cube, StageTimes(spectral_ms=(t2 - t1) / 1e6, spatial_ms=(t1 - t0) / 1e6)
+    return cube, StageTimes(spectral_ms=(t2 - t1 - planes.ns) / 1e6,
+                            spatial_ms=(t1 - t0 + planes.ns) / 1e6)
 
 
 def decompress(stream: CompressedStream) -> SpectralCube:

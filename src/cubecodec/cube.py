@@ -36,9 +36,11 @@ PATTERNS = ("flat", "ramp", "gaussian-spectra", "random-smooth")
 
 
 #: the most samples (bands x width x height) a cube may hold to be synthesized
-#: or compressed, or a stream may claim to be parsed.  A decode peaks at about
-#: 13 bytes per sample (float64 reconstruction plus the float32 cube), so this
-#: bounds it near 1.7 GB whatever a header says.  The cap lives here only:
+#: or compressed, or a stream may claim to be parsed.  A decode peaks near 4
+#: bytes per sample, the float32 cube, beside the int32 quantized blocks of its
+#: planes and chunks of about 1 MiB (34.8 MiB for a 31.25 MiB, 2000-band cube
+#: with 20 planes), so this bounds it near 0.5 GB, or twice that when every
+#: band is a plane, whatever a header says.  The cap lives here only:
 #: every check reads it through :func:`check_cube_size` at call time.
 MAX_CUBE_SAMPLES = 1 << 27
 
@@ -49,6 +51,34 @@ def check_cube_size(bands: int, width: int, height: int) -> None:
     if samples > MAX_CUBE_SAMPLES:
         raise SizeLimitError(f"{bands} x {width} x {height} = {samples} samples exceeds "
                              f"MAX_CUBE_SAMPLES = {MAX_CUBE_SAMPLES}")
+
+
+#: about how many samples one chunk of a large temporary holds (1 MiB of float64)
+CHUNK_SAMPLES = 1 << 17
+
+
+def chunks(count: int, item_samples: int, align: int = 16) -> list[tuple[int, int]]:
+    """``(lo, hi)`` spans splitting ``range(count)`` into chunks of about
+    :data:`CHUNK_SAMPLES` samples at ``item_samples`` per item.
+
+    Every edge but the last is a multiple of ``align``, and the last chunk
+    takes what is left, so none is narrower than the others.  Over pixels
+    (``align`` 16), a BLAS product over a chunk then rounds every pixel as
+    the product over all of them does: its kernel's register blocks (8 wide
+    in OpenBLAS's Haswell DGEMM) fall on the same pixels, and no chunk is one
+    column wide, which numpy would run through the matrix-vector kernel
+    (Goto & van de Geijn, ACM TOMS 34(3), 2008).
+    """
+    width = max(align, CHUNK_SAMPLES // max(item_samples, 1) // align * align)
+    edges = [*range(0, max(count - width, 0) + 1, width), count]
+    return list(zip(edges, edges[1:]))
+
+
+def check_float32_range(values: np.ndarray) -> None:
+    """Raise :class:`ValidationError` unless every value is finite and within
+    float32: two reductions and no temporary, as a NaN makes both bounds NaN."""
+    if values.size and not (-_F32_MAX <= values.min() and values.max() <= _F32_MAX):
+        raise ValidationError("samples are non-finite or outside the float32 range")
 
 
 def scub_nbytes(width: int, height: int, bands: int) -> int:
@@ -81,17 +111,13 @@ class SpectralCube:
         if self.bands > 1 and not np.all(np.diff(wl) > 0):
             raise ValidationError("wavelengths must be strictly increasing")
         s = np.asarray(self.samples)
-        if s.dtype != np.float32 and s.size and not (-_F32_MAX <= s.min() and s.max() <= _F32_MAX):
-            # checked before the cast, which would turn such values into inf
-            raise ValidationError("samples are non-finite or outside the float32 range")
+        check_float32_range(s)  # before the cast, which would turn such values into inf
         s = np.ascontiguousarray(s, dtype=np.float32)
         if s.shape != (self.bands, self.height, self.width):
             raise ValidationError(
                 f"samples has shape {s.shape}, expected "
                 f"({self.bands}, {self.height}, {self.width})"
             )
-        if not np.all(np.isfinite(s)):
-            raise ValidationError("samples contain non-finite values")
         wl.setflags(write=False)
         s.setflags(write=False)
         object.__setattr__(self, "wavelengths", wl)
@@ -128,11 +154,16 @@ def write_cube(cube: SpectralCube) -> bytes:
     )
     wl = np.ascontiguousarray(cube.wavelengths, dtype="<f4")
     s = np.ascontiguousarray(cube.samples, dtype="<f4")
-    return header + wl.tobytes() + s.tobytes()
+    return b"".join([header, wl.tobytes(), memoryview(s)])  # the samples copied once
 
 
 def read_cube(data: bytes) -> SpectralCube:
-    """Parse SCUB bytes; the exact inverse of :func:`write_cube`."""
+    """Parse SCUB bytes; the exact inverse of :func:`write_cube`.
+
+    From immutable ``bytes`` the cube's arrays are read-only views of
+    ``data``; from any other buffer (``bytearray``, ``memoryview``) they are
+    copies, so a later change to the buffer leaves the cube as it is.
+    """
     if len(data) < _HEADER.size:
         raise CorruptError(f"SCUB truncated: {len(data)} bytes < {_HEADER.size} header")
     magic, version, dtype, reserved, width, height, bands = _HEADER.unpack_from(data, 0)
@@ -149,16 +180,16 @@ def read_cube(data: bytes) -> SpectralCube:
     expected = scub_nbytes(width, height, bands)
     if len(data) != expected:
         raise CorruptError(f"SCUB length {len(data)} != expected {expected}")
-    off = _HEADER.size
-    wavelengths = np.frombuffer(data, dtype="<f4", count=bands, offset=off)
-    off += 4 * bands
-    samples = np.frombuffer(data, dtype="<f4", count=width * height * bands, offset=off)
+    values = np.frombuffer(data, dtype="<f4", count=bands + width * height * bands,
+                           offset=_HEADER.size)
+    if not isinstance(data, bytes):
+        values = values.copy()
     return SpectralCube(
         width=width,
         height=height,
         bands=bands,
-        wavelengths=wavelengths.copy(),
-        samples=samples.reshape(bands, height, width).copy(),
+        wavelengths=values[:bands],
+        samples=values[bands:].reshape(bands, height, width),
     )
 
 
@@ -201,15 +232,17 @@ def smooth_field(rng: np.random.Generator, height: int, width: int,
     return lo + (hi - lo) * (f - fmin) / (fmax - fmin)
 
 
+# each generator draws from ``rng`` and returns values(lo, hi): bands lo..hi - 1
+
 def _synth_flat(rng, width, height, bands):
-    return np.full((bands, height, width), 0.5)
+    return lambda lo, hi: np.full((hi - lo, height, width), 0.5)
 
 
 def _synth_ramp(rng, width, height, bands):
     sx = np.arange(width) / max(width - 1, 1)
     sy = np.arange(height) / max(height - 1, 1)
     sb = np.arange(bands) / max(bands - 1, 1)
-    return (sb[:, None, None] + sy[None, :, None] + sx[None, None, :]) / 3.0
+    return lambda lo, hi: (sb[lo:hi, None, None] + sy[None, :, None] + sx[None, None, :]) / 3.0
 
 
 def _synth_gaussian(rng, width, height, bands):
@@ -217,8 +250,8 @@ def _synth_gaussian(rng, width, height, bands):
     mu = smooth_field(rng, height, width, 430.0, 670.0)
     sigma = smooth_field(rng, height, width, 18.0, 60.0)
     amp = smooth_field(rng, height, width, 0.3, 0.9)
-    lam = wl[:, None, None]
-    return 0.05 + amp[None] * np.exp(-0.5 * ((lam - mu[None]) / sigma[None]) ** 2)
+    return lambda lo, hi: 0.05 + amp[None] * np.exp(
+        -0.5 * ((wl[lo:hi, None, None] - mu[None]) / sigma[None]) ** 2)
 
 
 def _synth_random_smooth(rng, width, height, bands):
@@ -229,12 +262,13 @@ def _synth_random_smooth(rng, width, height, bands):
         [smooth_field(rng, height, width, 0.25, 0.75, cells=3) for _ in range(n_anchors)]
     )  # (A, H, W)
     if bands == 1:
-        return anchors[:1]
+        return lambda lo, hi: anchors[:1]
     pos = np.linspace(0.0, bands - 1.0, n_anchors)
     grid = np.arange(bands, dtype=np.float64)
     seg = np.clip(np.searchsorted(pos, grid, side="right") - 1, 0, n_anchors - 2)
     t = (grid - pos[seg]) / (pos[seg + 1] - pos[seg])
-    return (1 - t)[:, None, None] * anchors[seg] + t[:, None, None] * anchors[seg + 1]
+    return lambda lo, hi: ((1 - t)[lo:hi, None, None] * anchors[seg[lo:hi]]
+                           + t[lo:hi, None, None] * anchors[seg[lo:hi] + 1])
 
 
 _GENERATORS = {
@@ -250,7 +284,8 @@ def synthesize_cube(width: int, height: int, bands: int,
     """Deterministic test cube with values in [0, 1].
 
     ``random-smooth`` guarantees per-pixel spectra with band-to-band steps
-    <= 0.1, which makes them well suited to spline-based reduction.  More than
+    <= 0.1, which makes them well suited to spline-based reduction.  The
+    float32 samples are written a chunk of bands at a time.  More than
     :data:`MAX_CUBE_SAMPLES` samples raise :class:`SizeLimitError` before any
     allocation.
     """
@@ -263,10 +298,9 @@ def synthesize_cube(width: int, height: int, bands: int,
         raise ArgumentError(
             f"unknown pattern {pattern!r}; expected one of {PATTERNS}"
         ) from None
-    rng = np.random.default_rng(seed)
-    values = np.clip(gen(rng, width, height, bands), 0.0, 1.0)
-    return SpectralCube(
-        width=width, height=height, bands=bands,
-        wavelengths=default_wavelengths(bands),
-        samples=values.astype(np.float32),
-    )
+    values = gen(np.random.default_rng(seed), width, height, bands)
+    samples = np.empty((bands, height, width), dtype=np.float32)
+    for lo, hi in chunks(bands, width * height, align=1):
+        samples[lo:hi] = np.clip(values(lo, hi), 0.0, 1.0)
+    return SpectralCube(width=width, height=height, bands=bands,
+                        wavelengths=default_wavelengths(bands), samples=samples)

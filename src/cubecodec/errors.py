@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all cubecodec modules."""
+"""Exception hierarchy shared by all cubecodec modules, and the integer argument check."""
+
+import numbers
 
 
 class CodecError(Exception):
@@ -39,3 +41,11 @@ class RateError(CodecError):
     def __init__(self, message: str, best_cr: float | None = None):
         super().__init__(message)
         self.best_cr = best_cr
+
+
+def check_int(name: str, value, lo: int, hi: int, error: type = ArgumentError) -> int:
+    """``value`` as an ``int``; raises ``error`` unless it is an integer in
+    ``[lo, hi]`` (numpy integers count, bools do not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not lo <= value <= hi:
+        raise error(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+    return int(value)

@@ -1,14 +1,18 @@
 """Spectral-dimension reduction: PCA/KLT and cubic-spline band subsampling.
 
 Both reducers turn an N-band cube into P spatial planes, a ``(P, H, W)``
-float64 array, plus the side information a decoder needs to invert the
-reduction: the band-mean vector and the N x P eigenvector basis for PCA, or
-the retained band indices for the spline method (knots are uniform in band
+array, plus the side information a decoder needs to invert the reduction:
+the band-mean vector and the N x P eigenvector basis for PCA, or the
+retained band indices for the spline method (knots are uniform in band
 index, endpoints always included, so reconstruction never extrapolates).
+PCA's planes are float64 scores, projected a chunk of pixels at a time; the
+spline method's are the knot bands, float32 as the cube holds them.
 
 Both inverses are linear and share one synthesis, ``matrix @ planes (+ mean)``:
 the matrix is the PCA basis (plus the band means) or the natural-spline
-matrix of :func:`csi_reconstruction_matrix`.
+matrix of :func:`csi_reconstruction_matrix`.  It takes the planes whole or
+as the decoder's row bands, and writes the float32 samples of each chunk of
+pixels straight into the cube, so it makes no whole-cube float64 array.
 """
 
 from __future__ import annotations
@@ -17,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import SpectralCube
-from .errors import ArgumentError, NumericalError, ValidationError
+from .cube import SpectralCube, check_float32_range, chunks
+from .errors import ArgumentError, NumericalError, ValidationError, check_int
+from .spatial import PlaneBands
 from .spline import natural_cubic_spline
 
 #: :func:`pca_forward` zero-pads the pixel count to a multiple of this.  A
@@ -124,8 +129,7 @@ def pca_fit(cube: SpectralCube, p: int) -> PcaSideInfo:
     largest-magnitude entry is positive.
     """
     n = cube.bands
-    if not 1 <= p <= n:
-        raise ArgumentError(f"p={p} outside [1, {n}]")
+    p = check_int("p", p, 1, n)
     npix = cube.width * cube.height
     if npix < 2:
         raise ArgumentError("PCA needs at least two pixels")
@@ -158,18 +162,27 @@ def pca_forward(cube: SpectralCube, side: PcaSideInfo) -> np.ndarray:
     gives the (P, H*W) planes contiguous, where the pixel-major product
     ``(H*W, N) @ (N, P)`` gives their transpose.  Every score rounds as in
     that product, bit for bit on every cube tried (see :data:`_PIXEL_PAD`).
+    The centered samples are made a chunk of pixels at a time.
     """
     if side.n != cube.bands:
         raise ArgumentError(f"side info is for {side.n} bands, cube has {cube.bands}")
     n, npix = cube.bands, cube.width * cube.height
+    samples = cube.samples.reshape(n, -1)
+    planes = np.empty((side.p, npix))
     # numpy runs a one-row product as a matrix-vector one, whose rounding
-    # depends on the layout: that one keeps the pixel-major (H*W, N) view
-    padded = npix if side.p == 1 else npix + -npix % _PIXEL_PAD
-    centered = np.empty((n, padded))
-    np.subtract(cube.samples.reshape(n, -1), side.mean[:, None], out=centered[:, :npix])
-    centered[:, npix:] = 0.0
-    scores = (centered.T @ side.basis).T if side.p == 1 else side.basis.T @ centered
-    return np.ascontiguousarray(scores[:, :npix]).reshape(side.p, cube.height, cube.width)
+    # depends on the layout and the length: that one keeps the whole
+    # pixel-major (H*W, N) view.  The others project chunks of the padded
+    # pixels, each of at least 2**20 multiply-adds: OpenBLAS runs a product
+    # of at most 100**3 through its small-matrix kernel, whose sums over more
+    # than about 384 bands round differently from the blocked kernel's.
+    spans = [(0, npix)] if side.p == 1 else chunks(npix + -npix % _PIXEL_PAD, n * side.p // 16)
+    for lo, hi in spans:
+        real = min(hi, npix) - lo
+        centered = np.zeros((n, hi - lo))
+        np.subtract(samples[:, lo:lo + real], side.mean[:, None], out=centered[:, :real])
+        scores = (centered.T @ side.basis).T if side.p == 1 else side.basis.T @ centered
+        planes[:, lo:lo + real] = scores[:, :real]
+    return planes.reshape(side.p, cube.height, cube.width)
 
 
 def pca_inverse(planes: np.ndarray, side: PcaSideInfo, wavelengths) -> SpectralCube:
@@ -179,17 +192,16 @@ def pca_inverse(planes: np.ndarray, side: PcaSideInfo, wavelengths) -> SpectralC
 
 def csi_select_knots(n: int, p: int) -> CsiSideInfo:
     """Uniform-in-band-index knots: round(k*(n-1)/(p-1)), endpoints included."""
-    if not 2 <= p <= n:
-        raise ArgumentError(f"p={p} outside [2, {n}]")
+    p = check_int("p", p, 2, n)
     k = np.arange(p, dtype=np.float64)
     idx = np.floor(k * (n - 1) / (p - 1) + 0.5).astype(np.int64)
     return CsiSideInfo(knot_indices=idx)
 
 
 def csi_forward(cube: SpectralCube, side: CsiSideInfo) -> np.ndarray:
-    """Retain the knot bands, copied unmodified."""
+    """Retain the knot bands, copied unmodified: a ``(P, H, W)`` float32 array."""
     side.check_for_bands(cube.bands)
-    return cube.samples[side.knot_indices].astype(np.float64)
+    return cube.samples[side.knot_indices]
 
 
 def csi_reconstruction_matrix(side: CsiSideInfo, wavelengths: np.ndarray) -> np.ndarray:
@@ -212,19 +224,35 @@ def csi_inverse(planes: np.ndarray, side: CsiSideInfo, wavelengths) -> SpectralC
     return _synthesize(csi_reconstruction_matrix(side, wl), planes, wavelengths)
 
 
-def _synthesize(matrix: np.ndarray, planes: np.ndarray, wavelengths,
+def _synthesize(matrix: np.ndarray, planes, wavelengths,
                 mean: np.ndarray | None = None) -> SpectralCube:
-    """The cube ``matrix @ planes (+ mean)``: an (N, P) matrix times (P, H, W) planes."""
+    """The cube ``matrix @ planes (+ mean)``: an (N, P) matrix times (P, H, W) planes,
+    given as one array or as :class:`~cubecodec.spatial.PlaneBands`.
+
+    A sample outside float32 (non-finite planes make one) raises
+    :class:`ValidationError` before it is cast.
+    """
     n, p = matrix.shape
-    planes = np.asarray(planes, dtype=np.float64)
-    if planes.ndim != 3 or planes.shape[0] != p:
-        raise ArgumentError(f"planes of shape {planes.shape} for {p} components")
+    if isinstance(planes, PlaneBands):
+        shape, bands = planes.shape, planes
+    else:
+        planes = np.asarray(planes)
+        shape, bands = planes.shape, [(0, planes)]
+    if len(shape) != 3 or shape[0] != p:
+        raise ArgumentError(f"planes of shape {shape} for {p} components")
     wl = np.asarray(wavelengths)
     if wl.shape != (n,):
         raise ArgumentError(f"wavelengths shape {wl.shape} != ({n},)")
-    _, height, width = planes.shape
-    recon = matrix @ planes.reshape(p, -1)  # (N, HW)
-    if mean is not None:
-        recon += mean[:, None]  # in place: one (N, HW) array, not two
+    _, height, width = shape
+    samples = np.empty((n, height * width), dtype=np.float32)
+    for row, band in bands:
+        band = band.reshape(p, -1)
+        start = row * width  # a multiple of 16 pixels, as the chunks' edges are
+        for lo, hi in chunks(band.shape[1], n):
+            recon = matrix @ band[:, lo:hi]
+            if mean is not None:
+                recon += mean[:, None]
+            check_float32_range(recon)
+            samples[:, start + lo:start + hi] = recon
     return SpectralCube(width=width, height=height, bands=n, wavelengths=wl,
-                        samples=recon.reshape(n, height, width))
+                        samples=samples.reshape(n, height, width))

@@ -31,11 +31,13 @@ The bitstream is MSB-first and zero-padded to a whole byte.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArgumentError, CorruptError, ValidationError
+from .cube import chunks
+from .errors import ArgumentError, CorruptError, ValidationError, check_int
 
 # ---------------------------------------------------------------------------
 # fixed tables (JPEG Annex K: luminance quantization + typical Huffman)
@@ -140,9 +142,7 @@ _DCT = _dct_matrix()
 
 def quality_to_table(quality: int) -> np.ndarray:
     """Scale :data:`BASE_LUMA_QUANT` by the standard JPEG quality mapping."""
-    if (isinstance(quality, bool) or not isinstance(quality, (int, np.integer))
-            or not 1 <= quality <= 100):
-        raise ArgumentError(f"quality must be an integer in [1, 100], got {quality!r}")
+    check_int("quality", quality, 1, 100)
     scale = 5000.0 / quality if quality < 50 else 200.0 - 2.0 * quality
     steps = np.floor((BASE_LUMA_QUANT * scale + 50.0) / 100.0)
     return np.clip(steps, 1, 32767).astype(np.int32)
@@ -559,17 +559,22 @@ class PlaneStack:
         """Normalize, pad and DCT-transform a ``(P, H, W)`` stack of planes.
 
         Works on runs of whole planes of about :data:`_SLAB_BLOCKS` blocks, so
-        its temporaries are a run's size and only the coefficients are full-size.
+        its temporaries are a run's size and only the coefficients are
+        full-size.  Float32 planes are kept as they are and widened to float64
+        a run at a time; any other stack is taken as float64.
         """
-        p = np.asarray(planes, dtype=np.float64)
+        p = np.asarray(planes)
+        if p.dtype != np.float32:
+            p = p.astype(np.float64, copy=False)
         if p.ndim != 3 or min(p.shape) < 1:
             raise ValidationError(f"planes must be a non-empty (P, H, W) stack, got {p.shape}")
-        if not np.all(np.isfinite(p)):
-            raise ValidationError("plane contains non-finite values")
         count, height, width = p.shape
         flat = p.reshape(count, -1)
+        lows, highs = flat.min(axis=1).tolist(), flat.max(axis=1).tolist()
+        if not np.isfinite(lows + highs).all():  # a NaN or an infinity reaches a bound
+            raise ValidationError("plane contains non-finite values")
         norms = tuple(PlaneNorm(offset=mn, scale=(mx - mn) / 255.0 if mx > mn else 1.0)
-                      for mn, mx in zip(flat.min(axis=1).tolist(), flat.max(axis=1).tolist()))
+                      for mn, mx in zip(lows, highs))
         rows, cols = (height + 7) // 8, (width + 7) // 8
         offsets = np.array([n.offset for n in norms])[:, None, None]
         scales = np.array([n.scale for n in norms])[:, None, None]
@@ -643,40 +648,63 @@ class PlaneStack:
                 for norm, payload in zip(self.norms, payloads)]
 
 
+class PlaneBands:
+    """The planes of one stream, decoded one band of image rows at a time.
+
+    The constructor entropy decodes every plane (:func:`entropy_decode_planes`),
+    whose bit windows are freed before it returns.  Iterating dequantizes and
+    inverse transforms a band of 16 * k rows of all planes, sized by
+    :func:`~cubecodec.cube.chunks`, with one batched matmul into the band's
+    padded layout, and yields ``(row, band)``: the ``(P, rows, W)`` float64
+    planes (no clamping) from image row ``row`` on.  ``shape`` is the whole
+    ``(P, H, W)``; ``ns`` counts the nanoseconds spent iterating, so a
+    consumer can tell its own time from the decoder's.  The size must be
+    integers in 1..2**32 - 1, as SCMP stores them.
+    """
+
+    def __init__(self, planes: list[EncodedPlane], width: int, height: int, quality: int):
+        width = check_int("width", width, 1, 0xFFFFFFFF)
+        height = check_int("height", height, 1, 0xFFFFFFFF)
+        planes = list(planes)
+        if not planes:
+            raise ArgumentError("no plane records to decode")
+        self.table = quality_to_table(quality)
+        self.shape = (len(planes), height, width)
+        self.scales = np.array([p.norm.scale for p in planes])[:, None, None]
+        self.offsets = np.array([p.norm.offset for p in planes])[:, None, None]
+        rows, cols = (height + 7) // 8, (width + 7) // 8
+        qblocks = entropy_decode_planes([p.payload for p in planes], [rows * cols] * len(planes))
+        self.qblocks = qblocks.reshape(len(planes), rows, cols, 8, 8)
+        self.ns = 0
+
+    def __iter__(self):
+        count, height, width = self.shape
+        cols = self.qblocks.shape[2]
+        for lo, hi in chunks(height, count * 8 * cols):
+            t0 = time.perf_counter_ns()
+            coeffs = self.qblocks[:, lo // 8:(hi + 7) // 8].astype(np.float64)
+            coeffs *= self.table
+            half = _DCT.T @ coeffs
+            del coeffs
+            padded = np.empty((count, half.shape[1] * 8, cols * 8))
+            # (P, rows/8, 8, cols, 8) viewed block-major: the IDCT's output lands in place
+            blocks = padded.reshape(count, -1, 8, cols, 8).transpose(0, 1, 3, 2, 4)
+            np.matmul(half, _DCT, out=blocks)
+            del half
+            band = np.add(padded[:, :hi - lo, :width], 128.0)
+            del padded
+            band *= self.scales
+            band += self.offsets
+            self.ns += time.perf_counter_ns() - t0
+            yield lo, band
+
+
 def decode_plane_stack(planes: list[EncodedPlane], width: int, height: int,
                        quality: int) -> np.ndarray:
     """Decode ``width`` x ``height`` planes coded at ``quality`` into a ``(P, H, W)``
-    float64 array (no clamping).
-
-    Entropy decodes every plane in one :func:`entropy_decode_planes` call,
-    then dequantizes and inverse transforms all blocks in one batched matmul
-    that writes straight into the output's padded layout.  The size must be
-    integers in 1..2**32 - 1, as SCMP stores them.
-    """
-    for name, size in (("width", width), ("height", height)):
-        if (isinstance(size, bool) or not isinstance(size, (int, np.integer))
-                or not 1 <= size <= 0xFFFFFFFF):
-            raise ArgumentError(f"{name} must be an integer in [1, 4294967295], got {size!r}")
-    width, height = int(width), int(height)
-    planes = list(planes)
-    if not planes:
-        raise ArgumentError("no plane records to decode")
-    nblocks = ((height + 7) // 8) * ((width + 7) // 8)
-    qblocks = entropy_decode_planes([p.payload for p in planes], [nblocks] * len(planes))
-    coeffs = qblocks.reshape(len(planes), nblocks, 8, 8).astype(np.float64)
-    del qblocks
-    coeffs *= quality_to_table(quality)
-    half = _DCT.T @ coeffs
-    del coeffs
-    h8 = ((height + 7) // 8) * 8
-    w8 = ((width + 7) // 8) * 8
-    padded = np.empty((len(planes), h8, w8))
-    # (P, h8/8, 8, w8/8, 8) viewed block-major: the IDCT's output lands in place
-    blocks = padded.reshape(len(planes), h8 // 8, 8, w8 // 8, 8).transpose(0, 1, 3, 2, 4)
-    np.matmul(half.reshape(blocks.shape), _DCT, out=blocks)
-    del half
-    out = padded[:, :height, :width]
-    out += 128.0
-    out *= np.array([p.norm.scale for p in planes])[:, None, None]
-    out += np.array([p.norm.offset for p in planes])[:, None, None]
-    return np.ascontiguousarray(out)
+    float64 array (no clamping), from the bands of :class:`PlaneBands`."""
+    bands = PlaneBands(planes, width, height, quality)
+    out = np.empty(bands.shape)
+    for row, band in bands:
+        out[:, row:row + band.shape[1]] = band
+    return out

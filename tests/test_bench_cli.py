@@ -62,6 +62,33 @@ def test_corpus_builders_are_deterministic():
     assert make_sweep_cube(16, 16) == make_sweep_cube(16, 16)
 
 
+@pytest.mark.parametrize("make,digest", [
+    (lambda: make_sweep_cube(256, 256),
+     "1af12f669db0ee1ad83e3c73483e8a502f238e6eb023f6471c88c27b94919a13"),
+    (lambda: make_sweep_cube(128, 128),
+     "6c6aae630365588103301fce86b46bae6d988474b073b85933d7fb289a3ce08d"),
+    (lambda: make_sweep_cube(37, 53),
+     "d68b4c33671ec5bd32f7b7c909b2cac8988c57f1378bfb3f992108232f4aaa30"),
+    (lambda: synthesize_cube(256, 256, 31, "random-smooth", seed=2105),
+     "5a65960c61ab6224a861905be3a8a853115d3bd54592ddfda11e0d09ffe5e146"),
+], ids=["sweep256", "sweep128", "sweep37x53", "random-smooth256"])
+def test_synthetic_cube_bytes_are_pinned(make, digest):
+    # measured when the makers still built the whole cube in float64
+    assert hashlib.sha256(write_cube(make())).hexdigest() == digest
+
+
+def test_sweep256_maker_peak_memory():
+    # the base cube and the result (7.8 MiB each, float32) and a chunk of
+    # bands' float64 temporaries: 21.2 MiB; the whole-cube float64 build took 55.5
+    tracemalloc.start()
+    try:
+        make_sweep_cube(256, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 23.0 * 2 ** 20
+
+
 def test_row_count_invariant():
     config = _tiny_config(p_values=[4, 6])
     reports = run_benchmark(config)

@@ -19,6 +19,8 @@ from cubecodec.errors import ArgumentError, CorruptError, FormatError, Validatio
 
 from conftest import random_cube
 
+_HEADER_BYTES = scub_nbytes(0, 0, 0)
+
 
 def test_roundtrip_single_sample():
     cube = SpectralCube(width=1, height=1, bands=1,
@@ -141,6 +143,24 @@ def test_roundtrip_random_cubes(width, height, bands, seed):
     blob = write_cube(cube)
     assert len(blob) == scub_nbytes(width, height, bands)
     assert read_cube(blob) == cube
+
+
+def test_read_cube_views_immutable_bytes():
+    blob = write_cube(random_cube(8, width=5, height=4, bands=6))
+    cube = read_cube(blob)
+    assert np.shares_memory(cube.samples, np.frombuffer(blob, dtype=np.uint8))
+    assert not cube.samples.flags.writeable
+    assert read_cube(write_cube(cube)) == cube
+
+
+@pytest.mark.parametrize("wrap", [bytearray, memoryview], ids=["bytearray", "memoryview"])
+def test_read_cube_copies_a_mutable_buffer(wrap):
+    original = random_cube(9, width=5, height=4, bands=6)
+    buffer = bytearray(write_cube(original))
+    cube = read_cube(wrap(buffer))
+    buffer[_HEADER_BYTES:] = bytes(len(buffer) - _HEADER_BYTES)  # zero wavelengths and samples
+    assert cube == original
+    assert read_cube(write_cube(cube)) == cube
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,16 @@ def test_pca_argument_errors():
         pca_inverse(bad, side, cube.wavelengths)
 
 
+def test_pca_fit_rejects_a_bool_p():
+    with pytest.raises(ArgumentError, match="p must be an integer"):
+        pca_fit(random_cube(25, bands=4), True)
+
+
+def test_pca_fit_rejects_a_fractional_p():
+    with pytest.raises(ArgumentError, match="p must be an integer"):
+        pca_fit(random_cube(25, bands=4), 2.5)
+
+
 def test_flat_cube_uses_canonical_completion():
     cube = _cube_from(np.full((4, 3, 3), 0.5, dtype=np.float32))
     side = pca_fit(cube, 3)
@@ -193,6 +203,13 @@ def test_knot_selection_errors():
         csi_select_knots(31, 1)
     with pytest.raises(ArgumentError):
         csi_select_knots(5, 6)
+
+
+def test_knot_selection_rejects_a_fractional_p():
+    # a p of 2.5 once gave the knots 0, 3, 7: past the last of 6 bands
+    for p in (2.5, True, np.float64(3.0)):
+        with pytest.raises(ArgumentError, match="p must be an integer"):
+            csi_select_knots(6, p)
 
 
 def test_forward_copies_knot_bands():
