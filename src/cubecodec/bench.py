@@ -32,6 +32,7 @@ from .container import (
     decompress_with_report,
     parse_stream,
     serialize_stream,
+    spectral_method,
 )
 from .cube import (
     SpectralCube,
@@ -41,7 +42,7 @@ from .cube import (
     smooth_field,
     synthesize_cube,
 )
-from .errors import ArgumentError, CodecError, RateError, ValidationError
+from .errors import ArgumentError, CodecError, RateError, ValidationError, check_int, check_type
 
 CSV_COLUMNS = (
     "image", "method", "p", "target_cr", "achieved_cr",
@@ -91,17 +92,24 @@ class BenchConfig:
     size_sweep: list[tuple[int, int]] = field(default_factory=list)
 
     def __post_init__(self):
+        for name in ("corpus", "methods", "p_values", "size_sweep"):
+            check_type(name, getattr(self, name), (list, tuple), ValidationError)
+        for entry in self.corpus:
+            check_type("corpus entry", entry, str, ValidationError)
+        for size in self.size_sweep:
+            if len(check_type("size_sweep entry", size, (list, tuple), ValidationError)) != 2:
+                raise ValidationError(f"size_sweep entries are (width, height) pairs, got {size!r}")
         if not self.corpus and not self.size_sweep:
             raise ValidationError("config needs a non-empty corpus or a size sweep")
         if not self.methods:
             raise ValidationError("config needs at least one method")
         for m in self.methods:
-            if m not in SPECTRAL_METHODS:
-                raise ValidationError(f"unknown method {m!r}")
+            spectral_method(m, ValidationError)
         if not self.p_values:
             raise ValidationError("config needs at least one p value")
-        if self.repetitions < 3:
-            raise ValidationError("repetitions must be >= 3")
+        for p in self.p_values:
+            check_int("p", p, 1, 0xFFFF, ValidationError)
+        check_int("repetitions", self.repetitions, 3, error=ValidationError)
 
 
 def default_config() -> BenchConfig:
@@ -220,7 +228,7 @@ def _load_corpus_entry(entry: str) -> SpectralCube:
             _, pattern, dims, seed = entry.split(":")
             w, h, n = (int(v) for v in dims.split("x"))
             return synthesize_cube(w, h, n, pattern, seed=int(seed))
-        except (ValueError, TypeError):
+        except ValueError:
             raise ArgumentError(
                 f"bad synth spec {entry!r}; expected synth:<pattern>:<WxHxN>:<seed>"
             ) from None
@@ -279,6 +287,7 @@ def evaluate_row(cube: SpectralCube, image: str, method: str, p: int,
 
 def run_benchmark(config: BenchConfig) -> list[EvalReport]:
     """Run every (image, method, p) row of the configured benchmark."""
+    check_type("config", config, BenchConfig)
     target = RateTarget(target_cr=config.target_cr, tolerance=config.tolerance)
     reports = []
     for name, cube, err in resolve_corpus(config):
@@ -303,26 +312,27 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _cells(reports: list[EvalReport]) -> list[list[str]]:
+    """The CSV cells of each report; :class:`ArgumentError` unless ``reports`` is a
+    non-empty list of :class:`EvalReport`."""
+    if not check_type("reports", reports, (list, tuple)):
+        raise ArgumentError("no reports to emit")
+    for r in reports:
+        check_type("report", r, EvalReport)
+    return [[_fmt(getattr(r, c)) for c in CSV_COLUMNS] for r in reports]
+
+
 def emit_csv(reports: list[EvalReport]) -> bytes:
     """Fixed-schema CSV; numeric fields carry 6 significant digits."""
-    if not reports:
-        raise ArgumentError("no reports to emit")
-    lines = [",".join(CSV_COLUMNS)]
-    for r in reports:
-        lines.append(",".join(_fmt(getattr(r, c)) for c in CSV_COLUMNS))
+    lines = [",".join(CSV_COLUMNS)] + [",".join(cells) for cells in _cells(reports)]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def emit_table(reports: list[EvalReport]) -> str:
     """Aligned human-readable table, one row per report."""
-    if not reports:
-        raise ArgumentError("no reports to emit")
-    header = list(CSV_COLUMNS) + ["status"]
-    rows = [header]
-    for r in reports:
-        status = "ok" if r.ok else r.error
-        rows.append([_fmt(getattr(r, c)) for c in CSV_COLUMNS] + [status])
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
+    rows = [list(CSV_COLUMNS) + ["status"]]
+    rows += [cells + ["ok" if r.ok else r.error] for cells, r in zip(_cells(reports), reports)]
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     out = []
     for row in rows:
         out.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cube import SpectralCube
-from .errors import ArgumentError, SizeLimitError
+from .errors import ArgumentError, SizeLimitError, check_array, check_axis, check_type
 
 # CIE 1931 2-degree standard observer, 400-700 nm at 10 nm.
 _CMF_TABLE = np.array([
@@ -95,12 +95,9 @@ _Y_NORM = float((_WEIGHTS.T @ np.ones((_WEIGHTS.shape[0], 1)))[1, 0])
 
 def _resample_to_observer(bands: np.ndarray, wavelengths) -> np.ndarray:
     """Linear resampling of band-major (N, M) spectra onto the observer grid."""
-    wl = np.asarray(wavelengths, dtype=np.float64)
+    n = bands.shape[0]
+    wl = check_axis("wavelength grid", wavelengths, np.float64, range(n, n + 1))
     ow = _WAVELENGTHS
-    if wl.shape != bands.shape[:1]:
-        raise ArgumentError("spectrum and wavelength grid lengths differ")
-    if not (np.all(np.isfinite(wl)) and np.all(np.diff(wl) > 0)):
-        raise ArgumentError("wavelength grid must be finite and strictly increasing")
     if np.array_equal(wl, ow):
         return bands
     if wl[0] > ow[0] or wl[-1] < ow[-1]:
@@ -119,7 +116,7 @@ def spectra_to_xyz(spectra: np.ndarray, wavelengths) -> np.ndarray:
     The product runs band-major, (3, N) weights times (N, M) spectra, and the
     result is a (..., 3) view of the (3, M) X/Y/Z planes.
     """
-    spectra = np.asarray(spectra, dtype=np.float64)
+    spectra = check_array("spectra", spectra, np.float64)
     if spectra.ndim == 0 or spectra.shape[-1] == 0:
         raise ArgumentError(f"spectra need at least one band on the last axis, got shape {spectra.shape}")
     bands = spectra.reshape(-1, spectra.shape[-1]).T
@@ -154,7 +151,7 @@ def xyz_array_to_lab(xyz: np.ndarray) -> np.ndarray:
     Each channel is worked on as one contiguous plane; the result is a
     (..., 3) view of the (3, ...) L/a/b planes.
     """
-    xyz = np.asarray(xyz, dtype=np.float64)
+    xyz = check_array("xyz", xyz, np.float64)
     x, y, z = _planes(xyz)
     fx = _lab_f(x / _WHITE[0])
     fy = _lab_f(y / _WHITE[1])
@@ -172,8 +169,8 @@ def ciede2000_array(lab1: np.ndarray, lab2: np.ndarray) -> np.ndarray:
     The formula runs on contiguous 1-D L/a/b planes.  Nothing is checked
     for finiteness: a non-finite Lab component gives NaN for its pair.
     """
-    lab1, lab2 = np.broadcast_arrays(np.asarray(lab1, dtype=np.float64),
-                                     np.asarray(lab2, dtype=np.float64))
+    lab1, lab2 = np.broadcast_arrays(check_array("lab1", lab1, np.float64),
+                                     check_array("lab2", lab2, np.float64))
     l1, a1, b1 = _planes(lab1)
     l2, a2, b2 = _planes(lab2)
 
@@ -245,6 +242,8 @@ def cube_delta_e(original: SpectralCube, reconstructed: SpectralCube) -> DeltaES
     :data:`_CHUNK_PIXELS` pixels, straight into one preallocated map.
     Running out of memory raises :class:`SizeLimitError`.
     """
+    check_type("original", original, SpectralCube)
+    check_type("reconstructed", reconstructed, SpectralCube)
     if (original.width, original.height, original.bands) != (
             reconstructed.width, reconstructed.height, reconstructed.bands):
         raise ArgumentError("cubes have different dimensions")

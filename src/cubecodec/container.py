@@ -47,8 +47,6 @@ from :func:`cubecodec.cube.check_cube_size`, the one place the cap is read.
 
 from __future__ import annotations
 
-import math
-import numbers
 import struct
 import time
 from collections.abc import Callable
@@ -56,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import SpectralCube, check_cube_size
+from .cube import SpectralCube, check_cube_size, values_equal
 from .errors import (
     ArgumentError,
     CorruptError,
@@ -64,7 +62,10 @@ from .errors import (
     RateError,
     SizeLimitError,
     ValidationError,
+    check_axis,
     check_int,
+    check_real,
+    check_type,
 )
 from .reduction import (
     CsiSideInfo,
@@ -159,10 +160,10 @@ SPECTRAL_METHODS = {
 }
 
 
-def spectral_method(method: str) -> SpectralMethod:
-    """The table entry of ``method``; :class:`ArgumentError` if there is none."""
-    if method not in SPECTRAL_METHODS:
-        raise ArgumentError(f"unknown method {method!r}; expected one of {tuple(SPECTRAL_METHODS)}")
+def spectral_method(method: str, error: type = ArgumentError) -> SpectralMethod:
+    """The table entry of ``method``; ``error`` if there is none."""
+    if check_type("method", method, str, error) not in SPECTRAL_METHODS:
+        raise error(f"unknown method {method!r}; expected one of {tuple(SPECTRAL_METHODS)}")
     return SPECTRAL_METHODS[method]
 
 
@@ -174,14 +175,8 @@ class RateTarget:
     tolerance: float = 0.05
 
     def __post_init__(self):
-        for name in ("target_cr", "tolerance"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ArgumentError(f"{name} must be a real number, got {value!r}")
-        if not (math.isfinite(self.target_cr) and self.target_cr > 1):
-            raise ArgumentError(f"target_cr must be > 1, got {self.target_cr}")
-        if not 0 < self.tolerance < 1:
-            raise ArgumentError(f"tolerance must be in (0, 1), got {self.tolerance}")
+        check_real("target_cr", self.target_cr, 1)
+        check_real("tolerance", self.tolerance, 0, 1)
 
     @property
     def window(self) -> tuple[float, float]:
@@ -226,24 +221,17 @@ class CompressedStream:
     height: int
 
     def __post_init__(self):
-        if self.method not in SPECTRAL_METHODS:
-            raise ValidationError(f"unknown method {self.method!r}")
-        spec = SPECTRAL_METHODS[self.method]
-        if not 1 <= len(self.planes) <= 0xFFFF:
+        spec = spectral_method(self.method, ValidationError)
+        if not 1 <= len(check_type("planes", self.planes, (list, tuple), ValidationError)) <= 0xFFFF:
             raise ValidationError(f"planes must hold 1 to 65535 plane records, got {len(self.planes)}")
+        for plane in self.planes:
+            check_type("plane record", plane, EncodedPlane, ValidationError)
         check_int("quality", self.quality, 1, 100, ValidationError)
         check_int("width", self.width, 1, 2 ** 32 - 1, ValidationError)
         check_int("height", self.height, 1, 2 ** 32 - 1, ValidationError)
-        self.wavelengths = np.ascontiguousarray(self.wavelengths, dtype=np.float32)
-        if self.wavelengths.ndim != 1 or not 1 <= len(self.wavelengths) <= 0xFFFF:
-            raise ValidationError(f"wavelengths has shape {self.wavelengths.shape}, not (1..65535,)")
-        if not np.all(np.isfinite(self.wavelengths)):
-            raise ValidationError("wavelengths contain non-finite values")
-        if not np.all(np.diff(self.wavelengths) > 0):
-            raise ValidationError("wavelengths not strictly increasing")
-        if not isinstance(self.side, spec.side_type):
-            raise ValidationError(f"side info type does not match method {self.method!r}")
-        if self.side.p != self.p:
+        self.wavelengths = check_axis("wavelengths", self.wavelengths, np.float32,
+                                      range(1, 0x10000), ValidationError)
+        if check_type("side", self.side, spec.side_type, ValidationError).p != self.p:
             raise ValidationError(f"side info for p={self.side.p} beside {self.p} plane records")
         # keep the side info as the decoder reads it (PCA: rounded to f32)
         side = spec.write_side(self.side)
@@ -262,17 +250,7 @@ class CompressedStream:
     def bands(self) -> int:
         return len(self.wavelengths)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CompressedStream):
-            return NotImplemented
-        return (
-            self.method == other.method
-            and self.quality == other.quality
-            and (self.width, self.height) == (other.width, other.height)
-            and np.array_equal(self.wavelengths, other.wavelengths)
-            and self.side == other.side
-            and self.planes == other.planes
-        )
+    __eq__ = values_equal
 
 
 def stream_nbytes(method: str, p: int, bands: int, payload_nbytes: int) -> int:
@@ -286,6 +264,7 @@ def stream_nbytes(method: str, p: int, bands: int, payload_nbytes: int) -> int:
 
 def serialize_stream(stream: CompressedStream) -> bytes:
     """Serialize to SCMP bytes; bijective with :func:`parse_stream`."""
+    check_type("stream", stream, CompressedStream)
     out = bytearray()
     out += _HEADER.pack(
         SCMP_MAGIC, SCMP_VERSION, SPECTRAL_METHODS[stream.method].tag,
@@ -302,7 +281,7 @@ def serialize_stream(stream: CompressedStream) -> bytes:
 
 def parse_stream(data: bytes) -> CompressedStream:
     """Parse SCMP bytes back into a stream; exact inverse of serialization."""
-    if len(data) < _HEADER.size:
+    if len(check_type("data", data, (bytes, bytearray, memoryview))) < _HEADER.size:
         raise CorruptError("SCMP truncated before header end")
     magic, version, tag, p, n, width, height, quality = _HEADER.unpack_from(data, 0)
     if magic != SCMP_MAGIC:
@@ -335,7 +314,7 @@ def parse_stream(data: bytes) -> CompressedStream:
         try:
             norm = PlaneNorm(offset=norm_offset, scale=norm_scale)
         except ValidationError as exc:
-            raise CorruptError(str(exc)) from None
+            raise CorruptError(f"bad normalization in plane record {i}: {exc}") from None
         planes.append(EncodedPlane(norm=norm, payload=bytes(data[off:off + count])))
         off += count
     if off != len(data):
@@ -349,9 +328,8 @@ def parse_stream(data: bytes) -> CompressedStream:
 
 def compression_rate(original: SpectralCube, stream_nbytes: int) -> float:
     """SCUB byte size of the original divided by the stream byte size."""
-    if stream_nbytes <= 0:
-        raise ArgumentError("stream byte count must be positive")
-    return original.scub_size / stream_nbytes
+    check_type("original", original, SpectralCube)
+    return original.scub_size / check_int("stream_nbytes", stream_nbytes, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +384,13 @@ def compress_with_report(cube: SpectralCube, method: str, p: int,
     it; only the chosen quality is entropy coded.  Running out of memory
     raises :class:`SizeLimitError`.
     """
+    check_type("cube", cube, SpectralCube)
     if (rate is None) == (quality is None):
         raise ArgumentError("provide exactly one of rate target or fixed quality")
     if quality is not None:
         quality_to_table(quality)  # raises unless an integer in 1..100
+    else:
+        check_type("rate", rate, RateTarget)
     p = check_int("p", p, 1, 0xFFFF)
     if cube.bands > 0xFFFF:
         raise ArgumentError(f"SCMP holds at most 65535 bands, cube has {cube.bands}")
@@ -456,6 +437,7 @@ def decompress_with_report(stream: CompressedStream) -> tuple[SpectralCube, Stag
     one), raises :class:`CorruptError` before it is cast; running out of
     memory raises :class:`SizeLimitError`.
     """
+    check_type("stream", stream, CompressedStream)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             t0 = time.perf_counter_ns()

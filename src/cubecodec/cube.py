@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ArgumentError, CorruptError, FormatError, SizeLimitError, ValidationError
+from .errors import (ArgumentError, CorruptError, FormatError, SizeLimitError, ValidationError,
+                     check_array, check_axis, check_int, check_type)
 
 SCUB_MAGIC = b"SCUB"
 SCUB_VERSION = 1
@@ -86,6 +87,18 @@ def scub_nbytes(width: int, height: int, bands: int) -> int:
     return _HEADER.size + 4 * bands + 4 * width * height * bands
 
 
+#: the largest width, height or band count: SCUB stores each as a u32
+MAX_DIM = 2 ** 32 - 1
+
+
+def values_equal(self, other) -> bool:
+    """``__eq__`` of the value records: ``NotImplemented`` for another type, else
+    whether every dataclass field is equal, arrays by value."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralCube:
     """Immutable spectral image: ``samples[b, y, x]`` is band ``b`` at pixel (x, y)."""
@@ -98,21 +111,11 @@ class SpectralCube:
 
     def __post_init__(self):
         for name in ("width", "height", "bands"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
-                raise ValidationError(f"{name} must be an integer >= 1, got {v!r}")
-        wl = np.ascontiguousarray(self.wavelengths, dtype=np.float32)
-        if wl.shape != (self.bands,):
-            raise ValidationError(
-                f"wavelengths has shape {wl.shape}, expected ({self.bands},)"
-            )
-        if not np.all(np.isfinite(wl)):
-            raise ValidationError("wavelengths contain non-finite values")
-        if self.bands > 1 and not np.all(np.diff(wl) > 0):
-            raise ValidationError("wavelengths must be strictly increasing")
-        s = np.asarray(self.samples)
-        check_float32_range(s)  # before the cast, which would turn such values into inf
-        s = np.ascontiguousarray(s, dtype=np.float32)
+            check_int(name, getattr(self, name), 1, MAX_DIM, ValidationError)
+        wl = check_axis("wavelengths", self.wavelengths, np.float32,
+                        range(self.bands, self.bands + 1), ValidationError)
+        s = np.ascontiguousarray(check_array("samples", self.samples, np.float32, ValidationError))
+        check_float32_range(s)  # a sample past float32 was cast to inf
         if s.shape != (self.bands, self.height, self.width):
             raise ValidationError(
                 f"samples has shape {s.shape}, expected "
@@ -123,16 +126,7 @@ class SpectralCube:
         object.__setattr__(self, "wavelengths", wl)
         object.__setattr__(self, "samples", s)
 
-    # cubes are value objects; equality is bit-exact
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SpectralCube):
-            return NotImplemented
-        return (
-            (self.width, self.height, self.bands)
-            == (other.width, other.height, other.bands)
-            and np.array_equal(self.wavelengths, other.wavelengths)
-            and np.array_equal(self.samples, other.samples)
-        )
+    __eq__ = values_equal  # cubes are value objects; equality is bit-exact
 
     def pixel_matrix(self) -> np.ndarray:
         """Read-only (H*W, bands) view: one spectrum per row, raster order."""
@@ -146,8 +140,7 @@ class SpectralCube:
 
 def write_cube(cube: SpectralCube) -> bytes:
     """Serialize a cube to SCUB bytes (deterministic, bit-exact round trip)."""
-    if not isinstance(cube, SpectralCube):
-        raise ValidationError("write_cube expects a SpectralCube")
+    check_type("cube", cube, SpectralCube, ValidationError)
     header = _HEADER.pack(
         SCUB_MAGIC, SCUB_VERSION, SCUB_DTYPE_F32, 0,
         cube.width, cube.height, cube.bands,
@@ -164,7 +157,7 @@ def read_cube(data: bytes) -> SpectralCube:
     ``data``; from any other buffer (``bytearray``, ``memoryview``) they are
     copies, so a later change to the buffer leaves the cube as it is.
     """
-    if len(data) < _HEADER.size:
+    if len(check_type("data", data, (bytes, bytearray, memoryview))) < _HEADER.size:
         raise CorruptError(f"SCUB truncated: {len(data)} bytes < {_HEADER.size} header")
     magic, version, dtype, reserved, width, height, bands = _HEADER.unpack_from(data, 0)
     if magic != SCUB_MAGIC:
@@ -289,16 +282,13 @@ def synthesize_cube(width: int, height: int, bands: int,
     :data:`MAX_CUBE_SAMPLES` samples raise :class:`SizeLimitError` before any
     allocation.
     """
-    if min(width, height, bands) < 1:
-        raise ArgumentError(f"dimensions must be >= 1, got {(width, height, bands)}")
+    width, height, bands = (check_int(name, value, 1, MAX_DIM) for name, value in
+                            (("width", width), ("height", height), ("bands", bands)))
     check_cube_size(bands, width, height)
-    try:
-        gen = _GENERATORS[pattern]
-    except KeyError:
-        raise ArgumentError(
-            f"unknown pattern {pattern!r}; expected one of {PATTERNS}"
-        ) from None
-    values = gen(np.random.default_rng(seed), width, height, bands)
+    if check_type("pattern", pattern, str) not in _GENERATORS:
+        raise ArgumentError(f"unknown pattern {pattern!r}; expected one of {PATTERNS}")
+    rng = np.random.default_rng(check_int("seed", seed, 0))
+    values = _GENERATORS[pattern](rng, width, height, bands)
     samples = np.empty((bands, height, width), dtype=np.float32)
     for lo, hi in chunks(bands, width * height, align=1):
         samples[lo:hi] = np.clip(values(lo, hi), 0.0, 1.0)

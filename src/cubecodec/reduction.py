@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import SpectralCube, check_float32_range, chunks
-from .errors import ArgumentError, NumericalError, ValidationError, check_int
+from .cube import MAX_DIM, SpectralCube, check_float32_range, chunks, values_equal
+from .errors import (ArgumentError, NumericalError, ValidationError, check_array, check_axis,
+                     check_int, check_type)
 from .spatial import PlaneBands
 from .spline import natural_cubic_spline
 
@@ -43,9 +44,8 @@ class PcaSideInfo:
     eigenvalues: np.ndarray  # (P,) float64, non-increasing
 
     def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=np.float64)
-        self.basis = np.asarray(self.basis, dtype=np.float64)
-        self.eigenvalues = np.asarray(self.eigenvalues, dtype=np.float64)
+        for name in ("mean", "basis", "eigenvalues"):
+            setattr(self, name, check_array(name, getattr(self, name), np.float64, ValidationError))
         if self.mean.ndim != 1 or self.basis.ndim != 2:
             raise ValidationError("mean must be 1-D and basis 2-D")
         n, p = self.basis.shape
@@ -77,12 +77,7 @@ class PcaSideInfo:
         if d > tol:
             raise ValidationError(f"basis columns not orthonormal: defect {d:.3e} > {tol}")
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PcaSideInfo):
-            return NotImplemented
-        return (np.array_equal(self.mean, other.mean)
-                and np.array_equal(self.basis, other.basis)
-                and np.array_equal(self.eigenvalues, other.eigenvalues))
+    __eq__ = values_equal
 
 
 @dataclass(eq=False)
@@ -92,14 +87,10 @@ class CsiSideInfo:
     knot_indices: np.ndarray  # (P,) int64, first 0, last N-1
 
     def __post_init__(self):
-        k = np.asarray(self.knot_indices, dtype=np.int64)
-        if k.ndim != 1 or k.shape[0] < 2:
-            raise ValidationError("need at least two knot indices")
-        if np.any(np.diff(k) <= 0):
-            raise ValidationError("knot indices must be strictly increasing")
-        if k[0] < 0:
+        self.knot_indices = check_axis("knot_indices", self.knot_indices, np.int64,
+                                       range(2, MAX_DIM + 1), ValidationError)
+        if self.knot_indices[0] < 0:
             raise ValidationError("knot indices must be nonnegative")
-        self.knot_indices = k
 
     @property
     def p(self) -> int:
@@ -111,13 +102,8 @@ class CsiSideInfo:
                 f"knots must include both end bands 0 and {n - 1}, "
                 f"got {self.knot_indices[0]}..{self.knot_indices[-1]}"
             )
-        if self.p > n:
-            raise ArgumentError(f"{self.p} knots for {n} bands")
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CsiSideInfo):
-            return NotImplemented
-        return np.array_equal(self.knot_indices, other.knot_indices)
+    __eq__ = values_equal
 
 
 def pca_fit(cube: SpectralCube, p: int) -> PcaSideInfo:
@@ -128,7 +114,7 @@ def pca_fit(cube: SpectralCube, p: int) -> PcaSideInfo:
     eigenvalues, sorted descending, each column sign-fixed so its
     largest-magnitude entry is positive.
     """
-    n = cube.bands
+    n = check_type("cube", cube, SpectralCube).bands
     p = check_int("p", p, 1, n)
     npix = cube.width * cube.height
     if npix < 2:
@@ -164,7 +150,8 @@ def pca_forward(cube: SpectralCube, side: PcaSideInfo) -> np.ndarray:
     that product, bit for bit on every cube tried (see :data:`_PIXEL_PAD`).
     The centered samples are made a chunk of pixels at a time.
     """
-    if side.n != cube.bands:
+    check_type("cube", cube, SpectralCube)
+    if check_type("side", side, PcaSideInfo).n != cube.bands:
         raise ArgumentError(f"side info is for {side.n} bands, cube has {cube.bands}")
     n, npix = cube.bands, cube.width * cube.height
     samples = cube.samples.reshape(n, -1)
@@ -187,11 +174,13 @@ def pca_forward(cube: SpectralCube, side: PcaSideInfo) -> np.ndarray:
 
 def pca_inverse(planes: np.ndarray, side: PcaSideInfo, wavelengths) -> SpectralCube:
     """Reconstruct a cube from component planes: mean + basis @ scores (no clamping)."""
+    check_type("side", side, PcaSideInfo)
     return _synthesize(side.basis, planes, wavelengths, mean=side.mean)
 
 
 def csi_select_knots(n: int, p: int) -> CsiSideInfo:
     """Uniform-in-band-index knots: round(k*(n-1)/(p-1)), endpoints included."""
+    n = check_int("n", n, 1, MAX_DIM)
     p = check_int("p", p, 2, n)
     k = np.arange(p, dtype=np.float64)
     idx = np.floor(k * (n - 1) / (p - 1) + 0.5).astype(np.int64)
@@ -200,7 +189,8 @@ def csi_select_knots(n: int, p: int) -> CsiSideInfo:
 
 def csi_forward(cube: SpectralCube, side: CsiSideInfo) -> np.ndarray:
     """Retain the knot bands, copied unmodified: a ``(P, H, W)`` float32 array."""
-    side.check_for_bands(cube.bands)
+    check_type("cube", cube, SpectralCube)
+    check_type("side", side, CsiSideInfo).check_for_bands(cube.bands)
     return cube.samples[side.knot_indices]
 
 
@@ -219,8 +209,8 @@ def csi_reconstruction_matrix(side: CsiSideInfo, wavelengths: np.ndarray) -> np.
 
 def csi_inverse(planes: np.ndarray, side: CsiSideInfo, wavelengths) -> SpectralCube:
     """Reconstruct all bands per pixel by natural-spline interpolation over knots."""
-    wl = np.asarray(wavelengths, dtype=np.float64)
-    side.check_for_bands(wl.shape[0])
+    wl = check_axis("wavelengths", wavelengths, np.float64, range(1, MAX_DIM + 1))
+    check_type("side", side, CsiSideInfo).check_for_bands(len(wl))
     return _synthesize(csi_reconstruction_matrix(side, wl), planes, wavelengths)
 
 
@@ -236,13 +226,11 @@ def _synthesize(matrix: np.ndarray, planes, wavelengths,
     if isinstance(planes, PlaneBands):
         shape, bands = planes.shape, planes
     else:
-        planes = np.asarray(planes)
+        planes = check_array("planes", planes, None)  # the product casts each chunk
         shape, bands = planes.shape, [(0, planes)]
     if len(shape) != 3 or shape[0] != p:
         raise ArgumentError(f"planes of shape {shape} for {p} components")
-    wl = np.asarray(wavelengths)
-    if wl.shape != (n,):
-        raise ArgumentError(f"wavelengths shape {wl.shape} != ({n},)")
+    wl = check_axis("wavelengths", wavelengths, np.float32, range(n, n + 1))
     _, height, width = shape
     samples = np.empty((n, height * width), dtype=np.float32)
     for row, band in bands:

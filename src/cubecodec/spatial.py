@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cube import chunks
-from .errors import ArgumentError, CorruptError, ValidationError, check_int
+from .errors import ArgumentError, CorruptError, ValidationError, check_int, check_real, check_type
 
 # ---------------------------------------------------------------------------
 # fixed tables (JPEG Annex K: luminance quantization + typical Huffman)
@@ -528,8 +528,8 @@ class PlaneNorm:
     scale: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.offset) and np.isfinite(self.scale) and self.scale > 0):
-            raise ValidationError(f"bad normalization offset={self.offset} scale={self.scale}")
+        check_real("offset", self.offset, error=ValidationError)
+        check_real("scale", self.scale, 0, error=ValidationError)
 
 
 @dataclass(frozen=True)
@@ -538,6 +538,10 @@ class EncodedPlane:
 
     norm: PlaneNorm
     payload: bytes
+
+    def __post_init__(self):
+        check_type("norm", self.norm, PlaneNorm, ValidationError)
+        check_type("payload", self.payload, bytes, ValidationError)
 
 
 @dataclass(eq=False)

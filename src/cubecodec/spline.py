@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, check_array, check_axis
 
 
 def _second_derivatives(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -55,20 +55,18 @@ def natural_cubic_spline(knot_x, knot_y, query_x) -> np.ndarray:
     outside [knot_x[0], knot_x[-1]] raise :class:`ArgumentError` (no
     extrapolation).
     """
-    x = np.asarray(knot_x, dtype=np.float64)
-    y = np.asarray(knot_y, dtype=np.float64)
-    q = np.atleast_1d(np.asarray(query_x, dtype=np.float64))
-    if x.ndim != 1 or x.shape[0] < 2:
-        raise ArgumentError("need at least two knots")
-    if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)) or not np.all(np.isfinite(q)):
+    x = check_axis("knot_x", knot_x, np.float64, range(2, 1 << 63))
+    y = check_array("knot_y", knot_y, np.float64)
+    q = np.atleast_1d(check_array("query_x", query_x, np.float64))
+    if y.ndim not in (1, 2) or y.shape[0] != x.shape[0]:
+        raise ArgumentError(f"knot_y has shape {y.shape}, not ({len(x)},) or ({len(x)}, K)")
+    if q.ndim != 1:
+        raise ArgumentError(f"query_x must be a number or 1-D, got shape {q.shape}")
+    if not np.all(np.isfinite(y)) or not np.all(np.isfinite(q)):
         raise ArgumentError("knots and queries must be finite")
-    if np.any(np.diff(x) <= 0):
-        raise ArgumentError("knot_x must be strictly increasing")
     squeeze = y.ndim == 1
     if squeeze:
         y = y[:, None]
-    if y.shape[0] != x.shape[0]:
-        raise ArgumentError(f"knot_y has {y.shape[0]} rows, expected {x.shape[0]}")
     if q.size and (q.min() < x[0] or q.max() > x[-1]):
         raise ArgumentError(
             f"query outside knot span [{x[0]}, {x[-1]}]; extrapolation is not supported"
