@@ -79,9 +79,10 @@ class EvalReport:
         return self.error is None
 
 
-@dataclass
+@dataclass(frozen=True)
 class BenchConfig:
-    """Benchmark run description (see ``parse_config`` for the file format)."""
+    """Benchmark run description (see ``parse_config`` for the file format); frozen,
+    so its checks hold for as long as it lives: vary one with ``dataclasses.replace``."""
 
     corpus: list[str]
     methods: list[str] = field(default_factory=lambda: list(SPECTRAL_METHODS))

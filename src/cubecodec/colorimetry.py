@@ -15,7 +15,7 @@ The array functions take and return pixel-interleaved (..., 3) arrays but
 work channel-planar: spectra are rendered band-major, with one (3, N) @
 (N, M) product, and Lab and CIEDE2000 run on contiguous 1-D L/a/b planes.
 :func:`cube_delta_e` feeds them each cube's own band-major samples, a chunk
-of pixels at a time.
+of pixels at a time, as :func:`~cubecodec.cube.chunks` sizes and aligns them.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import SpectralCube
+from .cube import SpectralCube, chunks
 from .errors import ArgumentError, SizeLimitError, check_array, check_axis, check_type
 
 # CIE 1931 2-degree standard observer, 400-700 nm at 10 nm.
@@ -226,20 +226,12 @@ def ciede2000_array(lab1: np.ndarray, lab2: np.ndarray) -> np.ndarray:
     return np.sqrt(x * x + y * y + z * z + rt * y * z).reshape(lab1.shape[:-1])
 
 
-#: the most pixels scored per step of :func:`cube_delta_e`: the band-major
-#: samples are walked in column chunks of at most this width, so each step's
-#: float64 spectra (N x 8192, 2 MB at N = 31) and its planes stay small.  The
-#: chunks are of even width: a one-pixel chunk would render through BLAS's
-#: matrix-vector kernel, whose sums can differ in the last bit from the
-#: matrix-matrix kernel that renders every other pixel.
-_CHUNK_PIXELS = 8192
-
-
 def cube_delta_e(original: SpectralCube, reconstructed: SpectralCube) -> DeltaEStats:
     """Per-pixel CIEDE2000 between two cubes, both rendered under D65.
 
-    Each cube's band-major samples are scored in chunks of
-    :data:`_CHUNK_PIXELS` pixels, straight into one preallocated map.
+    Each cube's band-major samples are scored straight into one preallocated
+    map, in :func:`~cubecodec.cube.chunks` at 16 samples per pixel: 8192 pixels,
+    where a 31-band cube's 4224-pixel chunks at N per pixel scored slower.
     Running out of memory raises :class:`SizeLimitError`.
     """
     check_type("original", original, SpectralCube)
@@ -252,12 +244,9 @@ def cube_delta_e(original: SpectralCube, reconstructed: SpectralCube) -> DeltaES
     wl = original.wavelengths.astype(np.float64)
     bands_a = original.samples.reshape(original.bands, -1)
     bands_b = reconstructed.samples.reshape(reconstructed.bands, -1)
-    npix = bands_a.shape[1]
-    nchunks = -(-npix // _CHUNK_PIXELS)
-    edges = [npix * i // nchunks for i in range(nchunks + 1)]
     try:
-        de = np.empty(npix)
-        for lo, hi in zip(edges, edges[1:]):
+        de = np.empty(bands_a.shape[1])
+        for lo, hi in chunks(len(de), 16):
             lab_a = xyz_array_to_lab(spectra_to_xyz(bands_a[:, lo:hi].T, wl))
             lab_b = xyz_array_to_lab(spectra_to_xyz(bands_b[:, lo:hi].T, wl))
             de[lo:hi] = ciede2000_array(lab_a, lab_b)

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import SpectralCube, check_cube_size, values_equal
+from .cube import SpectralCube, check_cube_size, freeze, values_equal
 from .errors import (
     ArgumentError,
     CorruptError,
@@ -123,9 +123,10 @@ def _pca_read(data: bytes, n: int, p: int) -> PcaSideInfo:
     try:
         side = PcaSideInfo(mean=values[:n], basis=values[n:n + n * p].reshape(p, n).T,
                            eigenvalues=np.maximum(values[n + n * p:], 0.0))
-        side.check_orthonormal(tol=1e-4)  # loose: basis is f32-rounded in the stream
     except ValidationError as exc:
         raise CorruptError(f"bad PCA side info: {exc}") from None
+    if (defect := side.orthonormality_defect()) > 1e-4:  # loose: the stream rounds to f32
+        raise CorruptError(f"bad PCA side info: basis columns not orthonormal: defect {defect:.3e}")
     return side
 
 
@@ -207,16 +208,16 @@ class RateReport:
     times: StageTimes
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CompressedStream:
     """An SCMP stream as values; built only if :func:`serialize_stream` can write it
-    and :func:`parse_stream` reads the bytes back to an equal stream."""
+    and :func:`parse_stream` reads the bytes back to an equal stream; frozen, so it stays so."""
 
     method: str  # a key of SPECTRAL_METHODS
     side: PcaSideInfo | CsiSideInfo
     wavelengths: np.ndarray  # (N,) float32
     quality: int
-    planes: list[EncodedPlane]
+    planes: tuple[EncodedPlane, ...]
     width: int
     height: int
 
@@ -224,13 +225,14 @@ class CompressedStream:
         spec = spectral_method(self.method, ValidationError)
         if not 1 <= len(check_type("planes", self.planes, (list, tuple), ValidationError)) <= 0xFFFF:
             raise ValidationError(f"planes must hold 1 to 65535 plane records, got {len(self.planes)}")
+        object.__setattr__(self, "planes", tuple(self.planes))
         for plane in self.planes:
             check_type("plane record", plane, EncodedPlane, ValidationError)
         check_int("quality", self.quality, 1, 100, ValidationError)
         check_int("width", self.width, 1, 2 ** 32 - 1, ValidationError)
         check_int("height", self.height, 1, 2 ** 32 - 1, ValidationError)
-        self.wavelengths = check_axis("wavelengths", self.wavelengths, np.float32,
-                                      range(1, 0x10000), ValidationError)
+        freeze(self, wavelengths=check_axis("wavelengths", self.wavelengths, np.float32,
+                                            range(1, 0x10000), ValidationError))
         if check_type("side", self.side, spec.side_type, ValidationError).p != self.p:
             raise ValidationError(f"side info for p={self.side.p} beside {self.p} plane records")
         # keep the side info as the decoder reads it (PCA: rounded to f32)
@@ -238,7 +240,7 @@ class CompressedStream:
         if len(side) != spec.side_nbytes(self.bands, self.p):
             raise ValidationError(f"side info does not fit {self.bands} bands")
         try:
-            self.side = spec.read_side(side, self.bands, self.p)
+            object.__setattr__(self, "side", spec.read_side(side, self.bands, self.p))
         except CorruptError as exc:  # e.g. a fit beyond float32, or knots past the bands
             raise ValidationError(str(exc)) from None
 

@@ -57,18 +57,20 @@ def check_cube_size(bands: int, width: int, height: int) -> None:
 #: about how many samples one chunk of a large temporary holds (1 MiB of float64)
 CHUNK_SAMPLES = 1 << 17
 
+#: the pixel alignment of :func:`chunks`' edges, and the multiple the PCA forward
+#: pads its pixel count to: a BLAS product over a chunk of pixels then rounds each
+#: as the product over all does, as its kernel's register blocks (8 wide in
+#: OpenBLAS's Haswell DGEMM) fall on the same pixels and no chunk is one column
+#: wide, a matrix-vector product (Goto & van de Geijn, ACM TOMS 34(3), 2008).
+CHUNK_ALIGN = 16
 
-def chunks(count: int, item_samples: int, align: int = 16) -> list[tuple[int, int]]:
+
+def chunks(count: int, item_samples: int, align: int = CHUNK_ALIGN) -> list[tuple[int, int]]:
     """``(lo, hi)`` spans splitting ``range(count)`` into chunks of about
     :data:`CHUNK_SAMPLES` samples at ``item_samples`` per item.
 
     Every edge but the last is a multiple of ``align``, and the last chunk
-    takes what is left, so none is narrower than the others.  Over pixels
-    (``align`` 16), a BLAS product over a chunk then rounds every pixel as
-    the product over all of them does: its kernel's register blocks (8 wide
-    in OpenBLAS's Haswell DGEMM) fall on the same pixels, and no chunk is one
-    column wide, which numpy would run through the matrix-vector kernel
-    (Goto & van de Geijn, ACM TOMS 34(3), 2008).
+    takes what is left, so none is narrower than the others.
     """
     width = max(align, CHUNK_SAMPLES // max(item_samples, 1) // align * align)
     edges = [*range(0, max(count - width, 0) + 1, width), count]
@@ -89,6 +91,13 @@ def scub_nbytes(width: int, height: int, bands: int) -> int:
 
 #: the largest width, height or band count: SCUB stores each as a u32
 MAX_DIM = 2 ** 32 - 1
+
+
+def freeze(record, **arrays) -> None:
+    """Set the fields of a frozen dataclass ``record`` to ``arrays``, made read-only."""
+    for name, array in arrays.items():
+        array.setflags(write=False)
+        object.__setattr__(record, name, array)
 
 
 def values_equal(self, other) -> bool:
@@ -121,10 +130,7 @@ class SpectralCube:
                 f"samples has shape {s.shape}, expected "
                 f"({self.bands}, {self.height}, {self.width})"
             )
-        wl.setflags(write=False)
-        s.setflags(write=False)
-        object.__setattr__(self, "wavelengths", wl)
-        object.__setattr__(self, "samples", s)
+        freeze(self, wavelengths=wl, samples=s)
 
     __eq__ = values_equal  # cubes are value objects; equality is bit-exact
 

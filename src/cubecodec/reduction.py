@@ -5,8 +5,9 @@ array, plus the side information a decoder needs to invert the reduction:
 the band-mean vector and the N x P eigenvector basis for PCA, or the
 retained band indices for the spline method (knots are uniform in band
 index, endpoints always included, so reconstruction never extrapolates).
-PCA's planes are float64 scores, projected a chunk of pixels at a time; the
-spline method's are the knot bands, float32 as the cube holds them.
+PCA's planes are float64 scores, projected a chunk of pixels at a time
+(:func:`~cubecodec.cube.chunks`); the spline method's are the knot bands,
+float32 as the cube holds them.  The side-info records are frozen.
 
 Both inverses are linear and share one synthesis, ``matrix @ planes (+ mean)``:
 the matrix is the PCA basis (plus the band means) or the natural-spline
@@ -21,43 +22,41 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import MAX_DIM, SpectralCube, check_float32_range, chunks, values_equal
+from .cube import (CHUNK_ALIGN, MAX_DIM, SpectralCube, check_float32_range, chunks, freeze,
+                   values_equal)
 from .errors import (ArgumentError, NumericalError, ValidationError, check_array, check_axis,
                      check_int, check_type)
 from .spatial import PlaneBands
 from .spline import natural_cubic_spline
 
-#: :func:`pca_forward` zero-pads the pixel count to a multiple of this.  A
-#: BLAS matrix product may round the columns past the last whole register
-#: block of its kernel (8 wide in OpenBLAS's Haswell DGEMM) differently from
-#: the others: unpadded, the last ``H*W % 8`` pixels of a band-major product
-#: could differ in the last bit from the pixel-major product's.
-_PIXEL_PAD = 16
 
-
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PcaSideInfo:
-    """Decoder-side PCA metadata: band means, basis columns, eigenvalues."""
+    """Decoder-side PCA metadata: band means, basis columns, eigenvalues; p >= 1."""
 
     mean: np.ndarray  # (N,) float64
     basis: np.ndarray  # (N, P) float64, orthonormal columns
     eigenvalues: np.ndarray  # (P,) float64, non-increasing
 
     def __post_init__(self):
-        for name in ("mean", "basis", "eigenvalues"):
-            setattr(self, name, check_array(name, getattr(self, name), np.float64, ValidationError))
-        if self.mean.ndim != 1 or self.basis.ndim != 2:
+        mean, basis, eigenvalues = (check_array(name, getattr(self, name), np.float64,
+                                                ValidationError)
+                                    for name in ("mean", "basis", "eigenvalues"))
+        if mean.ndim != 1 or basis.ndim != 2:
             raise ValidationError("mean must be 1-D and basis 2-D")
-        n, p = self.basis.shape
-        if self.mean.shape != (n,) or self.eigenvalues.shape != (p,):
+        n, p = basis.shape
+        if mean.shape != (n,) or eigenvalues.shape != (p,):
             raise ValidationError("side-info shapes are inconsistent")
-        if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.basis))
-                and np.all(np.isfinite(self.eigenvalues))):
+        if p < 1:
+            raise ValidationError("side info needs at least one component")
+        if not (np.isfinite(mean).all() and np.isfinite(basis).all()
+                and np.isfinite(eigenvalues).all()):
             raise ValidationError("side info contains non-finite values")
-        if np.any(np.diff(self.eigenvalues) > 0):
+        if np.any(np.diff(eigenvalues) > 0):
             raise ValidationError("eigenvalues must be non-increasing")
-        if np.any(self.eigenvalues < -1e-12):
+        if np.any(eigenvalues < -1e-12):
             raise ValidationError("eigenvalues must be numerically nonnegative")
+        freeze(self, mean=mean, basis=basis, eigenvalues=eigenvalues)
 
     @property
     def n(self) -> int:
@@ -72,25 +71,21 @@ class PcaSideInfo:
         g = self.basis.T @ self.basis
         return float(np.abs(g - np.eye(self.p)).max())
 
-    def check_orthonormal(self, tol: float):
-        d = self.orthonormality_defect()
-        if d > tol:
-            raise ValidationError(f"basis columns not orthonormal: defect {d:.3e} > {tol}")
-
     __eq__ = values_equal
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CsiSideInfo:
     """Decoder-side spline metadata: strictly increasing retained band indices."""
 
     knot_indices: np.ndarray  # (P,) int64, first 0, last N-1
 
     def __post_init__(self):
-        self.knot_indices = check_axis("knot_indices", self.knot_indices, np.int64,
-                                       range(2, MAX_DIM + 1), ValidationError)
-        if self.knot_indices[0] < 0:
+        knots = check_axis("knot_indices", self.knot_indices, np.int64, range(2, MAX_DIM + 1),
+                           ValidationError)
+        if knots[0] < 0:
             raise ValidationError("knot indices must be nonnegative")
+        freeze(self, knot_indices=knots)
 
     @property
     def p(self) -> int:
@@ -147,7 +142,8 @@ def pca_forward(cube: SpectralCube, side: PcaSideInfo) -> np.ndarray:
     Runs band-major: ``basis.T @ (samples - mean)`` on the (N, H*W) samples
     gives the (P, H*W) planes contiguous, where the pixel-major product
     ``(H*W, N) @ (N, P)`` gives their transpose.  Every score rounds as in
-    that product, bit for bit on every cube tried (see :data:`_PIXEL_PAD`).
+    that product, bit for bit on every cube tried: the pixel count is
+    zero-padded to :data:`~cubecodec.cube.CHUNK_ALIGN`.
     The centered samples are made a chunk of pixels at a time.
     """
     check_type("cube", cube, SpectralCube)
@@ -162,7 +158,7 @@ def pca_forward(cube: SpectralCube, side: PcaSideInfo) -> np.ndarray:
     # pixels, each of at least 2**20 multiply-adds: OpenBLAS runs a product
     # of at most 100**3 through its small-matrix kernel, whose sums over more
     # than about 384 bands round differently from the blocked kernel's.
-    spans = [(0, npix)] if side.p == 1 else chunks(npix + -npix % _PIXEL_PAD, n * side.p // 16)
+    spans = [(0, npix)] if side.p == 1 else chunks(npix + -npix % CHUNK_ALIGN, n * side.p // 16)
     for lo, hi in spans:
         real = min(hi, npix) - lo
         centered = np.zeros((n, hi - lo))

@@ -19,7 +19,8 @@ and an EOB unless the last coefficient is nonzero.  A rate probe sums the
 symbol lengths per plane; the emit, which takes the last probe's symbols
 when it codes that quality, places each plane's fields from a byte
 boundary and cuts the packed bits into per-plane payloads.  Both work on
-runs of whole planes of about :data:`_SLAB_BLOCKS` blocks.  The decoder
+runs of whole planes sized by :func:`~cubecodec.cube.chunks`, as the
+decoder's bands of rows are.  The decoder
 (:func:`entropy_decode_planes`) has no per-symbol loop either: it finds
 every block's start by pointer doubling over per-bit-position symbol
 tables, each level one uint32 array packing a symbol chain's end and its
@@ -180,9 +181,12 @@ _AC_POS = np.arange(1, 64, dtype=np.uint8)
 #: ``16 * (k - 1)`` per zigzag position k = 1..63: the index of a run over
 #: every AC position before k
 _RUN_BASE = np.arange(0, 16 * 63, 16, dtype=np.uint16)
-#: blocks the stacked coder transforms, quantizes and codes at once (rounded
-#: to whole planes, at least one): bounds its temporaries to a few MB
-_SLAB_BLOCKS = 1024
+
+
+def _runs(count: int, nblocks: int) -> list[tuple[int, int]]:
+    """Runs of whole planes, at least one, that the stacked coder codes at once: at 128
+    samples a block, as the transform makes two float64 temporaries of 64."""
+    return chunks(count, 128 * nblocks, align=1)
 
 
 class _Symbols:
@@ -315,7 +319,8 @@ def entropy_encode_blocks(qblocks: np.ndarray) -> bytes:
 #: bit positions whose stage-1 tables are built at once; bounds them to six
 #: levels of 4 bytes per position, about 0.84 MB, whatever the stream size.
 #: A window's local positions, up to ``_STAGE1_BITS + _BLOCK_BITS +
-#: _AC_SYMBOL_BITS``, must fit the 16-bit jump field.
+#: _AC_SYMBOL_BITS``, must fit the 16-bit jump field: that field, not a
+#: memory budget, sets this window, so it is not sized by ``chunks``.
 _STAGE1_BITS = 1 << 15
 #: more than the longest block: DC 9 + 11 bits, then 63 AC symbols of 16 + 10
 _BLOCK_BITS = 2048
@@ -562,10 +567,10 @@ class PlaneStack:
     def of(cls, planes: np.ndarray) -> "PlaneStack":
         """Normalize, pad and DCT-transform a ``(P, H, W)`` stack of planes.
 
-        Works on runs of whole planes of about :data:`_SLAB_BLOCKS` blocks, so
-        its temporaries are a run's size and only the coefficients are
-        full-size.  Float32 planes are kept as they are and widened to float64
-        a run at a time; any other stack is taken as float64.
+        Works on runs of whole planes (:func:`_runs`), so its temporaries are
+        a run's size and only the coefficients are full-size.  Float32 planes
+        are kept as they are and widened to float64 a run at a time; any other
+        stack is taken as float64.
         """
         p = np.asarray(planes)
         if p.dtype != np.float32:
@@ -586,13 +591,12 @@ class PlaneStack:
         # at u * 8 * cols + 8 * c + v
         gather = (ZIGZAG_ORDER // 8 * 8 * cols + ZIGZAG_ORDER % 8) + 8 * np.arange(cols)[:, None]
         coeffs = np.empty((count * rows * cols, 64))
-        run = max(1, _SLAB_BLOCKS // (rows * cols))
-        for start in range(0, count, run):
+        for lo, hi in _runs(count, rows * cols):
             # normalize, level-shift and pad a run of planes
-            x = np.subtract(p[start:start + run], offsets[start:start + run])
+            x = np.subtract(p[lo:hi], offsets[lo:hi])
             if height % 8 or width % 8:
                 x = np.pad(x, ((0, 0), (0, -height % 8), (0, -width % 8)), mode="edge")
-            x /= scales[start:start + run]
+            x /= scales[lo:hi]
             x -= 128.0
             # the 2-D DCT of every block as two wide products, back into x: the
             # DCT matrix times each band of 8 rows, then every 8 columns of that
@@ -601,7 +605,7 @@ class PlaneStack:
             np.matmul(half.reshape(-1, 8), _DCT.T, out=x.reshape(-1, 8))
             del half
             # every index is in range: mode="wrap" only skips numpy's bounds check
-            out = coeffs[start * rows * cols:(start + len(x)) * rows * cols]
+            out = coeffs[lo * rows * cols:hi * rows * cols]
             x.reshape(-1, 64 * cols).take(gather, axis=1, out=out.reshape(-1, cols, 64), mode="wrap")
         return cls(norms=norms, coeffs=coeffs)
 
@@ -611,12 +615,11 @@ class PlaneStack:
         return len(self.coeffs) // len(self.norms)
 
     def _slabs(self, quality: int):
-        """Per run of whole planes of about :data:`_SLAB_BLOCKS` blocks at ``quality``:
-        (coefficients, quantized magnitudes)."""
+        """Per run of whole planes (:func:`_runs`) at ``quality``: (coefficients,
+        quantized magnitudes)."""
         table = quality_to_table(quality).ravel()[ZIGZAG_ORDER]
-        step = self.nblocks * max(1, _SLAB_BLOCKS // self.nblocks)
-        for start in range(0, len(self.coeffs), step):
-            coeffs = self.coeffs[start:start + step]
+        for lo, hi in _runs(len(self.norms), self.nblocks):
+            coeffs = self.coeffs[lo * self.nblocks:hi * self.nblocks]
             magnitude = np.abs(coeffs)
             magnitude /= table
             magnitude += 0.5

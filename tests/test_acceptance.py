@@ -6,6 +6,7 @@ default four-cube synthetic corpus at target compression rate 8; criterion 3
 runs its own median-of-5 size sweep.
 """
 
+import dataclasses
 import itertools
 import time
 
@@ -63,8 +64,7 @@ def _announce(number: int, name: str, elapsed: float, note: str = ""):
 @pytest.fixture(scope="module")
 def corpus_run():
     """Shared run for criteria 2 and 4: default corpus, target CR 8."""
-    config = default_config()
-    config.repetitions = 3
+    config = dataclasses.replace(default_config(), repetitions=3)
     start = time.perf_counter()
     reports = run_benchmark(config)
     return reports, time.perf_counter() - start

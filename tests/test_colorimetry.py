@@ -224,9 +224,9 @@ def test_dimension_mismatch_rejected():
 
 
 @pytest.mark.parametrize("width,height,bands", [
-    (8193, 1, 31),  # one pixel past a whole chunk
-    (100, 90, 31),  # 9000 pixels, two chunks
-    (130, 130, 61),  # three chunks, resampled from the 5 nm grid
+    (8193, 1, 31),  # one pixel past a whole chunk: the one chunk takes it
+    (100, 90, 31),  # 9000 pixels, one chunk
+    (130, 130, 61),  # chunks of 8192 and 8708 pixels, resampled from the 5 nm grid
 ])
 def test_chunked_map_matches_whole_frame(width, height, bands):
     # the chunked scoring is the same public functions over column slices:

@@ -35,7 +35,7 @@ from cubecodec.errors import (
     SizeLimitError,
     ValidationError,
 )
-from cubecodec.bench import make_skin_cube, make_sweep_cube
+from cubecodec.bench import make_chart_cube, make_skin_cube, make_sweep_cube
 
 from conftest import flip_bit, forged_scmp, random_cube
 
@@ -406,6 +406,41 @@ def test_sweep256_score_peak_memory(method):
     recon = decompress(compress(cube, method, 20, rate=RateTarget(8.0)))
     peak = _peak_bytes(lambda: cube_delta_e(cube, recon))
     assert peak <= 6.0 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# the chunk budget: cube.chunks sizes every pass, and no output depends on it
+
+_BUDGET_CUBES = {
+    "sweep37x53": functools.partial(make_sweep_cube, 37, 53),
+    "sweep100x90": functools.partial(make_sweep_cube, 100, 90),
+    "chart": make_chart_cube,
+    "synth61": functools.partial(synthesize_cube, 40, 30, 61, "random-smooth", seed=3),
+}
+
+
+def _budget_run(cube, method, p):
+    """The SCMP bytes, decoded cube and ΔE map of a rate-controlled round trip."""
+    stream = compress(cube, method, p, rate=RateTarget(8.0))
+    recon = decompress(stream)
+    return serialize_stream(stream), recon, cube_delta_e(cube, recon).map
+
+
+@pytest.mark.parametrize("method,p", [("pca", 1), ("pca", 20), ("csi", 20)])
+@pytest.mark.parametrize("name", list(_BUDGET_CUBES))
+def test_outputs_do_not_depend_on_the_chunk_budget(monkeypatch, name, method, p):
+    # 2**10 samples cut every pass small: one plane a run, bands of 16 rows,
+    # 16 to 64 pixels a chunk; 2**22 takes these cubes whole.  Chunk edges and
+    # BLAS kernels round together, so CI runs this under one and under several
+    # BLAS threads.
+    cube = _BUDGET_CUBES[name]()
+    blob, recon, de = _budget_run(cube, method, p)
+    for budget in (2 ** 10, 2 ** 13, 2 ** 22):
+        monkeypatch.setattr("cubecodec.cube.CHUNK_SAMPLES", budget)
+        other_blob, other_recon, other_de = _budget_run(cube, method, p)
+        assert other_blob == blob, budget
+        assert other_recon == recon, budget
+        assert np.array_equal(other_de, de), budget
 
 
 def test_compress_is_deterministic():

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 import warnings
 
 import numpy as np
@@ -183,6 +184,9 @@ _ESCAPES = {
         lambda: PcaSideInfo(mean="a", basis=_PCA_SIDE.basis, eigenvalues=_PCA_SIDE.eigenvalues),
         ValidationError),
     "CsiSideInfo-float-knots": (lambda: CsiSideInfo(knot_indices=[0.0, 2.5, 5.0]), ValidationError),
+    "PcaSideInfo-zero-components": (
+        lambda: PcaSideInfo(mean=np.zeros(3), basis=np.zeros((3, 0)), eigenvalues=np.zeros(0)),
+        ValidationError),
     "BenchConfig-str-repetitions": (
         lambda: BenchConfig(corpus=["skin"], repetitions="5"), ValidationError),
     "BenchConfig-float-repetitions": (
@@ -242,6 +246,42 @@ def test_records_compare_by_value(record, other):
     assert record != other
     assert record.__eq__("x") is NotImplemented and record != "x"
     assert record.__eq__(_REPORT) is NotImplemented
+
+
+# ---------------------------------------------------------------------------
+# frozen records: a built record keeps the values its checks passed
+
+_MUTATIONS = {
+    # each of these once stuck, and the stream or config then failed far from the change
+    "stream-planes": (lambda stream, config: setattr(stream, "planes", None),
+                      dataclasses.FrozenInstanceError),
+    "stream-quality": (lambda stream, config: setattr(stream, "quality", 300),
+                       dataclasses.FrozenInstanceError),
+    "stream-side-mean": (lambda stream, config: operator.setitem(stream.side.mean, 0, math.nan),
+                         ValueError),
+    "config-repetitions": (lambda stream, config: setattr(config, "repetitions", 0),
+                           dataclasses.FrozenInstanceError),
+    "stream-plane-record": (lambda stream, config: operator.setitem(stream.planes, 0, None),
+                            TypeError),
+    "stream-wavelengths": (lambda stream, config: operator.setitem(stream.wavelengths, 0, 0.0),
+                           ValueError),
+    "stream-side-basis": (lambda stream, config: operator.setitem(stream.side.basis, (0, 0), 2.0),
+                          ValueError),
+    "csi-knots": (
+        lambda stream, config: operator.setitem(csi_select_knots(6, 3).knot_indices, 1, 5),
+        ValueError),
+}
+
+
+@pytest.mark.parametrize("mutate,error", list(_MUTATIONS.values()), ids=list(_MUTATIONS))
+def test_records_refuse_a_change_once_built(mutate, error):
+    stream = compress(_CUBE, "pca", 3, quality=50)
+    config = dataclasses.replace(_CONFIG)
+    blob = serialize_stream(stream)
+    with pytest.raises(error):
+        mutate(stream, config)
+    assert serialize_stream(stream) == blob and parse_stream(blob) == stream
+    assert config == _CONFIG
 
 
 # ---------------------------------------------------------------------------

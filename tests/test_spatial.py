@@ -563,14 +563,17 @@ def _stack_qblocks(stack, quality):
 
 @settings(max_examples=60)
 @given(_plane_stacks(), st.integers(1, 100), st.integers(1, 40))
-def test_stacked_emit_matches_reference_plane_by_plane(dct_tensor, planes, quality, slab_blocks):
-    # slabs of 1-40 blocks split the stack at every plane boundary or none
-    with mock.patch.object(spatial, "_SLAB_BLOCKS", slab_blocks):
+def test_stacked_emit_matches_reference_plane_by_plane(dct_tensor, planes, quality, run_blocks):
+    # runs of 1-40 blocks' worth of samples (128 a block) take whole planes:
+    # one per run, a few, or all of them in one
+    with mock.patch("cubecodec.cube.CHUNK_SAMPLES", 128 * run_blocks):
         stack = PlaneStack.of(planes)
         encoded = stack.encode(quality)
         counted = stack.count_nbytes(quality)
     count = len(planes)
     assert len(encoded) == len(counted) == count
+    # the last run takes the planes left over
+    assert len(stack._probe[1]) == max(1, count // max(1, run_blocks // stack.nblocks))
     for plane, norm in zip(planes, stack.norms):
         assert norm.offset == plane.min()
     # the transform: per-block DCT of the normalized, edge-padded, level-shifted plane
@@ -586,33 +589,35 @@ def test_stacked_emit_matches_reference_plane_by_plane(dct_tensor, planes, quali
 
 
 def _stack_for_reuse():
-    # 5 planes of 30 blocks: with _SLAB_BLOCKS at 30, one plane per slab
+    # 5 planes of 30 blocks: with chunks of 30 blocks' samples, one plane per run
     planes = np.random.default_rng(49).normal(0.0, 40.0, (5, 37, 45))
     return PlaneStack.of(planes)
 
 
 @pytest.mark.parametrize("probed", [None, 90, 40], ids=["fresh", "same_quality", "other_quality"])
 def test_emit_after_a_probe_matches_a_fresh_emit(probed):
-    with mock.patch.object(spatial, "_SLAB_BLOCKS", 30):
+    with mock.patch("cubecodec.cube.CHUNK_SAMPLES", 128 * 30):
         expected = _stack_for_reuse().encode(90)
         stack = _stack_for_reuse()
         if probed is not None:
             stack.count_nbytes(probed)
         first, second = stack.encode(90), stack.encode(90)
+        counted = stack.count_nbytes(90)
+    assert len(stack._probe[1]) == 5
     assert first == expected
     assert second == expected
-    assert [len(plane.payload) for plane in expected] == stack.count_nbytes(90).tolist()
+    assert [len(plane.payload) for plane in expected] == counted.tolist()
 
 
 def test_emit_reuses_the_symbols_of_the_last_probe_only(monkeypatch):
     built = []
     symbols = spatial._Symbols
     monkeypatch.setattr(spatial, "_Symbols", lambda *args: built.append(1) or symbols(*args))
-    monkeypatch.setattr(spatial, "_SLAB_BLOCKS", 30)
+    monkeypatch.setattr("cubecodec.cube.CHUNK_SAMPLES", 128 * 30)
     stack = _stack_for_reuse()
     stack.count_nbytes(40)
     stack.count_nbytes(90)
-    assert len(built) == 10
+    assert len(built) == 10  # five runs a probe
     stack.encode(90)
     assert len(built) == 10  # the probe's symbols, packed as they are
     stack.encode(40)
