@@ -12,10 +12,18 @@ difference implements the full CIEDE2000 formula with unit weighting
 factors, including the hue-angle special cases.
 
 The array functions take and return pixel-interleaved (..., 3) arrays but
-work channel-planar: spectra are rendered band-major, with one (3, N) @
-(N, M) product, and Lab and CIEDE2000 run on contiguous 1-D L/a/b planes.
-:func:`cube_delta_e` feeds them each cube's own band-major samples, a chunk
-of pixels at a time, as :func:`~cubecodec.cube.chunks` sizes and aligns them.
+work channel-planar, and their results are views of (3, M) planes, so no
+step interleaves and de-interleaves again.  Spectra are rendered band-major:
+the input's (N, M) band view is cast to float64 in its own memory order, or,
+off the observer grid, only the bands the resampling reads are, and one
+(3, 31) @ (31, M) product follows.  Lab runs f once on the (3, M) X/Y/Z
+planes, and CIEDE2000 runs on contiguous 1-D L/a/b planes, each step in place
+in a buffer an earlier one is done with.  Every step is the same
+floating-point operation, in the same order, as a plain one-temporary-per-step
+formula, so the values do not depend on the buffering.
+:func:`cube_delta_e` feeds them each cube's own band-major float32 samples, a
+chunk of pixels at a time, as :func:`~cubecodec.cube.chunks` sizes and aligns
+them.
 """
 
 from __future__ import annotations
@@ -94,12 +102,19 @@ _Y_NORM = float((_WEIGHTS.T @ np.ones((_WEIGHTS.shape[0], 1)))[1, 0])
 
 
 def _resample_to_observer(bands: np.ndarray, wavelengths) -> np.ndarray:
-    """Linear resampling of band-major (N, M) spectra onto the observer grid."""
+    """Band-major (N, M) spectra of any real dtype as float64 (31, M) spectra on
+    the observer grid, by linear resampling.
+
+    On the observer grid the bands are cast in their own memory order, so a
+    view of contiguous band rows casts to a row-contiguous copy.  Off it, only
+    the (at most 62) bands the resampling interpolates between are gathered and
+    cast, never all N.
+    """
     n = bands.shape[0]
     wl = check_axis("wavelength grid", wavelengths, np.float64, range(n, n + 1))
     ow = _WAVELENGTHS
     if np.array_equal(wl, ow):
-        return bands
+        return bands.astype(np.float64, copy=False)
     if wl[0] > ow[0] or wl[-1] < ow[-1]:
         raise ArgumentError(
             f"spectrum span [{wl[0]}, {wl[-1]}] does not cover observer span "
@@ -107,20 +122,32 @@ def _resample_to_observer(bands: np.ndarray, wavelengths) -> np.ndarray:
         )
     idx = np.clip(np.searchsorted(wl, ow, side="right") - 1, 0, wl.shape[0] - 2)
     t = ((ow - wl[idx]) / (wl[idx + 1] - wl[idx]))[:, None]
-    return bands[idx] * (1.0 - t) + bands[idx + 1] * t
+    # band idx + 1 sits right after band idx among the bands read
+    read = np.union1d(idx, idx + 1)
+    near = bands[read].astype(np.float64, copy=False)
+    k = np.searchsorted(read, idx)
+    lower = near[k]
+    lower *= 1.0 - t
+    upper = near[k + 1]
+    upper *= t
+    lower += upper
+    return lower
 
 
 def spectra_to_xyz(spectra: np.ndarray, wavelengths) -> np.ndarray:
     """Render (..., N) reflectance spectra to (..., 3) XYZ, Y in [0, 100].
 
-    The product runs band-major, (3, N) weights times (N, M) spectra, and the
-    result is a (..., 3) view of the (3, M) X/Y/Z planes.
+    The product runs band-major, (3, N) weights times the (N, M) float64
+    spectra :func:`_resample_to_observer` makes of the input's band-major view,
+    and the result is a (..., 3) view of the (3, M) X/Y/Z planes.
     """
-    spectra = check_array("spectra", spectra, np.float64)
+    spectra = check_array("spectra", spectra, None)
     if spectra.ndim == 0 or spectra.shape[-1] == 0:
         raise ArgumentError(f"spectra need at least one band on the last axis, got shape {spectra.shape}")
     bands = spectra.reshape(-1, spectra.shape[-1]).T
-    xyz = 100.0 * ((_WEIGHTS.T @ _resample_to_observer(bands, wavelengths)) / _Y_NORM)
+    xyz = _WEIGHTS.T @ _resample_to_observer(bands, wavelengths)
+    xyz /= _Y_NORM
+    xyz *= 100.0
     return xyz.T.reshape(spectra.shape[:-1] + (3,))
 
 
@@ -135,7 +162,12 @@ _LAB_SLOPE = 1.0 / (3.0 * (6.0 / 29.0) ** 2)
 
 
 def _lab_f(t: np.ndarray) -> np.ndarray:
-    return np.where(t > _LAB_DELTA3, np.cbrt(t), _LAB_SLOPE * t + 4.0 / 29.0)
+    """Lab's f of ``t``, in place: the cube root above (6/29)^3, else the linear branch."""
+    linear = ~(t > _LAB_DELTA3)
+    below = _LAB_SLOPE * t[linear] + 4.0 / 29.0
+    np.cbrt(t, out=t)
+    t[linear] = below
+    return t
 
 
 def _planes(values: np.ndarray) -> np.ndarray:
@@ -148,26 +180,49 @@ def _planes(values: np.ndarray) -> np.ndarray:
 def xyz_array_to_lab(xyz: np.ndarray) -> np.ndarray:
     """(..., 3) XYZ -> (..., 3) Lab against the D65 white :data:`_WHITE`.
 
-    Each channel is worked on as one contiguous plane; the result is a
-    (..., 3) view of the (3, ...) L/a/b planes.
+    f runs once on the (3, K) X/Y/Z planes, and L, a and b are written into one
+    (3, K) array; the result is a (..., 3) view of its planes.
     """
     xyz = check_array("xyz", xyz, np.float64)
-    x, y, z = _planes(xyz)
-    fx = _lab_f(x / _WHITE[0])
-    fy = _lab_f(y / _WHITE[1])
-    fz = _lab_f(z / _WHITE[2])
-    lab = np.stack([116.0 * fy - 16.0, 500.0 * (fx - fy), 200.0 * (fy - fz)])
+    fx, fy, fz = f = _lab_f(_planes(xyz) / _WHITE[:, None])
+    lab = np.empty_like(f)
+    np.multiply(fy, 116.0, out=lab[0])
+    lab[0] -= 16.0
+    np.subtract(fx, fy, out=lab[1])
+    lab[1] *= 500.0
+    np.subtract(fy, fz, out=lab[2])
+    lab[2] *= 200.0
     return np.moveaxis(lab.reshape((3,) + xyz.shape[:-1]), 0, -1)
 
 
 _POW25_7 = 25.0 ** 7
+#: degrees to radians and back: np.radians and np.degrees multiply by these
+#: same doubles, in a scalar loop at about four times np.multiply's cost
+_RADIANS = np.pi / 180.0
+_DEGREES = 180.0 / np.pi
+
+
+def _chroma_ratio(c: np.ndarray) -> np.ndarray:
+    """``sqrt(c^7 / (c^7 + 25^7))``, in place."""
+    np.power(c, 7, out=c)
+    np.divide(c, c + _POW25_7, out=c)
+    return np.sqrt(c, out=c)
+
+
+def _cos_degrees(angle: np.ndarray, weight: float) -> np.ndarray:
+    """``weight * cos(angle)`` of an angle in degrees, in place."""
+    angle *= _RADIANS
+    np.cos(angle, out=angle)
+    angle *= weight
+    return angle
 
 
 def ciede2000_array(lab1: np.ndarray, lab2: np.ndarray) -> np.ndarray:
     """CIEDE2000 on (..., 3) Lab arrays with kL = kC = kH = 1.
 
-    The formula runs on contiguous 1-D L/a/b planes.  Nothing is checked
-    for finiteness: a non-finite Lab component gives NaN for its pair.
+    The formula runs on contiguous 1-D L/a/b planes, each step written into
+    a buffer an earlier step is done with.  Nothing is checked for
+    finiteness: a non-finite Lab component gives NaN for its pair.
     """
     lab1, lab2 = np.broadcast_arrays(check_array("lab1", lab1, np.float64),
                                      check_array("lab2", lab2, np.float64))
@@ -176,54 +231,110 @@ def ciede2000_array(lab1: np.ndarray, lab2: np.ndarray) -> np.ndarray:
 
     c1 = np.hypot(a1, b1)
     c2 = np.hypot(a2, b2)
-    cbar = 0.5 * (c1 + c2)
-    cbar7 = cbar ** 7
-    g = 0.5 * (1.0 - np.sqrt(cbar7 / (cbar7 + _POW25_7)))
-    a1p = (1.0 + g) * a1
-    a2p = (1.0 + g) * a2
-    c1p = np.hypot(a1p, b1)
-    c2p = np.hypot(a2p, b2)
-    h1p = np.degrees(np.arctan2(b1, a1p))
-    h2p = np.degrees(np.arctan2(b2, a2p))
+    # 1 + G, with G = 0.5 * (1 - sqrt(C^7 / (C^7 + 25^7))) of the mean chroma C
+    g1 = np.add(c1, c2)
+    g1 *= 0.5
+    _chroma_ratio(g1)
+    np.subtract(1.0, g1, out=g1)
+    g1 *= 0.5
+    g1 += 1.0
+    a1p = g1 * a1
+    a2p = np.multiply(g1, a2, out=g1)
+    c1p = np.hypot(a1p, b1, out=c1)
+    c2p = np.hypot(a2p, b2, out=c2)
+    h1p = np.arctan2(b1, a1p, out=a1p)
+    h2p = np.arctan2(b2, a2p, out=a2p)
+    h1p *= _DEGREES
+    h2p *= _DEGREES
     # arctan2 lies in [-180, 180] degrees: adding 360 to the negative angles
     # gives np.mod(h, 360.0)'s bits, signed zeros included, at a tenth of its cost
     h1p += 360.0 * (h1p < 0.0)
     h2p += 360.0 * (h2p < 0.0)
 
     dl = l2 - l1
-    dc = c2p - c1p
-    hdiff = h2p - h1p
-    zero_chroma = c1p * c2p == 0.0
-    dh = np.where(hdiff > 180.0, hdiff - 360.0, np.where(hdiff < -180.0, hdiff + 360.0, hdiff))
-    dh = np.where(zero_chroma, 0.0, dh)
-    dbig_h = 2.0 * np.sqrt(c1p * c2p) * np.sin(np.radians(dh) / 2.0)
+    c12 = c1p * c2p
+    zero_chroma = c12 == 0.0
+    # the hue difference, wrapped into [-180, 180] and 0 where a chroma is 0
+    dh = h2p - h1p
+    np.subtract(dh, 360.0, out=dh, where=dh > 180.0)
+    np.add(dh, 360.0, out=dh, where=dh < -180.0)
+    dh[zero_chroma] = 0.0
+    dh *= _RADIANS
+    dh /= 2.0
+    dbig_h = np.sqrt(c12, out=c12)
+    dbig_h *= 2.0
+    dbig_h *= np.sin(dh, out=dh)
 
-    lbar = 0.5 * (l1 + l2)
-    cbar_p = 0.5 * (c1p + c2p)
+    # the mean hue: half the hue sum, moved by 360 first where the hues lie
+    # more than 180 apart; the sum itself where a chroma is 0
     hsum = h1p + h2p
-    habs = np.abs(h1p - h2p)
-    hbar = np.where(habs <= 180.0, 0.5 * hsum,
-                    np.where(hsum < 360.0, 0.5 * (hsum + 360.0), 0.5 * (hsum - 360.0)))
-    hbar = np.where(zero_chroma, hsum, hbar)
+    apart = np.abs(np.subtract(h1p, h2p, out=dh), out=dh) > 180.0
+    low = hsum < 360.0
+    hbar = hsum.copy()
+    np.add(hbar, 360.0, out=hbar, where=apart & low)
+    np.subtract(hbar, 360.0, out=hbar, where=apart & ~low)
+    hbar *= 0.5
+    np.copyto(hbar, hsum, where=zero_chroma)
 
-    t = (1.0
-         - 0.17 * np.cos(np.radians(hbar - 30.0))
-         + 0.24 * np.cos(np.radians(2.0 * hbar))
-         + 0.32 * np.cos(np.radians(3.0 * hbar + 6.0))
-         - 0.20 * np.cos(np.radians(4.0 * hbar - 63.0)))
-    dtheta = 30.0 * np.exp(-(((hbar - 275.0) / 25.0) ** 2))
-    cbar_p7 = cbar_p ** 7
-    rc = 2.0 * np.sqrt(cbar_p7 / (cbar_p7 + _POW25_7))
-    lterm = (lbar - 50.0) ** 2
-    sl = 1.0 + 0.015 * lterm / np.sqrt(20.0 + lterm)
-    sc = 1.0 + 0.045 * cbar_p
-    sh = 1.0 + 0.015 * cbar_p * t
-    rt = -np.sin(np.radians(2.0 * dtheta)) * rc
+    # T = 1 - 0.17 cos(hbar - 30) + 0.24 cos(2 hbar) + 0.32 cos(3 hbar + 6) - 0.20 cos(4 hbar - 63)
+    t = _cos_degrees(np.subtract(hbar, 30.0, out=h1p), 0.17)
+    np.subtract(1.0, t, out=t)
+    t += _cos_degrees(np.multiply(2.0, hbar, out=h2p), 0.24)
+    w = np.multiply(3.0, hbar, out=h2p)
+    w += 6.0
+    t += _cos_degrees(w, 0.32)
+    w = np.multiply(4.0, hbar, out=h2p)
+    w -= 63.0
+    t -= _cos_degrees(w, 0.20)
+    # the hue rotation term R_T = -sin(2 dtheta) R_C, dtheta = 30 exp(-((hbar - 275) / 25)^2)
+    dtheta = np.subtract(hbar, 275.0, out=hbar)
+    dtheta /= 25.0
+    np.square(dtheta, out=dtheta)
+    np.negative(dtheta, out=dtheta)
+    np.exp(dtheta, out=dtheta)
+    dtheta *= 30.0
+    cbar_p = np.add(c1p, c2p, out=hsum)
+    cbar_p *= 0.5
+    rc = _chroma_ratio(cbar_p.copy())
+    rc *= 2.0
+    rt = dtheta
+    rt *= 2.0
+    rt *= _RADIANS
+    np.sin(rt, out=rt)
+    np.negative(rt, out=rt)
+    rt *= rc
 
-    x = dl / sl
-    y = dc / sc
-    z = dbig_h / sh
-    return np.sqrt(x * x + y * y + z * z + rt * y * z).reshape(lab1.shape[:-1])
+    # the weights S_L = 1 + 0.015 (lbar - 50)^2 / sqrt(20 + (lbar - 50)^2), S_C and S_H
+    lbar = np.add(l1, l2, out=rc)
+    lbar *= 0.5
+    sl = np.subtract(lbar, 50.0, out=lbar)
+    np.square(sl, out=sl)
+    root = np.add(20.0, sl, out=dh)
+    np.sqrt(root, out=root)
+    sl *= 0.015
+    sl /= root
+    sl += 1.0
+    sh = np.multiply(0.015, cbar_p, out=root)
+    sh *= t
+    sh += 1.0
+    sc = cbar_p
+    sc *= 0.045
+    sc += 1.0
+
+    # sqrt(x^2 + y^2 + z^2 + R_T y z) of the weighted differences x, y and z
+    x = np.divide(dl, sl, out=dl)
+    y = np.subtract(c2p, c1p, out=c2p)
+    y /= sc
+    z = np.divide(dbig_h, sh, out=dbig_h)
+    rt *= y
+    rt *= z
+    np.multiply(x, x, out=x)
+    np.multiply(z, z, out=z)
+    np.multiply(y, y, out=y)
+    x += y
+    x += z
+    x += rt
+    return np.sqrt(x, out=x).reshape(lab1.shape[:-1])
 
 
 def cube_delta_e(original: SpectralCube, reconstructed: SpectralCube) -> DeltaEStats:
@@ -232,6 +343,8 @@ def cube_delta_e(original: SpectralCube, reconstructed: SpectralCube) -> DeltaES
     Each cube's band-major samples are scored straight into one preallocated
     map, in :func:`~cubecodec.cube.chunks` at 16 samples per pixel: 8192 pixels,
     where a 31-band cube's 4224-pixel chunks at N per pixel scored slower.
+    A chunk is cast to float64 only in the (at most 62) bands the observer
+    grid reads, so an N-band cube scores in about a 31-band cube's memory.
     Running out of memory raises :class:`SizeLimitError`.
     """
     check_type("original", original, SpectralCube)

@@ -94,8 +94,11 @@ MAX_DIM = 2 ** 32 - 1
 
 
 def freeze(record, **arrays) -> None:
-    """Set the fields of a frozen dataclass ``record`` to ``arrays``, made read-only."""
+    """Set the fields of a frozen dataclass ``record`` to read-only copies of
+    ``arrays``, so the caller's own arrays stay writable and the record's stay as built.
+    A copy keeps its array's memory order, which the BLAS products that read it run in."""
     for name, array in arrays.items():
+        array = array.copy(order="K")
         array.setflags(write=False)
         object.__setattr__(record, name, array)
 
@@ -110,7 +113,12 @@ def values_equal(self, other) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class SpectralCube:
-    """Immutable spectral image: ``samples[b, y, x]`` is band ``b`` at pixel (x, y)."""
+    """Immutable spectral image: ``samples[b, y, x]`` is band ``b`` at pixel (x, y).
+
+    The cube keeps a copy of the wavelengths, but takes ``samples`` over as it
+    is when it is already a C-contiguous float32 array: that array becomes
+    read-only, the caller's name for it included.
+    """
 
     width: int
     height: int
@@ -130,7 +138,11 @@ class SpectralCube:
                 f"samples has shape {s.shape}, expected "
                 f"({self.bands}, {self.height}, {self.width})"
             )
-        freeze(self, wavelengths=wl, samples=s)
+        freeze(self, wavelengths=wl)
+        # the samples are taken over, not copied: read_cube's view of its bytes
+        # and the decoder's float32 cube stay the only copy
+        s.setflags(write=False)
+        object.__setattr__(self, "samples", s)
 
     __eq__ = values_equal  # cubes are value objects; equality is bit-exact
 

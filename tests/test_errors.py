@@ -284,6 +284,33 @@ def test_records_refuse_a_change_once_built(mutate, error):
     assert config == _CONFIG
 
 
+def test_records_copy_the_callers_small_arrays():
+    # each record keeps read-only copies of its small arrays: the caller's own
+    # arrays stay writable, and writing to them leaves the record as built
+    mean, basis, eigenvalues = np.zeros(3), np.eye(3)[:, :2], np.ones(2)
+    knots = np.array([0, 2, 5])
+    cube_wl, stream_wl = _CUBE.wavelengths.copy(), _STREAM.wavelengths.copy()
+    samples = _CUBE.samples.copy()
+    pca = PcaSideInfo(mean=mean, basis=basis, eigenvalues=eigenvalues)
+    csi = CsiSideInfo(knots)
+    cube = SpectralCube(8, 8, 6, cube_wl, samples)
+    stream = CompressedStream(**_stream_fields(wavelengths=stream_wl))
+    mean[0] = 1.0
+    basis[0, 0] = 0.5
+    eigenvalues[0] = 3.0
+    knots[1] = 4
+    cube_wl[0] = stream_wl[0] = 1.0
+    assert (pca.mean[0], pca.basis[0, 0], pca.eigenvalues[0]) == (0.0, 1.0, 1.0)
+    assert csi.knot_indices[1] == 2
+    assert cube.wavelengths[0] == _CUBE.wavelengths[0]
+    assert stream.wavelengths[0] == _STREAM.wavelengths[0]
+    for kept in (pca.mean, pca.basis, pca.eigenvalues, csi.knot_indices, cube.wavelengths,
+                 stream.wavelengths):
+        assert not kept.flags.writeable
+    # the samples are taken over as they are, not copied
+    assert cube.samples is samples and not samples.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # the property: one bad value in an otherwise valid call of every export
 

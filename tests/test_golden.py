@@ -14,10 +14,11 @@ still rendered the whole frame pixel-major.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from cubecodec.bench import BUILTIN_CORPUS, _BUILTIN_BUILDERS, make_sweep_cube
-from cubecodec.colorimetry import cube_delta_e
+from cubecodec.colorimetry import cube_delta_e, spectra_to_xyz, xyz_array_to_lab
 from cubecodec.container import (
     SPECTRAL_METHODS,
     RateTarget,
@@ -27,7 +28,7 @@ from cubecodec.container import (
     parse_stream,
     serialize_stream,
 )
-from cubecodec.cube import synthesize_cube
+from cubecodec.cube import SpectralCube, default_wavelengths, synthesize_cube
 from cubecodec.spatial import PlaneStack, decode_plane_stack
 
 # (image, method, p) -> (sha256 of the SCMP bytes, chosen quality, rate probes) at CR 8
@@ -231,6 +232,47 @@ GOLDEN_DELTA_E_MAPS = {
 }
 
 
+def _branch_cubes(width, height, bands, seed):
+    """Two cubes whose pixels are, at random, black, flat gray, uniform-random
+    spectra, or dark ones (0.004 times uniform-random) on Lab's linear branch."""
+    rng = np.random.default_rng(seed)
+
+    def one():
+        samples = rng.uniform(0.0, 1.0, (bands, height * width))
+        kind = rng.integers(0, 4, height * width)
+        samples[:, kind == 0] = 0.0
+        samples[:, kind == 1] = samples[0, kind == 1]
+        samples[:, kind == 3] *= 0.004
+        return SpectralCube(width, height, bands, default_wavelengths(bands),
+                            samples.reshape(bands, height, width))
+
+    return one(), one()
+
+
+# (width, height, bands, seed) of _branch_cubes pairs scored against each other,
+# so every CIEDE2000 branch is taken by thousands of pixels: zero-chroma pairs,
+# hue differences across the +-180 degree wrap both ways, wrapped pairs whose
+# hue sum is below and at or above 360, and Lab's linear branch.  "grid61" and
+# "grid400" resample onto the observer grid, and "frame1x8193" is one
+# column, one chunk of 8193 pixels
+GOLDEN_DELTA_E_BRANCH_CASES = {
+    "grid31": (128, 96, 31, 1901),
+    "grid61": (48, 40, 61, 1902),
+    "grid400": (40, 24, 400, 1903),
+    "frame1x8193": (1, 8193, 31, 1904),
+}
+
+# case -> sha256 of the cube_delta_e map, recorded while Lab and CIEDE2000
+# still took one temporary per step and nested np.where for the hue branches,
+# and rendering still cast every band to float64
+GOLDEN_DELTA_E_BRANCH_MAPS = {
+    "grid31": "60d4b06a9d2848e4a1e2bab780b94a12f8929e63e389557746544906b434cef1",
+    "grid61": "e0a4dc8620eeb924c089eff1c3b450a14e98daaadf076d0f8c73a3df1dd52027",
+    "grid400": "9a33570d7542f3de451f35bf6f117094e15d7eadeef502b7ec230a07181c07ad",
+    "frame1x8193": "11b07a23640ea4612d01f9d2c76b74f9b1e5552e23e0e60ae60f24252fa481ea",
+}
+
+
 @pytest.mark.parametrize("image", BUILTIN_CORPUS)
 def test_rate_controlled_streams_are_pinned(image):
     cube = _BUILTIN_BUILDERS[image]()
@@ -301,3 +343,24 @@ def test_delta_e_maps_are_pinned(image, method):
     assert (hashlib.sha256(decoded.samples.tobytes()).hexdigest(), stats.mean.hex(),
             stats.p95.hex(), stats.max.hex(),
             hashlib.sha256(stats.map.tobytes()).hexdigest()) == GOLDEN_DELTA_E_MAPS[image, method]
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_DELTA_E_BRANCH_CASES))
+def test_delta_e_branch_maps_are_pinned(case):
+    a, b = _branch_cubes(*GOLDEN_DELTA_E_BRANCH_CASES[case])
+    stats = cube_delta_e(a, b)
+    assert hashlib.sha256(stats.map.tobytes()).hexdigest() == GOLDEN_DELTA_E_BRANCH_MAPS[case]
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_DELTA_E_BRANCH_CASES))
+def test_delta_e_branch_cases_take_every_branch(case):
+    # hues from Lab's a and b: a' scales a by 1 + G > 0, so it keeps the quadrant
+    labs = [xyz_array_to_lab(spectra_to_xyz(c.pixel_matrix(), c.wavelengths))
+            for c in _branch_cubes(*GOLDEN_DELTA_E_BRANCH_CASES[case])]
+    hue = [np.degrees(np.arctan2(lab[:, 2], lab[:, 1])) % 360.0 for lab in labs]
+    gray = np.hypot(labs[0][:, 1], labs[0][:, 2]) * np.hypot(labs[1][:, 1], labs[1][:, 2]) == 0.0
+    diff, total = hue[1] - hue[0], hue[0] + hue[1]
+    wrapped = (np.abs(diff) > 180.0) & ~gray
+    for taken in (gray, diff > 180.0, diff < -180.0, wrapped & (total < 360.0),
+                  wrapped & (total >= 360.0), labs[0][:, 0] < 8.0, labs[1][:, 0] < 8.0):
+        assert taken.sum() >= 50
