@@ -24,7 +24,13 @@ decoder makes no whole-cube float64 array, so a decode peaks near the size
 of its cube.
 Side info is stored uncompressed: PCA writes the band-mean vector, the N x P
 basis (column-major by component) and the P eigenvalues as f32
-(4N + 4NP + 4P bytes); CSI writes P u16 knot indices (2P bytes).
+(4N + 4NP + 4P bytes); CSI writes P u16 knot indices (2P bytes).  Each
+side-info record checks that it fits the stream's N bands
+(``check_for_bands``), so nothing is serialized to learn its size.
+
+Records raise :class:`ValidationError` for a bad field, the side-info
+readers included; :func:`parse_stream` reports each one, with what failed,
+as a :class:`CorruptError` at one boundary.
 
 Rate control is an integer binary search on the single shared plane
 quality, run count-then-emit on one :class:`~cubecodec.spatial.PlaneStack`:
@@ -101,7 +107,7 @@ class SpectralMethod:
     expand: Callable  # (planes or PlaneBands, side info, wavelengths) -> SpectralCube
     side_nbytes: Callable  # (n, p) -> side-info bytes in the stream
     write_side: Callable  # side info -> bytes
-    read_side: Callable  # (bytes, n, p) -> side info; raises CorruptError
+    read_side: Callable  # (bytes, n, p) -> side info; raises ValidationError
 
 
 # reduce/expand look the reducers up in this module at call time: rebinding one here takes effect
@@ -117,16 +123,11 @@ def _pca_write(side: PcaSideInfo) -> bytes:
 
 
 def _pca_read(data: bytes, n: int, p: int) -> PcaSideInfo:
-    if p > n:
-        raise CorruptError(f"p={p} exceeds n={n} for PCA")
     values = np.frombuffer(data, dtype="<f4").astype(np.float64)
-    try:
-        side = PcaSideInfo(mean=values[:n], basis=values[n:n + n * p].reshape(p, n).T,
-                           eigenvalues=np.maximum(values[n + n * p:], 0.0))
-    except ValidationError as exc:
-        raise CorruptError(f"bad PCA side info: {exc}") from None
+    side = PcaSideInfo(mean=values[:n], basis=values[n:n + n * p].reshape(p, n).T,
+                       eigenvalues=np.maximum(values[n + n * p:], 0.0))
     if (defect := side.orthonormality_defect()) > 1e-4:  # loose: the stream rounds to f32
-        raise CorruptError(f"bad PCA side info: basis columns not orthonormal: defect {defect:.3e}")
+        raise ValidationError(f"basis columns not orthonormal: defect {defect:.3e}")
     return side
 
 
@@ -136,11 +137,8 @@ def _csi_reduce(cube: SpectralCube, p: int):
 
 
 def _csi_read(data: bytes, n: int, p: int) -> CsiSideInfo:
-    try:
-        side = CsiSideInfo(knot_indices=np.frombuffer(data, dtype="<u2").astype(np.int64))
-        side.check_for_bands(n)
-    except (ValidationError, ArgumentError) as exc:
-        raise CorruptError(f"bad CSI side info: {exc}") from None
+    side = CsiSideInfo(knot_indices=np.frombuffer(data, dtype="<u2").astype(np.int64))
+    side.check_for_bands(n, ValidationError)
     return side
 
 
@@ -235,14 +233,10 @@ class CompressedStream:
                                             range(1, 0x10000), ValidationError))
         if check_type("side", self.side, spec.side_type, ValidationError).p != self.p:
             raise ValidationError(f"side info for p={self.side.p} beside {self.p} plane records")
+        self.side.check_for_bands(self.bands, ValidationError)
         # keep the side info as the decoder reads it (PCA: rounded to f32)
         side = spec.write_side(self.side)
-        if len(side) != spec.side_nbytes(self.bands, self.p):
-            raise ValidationError(f"side info does not fit {self.bands} bands")
-        try:
-            object.__setattr__(self, "side", spec.read_side(side, self.bands, self.p))
-        except CorruptError as exc:  # e.g. a fit beyond float32, or knots past the bands
-            raise ValidationError(str(exc)) from None
+        object.__setattr__(self, "side", spec.read_side(side, self.bands, self.p))
 
     @property
     def p(self) -> int:
@@ -302,30 +296,30 @@ def parse_stream(data: bytes) -> CompressedStream:
     if off > len(data):
         raise CorruptError("SCMP truncated before the plane records")
     wavelengths = np.frombuffer(data, dtype="<f4", count=n, offset=_HEADER.size).copy()
-    side = spec.read_side(data[side_at:off], n, p)
-    planes = []
-    for i in range(p):
-        if off + _PLANE_HEADER.size > len(data):
-            raise CorruptError("truncated plane record header")
-        w, h, q, norm_offset, norm_scale, count = _PLANE_HEADER.unpack_from(data, off)
-        if (w, h, q) != (width, height, quality):
-            raise CorruptError(f"plane record {i} disagrees with stream header")
-        off += _PLANE_HEADER.size
-        if off + count > len(data):
-            raise CorruptError("truncated plane payload")
-        try:
-            norm = PlaneNorm(offset=norm_offset, scale=norm_scale)
-        except ValidationError as exc:
-            raise CorruptError(f"bad normalization in plane record {i}: {exc}") from None
-        planes.append(EncodedPlane(norm=norm, payload=bytes(data[off:off + count])))
-        off += count
-    if off != len(data):
-        raise CorruptError(f"{len(data) - off} trailing bytes after last plane")
-    try:
+    try:  # every record raises ValidationError: here, and only here, it becomes CorruptError
+        what = f"{method.upper()} side info"
+        side = spec.read_side(data[side_at:off], n, p)
+        planes = []
+        for i in range(p):
+            if off + _PLANE_HEADER.size > len(data):
+                raise CorruptError("truncated plane record header")
+            w, h, q, norm_offset, norm_scale, count = _PLANE_HEADER.unpack_from(data, off)
+            if (w, h, q) != (width, height, quality):
+                raise CorruptError(f"plane record {i} disagrees with stream header")
+            off += _PLANE_HEADER.size
+            if off + count > len(data):
+                raise CorruptError("truncated plane payload")
+            what = f"normalization in plane record {i}"
+            planes.append(EncodedPlane(norm=PlaneNorm(offset=norm_offset, scale=norm_scale),
+                                       payload=bytes(data[off:off + count])))
+            off += count
+        if off != len(data):
+            raise CorruptError(f"{len(data) - off} trailing bytes after last plane")
+        what = "stream"  # the wavelengths, the one field not checked above
         return CompressedStream(method=method, side=side, wavelengths=wavelengths,
                                 quality=quality, planes=planes, width=width, height=height)
-    except ValidationError as exc:  # the wavelengths, the one field not checked above
-        raise CorruptError(str(exc)) from None
+    except ValidationError as exc:
+        raise CorruptError(f"bad {what}: {exc}") from None
 
 
 def compression_rate(original: SpectralCube, stream_nbytes: int) -> float:

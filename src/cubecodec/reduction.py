@@ -32,7 +32,7 @@ from .spline import natural_cubic_spline
 
 @dataclass(frozen=True, eq=False)
 class PcaSideInfo:
-    """Decoder-side PCA metadata: band means, basis columns, eigenvalues; p >= 1."""
+    """Decoder-side PCA metadata: band means, basis columns, eigenvalues; 1 <= p <= n."""
 
     mean: np.ndarray  # (N,) float64
     basis: np.ndarray  # (N, P) float64, orthonormal columns
@@ -47,8 +47,8 @@ class PcaSideInfo:
         n, p = basis.shape
         if mean.shape != (n,) or eigenvalues.shape != (p,):
             raise ValidationError("side-info shapes are inconsistent")
-        if p < 1:
-            raise ValidationError("side info needs at least one component")
+        if not 1 <= p <= n:
+            raise ValidationError(f"side info needs 1 to {n} components, got p={p}")
         if not (np.isfinite(mean).all() and np.isfinite(basis).all()
                 and np.isfinite(eigenvalues).all()):
             raise ValidationError("side info contains non-finite values")
@@ -65,6 +65,11 @@ class PcaSideInfo:
     @property
     def p(self) -> int:
         return self.basis.shape[1]
+
+    def check_for_bands(self, n: int, error: type = ArgumentError):
+        """Raise ``error`` unless the side info is for ``n`` bands."""
+        if self.n != n:
+            raise error(f"side info is for {self.n} bands, not {n}")
 
     def orthonormality_defect(self) -> float:
         """Max-norm of basis^T basis - I."""
@@ -91,9 +96,10 @@ class CsiSideInfo:
     def p(self) -> int:
         return self.knot_indices.shape[0]
 
-    def check_for_bands(self, n: int):
+    def check_for_bands(self, n: int, error: type = ArgumentError):
+        """Raise ``error`` unless the knots span ``n`` bands, 0 to n - 1."""
         if self.knot_indices[0] != 0 or self.knot_indices[-1] != n - 1:
-            raise ArgumentError(
+            raise error(
                 f"knots must include both end bands 0 and {n - 1}, "
                 f"got {self.knot_indices[0]}..{self.knot_indices[-1]}"
             )
@@ -147,8 +153,7 @@ def pca_forward(cube: SpectralCube, side: PcaSideInfo) -> np.ndarray:
     The centered samples are made a chunk of pixels at a time.
     """
     check_type("cube", cube, SpectralCube)
-    if check_type("side", side, PcaSideInfo).n != cube.bands:
-        raise ArgumentError(f"side info is for {side.n} bands, cube has {cube.bands}")
+    check_type("side", side, PcaSideInfo).check_for_bands(cube.bands)
     n, npix = cube.bands, cube.width * cube.height
     samples = cube.samples.reshape(n, -1)
     planes = np.empty((side.p, npix))

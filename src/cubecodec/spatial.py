@@ -271,29 +271,22 @@ class _Symbols:
                 for start, count in zip(plane_starts.tolist(), plane_bytes.tolist())]
 
 
-def _block_symbols(qblocks: np.ndarray):
-    """Quantized 8x8 blocks (natural order) as one plane: (symbols, AC magnitudes, AC signs)."""
-    q = np.asarray(qblocks)
-    if q.ndim != 3 or q.shape[1:] != (8, 8) or q.dtype.kind not in "iu":
-        raise ArgumentError(f"expected (n, 8, 8) integer blocks, got {q.dtype} {q.shape}")
-    zz = q.reshape(-1, 64).take(ZIGZAG_ORDER, axis=1).astype(np.int64)
-    ac = zz[:, 1:]
-    too_big = (ac < -1023) | (ac > 1023)
-    if too_big.any():
-        raise ValidationError(f"AC coefficient {ac[too_big][0]} exceeds category 10")
-    magnitude = np.abs(ac)
-    return _Symbols(zz[:, 0], _CATEGORY.take(magnitude), max(len(zz), 1)), magnitude, ac < 0
-
-
 def entropy_encode_blocks(qblocks: np.ndarray) -> bytes:
     """Pack quantized 8x8 blocks (natural order) into the Huffman bitstream.
 
     Exactly invertible by :func:`entropy_decode_planes` as one plane of
     ``len(qblocks)`` blocks; includes the zigzag scan and the raster-order
-    DC differential.  One plane of the emit :meth:`PlaneStack.encode` runs.
+    DC differential.  The blocks are coded as the one plane of a
+    :class:`PlaneStack` at quality 100, whose steps are all 1, so the emit
+    :meth:`PlaneStack.encode` runs codes the integers themselves.
     """
-    symbols, magnitude, negative = _block_symbols(qblocks)
-    return symbols.pack(magnitude, negative)[0] if len(magnitude) else b""
+    q = np.asarray(qblocks)
+    if q.ndim != 3 or q.shape[1:] != (8, 8) or q.dtype.kind not in "iu":
+        raise ArgumentError(f"expected (n, 8, 8) integer blocks, got {q.dtype} {q.shape}")
+    if not len(q):
+        return b""
+    zigzag = q.reshape(-1, 64).take(ZIGZAG_ORDER, axis=1).astype(np.float64)
+    return PlaneStack(norms=(PlaneNorm(0.0, 1.0),), coeffs=zigzag).encode(100)[0].payload
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cubecodec import container
+from cubecodec import colorimetry, container, reduction
 from cubecodec.colorimetry import cube_delta_e
 from cubecodec.container import (
     SPECTRAL_METHODS,
@@ -37,6 +37,7 @@ from cubecodec.errors import (
     ValidationError,
 )
 from cubecodec.bench import make_chart_cube, make_skin_cube, make_sweep_cube
+from cubecodec.reduction import CsiSideInfo, PcaSideInfo
 
 from conftest import flip_bit, forged_scmp, random_cube
 
@@ -198,6 +199,63 @@ def test_streams_scmp_cannot_hold_are_rejected_when_built():
         (field, _), = changes.items()
         with pytest.raises(ValidationError, match=field):
             dataclasses.replace(q50, **changes)
+
+
+def test_side_info_must_fit_the_band_count():
+    # a knot past u16 would wrap to 10, the last band, if it were written unchecked
+    csi = compress(random_cube(75, width=8, height=8, bands=11), "csi", 2, quality=50)
+    with pytest.raises(ValidationError, match="bands"):
+        dataclasses.replace(csi, side=CsiSideInfo(knot_indices=[0, 65546]))
+    pca = compress(random_cube(76, width=8, height=8, bands=8), "pca", 4, quality=50)
+    six_band_side = compress(random_cube(77, width=8, height=8, bands=6), "pca", 4, quality=50).side
+    with pytest.raises(ValidationError, match="bands"):
+        dataclasses.replace(pca, side=six_band_side)
+
+
+def test_pca_side_info_refuses_more_components_than_bands():
+    with pytest.raises(ValidationError, match="components"):
+        PcaSideInfo(mean=np.zeros(2), basis=np.zeros((2, 3)), eigenvalues=np.zeros(3))
+
+
+@pytest.mark.parametrize("method", ["pca", "csi"])
+def test_forged_side_info_is_corrupt(method):
+    n, p = 8, 3
+    blob = bytearray(serialize_stream(compress(random_cube(78, bands=n), method, p, quality=60)))
+    side_at = 19 + 4 * n
+    if method == "pca":  # the first basis column, after the n means, of length sqrt(n)
+        struct.pack_into(f"<{n}f", blob, side_at + 4 * n, *[1.0] * n)
+    else:  # the last knot one band short of the last band
+        struct.pack_into("<H", blob, side_at + 2 * (p - 1), n - 2)
+    with pytest.raises(CorruptError, match=f"bad {method.upper()} side info"):
+        parse_stream(bytes(blob))
+
+
+def test_codec_calls_the_reducers_and_scorers_through_their_module_names(monkeypatch):
+    # codecbench's tracer wraps these attributes: a lookup that bypasses one
+    # would leave its layer time at 0 with no error
+    calls = {}
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        calls[name] = 0
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("pca_fit", "csi_select_knots", "pca_forward", "csi_forward",
+                 "pca_inverse", "csi_inverse"):
+        counting(container, name)
+    counting(reduction, "natural_cubic_spline")
+    counting(colorimetry, "spectra_to_xyz")
+    counting(colorimetry, "ciede2000_array")
+    cube = synthesize_cube(8, 8, 31, "random-smooth", 0)  # 400-700 nm: no resampling
+    for method in ("pca", "csi"):
+        cube_delta_e(cube, decompress(compress(cube, method, 3, quality=80)))
+    assert all(calls.values()), calls
 
 
 @functools.cache
