@@ -101,51 +101,64 @@ _WEIGHTS = _D65_POWER[:, None] * _CMF_TABLE[:, 1:]
 _Y_NORM = float((_WEIGHTS.T @ np.ones((_WEIGHTS.shape[0], 1)))[1, 0])
 
 
-def _resample_to_observer(bands: np.ndarray, wavelengths) -> np.ndarray:
-    """Band-major (N, M) spectra of any real dtype as float64 (31, M) spectra on
-    the observer grid, by linear resampling.
+class _ObserverGrid:
+    """A checked wavelength grid of ``n`` bands, and the linear resampling of
+    band-major spectra on it to the observer grid.
 
     On the observer grid the bands are cast in their own memory order, so a
     view of contiguous band rows casts to a row-contiguous copy.  Off it, only
     the (at most 62) bands the resampling interpolates between are gathered and
     cast, never all N.
     """
-    n = bands.shape[0]
-    wl = check_axis("wavelength grid", wavelengths, np.float64, range(n, n + 1))
-    ow = _WAVELENGTHS
-    if np.array_equal(wl, ow):
-        return bands.astype(np.float64, copy=False)
-    if wl[0] > ow[0] or wl[-1] < ow[-1]:
-        raise ArgumentError(
-            f"spectrum span [{wl[0]}, {wl[-1]}] does not cover observer span "
-            f"[{ow[0]}, {ow[-1]}]"
-        )
-    idx = np.clip(np.searchsorted(wl, ow, side="right") - 1, 0, wl.shape[0] - 2)
-    t = ((ow - wl[idx]) / (wl[idx + 1] - wl[idx]))[:, None]
-    # band idx + 1 sits right after band idx among the bands read
-    read = np.union1d(idx, idx + 1)
-    near = bands[read].astype(np.float64, copy=False)
-    k = np.searchsorted(read, idx)
-    lower = near[k]
-    lower *= 1.0 - t
-    upper = near[k + 1]
-    upper *= t
-    lower += upper
-    return lower
+
+    def __init__(self, wavelengths, n: int):
+        wl = check_axis("wavelength grid", wavelengths, np.float64, range(n, n + 1))
+        ow = _WAVELENGTHS
+        self.read = None  # the bands read, or None on the observer grid
+        if np.array_equal(wl, ow):
+            return
+        if wl[0] > ow[0] or wl[-1] < ow[-1]:
+            raise ArgumentError(
+                f"spectrum span [{wl[0]}, {wl[-1]}] does not cover observer span "
+                f"[{ow[0]}, {ow[-1]}]"
+            )
+        idx = np.clip(np.searchsorted(wl, ow, side="right") - 1, 0, wl.shape[0] - 2)
+        self.t = ((ow - wl[idx]) / (wl[idx + 1] - wl[idx]))[:, None]
+        # band idx + 1 sits right after band idx among the bands read
+        self.read = np.union1d(idx, idx + 1)
+        self.k = np.searchsorted(self.read, idx)
+
+    def resample(self, bands: np.ndarray) -> np.ndarray:
+        """Band-major (N, M) spectra of any real dtype as float64 (31, M) spectra
+        on the observer grid."""
+        if self.read is None:
+            return bands.astype(np.float64, copy=False)
+        near = bands[self.read].astype(np.float64, copy=False)
+        lower = near[self.k]
+        lower *= 1.0 - self.t
+        upper = near[self.k + 1]
+        upper *= self.t
+        lower += upper
+        return lower
 
 
 def spectra_to_xyz(spectra: np.ndarray, wavelengths) -> np.ndarray:
     """Render (..., N) reflectance spectra to (..., 3) XYZ, Y in [0, 100].
 
     The product runs band-major, (3, N) weights times the (N, M) float64
-    spectra :func:`_resample_to_observer` makes of the input's band-major view,
-    and the result is a (..., 3) view of the (3, M) X/Y/Z planes.
+    spectra :meth:`_ObserverGrid.resample` makes of the input's band-major
+    view, and the result is a (..., 3) view of the (3, M) X/Y/Z planes.
+    ``wavelengths`` is checked against N, unless it is an :class:`_ObserverGrid`
+    already checked for N, as :func:`cube_delta_e` passes for every chunk.
     """
     spectra = check_array("spectra", spectra, None)
     if spectra.ndim == 0 or spectra.shape[-1] == 0:
         raise ArgumentError(f"spectra need at least one band on the last axis, got shape {spectra.shape}")
     bands = spectra.reshape(-1, spectra.shape[-1]).T
-    xyz = _WEIGHTS.T @ _resample_to_observer(bands, wavelengths)
+    grid = wavelengths
+    if not isinstance(grid, _ObserverGrid):
+        grid = _ObserverGrid(wavelengths, len(bands))
+    xyz = _WEIGHTS.T @ grid.resample(bands)
     xyz /= _Y_NORM
     xyz *= 100.0
     return xyz.T.reshape(spectra.shape[:-1] + (3,))
@@ -354,14 +367,14 @@ def cube_delta_e(original: SpectralCube, reconstructed: SpectralCube) -> DeltaES
         raise ArgumentError("cubes have different dimensions")
     if not np.array_equal(original.wavelengths, reconstructed.wavelengths):
         raise ArgumentError("cubes have different wavelength grids")
-    wl = original.wavelengths.astype(np.float64)
+    grid = _ObserverGrid(original.wavelengths, original.bands)  # checked once, not per chunk
     bands_a = original.samples.reshape(original.bands, -1)
     bands_b = reconstructed.samples.reshape(reconstructed.bands, -1)
     try:
         de = np.empty(bands_a.shape[1])
         for lo, hi in chunks(len(de), 16):
-            lab_a = xyz_array_to_lab(spectra_to_xyz(bands_a[:, lo:hi].T, wl))
-            lab_b = xyz_array_to_lab(spectra_to_xyz(bands_b[:, lo:hi].T, wl))
+            lab_a = xyz_array_to_lab(spectra_to_xyz(bands_a[:, lo:hi].T, grid))
+            lab_b = xyz_array_to_lab(spectra_to_xyz(bands_b[:, lo:hi].T, grid))
             de[lo:hi] = ciede2000_array(lab_a, lab_b)
     except MemoryError:
         raise SizeLimitError(f"out of memory scoring a {original.bands} x {original.width} x "

@@ -23,9 +23,9 @@ runs of whole planes sized by :func:`~cubecodec.cube.chunks`, as the
 decoder's bands of rows are.  The decoder
 (:func:`entropy_decode_planes`) has no per-symbol loop either: it finds
 every block's start by pointer doubling over per-bit-position symbol
-tables, each level one uint32 array packing a symbol chain's end and its
-k-step, then steps all blocks of all planes at once, one symbol each per
-step.
+tables, four levels of one uint32 array each packing the end and the
+k-step of a chain of 8, 4, 2 or 1 symbols, then steps all blocks of all
+planes at once, one symbol each per step.
 
 The bitstream is MSB-first and zero-padded to a whole byte.
 """
@@ -295,22 +295,24 @@ def entropy_encode_blocks(qblocks: np.ndarray) -> bytes:
 # Where an AC symbol ends, and how far it moves the zigzag index k (run + 1;
 # 16 for ZRL; 64 for EOB, which ends the block), depend only on the bit
 # position the symbol starts at.  Stage 1 tabulates both for every bit
-# position and composes the tables by pointer doubling over 2**0 .. 2**5
-# symbols, so the symbol at which a block's k reaches 64 -- its last -- is
-# found with six lookups, and a loop over blocks chains every block's start.
-# Each level is one uint32 array over a window of bit positions: the end of
-# the 2**j symbols from position b, local to the window, in the low 16 bits,
-# and their summed k-step in the high 16, so composing a level is one gather.
-# Stage 2 then decodes the coefficients of every block of every plane at once,
-# one AC symbol per block per step, in at most 63 steps.
+# position and composes the tables by pointer doubling over 1, 2, 4 and 8
+# symbols.  A block's walk repeats the 8-symbol jump while k stays below 64,
+# then tries the 4-, 2- and 1-symbol jumps once each, so it finds the symbol
+# at which k reaches 64 -- the block's last -- in at most 12 lookups, and a
+# loop over blocks chains every block's start.  Each level is one uint32
+# array over a window of bit positions: the end of the 2**j symbols from
+# position b, local to the window, in the low 16 bits, and their summed
+# k-step in the high 16, so composing a level is one gather.  Stage 2 then
+# decodes the coefficients of every block of every plane at once, one AC
+# symbol per block per step, in at most 63 steps.
 #
 # Stage 1 follows the chain of symbol lengths only.  It rejects invalid codes,
 # and a block that runs past its plane's payload, which then ends or starts
 # past the payload's last bit.  Stage 2 rejects what depends on k (a ZRL that
 # reaches 64, a run past index 63) and a DC predictor that leaves int32.
 
-#: bit positions whose stage-1 tables are built at once; bounds them to six
-#: levels of 4 bytes per position, about 0.84 MB, whatever the stream size.
+#: bit positions whose stage-1 tables are built at once; bounds them to four
+#: levels of 4 bytes per position, about 0.56 MB, whatever the stream size.
 #: A window's local positions, up to ``_STAGE1_BITS + _BLOCK_BITS +
 #: _AC_SYMBOL_BITS``, must fit the 16-bit jump field: that field, not a
 #: memory budget, sets this window, so it is not sized by ``chunks``.
@@ -319,17 +321,25 @@ _STAGE1_BITS = 1 << 15
 _BLOCK_BITS = 2048
 #: the longest AC symbol (16-bit code + 10 amplitude bits)
 _AC_SYMBOL_BITS = 26
-_DOUBLINGS = 6  # 2**5 + ... + 2**0 = 63 symbols
+#: jumps of 8, 4, 2 and 1 symbols, which the walk names.  Measured on 64²,
+#: 128² and 256² streams, a fifth level's gather per bit position made stage
+#: 1 up to 8% slower, and three levels, whose walk takes twice the coarsest
+#: jumps, up to 6% slower at 128², the decode-bound size.
+_DOUBLINGS = 4
 
 # Per 16-bit peek: the symbol's length with its amplitude bits (0 = invalid
 # code), its amplitude size, and its k-step.  An invalid code steps 64 like
 # an EOB, so no doubling jump passes one.  k after a step may reach 64 after
 # a coefficient but only 63 after a ZRL; past an EOB it is always >= 64.
 _AC_SIZE = (_AC_LUT_SYM & 15).astype(np.intp)
-_AC_SIZE_KEY = _AC_SIZE << 11
 _AC_ADVANCE = np.where(_AC_LUT_LEN > 0, _AC_LUT_LEN + _AC_SIZE, 0).astype(np.intp)
 _AC_STEP = np.select([_AC_LUT_LEN == 0, _AC_LUT_SYM == _EOB, _AC_LUT_SYM == _ZRL],
                      [64, 64, 16], (_AC_LUT_SYM >> 4) + 1).astype(np.uint16)
+#: the three of them in one gather per stage-2 step, ``advance | size << 11 |
+#: step << 16`` (advance at most 26, size 15): ``fields & 0x7800`` is the size
+#: key of :data:`_EXTEND` and the step needs no mask.  intp, like the lanes,
+#: so no step casts.
+_AC_FIELDS = _AC_ADVANCE | _AC_SIZE << 11 | _AC_STEP.astype(np.intp) << 16
 _AC_K_LIMIT = np.select([_AC_LUT_SYM == _EOB, _AC_LUT_SYM == _ZRL], [255, 63], 64)
 _DC_SIZE = np.maximum(_DC_LUT_SYM, 0).astype(np.intp)
 _DC_ADVANCE = bytes(np.where(_DC_LUT_LEN > 0, _DC_LUT_LEN + _DC_SIZE, 0).astype(np.uint8))
@@ -375,13 +385,14 @@ def _bit_windows(data: bytes) -> np.ndarray:
 def _symbol_tables(windows: np.ndarray, lo: int, hi: int, out: np.ndarray) -> list[memoryview]:
     """Stage-1 doubling tables for the bit positions ``lo`` (byte aligned) to ``hi``.
 
-    Returns one uint32 table per level j, coarsest first: from local position
-    b, 2**j AC symbols end at ``t[b] & 0xFFFF`` and move k by ``t[b] >> 16``.
-    An invalid code jumps to itself with step 64; so do the positions from
-    ``hi`` on, which a symbol ends in when it runs past ``hi``.  The tables
-    are written into the rows of ``out``, a ``(_DOUBLINGS, >= hi - lo +
-    _AC_SYMBOL_BITS)`` uint32 array that the caller reuses from window to
-    window.
+    Returns one uint32 table per level j, coarsest first -- with
+    :data:`_DOUBLINGS` levels, the jumps of 8, 4, 2 and 1 symbols: from local
+    position b, 2**j AC symbols end at ``t[b] & 0xFFFF`` and move k by
+    ``t[b] >> 16``.  An invalid code jumps to itself with step 64; so do the
+    positions from ``hi`` on, which a symbol ends in when it runs past
+    ``hi``.  The tables are written into the rows of ``out``, a
+    ``(_DOUBLINGS, >= hi - lo + _AC_SYMBOL_BITS)`` uint32 array that the
+    caller reuses from window to window.
     """
     n = hi - lo
     m = n + _AC_SYMBOL_BITS
@@ -397,7 +408,7 @@ def _symbol_tables(windows: np.ndarray, lo: int, hi: int, out: np.ndarray) -> li
     index = np.empty(m, dtype=np.intp)
     high = np.empty(m, dtype=np.uint32)
     for level in out[-2::-1]:
-        # jump twice; the two k-steps add in the high half (at most 32 * 64)
+        # jump twice; the two k-steps add in the high half (at most 8 * 64)
         np.bitwise_and(t, 0xFFFF, out=index)
         t.take(index, out=level[:m], mode="wrap")
         np.bitwise_and(t, 0xFFFF0000, out=high)
@@ -425,21 +436,38 @@ def _block_starts(windows: np.ndarray, plane_ends: list[int], nblocks: list[int]
             if s >= built:
                 lo = s & ~7
                 built = lo + _STAGE1_BITS
-                levels = _symbol_tables(windows, lo, min(built + _BLOCK_BITS, stop), tables)
-                last_symbol = levels[-1]
+                eight, four, two, one = _symbol_tables(
+                    windows, lo, min(built + _BLOCK_BITS, stop), tables)
             starts[i] = s
             advance = dc_advance[(words[s >> 3] >> (24 - (s & 7))) & 0xFFFF]
             if not advance:
                 raise CorruptError(f"bad DC code in block {i}")
-            # jump while k = 1 + moved stays below 64, then take the block's last symbol
+            # jump 8 symbols while k = 1 + moved stays below 64, then 4, 2 and 1
+            # once each: every step is positive, so this finds the most symbols
+            # that keep k below 64, and a taken 8-symbol jump moves k by at
+            # least 8, so those stop within 8 lookups.  A jump across an
+            # invalid code or past hi steps at least 64 and is never taken.
             pos = s + advance - lo
             moved = 0
-            for level in levels:
-                t = level[pos]
-                if moved + (t >> 16) < 63:
-                    moved += t >> 16
-                    pos = t & 0xFFFF
-            last = last_symbol[pos] & 0xFFFF
+            t = eight[pos]
+            while moved + (t >> 16) < 63:
+                moved += t >> 16
+                pos = t & 0xFFFF
+                t = eight[pos]
+            t = four[pos]
+            if moved + (t >> 16) < 63:
+                moved += t >> 16
+                pos = t & 0xFFFF
+            t = two[pos]
+            if moved + (t >> 16) < 63:
+                moved += t >> 16
+                pos = t & 0xFFFF
+            # then the block's last symbol: the one that takes k to 64
+            t = one[pos]
+            if moved + (t >> 16) < 63:
+                pos = t & 0xFFFF
+                t = one[pos]
+            last = t & 0xFFFF
             if last == pos:
                 raise CorruptError(f"bad AC code or truncated payload in block {i}")
             s = last + lo
@@ -475,16 +503,18 @@ def _decode_coefficients(windows: np.ndarray, starts: np.ndarray, nblocks: list[
     while k.size:
         bits = windows[pos >> 3] << (pos & 7)  # the bit at pos is bit 39
         peeks = (bits >> 24) & 0xFFFF
-        k += _AC_STEP[peeks]
+        fields = _AC_FIELDS[peeks]
+        k += fields >> 16
         # stage 1 keeps k <= 63 before a block's last symbol, so only a step
         # that ends a block can overflow it
         ending = k.max() >= 64
         if ending and np.any(k > _AC_K_LIMIT[peeks]):
             block = int(row[np.flatnonzero(k > _AC_K_LIMIT[peeks])[0]]) // 64
             raise CorruptError(f"zero run or coefficient index overflows block {block}")
-        advance = _AC_ADVANCE[peeks]
+        advance = fields & 31
         pos += advance
-        flat[row + _STEP_SLOT[k]] = _EXTEND[_AC_SIZE_KEY[peeks] | ((bits >> (40 - advance)) & 0x7FF)]
+        fields &= 0x7800  # size << 11
+        flat[row + _STEP_SLOT[k]] = _EXTEND[fields | ((bits >> (40 - advance)) & 0x7FF)]
         if ending:
             going = np.flatnonzero(k < 64)
             row, pos, k = row[going], pos[going], k[going]
@@ -698,13 +728,3 @@ class PlaneBands:
             self.ns += time.perf_counter_ns() - t0
             yield lo, band
 
-
-def decode_plane_stack(planes: list[EncodedPlane], width: int, height: int,
-                       quality: int) -> np.ndarray:
-    """Decode ``width`` x ``height`` planes coded at ``quality`` into a ``(P, H, W)``
-    float64 array (no clamping), from the bands of :class:`PlaneBands`."""
-    bands = PlaneBands(planes, width, height, quality)
-    out = np.empty(bands.shape)
-    for row, band in bands:
-        out[:, row:row + band.shape[1]] = band
-    return out

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from cubecodec.cube import SpectralCube
+from cubecodec.spatial import PlaneBands
 
 settings.register_profile(
     "suite",
@@ -279,6 +280,16 @@ def reference_huffman_decode(payload: bytes, nblocks: int) -> np.ndarray:
     out = np.zeros((nblocks, 64), dtype=np.int32)
     out[:, ZIGZAG_ORDER] = zz
     return out.reshape(nblocks, 8, 8)
+
+
+def decode_planes(planes, width: int, height: int, quality: int) -> np.ndarray:
+    """Decode ``width`` x ``height`` planes coded at ``quality`` into a ``(P, H, W)``
+    float64 array (no clamping), from the bands of :class:`PlaneBands`."""
+    bands = PlaneBands(planes, width, height, quality)
+    out = np.empty(bands.shape)
+    for row, band in bands:
+        out[:, row:row + band.shape[1]] = band
+    return out
 
 
 def forged_scmp(bands: int, width: int, height: int, p: int = 2, planes: bool = True) -> bytes:

@@ -37,7 +37,6 @@ from cubecodec.reduction import (
 from cubecodec.spatial import (
     ZIGZAG_ORDER,
     PlaneStack,
-    decode_plane_stack,
     entropy_decode_planes,
     entropy_encode_blocks,
 )
@@ -45,6 +44,7 @@ from cubecodec.spline import natural_cubic_spline
 
 from conftest import (
     brute_force_pca_basis,
+    decode_planes,
     dense_spline_oracle,
     max_principal_angle,
     naive_dct,
@@ -260,7 +260,7 @@ def test_criterion_6_invariant_suites():
     encoded = [stack.encode(q)[0] for q in (10, 30, 50, 70, 90)]
     sizes = [len(enc.payload) for enc in encoded]
     assert all(a <= b for a, b in zip(sizes, sizes[1:]))
-    mses = [float(np.mean((decode_plane_stack([enc], 24, 24, q)[0] - plane) ** 2))
+    mses = [float(np.mean((decode_planes([enc], 24, 24, q)[0] - plane) ** 2))
             for q, enc in zip((10, 30, 50, 70, 90), encoded)]
     for better, worse in zip(mses[1:], mses[:-1]):
         assert better <= worse + 1e-12

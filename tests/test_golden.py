@@ -29,7 +29,9 @@ from cubecodec.container import (
     serialize_stream,
 )
 from cubecodec.cube import SpectralCube, default_wavelengths, synthesize_cube
-from cubecodec.spatial import PlaneStack, decode_plane_stack
+from cubecodec.spatial import PlaneStack
+
+from conftest import decode_planes
 
 # (image, method, p) -> (sha256 of the SCMP bytes, chosen quality, rate probes) at CR 8
 GOLDEN_STREAMS = {
@@ -281,7 +283,7 @@ def test_rate_controlled_streams_are_pinned(image):
             stream, report = compress_with_report(cube, method, p, rate=RateTarget(8.0))
             digest = hashlib.sha256(serialize_stream(stream)).hexdigest()
             assert (digest, report.quality, report.encodes) == GOLDEN_STREAMS[image, method, p]
-            decoded = decode_plane_stack(stream.planes, stream.width, stream.height, stream.quality)
+            decoded = decode_planes(stream.planes, stream.width, stream.height, stream.quality)
             assert hashlib.sha256(decoded.tobytes()).hexdigest() == GOLDEN_DECODED[image, method, p]
 
 
@@ -313,7 +315,7 @@ def test_entropy_payloads_are_pinned_at_every_quality():
             encoded = [one.encode(quality)[0] for one in single]
             for plane in encoded:
                 payloads.update(plane.payload)
-            decoded.update(decode_plane_stack(encoded, 64, 64, quality).tobytes())
+            decoded.update(decode_planes(encoded, 64, 64, quality).tobytes())
             emitted = compress_with_report(cube, method, 20, quality=quality)[0].planes
             for plane in emitted:
                 stacked.update(plane.payload)

@@ -14,13 +14,13 @@ from cubecodec.spatial import (
     PlaneNorm,
     PlaneStack,
     ZIGZAG_ORDER,
-    decode_plane_stack,
     entropy_decode_planes,
     entropy_encode_blocks,
     quality_to_table,
 )
 
-from conftest import flip_bit, naive_dct, reference_huffman_decode, reference_huffman_encode
+from conftest import (decode_planes, flip_bit, naive_dct, reference_huffman_decode,
+                      reference_huffman_encode)
 
 
 def _random_qblocks(rng, n, zero_fraction=0.8):
@@ -374,8 +374,8 @@ def test_stage1_levels_equal_chained_level0_steps(window, spare):
 
 
 def test_stage1_packed_fields_hold_a_window():
-    # a window's local positions fit the 16-bit jump field, and a level-5 step
-    # (at most 32 symbols of step 64) fits the 16-bit step field
+    # a window's local positions fit the 16-bit jump field, and a step of the
+    # coarsest level, 3 (at most 8 symbols of step 64), fits the 16-bit step field
     assert spatial._STAGE1_BITS + spatial._BLOCK_BITS + spatial._AC_SYMBOL_BITS <= 0xFFFF
     assert 2 ** (spatial._DOUBLINGS - 1) * 64 <= 0xFFFF
     assert spatial._AC_ADVANCE.max() <= spatial._AC_SYMBOL_BITS and spatial._AC_STEP.max() == 64
@@ -391,6 +391,80 @@ def test_stage1_packed_fields_hold_a_window():
     expected = [reference_huffman_decode(p, n) for p, n in zip(payloads, sizes)]
     assert np.array_equal(got, np.concatenate(expected))
     assert np.array_equal(got, np.concatenate(blocks))
+
+
+def test_stage2_fields_unpack_to_the_peek_tables():
+    # stage 2's one gather holds the advance, the amplitude size key and the k-step
+    fields = spatial._AC_FIELDS
+    assert np.array_equal(fields & 31, spatial._AC_ADVANCE)
+    assert np.array_equal(fields & 0x7800, spatial._AC_SIZE << 11)
+    assert np.array_equal(fields >> 16, spatial._AC_STEP)
+
+
+def _walk_case(case):
+    """Payloads and block counts that take the stage-1 walk through its edges."""
+    rng = np.random.default_rng(51)
+    if case == "ac_symbols_1_to_63":
+        # block n - 1 holds n - 1 coefficients, then an EOB: n AC symbols, n = 1..63;
+        # the last block holds 63 coefficients and no EOB
+        zz = np.zeros((64, 64), dtype=np.int64)
+        for n in range(1, 65):
+            zz[n - 1, 1:n] = rng.integers(1, 1024, n - 1) * rng.choice((-1, 1), n - 1)
+        zz[:, 0] = rng.integers(-1023, 1024, 64)
+        return [entropy_encode_blocks(_blocks_from_zigzag(zz))], [64]
+    if case == "coefficient_63":
+        blocks = [{63: 1}, {62: 3, 63: -2}, {0: 5, 10: 5, 63: 7},
+                  {k: (-1) ** k * k for k in range(64)}, {1: 1}]
+        # coefficient 63 as AC symbol 8, 16, ..., 56: c coefficients, then
+        # (62 - c) // 16 ZRLs and the coefficient, so a jump of 8 lands on k = 64
+        for total in range(8, 57, 8):
+            c = next(c for c in range(63) if c + (62 - c) // 16 + 1 == total)
+            blocks.append({**{k: 2 for k in range(1, c + 1)}, 63: -1})
+        zz = _zigzag_blocks(*blocks)
+        return [entropy_encode_blocks(_blocks_from_zigzag(zz))], [len(zz)]
+    if case == "three_zrls":
+        # runs of 48 to 62 zeros: three ZRLs before the coefficient; {48: 1}'s
+        # run of 47 takes two and the (15, 1) code
+        zz = _zigzag_blocks({49: -3}, {1: 2, 50: 1}, {63: 1}, {3: 1, 52: 9, 63: -1},
+                            {14: 4, 63: 1}, {48: 1})
+        return [entropy_encode_blocks(_blocks_from_zigzag(zz))], [len(zz)]
+    # case == "invalid_after_jump": a block of one coefficient, then DC category
+    # 0 and m (0, 1) coefficients of 3 bits, then 16 one bits, which are no AC
+    # code: after 1..7 8-symbol jumps, with 0, 1 or 6 symbols more
+    valid = "00" + "001" + "1010"
+    assert _bit_string_bytes(valid) == entropy_encode_blocks(_blocks_from_zigzag(_zigzag_blocks({1: 1})))
+    payloads, nblocks = [], []
+    for m in range(8, 57, 8):
+        for extra in (0, 1, 6):
+            payloads.append(_bit_string_bytes(valid + "00" + "001" * (m + extra) + "1" * 16))
+            nblocks.append(2)
+    return payloads, nblocks
+
+
+def _bit_string_bytes(bits):
+    """A string of 0s and 1s, MSB first and zero-padded to a whole byte."""
+    bits += "0" * (-len(bits) % 8)
+    return int(bits, 2).to_bytes(len(bits) // 8, "big")
+
+
+@pytest.mark.parametrize("case", ["ac_symbols_1_to_63", "coefficient_63", "three_zrls",
+                                  "invalid_after_jump"])
+def test_stage1_walk_matches_reference(case):
+    # the walk repeats the 8-symbol jump, then takes 4, 2 and 1 once each; under
+    # the default window and windows of 1-64 bits, which rebuild the tables at
+    # every block
+    payloads, nblocks = _walk_case(case)
+    for window_bits in (spatial._STAGE1_BITS, *range(1, 65)):
+        with mock.patch.object(spatial, "_STAGE1_BITS", window_bits):
+            for payload, count in zip(payloads, nblocks):
+                _assert_decodes_like_reference([payload], [count])
+            _assert_decodes_like_reference(payloads, nblocks)
+    if case == "invalid_after_jump":
+        for payload, count in zip(payloads, nblocks):
+            with pytest.raises(CorruptError, match="bad AC code"):
+                reference_huffman_decode(payload, count)
+            with pytest.raises(CorruptError, match="^bad AC code or truncated payload in block 1$"):
+                entropy_decode_planes([payload], [count])
 
 
 def test_entropy_decode_keeps_blocks_inside_their_plane():
@@ -455,7 +529,7 @@ def test_flat_plane_minimal_payload():
     qblocks = entropy_decode_planes([enc.payload], [4])
     assert np.all(qblocks.reshape(4, 64)[:, 1:] == 0)  # every AC is zero
     assert len(enc.payload) <= 8
-    dec = decode_plane_stack([enc], 16, 16, 50)[0]
+    dec = decode_planes([enc], 16, 16, 50)[0]
     dc_step = float(quality_to_table(50)[0, 0])
     assert np.abs(dec - 0.7).max() <= enc.norm.scale * dc_step / 16.0
 
@@ -463,7 +537,7 @@ def test_flat_plane_minimal_payload():
 def test_nonmultiple_dimensions_roundtrip():
     rng = np.random.default_rng(44)
     plane = rng.uniform(0, 1, (13, 17))
-    dec = decode_plane_stack(PlaneStack.of(plane[None]).encode(50), 17, 13, 50)[0]
+    dec = decode_planes(PlaneStack.of(plane[None]).encode(50), 17, 13, 50)[0]
     assert dec.shape == (13, 17)
     assert np.all(np.isfinite(dec))
 
@@ -475,9 +549,9 @@ def test_nonmultiple_dimensions_roundtrip():
 def test_decode_size_must_be_a_positive_u32(width, height):
     (enc,) = PlaneStack.of(np.full((1, 8, 8), 0.5)).encode(50)
     with pytest.raises(ArgumentError, match="must be an integer in"):
-        decode_plane_stack([enc], width, height, 50)
+        decode_planes([enc], width, height, 50)
     # numpy integers in range are sizes too
-    assert decode_plane_stack([enc], np.uint32(8), np.int64(8), 50).shape == (1, 8, 8)
+    assert decode_planes([enc], np.uint32(8), np.int64(8), 50).shape == (1, 8, 8)
 
 
 def test_ramp_block_matches_hand_pipeline(dct_tensor):
@@ -495,7 +569,7 @@ def test_ramp_block_matches_hand_pipeline(dct_tensor):
 def test_high_quality_psnr_on_smooth_plane():
     cube = synthesize_cube(64, 64, 31, "random-smooth", seed=11)
     plane = cube.samples[15].astype(np.float64)
-    dec = decode_plane_stack(PlaneStack.of(plane[None]).encode(100), 64, 64, 100)[0]
+    dec = decode_planes(PlaneStack.of(plane[None]).encode(100), 64, 64, 100)[0]
     mse = float(np.mean((dec - plane) ** 2))
     value_range = float(plane.max() - plane.min())
     psnr = 10.0 * np.log10(value_range ** 2 / mse)
@@ -513,7 +587,7 @@ def test_distortion_monotone_in_quality():
     rng = np.random.default_rng(46)
     planes = rng.uniform(0, 1, (1, 24, 24))
     stack = PlaneStack.of(planes)
-    mses = [float(np.mean((decode_plane_stack(stack.encode(q), 24, 24, q) - planes) ** 2))
+    mses = [float(np.mean((decode_planes(stack.encode(q), 24, 24, q) - planes) ** 2))
             for q in (10, 30, 50, 70, 90)]
     for better, worse in zip(mses[1:], mses[:-1]):
         assert better <= worse + 1e-12
@@ -523,8 +597,8 @@ def test_padding_equivalence():
     rng = np.random.default_rng(47)
     plane = rng.uniform(0, 1, (13, 17))
     padded = np.pad(plane, ((0, 3), (0, 7)), mode="edge")
-    direct = decode_plane_stack(PlaneStack.of(plane[None]).encode(60), 17, 13, 60)[0]
-    via_padded = decode_plane_stack(PlaneStack.of(padded[None]).encode(60), 24, 16, 60)[0, :13, :17]
+    direct = decode_planes(PlaneStack.of(plane[None]).encode(60), 17, 13, 60)[0]
+    via_padded = decode_planes(PlaneStack.of(padded[None]).encode(60), 24, 16, 60)[0, :13, :17]
     assert np.array_equal(direct, via_padded)
 
 
