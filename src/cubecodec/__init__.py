@@ -20,7 +20,6 @@ from .errors import (
     CodecError,
     CorruptError,
     FormatError,
-    NumericalError,
     RateError,
     SizeLimitError,
     ValidationError,

@@ -150,6 +150,10 @@ def spectra_to_xyz(spectra: np.ndarray, wavelengths) -> np.ndarray:
     view, and the result is a (..., 3) view of the (3, M) X/Y/Z planes.
     ``wavelengths`` is checked against N, unless it is an :class:`_ObserverGrid`
     already checked for N, as :func:`cube_delta_e` passes for every chunk.
+
+    One spectrum (M = 1) goes through BLAS's matrix-vector kernel, whose sums
+    can differ in the last bits from the same spectrum rendered in a batch;
+    :func:`cube_delta_e` makes a one-pixel chunk only for a one-pixel cube.
     """
     spectra = check_array("spectra", spectra, None)
     if spectra.ndim == 0 or spectra.shape[-1] == 0:

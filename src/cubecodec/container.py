@@ -119,7 +119,8 @@ def _pca_reduce(cube: SpectralCube, p: int):
 
 def _pca_write(side: PcaSideInfo) -> bytes:
     values = np.concatenate([side.mean, side.basis.T.ravel(), side.eigenvalues])
-    return values.astype("<f4").tobytes()
+    with np.errstate(over="ignore"):  # a value past float32 becomes inf, which PcaSideInfo rejects
+        return values.astype("<f4").tobytes()
 
 
 def _pca_read(data: bytes, n: int, p: int) -> PcaSideInfo:
@@ -334,17 +335,13 @@ def compression_rate(original: SpectralCube, stream_nbytes: int) -> float:
 def _search_quality(cube: SpectralCube, rate: RateTarget, overhead: int,
                     stack: PlaneStack) -> tuple[int, bool, int]:
     """Binary-search the plane quality for ``rate``; returns (quality, in window, probes)."""
-
-    def probe(q: int) -> float:
-        return compression_rate(cube, overhead + int(stack.count_nbytes(q).sum()))
-
     lo_cr, hi_cr = rate.window
     best_above = None  # (cr, q) with smallest cr >= target
     probes = 0
     lo, hi = 1, 100
     while lo <= hi:
         mid = (lo + hi) // 2
-        cr = probe(mid)
+        cr = compression_rate(cube, overhead + int(stack.count_nbytes(mid).sum()))
         probes += 1
         if lo_cr <= cr <= hi_cr:
             return mid, True, probes
@@ -356,10 +353,7 @@ def _search_quality(cube: SpectralCube, rate: RateTarget, overhead: int,
             hi = mid - 1  # too little compression: lower quality
     if best_above is not None:
         return best_above[1], False, probes
-    cr = probe(1)
-    if cr >= lo_cr:
-        # quality 1 itself lands at or above the window floor
-        return 1, cr <= hi_cr, probes + 1
+    # every probe fell below the window, so each lowered hi: the last, cr, was quality 1
     if overhead * rate.target_cr >= cube.scub_size:
         raise RateError(
             f"stream overhead alone ({overhead} B) exceeds the byte budget for "

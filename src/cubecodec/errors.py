@@ -34,10 +34,6 @@ class SizeLimitError(CodecError):
     """A cube, or a stream's claimed cube, holds more samples than the codec decodes."""
 
 
-class NumericalError(CodecError):
-    """A numeric accumulation produced non-finite intermediate values."""
-
-
 class RateError(CodecError):
     """Rate control could not reach the requested compression rate.
 

@@ -152,10 +152,6 @@ def quality_to_table(quality: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # entropy stage (bijective on quantized blocks)
 
-#: size category (bit length) of every magnitude a category <= 11 allows
-_CATEGORY = np.frexp(np.arange(2048))[1].astype(np.uint8)
-
-
 def _ac_field_tables():
     """An AC field -- ``run >> 4`` ZRL codes, the code of ``(run & 15, size)``
     and ``size`` amplitude bits -- as (bits, length) tables.
@@ -214,7 +210,7 @@ class _Symbols:
             raise ValidationError(f"AC coefficient of category {ac_size.max()} exceeds category 10")
         self.nblocks = nblocks
         self.dc = diff
-        self.dc_size = _CATEGORY[np.abs(diff)]
+        self.dc_size = np.frexp(np.abs(diff))[1].astype(np.uint8)  # bit length, as in ac_size
         # zigzag position of the last nonzero AC up to each position (0 = none)
         last = np.maximum.accumulate((ac_size > 0) * _AC_POS, axis=1)
         # run << 4 | size, the run being the zeros since the previous nonzero AC

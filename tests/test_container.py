@@ -116,6 +116,23 @@ def test_side_info_beyond_float32_is_a_validation_error():
         compress(cube, "pca", 2, quality=50)
 
 
+def test_oversized_pca_side_info_raises_only_a_codec_error():
+    # eigenvalues near 8e60 overflow the f32 side info: the cast warns nothing
+    # and PcaSideInfo refuses the inf; CSI keeps no eigenvalues and round-trips the cube
+    sign = np.where(np.indices((16, 16)).sum(axis=0) % 2 == 0, 1e30, -1e30)
+    samples = np.broadcast_to(sign, (8, 16, 16)).astype(np.float32)
+    cube = SpectralCube(width=16, height=16, bands=8,
+                        wavelengths=(400.0 + 10.0 * np.arange(8)).astype(np.float32),
+                        samples=samples)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError):
+            compress(cube, "pca", 4, quality=90)
+        stream = compress(cube, "csi", 4, quality=90)
+        decoded = decompress(parse_stream(serialize_stream(stream)))
+    assert np.abs(decoded.samples - samples).max() < 0.05e30
+
+
 def test_parse_rejects_damage():
     cube = random_cube(63, bands=4)
     blob = serialize_stream(compress(cube, "pca", 2, quality=60))
@@ -687,6 +704,29 @@ def test_overhead_dominated_target_raises_rate_error():
     cube = random_cube(69, width=2, height=2, bands=4)
     with pytest.raises(RateError):
         compress_with_report(cube, "pca", 4, rate=RateTarget(30.0))
+
+
+@pytest.mark.parametrize("target_cr, message", [
+    (130, "target CR 130 unreachable: quality 1 achieves only 116.2"),
+    (200, "stream overhead alone (3407 B) exceeds the byte budget for CR 200; "
+          "best achieved CR 116.2"),
+], ids=["unreachable", "overhead"])
+def test_failed_rate_search_counts_each_quality_once(monkeypatch, target_cr, message):
+    counted = []
+    count_nbytes = container.PlaneStack.count_nbytes
+
+    def spy(self, quality):
+        counted.append(quality)
+        return count_nbytes(self, quality)
+
+    monkeypatch.setattr(container.PlaneStack, "count_nbytes", spy)
+    cube = make_skin_cube()
+    with pytest.raises(RateError) as info:
+        compress_with_report(cube, "pca", 20, rate=RateTarget(target_cr))
+    assert counted == [50, 25, 12, 6, 3, 1]  # every probe falls short, quality 1 last and once
+    assert str(info.value) == message
+    lowest = serialize_stream(compress(cube, "pca", 20, quality=1))
+    assert info.value.best_cr == compression_rate(cube, len(lowest))
 
 
 def test_method_validation():

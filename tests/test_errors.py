@@ -29,7 +29,6 @@ from cubecodec import (
     DeltaEStats,
     EvalReport,
     FormatError,
-    NumericalError,
     PcaSideInfo,
     RateError,
     RateTarget,
@@ -317,8 +316,7 @@ def test_records_copy_the_callers_small_arrays():
 #: (callable, positional args, keyword args) of one valid call per export
 _VALID_CALLS = {
     **{cls.__name__: (cls, ("message",), {}) for cls in (
-        ArgumentError, CodecError, CorruptError, FormatError, NumericalError, SizeLimitError,
-        ValidationError)},
+        ArgumentError, CodecError, CorruptError, FormatError, SizeLimitError, ValidationError)},
     "RateError": (RateError, ("message",), {"best_cr": 7.5}),
     "BenchConfig": (BenchConfig, (["skin"],), dict(
         methods=["pca"], p_values=[3], target_cr=8.0, tolerance=0.05, repetitions=3,

@@ -177,6 +177,20 @@ def test_flat_cube_uses_canonical_completion():
     assert np.all(side.eigenvalues == 0.0)
 
 
+def test_fit_stays_finite_at_the_float32_extremes():
+    # samples of +-float32 max in a checkerboard over bands and pixels: each
+    # pixel spectrum is +-F * (1, -1, 1, -1), so the covariance is rank one,
+    # F^2 * 16/15 * v v^T, and the sums peak near 4.9e77, far inside float64
+    f = float(np.finfo(np.float32).max)
+    cube = _cube_from(np.where(np.indices((4, 4, 4)).sum(axis=0) % 2 == 0, f, -f))
+    side = pca_fit(cube, 2)
+    for values in (side.mean, side.basis, side.eigenvalues):
+        assert np.isfinite(values).all()
+    assert np.array_equal(side.mean, np.zeros(4))
+    assert side.eigenvalues[0] == pytest.approx(4 * f * f * 16 / 15, rel=1e-12)
+    assert np.allclose(side.basis[:, 0], [0.5, -0.5, 0.5, -0.5], atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # CSI
 

@@ -191,7 +191,7 @@ def _pack_planes(planes):
     """
     zz = np.concatenate(planes).astype(np.int64)
     magnitude = np.abs(zz[:, 1:])
-    symbols = spatial._Symbols(zz[:, 0], spatial._CATEGORY[magnitude], len(planes[0]))
+    symbols = spatial._Symbols(zz[:, 0], np.frexp(magnitude)[1].astype(np.uint8), len(planes[0]))
     plane_bytes = (symbols.plane_bits() + 7) // 8
     starts = 8 * (np.cumsum(plane_bytes) - plane_bytes)
     lengths = symbols.lengths.reshape(len(planes), -1).astype(np.int64)
