@@ -476,12 +476,18 @@ def _block_starts(windows: np.ndarray, plane_ends: list[int], nblocks: list[int]
 
 def _decode_coefficients(windows: np.ndarray, starts: np.ndarray, nblocks: list[int]) -> np.ndarray:
     """Stage 2: the quantized coefficients of every block, natural order, as (n, 64)."""
+    # take/put, bounds checked, in place of fancy indexing, and each step's
+    # shifts and masks in place on its fresh arrays: at 20 480 lanes (20
+    # planes of 256²) a put costs about half a fancy-indexed store and a take
+    # about 4/5 of a fancy-indexed load
     n = starts.size
-    bits = windows[starts >> 3] << (starts & 7)  # the bit at each start is bit 39
-    peeks = (bits >> 24) & 0xFFFF
-    size = _DC_SIZE[peeks]
-    pos = starts + _DC_LUT_LEN[peeks] + size
-    diff = _EXTEND[(size << 11) | ((bits >> (40 - (pos - starts))) & 0x7FF)]
+    bits = windows.take(starts >> 3)
+    bits <<= starts & 7  # the bit at each start is bit 39
+    peeks = bits >> 24
+    peeks &= 0xFFFF
+    size = _DC_SIZE.take(peeks)
+    pos = starts + _DC_LUT_LEN.take(peeks) + size
+    diff = _EXTEND.take((size << 11) | ((bits >> (40 - (pos - starts))) & 0x7FF))
     del bits, peeks, size
     # DC differences accumulate within each plane
     counts = np.asarray(nblocks)
@@ -497,23 +503,31 @@ def _decode_coefficients(windows: np.ndarray, starts: np.ndarray, nblocks: list[
     row = np.arange(0, 64 * n, 64)
     k = np.ones(n, dtype=np.int64)
     while k.size:
-        bits = windows[pos >> 3] << (pos & 7)  # the bit at pos is bit 39
-        peeks = (bits >> 24) & 0xFFFF
-        fields = _AC_FIELDS[peeks]
+        bits = windows.take(pos >> 3)
+        bits <<= pos & 7  # the bit at pos is bit 39
+        peeks = bits >> 24
+        peeks &= 0xFFFF
+        fields = _AC_FIELDS.take(peeks)
         k += fields >> 16
         # stage 1 keeps k <= 63 before a block's last symbol, so only a step
         # that ends a block can overflow it
         ending = k.max() >= 64
-        if ending and np.any(k > _AC_K_LIMIT[peeks]):
-            block = int(row[np.flatnonzero(k > _AC_K_LIMIT[peeks])[0]]) // 64
-            raise CorruptError(f"zero run or coefficient index overflows block {block}")
+        if ending:
+            over = k > _AC_K_LIMIT.take(peeks)
+            if over.any():
+                block = int(row[over.argmax()]) // 64
+                raise CorruptError(f"zero run or coefficient index overflows block {block}")
         advance = fields & 31
         pos += advance
+        np.subtract(40, advance, out=advance)
+        bits >>= advance
+        bits &= 0x7FF
         fields &= 0x7800  # size << 11
-        flat[row + _STEP_SLOT[k]] = _EXTEND[fields | ((bits >> (40 - advance)) & 0x7FF)]
+        fields |= bits
+        flat.put(row + _STEP_SLOT.take(k), _EXTEND.take(fields))
         if ending:
             going = np.flatnonzero(k < 64)
-            row, pos, k = row[going], pos[going], k[going]
+            row, pos, k = row.take(going), pos.take(going), k.take(going)
     return out
 
 

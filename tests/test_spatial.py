@@ -154,6 +154,25 @@ def _sparse_qblocks(draw):
     return _blocks_from_zigzag(zz)
 
 
+@st.composite
+def _dense_qblocks(draw):
+    """Up to 64 blocks of up to 63 nonzero ACs each; half of them hold a zero
+    run of 16 or more, coded as a chain of one to three ZRLs."""
+    n = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    zz = np.zeros((n, 64), dtype=np.int64)
+    zz[:, 0] = rng.integers(-1023, 1024, n)
+    for i in range(n):
+        count = rng.integers(0, 64)
+        sizes = rng.integers(1, 11, count)  # AC categories 1 to 10
+        zz[i, rng.choice(np.arange(1, 64), count, replace=False)] = (
+            rng.integers(1 << (sizes - 1), 1 << sizes) * rng.choice((-1, 1), count))
+        if rng.random() < 0.5:
+            lo = rng.integers(1, 49)
+            zz[i, lo:rng.integers(lo + 16, 65)] = 0
+    return _blocks_from_zigzag(zz)
+
+
 def _check_entropy_stage(blocks):
     payload = entropy_encode_blocks(blocks)
     assert payload == reference_huffman_encode(blocks)
@@ -275,7 +294,7 @@ def _assert_decodes_like_reference(payloads, nblocks):
 @st.composite
 def _damaged_payloads(draw):
     """A valid payload, or one truncation, single-bit flip or wrong block count of it."""
-    blocks = draw(_sparse_qblocks())
+    blocks = draw(st.one_of(_sparse_qblocks(), _dense_qblocks()))
     payload = entropy_encode_blocks(blocks)
     nblocks = len(blocks)
     kind = draw(st.sampled_from(("intact", "truncate", "flip", "miscount")))
@@ -465,6 +484,44 @@ def test_stage1_walk_matches_reference(case):
                 reference_huffman_decode(payload, count)
             with pytest.raises(CorruptError, match="^bad AC code or truncated payload in block 1$"):
                 entropy_decode_planes([payload], [count])
+
+
+def _ac_code(symbol):
+    """The AC code of ``symbol`` as a string of 0s and 1s."""
+    return format(int(spatial._AC_CODE[symbol]), f"0{spatial._AC_LEN[symbol]}b")
+
+
+#: DC category 0, which has no amplitude bits
+_DC_0 = format(int(spatial._DC_CODE[0]), f"0{spatial._DC_LEN[0]}b")
+_EMPTY_BLOCK = _DC_0 + _ac_code(0x00)
+#: block bits whose last symbol takes k past 63, and the overflow the reference names
+_OVERFLOWS = {
+    # three ZRLs take k to 49, a fourth to 65
+    "fourth_zrl": (_DC_0 + _ac_code(0xF0) * 4, "zero run"),
+    # after three ZRLs, a coefficient of 1 with a run of 15 lands on zigzag index 64
+    "run_past_63": (_DC_0 + _ac_code(0xF0) * 3 + _ac_code(0xF1) + "1", "coefficient index"),
+}
+
+
+@pytest.mark.parametrize("planes", [1, 2])
+@pytest.mark.parametrize("case", sorted(_OVERFLOWS))
+def test_stage2_overflow_names_the_reference_block(case, planes):
+    # block 2 of 3 overflows on its last symbol, which stage 1 takes as the
+    # block's end; blocks 1 and 3 end a step earlier, so the overflowing lane
+    # is no longer at its block's index among the lanes.  In a two-plane call
+    # the 3 blocks follow a plane of 5, and the block is counted over both.
+    overflow, what = _OVERFLOWS[case]
+    payload = _bit_string_bytes(_EMPTY_BLOCK + overflow + _EMPTY_BLOCK)
+    with pytest.raises(CorruptError, match=f"^{what} overflows block ") as reference:
+        reference_huffman_decode(payload, 3)
+    block = int(str(reference.value).rsplit(" ", 1)[1])
+    assert block == 1
+    payloads, nblocks = [payload], [3]
+    if planes == 2:
+        payloads, nblocks = [_bit_string_bytes(_EMPTY_BLOCK * 5), payload], [5, 3]
+        block += 5
+    with pytest.raises(CorruptError, match=f"^zero run or coefficient index overflows block {block}$"):
+        entropy_decode_planes(payloads, nblocks)
 
 
 def test_entropy_decode_keeps_blocks_inside_their_plane():
