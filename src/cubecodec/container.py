@@ -7,8 +7,8 @@ Stream layout (little-endian):
     side-info block | p x (u32 w | u32 h | u8 q | f64 offset | f64 scale |
                            u32 n | payload)
 
-Each plane record repeats the header's w, h and q, then holds its
-:class:`~cubecodec.spatial.PlaneNorm` and n payload bytes.
+Each plane record repeats the header's w, h and q, then holds the fields of
+its :class:`~cubecodec.spatial.EncodedPlane`: offset, scale and n payload bytes.
 :class:`CompressedStream` states each fact once: p and N are its plane and
 wavelength counts.
 
@@ -86,7 +86,6 @@ from .reduction import (
 from .spatial import (
     EncodedPlane,
     PlaneBands,
-    PlaneNorm,
     PlaneStack,
     quality_to_table,
 )
@@ -124,9 +123,10 @@ def _pca_write(side: PcaSideInfo) -> bytes:
 
 
 def _pca_read(data: bytes, n: int, p: int) -> PcaSideInfo:
-    values = np.frombuffer(data, dtype="<f4").astype(np.float64)
+    with np.errstate(invalid="ignore"):  # a signaling NaN turns quiet, and PcaSideInfo rejects it
+        values = np.frombuffer(data, dtype="<f4").astype(np.float64)
     side = PcaSideInfo(mean=values[:n], basis=values[n:n + n * p].reshape(p, n).T,
-                       eigenvalues=np.maximum(values[n + n * p:], 0.0))
+                       eigenvalues=values[n + n * p:])
     if (defect := side.orthonormality_defect()) > 1e-4:  # loose: the stream rounds to f32
         raise ValidationError(f"basis columns not orthonormal: defect {defect:.3e}")
     return side
@@ -271,7 +271,7 @@ def serialize_stream(stream: CompressedStream) -> bytes:
     out += SPECTRAL_METHODS[stream.method].write_side(stream.side)
     for plane in stream.planes:
         out += _PLANE_HEADER.pack(stream.width, stream.height, stream.quality,
-                                  plane.norm.offset, plane.norm.scale, len(plane.payload))
+                                  plane.offset, plane.scale, len(plane.payload))
         out += plane.payload
     return bytes(out)
 
@@ -304,15 +304,14 @@ def parse_stream(data: bytes) -> CompressedStream:
         for i in range(p):
             if off + _PLANE_HEADER.size > len(data):
                 raise CorruptError("truncated plane record header")
-            w, h, q, norm_offset, norm_scale, count = _PLANE_HEADER.unpack_from(data, off)
+            w, h, q, offset, scale, count = _PLANE_HEADER.unpack_from(data, off)
             if (w, h, q) != (width, height, quality):
                 raise CorruptError(f"plane record {i} disagrees with stream header")
             off += _PLANE_HEADER.size
             if off + count > len(data):
                 raise CorruptError("truncated plane payload")
             what = f"normalization in plane record {i}"
-            planes.append(EncodedPlane(norm=PlaneNorm(offset=norm_offset, scale=norm_scale),
-                                       payload=bytes(data[off:off + count])))
+            planes.append(EncodedPlane(offset, scale, bytes(data[off:off + count])))
             off += count
         if off != len(data):
             raise CorruptError(f"{len(data) - off} trailing bytes after last plane")
@@ -422,7 +421,7 @@ def decompress_with_report(stream: CompressedStream) -> tuple[SpectralCube, Stag
 
     The planes are entropy decoded first, then dequantized, inverse
     transformed and synthesized one band of rows at a time: the spectral time
-    is the synthesis's share of that.  A plane norm that scales the planes
+    is the synthesis's share of that.  A plane scale that takes the planes
     past float64, or a reconstruction outside float32 (non-finite planes make
     one), raises :class:`CorruptError` before it is cast; running out of
     memory raises :class:`SizeLimitError`.

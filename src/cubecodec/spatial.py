@@ -282,7 +282,7 @@ def entropy_encode_blocks(qblocks: np.ndarray) -> bytes:
     if not len(q):
         return b""
     zigzag = q.reshape(-1, 64).take(ZIGZAG_ORDER, axis=1).astype(np.float64)
-    return PlaneStack(norms=(PlaneNorm(0.0, 1.0),), coeffs=zigzag).encode(100)[0].payload
+    return PlaneStack(offsets=np.zeros(1), scales=np.ones(1), coeffs=zigzag).encode(100)[0].payload
 
 
 # ---------------------------------------------------------------------------
@@ -559,26 +559,18 @@ def entropy_decode_planes(payloads: list[bytes], nblocks: list[int]) -> np.ndarr
 # plane codec
 
 @dataclass(frozen=True)
-class PlaneNorm:
-    """Affine map taking plane values into [0, 255]: normalized = (v - offset)/scale."""
+class EncodedPlane:
+    """One entropy-coded plane, as its SCMP record holds it: the affine map taking
+    its values into [0, 255], normalized = (v - offset) / scale, and its Huffman
+    bitstream."""
 
     offset: float
     scale: float
+    payload: bytes
 
     def __post_init__(self):
         check_real("offset", self.offset, error=ValidationError)
         check_real("scale", self.scale, 0, error=ValidationError)
-
-
-@dataclass(frozen=True)
-class EncodedPlane:
-    """One entropy-coded plane: its normalization and Huffman bitstream."""
-
-    norm: PlaneNorm
-    payload: bytes
-
-    def __post_init__(self):
-        check_type("norm", self.norm, PlaneNorm, ValidationError)
         check_type("payload", self.payload, bytes, ValidationError)
 
 
@@ -586,12 +578,14 @@ class EncodedPlane:
 class PlaneStack:
     """The quality-independent half of the plane coder, for P planes of one size.
 
-    Holds each plane's normalization and the DCT coefficients of all padded,
-    level-shifted 8x8 blocks, plane after plane, in zigzag order, so a rate
-    search counts every plane at many qualities without transforming them again.
+    Holds each plane's normalization (see :class:`EncodedPlane`) and the DCT
+    coefficients of all padded, level-shifted 8x8 blocks, plane after plane, in
+    zigzag order, so a rate search counts every plane at many qualities without
+    transforming them again.
     """
 
-    norms: tuple[PlaneNorm, ...]
+    offsets: np.ndarray  # (P,) float64
+    scales: np.ndarray  # (P,) float64
     coeffs: np.ndarray  # (P * nblocks, 64), zigzag order
     # (quality, per-slab symbols) of the last count_nbytes
     _probe: tuple | None = field(default=None, init=False, repr=False)
@@ -612,24 +606,25 @@ class PlaneStack:
             raise ValidationError(f"planes must be a non-empty (P, H, W) stack, got {p.shape}")
         count, height, width = p.shape
         flat = p.reshape(count, -1)
-        lows, highs = flat.min(axis=1).tolist(), flat.max(axis=1).tolist()
-        if not np.isfinite(lows + highs).all():  # a NaN or an infinity reaches a bound
+        offsets = flat.min(axis=1).astype(np.float64)
+        highs = flat.max(axis=1).astype(np.float64)
+        if not np.isfinite((offsets, highs)).all():  # a NaN or an infinity reaches a bound
             raise ValidationError("plane contains non-finite values")
-        norms = tuple(PlaneNorm(offset=mn, scale=(mx - mn) / 255.0 if mx > mn else 1.0)
-                      for mn, mx in zip(lows, highs))
+        with np.errstate(over="ignore"):  # a range past float64 is an inf scale, refused below
+            scales = np.where(highs > offsets, (highs - offsets) / 255.0, 1.0)
+        for scale in scales.tolist():
+            check_real("scale", scale, 0, error=ValidationError)
         rows, cols = (height + 7) // 8, (width + 7) // 8
-        offsets = np.array([n.offset for n in norms])[:, None, None]
-        scales = np.array([n.scale for n in norms])[:, None, None]
         # in a band of 8 rows, block c's zigzag element at natural (u, v) sits
         # at u * 8 * cols + 8 * c + v
         gather = (ZIGZAG_ORDER // 8 * 8 * cols + ZIGZAG_ORDER % 8) + 8 * np.arange(cols)[:, None]
         coeffs = np.empty((count * rows * cols, 64))
         for lo, hi in _runs(count, rows * cols):
             # normalize, level-shift and pad a run of planes
-            x = np.subtract(p[lo:hi], offsets[lo:hi])
+            x = np.subtract(p[lo:hi], offsets[lo:hi, None, None])
             if height % 8 or width % 8:
                 x = np.pad(x, ((0, 0), (0, -height % 8), (0, -width % 8)), mode="edge")
-            x /= scales[lo:hi]
+            x /= scales[lo:hi, None, None]
             x -= 128.0
             # the 2-D DCT of every block as two wide products, back into x: the
             # DCT matrix times each band of 8 rows, then every 8 columns of that
@@ -640,18 +635,18 @@ class PlaneStack:
             # every index is in range: mode="wrap" only skips numpy's bounds check
             out = coeffs[lo * rows * cols:hi * rows * cols]
             x.reshape(-1, 64 * cols).take(gather, axis=1, out=out.reshape(-1, cols, 64), mode="wrap")
-        return cls(norms=norms, coeffs=coeffs)
+        return cls(offsets=offsets, scales=scales, coeffs=coeffs)
 
     @property
     def nblocks(self) -> int:
         """Blocks per plane."""
-        return len(self.coeffs) // len(self.norms)
+        return len(self.coeffs) // len(self.offsets)
 
     def _slabs(self, quality: int):
         """Per run of whole planes (:func:`_runs`) at ``quality``: (coefficients,
         quantized magnitudes)."""
         table = quality_to_table(quality).ravel()[ZIGZAG_ORDER]
-        for lo, hi in _runs(len(self.norms), self.nblocks):
+        for lo, hi in _runs(len(self.offsets), self.nblocks):
             coeffs = self.coeffs[lo * self.nblocks:hi * self.nblocks]
             magnitude = np.abs(coeffs)
             magnitude /= table
@@ -684,8 +679,9 @@ class PlaneStack:
         for i, (coeffs, magnitude) in enumerate(self._slabs(quality)):
             symbols = kept[i] if kept else self._symbols(coeffs, magnitude)
             payloads += symbols.pack(magnitude[:, 1:].astype(np.int64), coeffs[:, 1:] < 0)
-        return [EncodedPlane(norm=norm, payload=payload)
-                for norm, payload in zip(self.norms, payloads)]
+        return [EncodedPlane(offset, scale, payload)
+                for offset, scale, payload in zip(self.offsets.tolist(), self.scales.tolist(),
+                                                  payloads)]
 
 
 class PlaneBands:
@@ -710,8 +706,8 @@ class PlaneBands:
             raise ArgumentError("no plane records to decode")
         self.table = quality_to_table(quality)
         self.shape = (len(planes), height, width)
-        self.scales = np.array([p.norm.scale for p in planes])[:, None, None]
-        self.offsets = np.array([p.norm.offset for p in planes])[:, None, None]
+        self.scales = np.array([p.scale for p in planes])[:, None, None]
+        self.offsets = np.array([p.offset for p in planes])[:, None, None]
         rows, cols = (height + 7) // 8, (width + 7) // 8
         qblocks = entropy_decode_planes([p.payload for p in planes], [rows * cols] * len(planes))
         self.qblocks = qblocks.reshape(len(planes), rows, cols, 8, 8)

@@ -157,8 +157,8 @@ def test_criterion_5_oracle_equivalences():
     blocks = rng.uniform(-128, 127, (1000, 8, 8))
     stack = PlaneStack.of(blocks)
     worst_dct = 0.0
-    for block, norm, coeffs in zip(blocks, stack.norms, stack.coeffs):
-        expected = naive_dct((block - norm.offset) / norm.scale - 128.0, tensor)
+    for block, offset, scale, coeffs in zip(blocks, stack.offsets, stack.scales, stack.coeffs):
+        expected = naive_dct((block - offset) / scale - 128.0, tensor)
         diff = np.abs(coeffs - expected.ravel()[ZIGZAG_ORDER]).max()
         worst_dct = max(worst_dct, diff)
     assert worst_dct <= 1e-10

@@ -161,6 +161,22 @@ def test_rate_error_marks_row_failed():
     assert "RateError" in reports[0].error
 
 
+@pytest.mark.parametrize("changes,message", [
+    ({"corpus": [], "size_sweep": []}, "a non-empty corpus or a size sweep"),
+    ({"methods": []}, "at least one method"),
+    ({"p_values": []}, "at least one p value"),
+], ids=["no-cubes", "no-methods", "no-p-values"])
+def test_config_needs_cubes_methods_and_p_values(changes, message):
+    with pytest.raises(ValidationError, match=message):
+        _tiny_config(**changes)
+
+
+def test_malformed_synth_entry_flags_its_row():
+    reports = run_benchmark(_tiny_config(corpus=["synth:flat:8x8:0"], methods=["csi"]))
+    assert len(reports) == 1
+    assert reports[0].error.startswith("ArgumentError: bad synth spec 'synth:flat:8x8:0'")
+
+
 def test_size_sweep_entries_extend_corpus():
     config = BenchConfig(corpus=[], methods=["csi"], p_values=[4],
                          repetitions=3, size_sweep=[(8, 8), (16, 16)])
@@ -491,6 +507,18 @@ def test_cli_bench_with_config(tmp_path, capsys):
     lines = out_csv.read_text().strip().split("\n")
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 2
+
+
+def test_cli_bench_without_a_config_runs_the_default_config(monkeypatch, capsys):
+    monkeypatch.setattr(bench, "default_config", lambda: _tiny_config(methods=["csi"]))
+    assert cli_main(["bench", "--table"]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.strip().split("\n")
+    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert len(lines) == 2 and lines[1].startswith(f"{_TINY},csi,6,")
+    table = captured.err.strip().split("\n")
+    assert table[0].split() == list(CSV_COLUMNS) + ["status"]
+    assert len(table) == 2 and table[1].endswith("ok")
 
 
 def test_cli_bench_rejects_a_misspelled_config_key(tmp_path, capsys):

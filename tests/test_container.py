@@ -247,6 +247,66 @@ def test_forged_side_info_is_corrupt(method):
         parse_stream(bytes(blob))
 
 
+# ---------------------------------------------------------------------------
+# parsing is the exact inverse of serializing
+
+_INVERSE_BANDS, _INVERSE_P = 6, 3
+_INVERSE_CUBE = synthesize_cube(8, 8, _INVERSE_BANDS, "random-smooth", 1)
+_INVERSE_BLOBS = {method: serialize_stream(compress(_INVERSE_CUBE, method, _INVERSE_P, quality=50))
+                  for method in ("pca", "csi")}
+_SIDE_AT = 19 + 4 * _INVERSE_BANDS
+_EIGEN_AT = _SIDE_AT + 4 * _INVERSE_BANDS * (_INVERSE_P + 1)  # PCA: after the means and basis
+# quiet and signaling NaNs, infinities, signed zeros, a subnormal, a negative and the extremes
+_F32_SPECIALS = [0x7FC00000, 0x7F800001, 0x7F800000, 0xFF800000, 0x00000000, 0x80000000,
+                 0x00000001, 0xBF800000, 0x7F7FFFFF, 0xFF7FFFFF]
+
+
+def _with_word(blob: bytes, at: int, word: int) -> bytes:
+    forged = bytearray(blob)
+    struct.pack_into("<I", forged, at, word)
+    return bytes(forged)
+
+
+def _parse_as_errors(blob: bytes) -> CompressedStream:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return parse_stream(blob)
+
+
+@st.composite
+def _mutated_blobs(draw):
+    blob = _INVERSE_BLOBS[draw(st.sampled_from(["pca", "csi"]))]
+    kind = draw(st.sampled_from(["byte", "bit", "f32"]))
+    if kind == "byte":
+        forged = bytearray(blob)
+        forged[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
+        return bytes(forged)
+    if kind == "bit":
+        return flip_bit(blob, draw(st.integers(0, 8 * len(blob) - 1)))
+    # an aligned header word, or a word of the wavelengths or PCA's side info
+    words = [*range(0, 16, 4), *range(19, _EIGEN_AT + 4 * _INVERSE_P, 4)]
+    return _with_word(blob, draw(st.sampled_from(words)), draw(st.sampled_from(_F32_SPECIALS)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated_blobs())
+def test_a_mutated_stream_is_rejected_or_round_trips(blob):
+    try:
+        stream = _parse_as_errors(blob)
+    except CodecError:
+        return
+    assert serialize_stream(stream) == blob
+
+
+@pytest.mark.parametrize("at,word,message", [
+    (_EIGEN_AT + 4 * (_INVERSE_P - 1), 0xBF800000, "eigenvalues must be numerically nonnegative"),
+    (_SIDE_AT, 0x7F800001, "side info contains non-finite values"),
+], ids=["last-eigenvalue-minus-one", "first-mean-signaling-nan"])
+def test_pca_side_info_is_kept_as_written_and_checked(at, word, message):
+    with pytest.raises(CorruptError, match=f"bad PCA side info: {message}"):
+        _parse_as_errors(_with_word(_INVERSE_BLOBS["pca"], at, word))
+
+
 def test_codec_calls_the_reducers_and_scorers_through_their_module_names(monkeypatch):
     # codecbench's tracer wraps these attributes: a lookup that bypasses one
     # would leave its layer time at 0 with no error
@@ -545,7 +605,7 @@ def test_full_rank_quality100_error_bound():
     rec = decompress(stream)
     err = np.abs(rec.samples.astype(np.float64)
                  - cube.samples.astype(np.float64)).max()
-    max_scale = max(pl.norm.scale for pl in stream.planes)
+    max_scale = max(pl.scale for pl in stream.planes)
     assert err <= 2.0 * max_scale
 
 
@@ -621,7 +681,7 @@ def test_huge_plane_scale_is_corrupt_before_the_float32_cast(method, scale):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         parsed = parse_stream(bytes(blob))
-        assert parsed.planes[0].norm.scale == scale
+        assert parsed.planes[0].scale == scale
         with pytest.raises(CorruptError):
             decompress(parsed)
 

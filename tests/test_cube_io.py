@@ -60,7 +60,7 @@ def test_bad_magic_is_format_error():
 
 def test_bad_version_and_dtype_are_format_errors():
     good = write_cube(random_cube(1))
-    for offset in (4, 5):  # version byte, dtype byte
+    for offset in (4, 5, 6):  # version byte, dtype byte, reserved field's low byte
         blob = bytearray(good)
         blob[offset] = 9
         with pytest.raises(FormatError):

@@ -60,7 +60,7 @@ from cubecodec import (
 )
 from cubecodec.cli import cli_main
 from cubecodec.errors import check_array, check_axis, check_int, check_real, check_type
-from cubecodec.spatial import EncodedPlane, PlaneNorm
+from cubecodec.spatial import EncodedPlane
 
 _CUBE = synthesize_cube(8, 8, 6, "random-smooth", seed=1)
 _STREAM = compress(_CUBE, "pca", 3, quality=50)
@@ -173,9 +173,11 @@ _ESCAPES = {
         lambda: CompressedStream(**_stream_fields(planes=None)), ValidationError),
     "CompressedStream-none-plane-records": (
         lambda: CompressedStream(**_stream_fields(planes=[None] * 3)), ValidationError),
-    "EncodedPlane-none-norm": (lambda: EncodedPlane(norm=None, payload=b""), ValidationError),
-    "PlaneNorm-str-offset": (lambda: PlaneNorm(offset="a", scale=1.0), ValidationError),
-    "PlaneNorm-bool-scale": (lambda: PlaneNorm(offset=0.0, scale=True), ValidationError),
+    "EncodedPlane-none-payload": (lambda: EncodedPlane(0.0, 1.0, None), ValidationError),
+    "EncodedPlane-str-offset": (lambda: EncodedPlane(offset="a", scale=1.0, payload=b""),
+                                ValidationError),
+    "EncodedPlane-bool-scale": (lambda: EncodedPlane(offset=0.0, scale=True, payload=b""),
+                                ValidationError),
     "SpectralCube-bool-width": (
         lambda: SpectralCube(width=True, height=8, bands=6, wavelengths=_CUBE.wavelengths,
                              samples=_CUBE.samples[:, :, :1]), ValidationError),

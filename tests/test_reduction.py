@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cubecodec.cube import SpectralCube
-from cubecodec.errors import ArgumentError
+from cubecodec.errors import ArgumentError, ValidationError
 from cubecodec.reduction import (
     CsiSideInfo,
     PcaSideInfo,
@@ -217,6 +217,11 @@ def test_knot_selection_errors():
         csi_select_knots(31, 1)
     with pytest.raises(ArgumentError):
         csi_select_knots(5, 6)
+
+
+def test_knots_must_be_nonnegative():
+    with pytest.raises(ValidationError, match="knot indices must be nonnegative"):
+        CsiSideInfo(knot_indices=[-1, 2, 5])
 
 
 def test_knot_selection_rejects_a_fractional_p():

@@ -1,5 +1,6 @@
 """Plane codec tests: DCT, quality scaling, entropy stage, full pipeline."""
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,6 @@ from cubecodec.cube import synthesize_cube
 from cubecodec.errors import ArgumentError, CorruptError, ValidationError
 from cubecodec.spatial import (
     BASE_LUMA_QUANT,
-    PlaneNorm,
     PlaneStack,
     ZIGZAG_ORDER,
     entropy_decode_planes,
@@ -36,8 +36,8 @@ def _random_qblocks(rng, n, zero_fraction=0.8):
 def _normalized_blocks(planes, stack):
     """Each plane's 8x8 blocks as :meth:`PlaneStack.of` normalizes them, block-major."""
     _, height, width = planes.shape
-    for plane, norm in zip(planes, stack.norms):
-        padded = np.pad((plane - norm.offset) / norm.scale,
+    for plane, offset, scale in zip(planes, stack.offsets, stack.scales):
+        padded = np.pad((plane - offset) / scale,
                         ((0, -height % 8), (0, -width % 8)), mode="edge") - 128.0
         yield from padded.reshape(padded.shape[0] // 8, 8, -1, 8).swapaxes(1, 2).reshape(-1, 8, 8)
 
@@ -544,6 +544,7 @@ def test_entropy_decode_rejects_invalid_dc_code():
 
 
 def test_entropy_decode_empty_plane():
+    assert entropy_encode_blocks(np.zeros((0, 8, 8), np.int32)) == b""
     assert entropy_decode_planes([b""], [0]).shape == (0, 8, 8)
     with pytest.raises(CorruptError):
         entropy_decode_planes([b"\x00"], [0])
@@ -588,7 +589,7 @@ def test_flat_plane_minimal_payload():
     assert len(enc.payload) <= 8
     dec = decode_planes([enc], 16, 16, 50)[0]
     dc_step = float(quality_to_table(50)[0, 0])
-    assert np.abs(dec - 0.7).max() <= enc.norm.scale * dc_step / 16.0
+    assert np.abs(dec - 0.7).max() <= enc.scale * dc_step / 16.0
 
 
 def test_nonmultiple_dimensions_roundtrip():
@@ -615,7 +616,7 @@ def test_ramp_block_matches_hand_pipeline(dct_tensor):
     # values span exactly [0, 255] so normalization is the identity map
     plane = (np.arange(64, dtype=np.float64).reshape(8, 8) * 255.0) / 63.0
     (enc,) = PlaneStack.of(plane[None]).encode(50)
-    assert enc.norm.offset == 0.0 and enc.norm.scale == 1.0
+    assert enc.offset == 0.0 and enc.scale == 1.0
     got = entropy_decode_planes([enc.payload], [1])[0]
     coeffs = naive_dct(plane - 128.0, dct_tensor)
     table = quality_to_table(50)
@@ -664,6 +665,11 @@ def test_encode_validation():
         PlaneStack.of(np.array([[[np.inf, 0.0]]]))
     with pytest.raises(ValidationError):
         PlaneStack.of(np.zeros((1, 0, 4)))
+    with warnings.catch_warnings():  # the range overflows float64 without a warning
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError,
+                           match=r"scale must be a real number in \(0, inf\), got inf"):
+            PlaneStack.of(np.array([[[-1e308, 1e308]]]))
     with pytest.raises(ArgumentError):
         PlaneStack.of(np.zeros((1, 4, 4))).encode(0)
 
@@ -689,7 +695,7 @@ def _stack_qblocks(stack, quality):
     zz = np.sign(stack.coeffs) * np.floor(np.abs(stack.coeffs) / table + 0.5)
     natural = np.empty_like(zz)
     natural[:, ZIGZAG_ORDER] = zz
-    return natural.astype(np.int32).reshape(len(stack.norms), -1, 8, 8)
+    return natural.astype(np.int32).reshape(len(stack.offsets), -1, 8, 8)
 
 
 @settings(max_examples=60)
@@ -705,15 +711,15 @@ def test_stacked_emit_matches_reference_plane_by_plane(dct_tensor, planes, quali
     assert len(encoded) == len(counted) == count
     # the last run takes the planes left over
     assert len(stack._probe[1]) == max(1, count // max(1, run_blocks // stack.nblocks))
-    for plane, norm in zip(planes, stack.norms):
-        assert norm.offset == plane.min()
+    for plane, offset in zip(planes, stack.offsets):
+        assert offset == plane.min()
     # the transform: per-block DCT of the normalized, edge-padded, level-shifted plane
     expected = [naive_dct(block, dct_tensor).ravel()[ZIGZAG_ORDER]
                 for block in _normalized_blocks(planes, stack)]
     assert np.allclose(stack.coeffs, expected, rtol=0.0, atol=1e-9)
     # the entropy stage, plane by plane
     for i, (plane, qblocks) in enumerate(zip(encoded, _stack_qblocks(stack, quality))):
-        assert plane.norm == stack.norms[i]
+        assert (plane.offset, plane.scale) == (stack.offsets[i], stack.scales[i])
         assert plane.payload == reference_huffman_encode(qblocks)
         assert counted[i] == len(plane.payload)
         assert plane == PlaneStack.of(planes[i][None]).encode(quality)[0]
@@ -766,8 +772,13 @@ def test_plane_stack_validation():
         PlaneStack.of(np.zeros((2, 3, 3))).count_nbytes(True)
 
 
+def test_plane_bands_need_a_plane_record():
+    with pytest.raises(ArgumentError, match="no plane records to decode"):
+        spatial.PlaneBands([], 8, 8, 50)
+
+
 def test_plane_norm_validation():
     with pytest.raises(ValidationError):
-        PlaneNorm(offset=0.0, scale=0.0)
+        spatial.EncodedPlane(offset=0.0, scale=0.0, payload=b"")
     with pytest.raises(ValidationError):
-        PlaneNorm(offset=float("nan"), scale=1.0)
+        spatial.EncodedPlane(offset=float("nan"), scale=1.0, payload=b"")
