@@ -142,6 +142,7 @@ class _ObserverGrid:
         return lower
 
 
+@np.errstate(over="ignore", invalid="ignore")  # see the docstring
 def spectra_to_xyz(spectra: np.ndarray, wavelengths) -> np.ndarray:
     """Render (..., N) reflectance spectra to (..., 3) XYZ, Y in [0, 100].
 
@@ -154,6 +155,7 @@ def spectra_to_xyz(spectra: np.ndarray, wavelengths) -> np.ndarray:
     One spectrum (M = 1) goes through BLAS's matrix-vector kernel, whose sums
     can differ in the last bits from the same spectrum rendered in a batch;
     :func:`cube_delta_e` makes a one-pixel chunk only for a one-pixel cube.
+    Non-finite or overflowing spectra give non-finite XYZ, without a warning.
     """
     spectra = check_array("spectra", spectra, None)
     if spectra.ndim == 0 or spectra.shape[-1] == 0:
@@ -194,11 +196,13 @@ def _planes(values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(values, -1, 0).reshape(3, -1))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # see the docstring
 def xyz_array_to_lab(xyz: np.ndarray) -> np.ndarray:
     """(..., 3) XYZ -> (..., 3) Lab against the D65 white :data:`_WHITE`.
 
     f runs once on the (3, K) X/Y/Z planes, and L, a and b are written into one
-    (3, K) array; the result is a (..., 3) view of its planes.
+    (3, K) array; the result is a (..., 3) view of its planes.  Non-finite
+    XYZ gives non-finite Lab, without a warning.
     """
     xyz = check_array("xyz", xyz, np.float64)
     fx, fy, fz = f = _lab_f(_planes(xyz) / _WHITE[:, None])
@@ -234,12 +238,13 @@ def _cos_degrees(angle: np.ndarray, weight: float) -> np.ndarray:
     return angle
 
 
+@np.errstate(over="ignore", invalid="ignore")  # see the docstring
 def ciede2000_array(lab1: np.ndarray, lab2: np.ndarray) -> np.ndarray:
     """CIEDE2000 on (..., 3) Lab arrays with kL = kC = kH = 1.
 
     The formula runs on contiguous 1-D L/a/b planes, each step written into
-    a buffer an earlier step is done with.  Nothing is checked for
-    finiteness: a non-finite Lab component gives NaN for its pair.
+    a buffer an earlier step is done with.  Nothing is checked: non-finite or
+    overflowing Lab gives a non-finite value for its pair, and no warning.
     """
     lab1, lab2 = np.broadcast_arrays(check_array("lab1", lab1, np.float64),
                                      check_array("lab2", lab2, np.float64))

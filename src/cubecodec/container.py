@@ -32,17 +32,17 @@ Records raise :class:`ValidationError` for a bad field, the side-info
 readers included; :func:`parse_stream` reports each one, with what failed,
 as a :class:`CorruptError` at one boundary.
 
-Rate control is an integer binary search on the single shared plane
-quality, run count-then-emit on one :class:`~cubecodec.spatial.PlaneStack`:
-all P planes are normalized and DCT-transformed once, together; each probe
-quantizes and counts the Huffman bits of every plane in one pass over the
-stack, and the stream size is worked out from the layout above
-(:func:`stream_nbytes`) without serializing anything.  Only the chosen
-quality is entropy coded, again in one pass over all planes, from the
-symbols of the last probe when the search ends on it.  A stream
-whose compression rate lands within the requested tolerance counts as an
-in-window success; when the quality grid straddles the window, the search
-falls back to the smallest achievable rate at or above the target and
+Rate control is an integer binary search on the single shared plane quality,
+run count-then-emit on one :class:`~cubecodec.spatial.PlaneStack`: all P
+planes are normalized and DCT-transformed once, together; each probe builds
+the Huffman symbols of every plane in one pass over the stack, and the
+stream size is worked out from its bytes and the layout above
+(:func:`stream_nbytes`) without serializing anything.  The emit packs the
+symbols of the in-window probe, or of one more probe at the fallback
+quality; the search drops each probe before the next, one alive at a time.
+A stream whose compression rate lands within the requested tolerance counts
+as an in-window success; when the quality grid straddles the window, the
+search falls back to the smallest achievable rate at or above the target and
 reports ``in_window=False``.  Targets that are unreachable even at quality 1
 raise :class:`RateError`.
 
@@ -87,6 +87,7 @@ from .spatial import (
     EncodedPlane,
     PlaneBands,
     PlaneStack,
+    Probe,
     quality_to_table,
 )
 
@@ -332,26 +333,29 @@ def compression_rate(original: SpectralCube, stream_nbytes: int) -> float:
 # pipeline stages
 
 def _search_quality(cube: SpectralCube, rate: RateTarget, overhead: int,
-                    stack: PlaneStack) -> tuple[int, bool, int]:
-    """Binary-search the plane quality for ``rate``; returns (quality, in window, probes)."""
+                    stack: PlaneStack) -> tuple[Probe, bool, int]:
+    """Binary-search the plane quality for ``rate``; returns (probe to emit, in window, probes)."""
     lo_cr, hi_cr = rate.window
     best_above = None  # (cr, q) with smallest cr >= target
     probes = 0
     lo, hi = 1, 100
     while lo <= hi:
         mid = (lo + hi) // 2
-        cr = compression_rate(cube, overhead + int(stack.count_nbytes(mid).sum()))
+        probe = None  # one probe's symbols alive at a time
+        probe = stack.probe(mid)
+        cr = compression_rate(cube, overhead + int(probe.nbytes.sum()))
         probes += 1
         if lo_cr <= cr <= hi_cr:
-            return mid, True, probes
+            return probe, True, probes
         if cr >= rate.target_cr and (best_above is None or cr < best_above[0]):
             best_above = (cr, mid)
         if cr > hi_cr:
             lo = mid + 1  # too much compression: raise quality
         else:
             hi = mid - 1  # too little compression: lower quality
-    if best_above is not None:
-        return best_above[1], False, probes
+    if best_above is not None:  # the emit's probe is one more, which probes does not count
+        del probe  # one probe alive at a time
+        return stack.probe(best_above[1]), False, probes
     # every probe fell below the window, so each lowered hi: the last, cr, was quality 1
     if overhead * rate.target_cr >= cube.scub_size:
         raise RateError(
@@ -370,8 +374,8 @@ def compress_with_report(cube: SpectralCube, method: str, p: int,
     Exactly one of ``rate`` and ``quality`` drives the plane quality: a
     fixed ``quality`` (an integer in 1..100) skips rate control entirely.
     Each rate probe counts the stream size without emitting or serializing
-    it; only the chosen quality is entropy coded.  Running out of memory
-    raises :class:`SizeLimitError`.
+    it; only the probe the search settles on, or a fixed quality's one probe,
+    is entropy coded.  Running out of memory raises :class:`SizeLimitError`.
     """
     check_type("cube", cube, SpectralCube)
     if (rate is None) == (quality is None):
@@ -392,10 +396,10 @@ def compress_with_report(cube: SpectralCube, method: str, p: int,
         del planes  # free the planes: the stack carries all the search and the emit need
         overhead = stream_nbytes(method, p, cube.bands, 0)
         if quality is None:
-            quality, in_window, probes = _search_quality(cube, rate, overhead, stack)
+            probe, in_window, probes = _search_quality(cube, rate, overhead, stack)
         else:
-            quality, in_window, probes = int(quality), True, 1
-        encoded = stack.encode(quality)
+            probe, in_window, probes = stack.probe(int(quality)), True, 1
+        encoded, quality = stack.encode(probe), probe.quality
         t2 = time.perf_counter_ns()
     except MemoryError:
         raise SizeLimitError(f"out of memory compressing a {cube.bands} x {cube.width} x "

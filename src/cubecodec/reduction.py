@@ -221,7 +221,7 @@ def _synthesize(matrix: np.ndarray, planes, wavelengths,
     given as one array or as :class:`~cubecodec.spatial.PlaneBands`.
 
     A sample outside float32 (non-finite planes make one) raises
-    :class:`ValidationError` before it is cast.
+    :class:`ValidationError` before it is cast, and no numpy warning.
     """
     n, p = matrix.shape
     if isinstance(planes, PlaneBands):
@@ -238,9 +238,10 @@ def _synthesize(matrix: np.ndarray, planes, wavelengths,
         band = band.reshape(p, -1)
         start = row * width  # a multiple of 16 pixels, as the chunks' edges are
         for lo, hi in chunks(band.shape[1], n):
-            recon = matrix @ band[:, lo:hi]
-            if mean is not None:
-                recon += mean[:, None]
+            with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+                recon = matrix @ band[:, lo:hi]
+                if mean is not None:
+                    recon += mean[:, None]
             check_float32_range(recon)
             samples[:, start + lo:start + hi] = recon
     return SpectralCube(width=width, height=height, bands=n, wavelengths=wl,

@@ -15,12 +15,12 @@ array in zigzag order.  The entropy stage builds every block's Huffman
 symbols with array operations (ITU-T T.81 Annex F.1.2 with the Annex K.3
 tables): a DC category and amplitude, an AC run/size symbol per nonzero
 coefficient with any ZRL codes of its zero run folded into the same field,
-and an EOB unless the last coefficient is nonzero.  A rate probe sums the
-symbol lengths per plane; the emit, which takes the last probe's symbols
-when it codes that quality, places each plane's fields from a byte
-boundary and cuts the packed bits into per-plane payloads.  Both work on
-runs of whole planes sized by :func:`~cubecodec.cube.chunks`, as the
-decoder's bands of rows are.  The decoder
+and an EOB unless the last coefficient is nonzero.  A :class:`Probe` holds
+them with each plane's bytes, summed from the symbol lengths; the emit packs
+exactly a probe's symbols, each plane's fields from a byte boundary, and
+cuts the packed bits into per-plane payloads.  Both work on runs of whole
+planes sized by :func:`~cubecodec.cube.chunks`, as the decoder's bands of
+rows are.  The decoder
 (:func:`entropy_decode_planes`) has no per-symbol loop either: it finds
 every block's start by pointer doubling over per-bit-position symbol
 tables, four levels of one uint32 array each packing the end and the
@@ -33,7 +33,7 @@ The bitstream is MSB-first and zero-padded to a whole byte.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -239,12 +239,11 @@ class _Symbols:
         fields[:, 1:64] = _AC_FIELD_BITS.take((self.index << 1) | negative) ^ ac
         fields[:, 64] = (self.lengths[:, 64] > 0) * _AC_CODE[_EOB]
         fields = fields.ravel().view(np.uint64)
-        plane_bits = self.plane_bits()
-        plane_bytes = (plane_bits + 7) // 8
-        plane_starts = 8 * (np.cumsum(plane_bytes) - plane_bytes)
         # the end bit of every field, the fields of each plane back to back
         # from its byte-aligned start; the ones of length 0 are 0 and add no bits
-        ends = np.cumsum(self.lengths.reshape(len(plane_bits), -1), axis=1, dtype=np.int64)
+        ends = np.cumsum(self.lengths.reshape(-1, self.nblocks * 65), axis=1, dtype=np.int64)
+        plane_bytes = (ends[:, -1] + 7) // 8
+        plane_starts = 8 * (np.cumsum(plane_bytes) - plane_bytes)
         ends += plane_starts[:, None]
         ends = ends.ravel().view(np.uint64)
         # a field (at most 59 bits) that ends at bit e puts its last e & 63 bits
@@ -273,8 +272,8 @@ def entropy_encode_blocks(qblocks: np.ndarray) -> bytes:
     Exactly invertible by :func:`entropy_decode_planes` as one plane of
     ``len(qblocks)`` blocks; includes the zigzag scan and the raster-order
     DC differential.  The blocks are coded as the one plane of a
-    :class:`PlaneStack` at quality 100, whose steps are all 1, so the emit
-    :meth:`PlaneStack.encode` runs codes the integers themselves.
+    :class:`PlaneStack` probed at quality 100, whose steps are all 1, so the
+    emit codes the integers themselves.
     """
     q = np.asarray(qblocks)
     if q.ndim != 3 or q.shape[1:] != (8, 8) or q.dtype.kind not in "iu":
@@ -282,7 +281,8 @@ def entropy_encode_blocks(qblocks: np.ndarray) -> bytes:
     if not len(q):
         return b""
     zigzag = q.reshape(-1, 64).take(ZIGZAG_ORDER, axis=1).astype(np.float64)
-    return PlaneStack(offsets=np.zeros(1), scales=np.ones(1), coeffs=zigzag).encode(100)[0].payload
+    stack = PlaneStack(offsets=np.zeros(1), scales=np.ones(1), coeffs=zigzag)
+    return stack.encode(stack.probe(100))[0].payload
 
 
 # ---------------------------------------------------------------------------
@@ -323,29 +323,31 @@ _AC_SYMBOL_BITS = 26
 #: jumps, up to 6% slower at 128², the decode-bound size.
 _DOUBLINGS = 4
 
-# Per 16-bit peek: the symbol's length with its amplitude bits (0 = invalid
-# code), its amplitude size, and its k-step.  An invalid code steps 64 like
-# an EOB, so no doubling jump passes one.  k after a step may reach 64 after
-# a coefficient but only 63 after a ZRL; past an EOB it is always >= 64.
-_AC_SIZE = (_AC_LUT_SYM & 15).astype(np.intp)
-_AC_ADVANCE = np.where(_AC_LUT_LEN > 0, _AC_LUT_LEN + _AC_SIZE, 0).astype(np.intp)
-_AC_STEP = np.select([_AC_LUT_LEN == 0, _AC_LUT_SYM == _EOB, _AC_LUT_SYM == _ZRL],
-                     [64, 64, 16], (_AC_LUT_SYM >> 4) + 1).astype(np.uint16)
-#: the three of them in one gather per stage-2 step, ``advance | size << 11 |
-#: step << 16`` (advance at most 26, size 15): ``fields & 0x7800`` is the size
-#: key of :data:`_EXTEND` and the step needs no mask.  intp, like the lanes,
-#: so no step casts.
-_AC_FIELDS = _AC_ADVANCE | _AC_SIZE << 11 | _AC_STEP.astype(np.intp) << 16
-_AC_K_LIMIT = np.select([_AC_LUT_SYM == _EOB, _AC_LUT_SYM == _ZRL], [255, 63], 64)
-_DC_SIZE = np.maximum(_DC_LUT_SYM, 0).astype(np.intp)
+
+def _ac_peek_tables():
+    """Per 16-bit peek, stage 2's ``fields = advance | size << 11 | step << 16``
+    (intp like the lanes; advance at most 26, size 15: ``fields & 0x7800`` is the
+    size key of :data:`_EXTEND`), stage 1's level-0 entry ``packed = advance | step
+    << 16``, and ``k_limit``, the most k may reach after the symbol: 64 after a
+    coefficient, 63 after a ZRL, any value after an EOB.  The advance is the code
+    and amplitude bits, 0 for an invalid code, which steps 64 like an EOB, so no
+    doubling jump passes one."""
+    size = (_AC_LUT_SYM & 15).astype(np.intp)
+    advance = np.where(_AC_LUT_LEN > 0, _AC_LUT_LEN + size, 0).astype(np.intp)
+    step = np.select([_AC_LUT_LEN == 0, _AC_LUT_SYM == _EOB, _AC_LUT_SYM == _ZRL],
+                     [64, 64, 16], (_AC_LUT_SYM >> 4) + 1).astype(np.intp)
+    k_limit = np.select([_AC_LUT_SYM == _EOB, _AC_LUT_SYM == _ZRL], [255, 63], 64)
+    return (advance | size << 11 | step << 16, (advance | step << 16).astype(np.uint32),
+            k_limit.astype(np.uint8))
+
+
+_AC_FIELDS, _AC_PACKED, _AC_K_LIMIT = _ac_peek_tables()
+_DC_SIZE = np.maximum(_DC_LUT_SYM, 0).astype(np.uint8)
 _DC_ADVANCE = bytes(np.where(_DC_LUT_LEN > 0, _DC_LUT_LEN + _DC_SIZE, 0).astype(np.uint8))
 #: zigzag slot written after a step to k: the coefficient's, k - 1.  A ZRL
 #: writes 0 into its run and an EOB 0 into slot 63, neither of them written
 #: yet, which spares selecting the coefficient lanes.
 _STEP_SLOT = ZIGZAG_ORDER[np.minimum(np.arange(-1, 127), 63)]
-#: per 16-bit peek, the level-0 entry of a symbol starting at local position
-#: 0: ``advance | step << 16``
-_AC_PACKED = (_AC_ADVANCE | _AC_STEP.astype(np.intp) << 16).astype(np.uint32)
 #: every local position a 16-bit jump field holds, and the shift that takes
 #: the 16-bit peek at each out of the 32 bits from its byte: ``16 - (b & 7)``
 _LOCAL = np.arange(1 << 16, dtype=np.uint32)
@@ -360,7 +362,7 @@ def _extend_table() -> np.ndarray:
 
 #: ``_EXTEND[size << 11 | bits]``: the value of the low ``size`` amplitude
 #: bits (Annex F.2.2.1 EXTEND, inverse of the encoder's amplitude bits); 0 for size 0
-_EXTEND = _extend_table()
+_EXTEND = _extend_table().astype(np.int16)
 
 
 def _bit_windows(data: bytes) -> np.ndarray:
@@ -485,7 +487,7 @@ def _decode_coefficients(windows: np.ndarray, starts: np.ndarray, nblocks: list[
     bits <<= starts & 7  # the bit at each start is bit 39
     peeks = bits >> 24
     peeks &= 0xFFFF
-    size = _DC_SIZE.take(peeks)
+    size = _DC_SIZE.take(peeks).astype(np.intp)  # a uint8 shifted by 11 would wrap
     pos = starts + _DC_LUT_LEN.take(peeks) + size
     diff = _EXTEND.take((size << 11) | ((bits >> (40 - (pos - starts))) & 0x7FF))
     del bits, peeks, size
@@ -574,21 +576,32 @@ class EncodedPlane:
         check_type("payload", self.payload, bytes, ValidationError)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
+class Probe:
+    """Every plane's symbols at one quality, a run of planes (:func:`_runs`) at a time."""
+
+    quality: int
+    symbols: tuple[_Symbols, ...]
+    nbytes: np.ndarray  # (P,) each plane's payload bytes
+
+
+@dataclass(frozen=True, eq=False)
 class PlaneStack:
     """The quality-independent half of the plane coder, for P planes of one size.
 
     Holds each plane's normalization (see :class:`EncodedPlane`) and the DCT
     coefficients of all padded, level-shifted 8x8 blocks, plane after plane, in
-    zigzag order, so a rate search counts every plane at many qualities without
-    transforming them again.
+    zigzag order, so a rate search probes every plane at many qualities without
+    transforming them again.  Its arrays are made read-only.
     """
 
     offsets: np.ndarray  # (P,) float64
     scales: np.ndarray  # (P,) float64
     coeffs: np.ndarray  # (P * nblocks, 64), zigzag order
-    # (quality, per-slab symbols) of the last count_nbytes
-    _probe: tuple | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):  # in place: a copy of the coefficients would double them
+        for array in (self.offsets, self.scales, self.coeffs):
+            array.setflags(write=False)
 
     @classmethod
     def of(cls, planes: np.ndarray) -> "PlaneStack":
@@ -654,34 +667,23 @@ class PlaneStack:
             np.floor(magnitude, out=magnitude)
             yield coeffs, magnitude
 
-    def _symbols(self, coeffs: np.ndarray, magnitude: np.ndarray) -> _Symbols:
-        """The symbols of one of :meth:`_slabs`' runs."""
-        # the size category of a whole number is frexp's exponent (0 for 0)
-        ac_size = np.frexp(magnitude[:, 1:])[1].astype(np.uint8)
-        dc = np.where(coeffs[:, 0] < 0, -magnitude[:, 0], magnitude[:, 0])
-        return _Symbols(dc, ac_size, self.nblocks)
+    def probe(self, quality: int) -> Probe:
+        """Every plane's symbols at ``quality`` and the payload bytes they pack to."""
+        symbols = []
+        for coeffs, magnitude in self._slabs(quality):
+            # the size category of a whole number is frexp's exponent (0 for 0)
+            ac_size = np.frexp(magnitude[:, 1:])[1].astype(np.uint8)
+            dc = np.where(coeffs[:, 0] < 0, -magnitude[:, 0], magnitude[:, 0])
+            symbols.append(_Symbols(dc, ac_size, self.nblocks))
+        nbytes = (np.concatenate([s.plane_bits() for s in symbols]) + 7) // 8
+        return Probe(quality, tuple(symbols), nbytes)
 
-    def count_nbytes(self, quality: int) -> np.ndarray:
-        """Each plane's payload bytes at ``quality``, counted without emitting them.
-
-        The symbols of the last quality counted are kept: a rate search ends
-        on the quality it probed last, and its emit then packs them as they are.
-        """
-        self._probe = None  # one probe's symbols alive at a time
-        symbols = [self._symbols(*slab) for slab in self._slabs(quality)]
-        self._probe = (quality, symbols)
-        return (np.concatenate([s.plane_bits() for s in symbols]) + 7) // 8
-
-    def encode(self, quality: int) -> list[EncodedPlane]:
-        """Entropy code every plane at ``quality``."""
-        kept = self._probe[1] if self._probe is not None and self._probe[0] == quality else None
+    def encode(self, probe: Probe) -> list[EncodedPlane]:
+        """Entropy code every plane: pack the symbols of ``probe``, a probe of this stack."""
         payloads = []
-        for i, (coeffs, magnitude) in enumerate(self._slabs(quality)):
-            symbols = kept[i] if kept else self._symbols(coeffs, magnitude)
+        for symbols, (coeffs, magnitude) in zip(probe.symbols, self._slabs(probe.quality)):
             payloads += symbols.pack(magnitude[:, 1:].astype(np.int64), coeffs[:, 1:] < 0)
-        return [EncodedPlane(offset, scale, payload)
-                for offset, scale, payload in zip(self.offsets.tolist(), self.scales.tolist(),
-                                                  payloads)]
+        return list(map(EncodedPlane, self.offsets.tolist(), self.scales.tolist(), payloads))
 
 
 class PlaneBands:

@@ -53,7 +53,7 @@ def natural_cubic_spline(knot_x, knot_y, query_x) -> np.ndarray:
     Evaluation at a knot abscissa returns that knot's ordinate exactly; with
     two knots the interpolant degenerates to the straight line.  Queries
     outside [knot_x[0], knot_x[-1]] raise :class:`ArgumentError` (no
-    extrapolation).
+    extrapolation), and so do knots whose spline overflows float64.
     """
     x = check_axis("knot_x", knot_x, np.float64, range(2, 1 << 63))
     y = check_array("knot_y", knot_y, np.float64)
@@ -72,15 +72,18 @@ def natural_cubic_spline(knot_x, knot_y, query_x) -> np.ndarray:
             f"query outside knot span [{x[0]}, {x[-1]}]; extrapolation is not supported"
         )
 
-    m = _second_derivatives(x, y)
-    h = np.diff(x)
-    j = np.clip(np.searchsorted(x, q, side="right") - 1, 0, x.shape[0] - 2)
-    t = (q - x[j])[:, None]
-    hj = h[j][:, None]
-    yj, yj1 = y[j], y[j + 1]
-    mj, mj1 = m[j], m[j + 1]
-    b = (yj1 - yj) / hj - hj * (2.0 * mj + mj1) / 6.0
-    out = yj + t * (b + t * (mj / 2.0 + t * (mj1 - mj) / (6.0 * hj)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is refused below
+        m = _second_derivatives(x, y)
+        h = np.diff(x)
+        j = np.clip(np.searchsorted(x, q, side="right") - 1, 0, x.shape[0] - 2)
+        t = (q - x[j])[:, None]
+        hj = h[j][:, None]
+        yj, yj1 = y[j], y[j + 1]
+        mj, mj1 = m[j], m[j + 1]
+        b = (yj1 - yj) / hj - hj * (2.0 * mj + mj1) / 6.0
+        out = yj + t * (b + t * (mj / 2.0 + t * (mj1 - mj) / (6.0 * hj)))
+    if not np.isfinite(out).all():
+        raise ArgumentError("spline values must be finite; the knots overflow float64")
     # the right endpoint falls at t == h of the last piece; return it exactly
     at_end = q == x[-1]
     if np.any(at_end):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from cubecodec.cube import SpectralCube
-from cubecodec.spatial import PlaneBands
+from cubecodec.spatial import PlaneBands, PlaneStack
 
 settings.register_profile(
     "suite",
@@ -280,6 +280,11 @@ def reference_huffman_decode(payload: bytes, nblocks: int) -> np.ndarray:
     out = np.zeros((nblocks, 64), dtype=np.int32)
     out[:, ZIGZAG_ORDER] = zz
     return out.reshape(nblocks, 8, 8)
+
+
+def encode_planes(stack: PlaneStack, quality: int) -> list:
+    """Every plane of ``stack`` entropy coded at ``quality``: one probe, packed."""
+    return stack.encode(stack.probe(quality))
 
 
 def decode_planes(planes, width: int, height: int, quality: int) -> np.ndarray:

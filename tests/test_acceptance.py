@@ -46,6 +46,7 @@ from conftest import (
     brute_force_pca_basis,
     decode_planes,
     dense_spline_oracle,
+    encode_planes,
     max_principal_angle,
     naive_dct,
     naive_dct_tensor,
@@ -257,7 +258,7 @@ def test_criterion_6_invariant_suites():
     rng = np.random.default_rng(64)
     plane = rng.uniform(0, 1, (24, 24))
     stack = PlaneStack.of(plane[None])
-    encoded = [stack.encode(q)[0] for q in (10, 30, 50, 70, 90)]
+    encoded = [encode_planes(stack, q)[0] for q in (10, 30, 50, 70, 90)]
     sizes = [len(enc.payload) for enc in encoded]
     assert all(a <= b for a, b in zip(sizes, sizes[1:]))
     mses = [float(np.mean((decode_planes([enc], 24, 24, q)[0] - plane) ** 2))

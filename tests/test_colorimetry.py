@@ -170,6 +170,18 @@ def test_nonnegative(lab1, lab2):
     assert ciede2000_array(np.array(lab1), np.array(lab2)) >= 0.0
 
 
+@pytest.mark.parametrize("call", [
+    lambda: spectra_to_xyz(np.full((4, 31), np.inf), default_wavelengths(31)),
+    lambda: spectra_to_xyz(np.full((4, 31), 1e308), default_wavelengths(31)),
+    lambda: xyz_array_to_lab(np.full((4, 3), np.inf)),
+    lambda: ciede2000_array(np.full((4, 3), np.inf), np.zeros(3)),
+    lambda: ciede2000_array(np.full((4, 3), 1e200), np.zeros(3)),
+], ids=["xyz-of-inf", "xyz-of-1e308", "lab-of-inf", "de-of-inf", "de-of-1e200"])
+def test_non_finite_or_overflowing_input_gives_non_finite_output(call):
+    # no RuntimeWarning escapes: the tests run with warnings as errors
+    assert not np.isfinite(call()).all()
+
+
 def test_batched_call_matches_one_pair_calls():
     rng = np.random.default_rng(51)
     lab1 = rng.uniform([-0, -100, -100], [100, 100, 100], (40, 3))

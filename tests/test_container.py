@@ -485,15 +485,19 @@ def test_compress_out_of_memory_raises_size_limit_error(monkeypatch, method):
         compress_with_report(random_cube(73), method, 2, quality=50)
 
 
-@pytest.mark.parametrize("method", ["pca", "csi"])
-def test_sweep256_compress_peak_memory(method):
+@pytest.mark.parametrize("method,drive", [
+    ("pca", {"rate": RateTarget(8.0)}), ("csi", {"rate": RateTarget(8.0)}),
+    ("pca", {"quality": 90}), ("csi", {"quality": 90}),
+], ids=["pca", "csi", "pca-q90", "csi-q90"])
+def test_sweep256_compress_peak_memory(method, drive):
     # PCA peaks at its fit's (H*W, N) float64 centered samples or at the
     # (P, H, W) float64 scores beside the stack's coefficients (21.0 MiB); CSI's
-    # float32 knot bands are widened a run at a time (18.7 MiB).  The plane
-    # transform works a run of planes at a time and the rate search keeps
-    # one probe's symbols, both a few MiB over the planes.
+    # float32 knot bands are widened a run at a time (18.7 MiB at CR 8, 18.0
+    # MiB at q90).  The plane transform works a run of planes at a time, and
+    # the rate search and a fixed quality each keep one probe's symbols, both
+    # a few MiB over the planes.
     cube = make_sweep_cube(256, 256)
-    peak = _peak_bytes(lambda: compress_with_report(cube, method, 20, rate=RateTarget(8.0)))
+    peak = _peak_bytes(lambda: compress_with_report(cube, method, 20, **drive))
     assert peak <= 23.0 * 2 ** 20
 
 
@@ -773,13 +777,13 @@ def test_overhead_dominated_target_raises_rate_error():
 ], ids=["unreachable", "overhead"])
 def test_failed_rate_search_counts_each_quality_once(monkeypatch, target_cr, message):
     counted = []
-    count_nbytes = container.PlaneStack.count_nbytes
+    probe = container.PlaneStack.probe
 
     def spy(self, quality):
         counted.append(quality)
-        return count_nbytes(self, quality)
+        return probe(self, quality)
 
-    monkeypatch.setattr(container.PlaneStack, "count_nbytes", spy)
+    monkeypatch.setattr(container.PlaneStack, "probe", spy)
     cube = make_skin_cube()
     with pytest.raises(RateError) as info:
         compress_with_report(cube, "pca", 20, rate=RateTarget(target_cr))
@@ -787,6 +791,27 @@ def test_failed_rate_search_counts_each_quality_once(monkeypatch, target_cr, mes
     assert str(info.value) == message
     lowest = serialize_stream(compress(cube, "pca", 20, quality=1))
     assert info.value.best_cr == compression_rate(cube, len(lowest))
+
+
+@pytest.mark.parametrize("build,p,rate,probed,encodes", [
+    (make_skin_cube, 20, RateTarget(8.0, tolerance=0.001), [50, 75, 88, 94, 97, 95, 94], 6),
+    (functools.partial(synthesize_cube, 64, 64, 31, "random-smooth", seed=12), 8, RateTarget(8.0),
+     [50, 75, 88, 94, 97, 99, 100, 100], 7),
+], ids=["last-probe-short", "last-probe-best"])
+def test_out_of_window_search_emits_a_probe_at_the_best_quality(monkeypatch, build, p, rate,
+                                                                 probed, encodes):
+    # out of the window the emit packs one probe more at the best quality
+    # above it, also when the last probe had that quality; encodes does not count it
+    probes, packed = [], []
+    probe, encode = container.PlaneStack.probe, container.PlaneStack.encode
+    monkeypatch.setattr(container.PlaneStack, "probe",
+                        lambda self, quality: probes.append(probe(self, quality)) or probes[-1])
+    monkeypatch.setattr(container.PlaneStack, "encode",
+                        lambda self, kept: packed.append(kept) or encode(self, kept))
+    report = compress_with_report(build(), "pca", p, rate=rate)[1]
+    assert [one.quality for one in probes] == probed
+    assert (report.quality, report.in_window, report.encodes) == (probed[-1], False, encodes)
+    assert len(packed) == 1 and packed[0] is probes[-1]
 
 
 def test_method_validation():

@@ -31,7 +31,7 @@ from cubecodec.container import (
 from cubecodec.cube import SpectralCube, default_wavelengths, synthesize_cube
 from cubecodec.spatial import PlaneStack
 
-from conftest import decode_planes
+from conftest import decode_planes, encode_planes
 
 # (image, method, p) -> (sha256 of the SCMP bytes, chosen quality, rate probes) at CR 8
 GOLDEN_STREAMS = {
@@ -312,14 +312,14 @@ def test_entropy_payloads_are_pinned_at_every_quality():
         stacked = hashlib.sha256()
         decoded = hashlib.sha256()
         for single, stack, method in zip(singles, stacks, methods):
-            encoded = [one.encode(quality)[0] for one in single]
+            encoded = [encode_planes(one, quality)[0] for one in single]
             for plane in encoded:
                 payloads.update(plane.payload)
             decoded.update(decode_planes(encoded, 64, 64, quality).tobytes())
             emitted = compress_with_report(cube, method, 20, quality=quality)[0].planes
             for plane in emitted:
                 stacked.update(plane.payload)
-            counted = stack.count_nbytes(quality).tolist()
+            counted = stack.probe(quality).nbytes.tolist()
             assert counted == [len(plane.payload) for plane in emitted], f"quality {quality}"
         assert payloads.hexdigest()[:16] == expected, f"quality {quality}"
         assert stacked.hexdigest()[:16] == expected, f"quality {quality}"

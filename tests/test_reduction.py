@@ -94,6 +94,19 @@ def test_zero_planes_invert_to_mean():
                        side.mean[:, None, None], atol=1e-6)
 
 
+@pytest.mark.parametrize("method", ["pca", "csi"])
+def test_infinite_planes_raise_the_documented_error(method):
+    # +inf, -inf and 0 planes make inf - inf in the synthesis: a ValidationError
+    # and no numpy warning before it
+    cube = random_cube(23, width=8, height=8, bands=6)
+    planes = np.stack([np.full((8, 8), np.inf), np.full((8, 8), -np.inf), np.zeros((8, 8))])
+    with pytest.raises(ValidationError, match="non-finite or outside the float32 range"):
+        if method == "pca":
+            pca_inverse(planes, pca_fit(cube, 3), cube.wavelengths)
+        else:
+            csi_inverse(planes, csi_select_knots(6, 3), cube.wavelengths)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_fitted_basis_orthonormal(seed):
     cube = random_cube(100 + seed, width=6, height=6, bands=8)

@@ -1,5 +1,6 @@
 """Plane codec tests: DCT, quality scaling, entropy stage, full pipeline."""
 
+import dataclasses
 import warnings
 from unittest import mock
 
@@ -19,8 +20,8 @@ from cubecodec.spatial import (
     quality_to_table,
 )
 
-from conftest import (decode_planes, flip_bit, naive_dct, reference_huffman_decode,
-                      reference_huffman_encode)
+from conftest import (decode_planes, encode_planes, flip_bit, naive_dct,
+                      reference_huffman_decode, reference_huffman_encode)
 
 
 def _random_qblocks(rng, n, zero_fraction=0.8):
@@ -392,12 +393,30 @@ def test_stage1_levels_equal_chained_level0_steps(window, spare):
         assert np.array_equal(got >> 16, step), j
 
 
+def _ac_peek_fields():
+    """Per 16-bit peek, worked out symbol by symbol from the Huffman peek tables:
+    the AC symbol's length with its amplitude bits (0 for an invalid code), the
+    low 4 bits of its symbol (its amplitude size; 15 for an invalid code, -1)
+    and its k-step (run + 1; 16 for ZRL; 64 for EOB or an invalid code)."""
+    advance, size, step = (np.zeros(1 << 16, dtype=np.int64) for _ in range(3))
+    for peek, (symbol, length) in enumerate(zip(spatial._AC_LUT_SYM.tolist(),
+                                                spatial._AC_LUT_LEN.tolist())):
+        size[peek] = symbol & 15
+        advance[peek] = length + (symbol & 15) if length else 0
+        if length == 0 or symbol == 0x00:
+            step[peek] = 64
+        else:
+            step[peek] = 16 if symbol == 0xF0 else (symbol >> 4) + 1
+    return advance, size, step
+
+
 def test_stage1_packed_fields_hold_a_window():
     # a window's local positions fit the 16-bit jump field, and a step of the
     # coarsest level, 3 (at most 8 symbols of step 64), fits the 16-bit step field
     assert spatial._STAGE1_BITS + spatial._BLOCK_BITS + spatial._AC_SYMBOL_BITS <= 0xFFFF
     assert 2 ** (spatial._DOUBLINGS - 1) * 64 <= 0xFFFF
-    assert spatial._AC_ADVANCE.max() <= spatial._AC_SYMBOL_BITS and spatial._AC_STEP.max() == 64
+    advance, _, step = _ac_peek_fields()
+    assert advance.max() <= spatial._AC_SYMBOL_BITS and step.max() == 64
     # the widest window the bound allows still decodes a stream of several windows
     widest = 0xFFFF - spatial._BLOCK_BITS - spatial._AC_SYMBOL_BITS
     rng = np.random.default_rng(50)
@@ -413,11 +432,14 @@ def test_stage1_packed_fields_hold_a_window():
 
 
 def test_stage2_fields_unpack_to_the_peek_tables():
-    # stage 2's one gather holds the advance, the amplitude size key and the k-step
+    # stage 2's one gather holds the advance, the amplitude size key and the
+    # k-step; stage 1's level-0 entry the advance and the k-step
+    advance, size, step = _ac_peek_fields()
     fields = spatial._AC_FIELDS
-    assert np.array_equal(fields & 31, spatial._AC_ADVANCE)
-    assert np.array_equal(fields & 0x7800, spatial._AC_SIZE << 11)
-    assert np.array_equal(fields >> 16, spatial._AC_STEP)
+    assert np.array_equal(fields & 31, advance)
+    assert np.array_equal(fields & 0x7800, size << 11)
+    assert np.array_equal(fields >> 16, step)
+    assert np.array_equal(spatial._AC_PACKED, advance | step << 16)
 
 
 def _walk_case(case):
@@ -583,7 +605,7 @@ def test_zigzag_order_is_a_permutation():
 # plane pipeline
 
 def test_flat_plane_minimal_payload():
-    (enc,) = PlaneStack.of(np.full((1, 16, 16), 0.7)).encode(50)
+    (enc,) = encode_planes(PlaneStack.of(np.full((1, 16, 16), 0.7)), 50)
     qblocks = entropy_decode_planes([enc.payload], [4])
     assert np.all(qblocks.reshape(4, 64)[:, 1:] == 0)  # every AC is zero
     assert len(enc.payload) <= 8
@@ -595,7 +617,7 @@ def test_flat_plane_minimal_payload():
 def test_nonmultiple_dimensions_roundtrip():
     rng = np.random.default_rng(44)
     plane = rng.uniform(0, 1, (13, 17))
-    dec = decode_planes(PlaneStack.of(plane[None]).encode(50), 17, 13, 50)[0]
+    dec = decode_planes(encode_planes(PlaneStack.of(plane[None]), 50), 17, 13, 50)[0]
     assert dec.shape == (13, 17)
     assert np.all(np.isfinite(dec))
 
@@ -605,7 +627,7 @@ def test_nonmultiple_dimensions_roundtrip():
     (8, True), (8, 0), (8, -1), (8, np.float64(8.0)),
 ])
 def test_decode_size_must_be_a_positive_u32(width, height):
-    (enc,) = PlaneStack.of(np.full((1, 8, 8), 0.5)).encode(50)
+    (enc,) = encode_planes(PlaneStack.of(np.full((1, 8, 8), 0.5)), 50)
     with pytest.raises(ArgumentError, match="must be an integer in"):
         decode_planes([enc], width, height, 50)
     # numpy integers in range are sizes too
@@ -615,7 +637,7 @@ def test_decode_size_must_be_a_positive_u32(width, height):
 def test_ramp_block_matches_hand_pipeline(dct_tensor):
     # values span exactly [0, 255] so normalization is the identity map
     plane = (np.arange(64, dtype=np.float64).reshape(8, 8) * 255.0) / 63.0
-    (enc,) = PlaneStack.of(plane[None]).encode(50)
+    (enc,) = encode_planes(PlaneStack.of(plane[None]), 50)
     assert enc.offset == 0.0 and enc.scale == 1.0
     got = entropy_decode_planes([enc.payload], [1])[0]
     coeffs = naive_dct(plane - 128.0, dct_tensor)
@@ -627,7 +649,7 @@ def test_ramp_block_matches_hand_pipeline(dct_tensor):
 def test_high_quality_psnr_on_smooth_plane():
     cube = synthesize_cube(64, 64, 31, "random-smooth", seed=11)
     plane = cube.samples[15].astype(np.float64)
-    dec = decode_planes(PlaneStack.of(plane[None]).encode(100), 64, 64, 100)[0]
+    dec = decode_planes(encode_planes(PlaneStack.of(plane[None]), 100), 64, 64, 100)[0]
     mse = float(np.mean((dec - plane) ** 2))
     value_range = float(plane.max() - plane.min())
     psnr = 10.0 * np.log10(value_range ** 2 / mse)
@@ -637,7 +659,7 @@ def test_high_quality_psnr_on_smooth_plane():
 def test_payload_monotone_in_quality():
     rng = np.random.default_rng(45)
     stack = PlaneStack.of(rng.uniform(0, 1, (1, 24, 24)))
-    sizes = [len(stack.encode(q)[0].payload) for q in (10, 30, 50, 70, 90)]
+    sizes = [len(encode_planes(stack, q)[0].payload) for q in (10, 30, 50, 70, 90)]
     assert all(a <= b for a, b in zip(sizes, sizes[1:]))
 
 
@@ -645,7 +667,7 @@ def test_distortion_monotone_in_quality():
     rng = np.random.default_rng(46)
     planes = rng.uniform(0, 1, (1, 24, 24))
     stack = PlaneStack.of(planes)
-    mses = [float(np.mean((decode_planes(stack.encode(q), 24, 24, q) - planes) ** 2))
+    mses = [float(np.mean((decode_planes(encode_planes(stack, q), 24, 24, q) - planes) ** 2))
             for q in (10, 30, 50, 70, 90)]
     for better, worse in zip(mses[1:], mses[:-1]):
         assert better <= worse + 1e-12
@@ -655,8 +677,8 @@ def test_padding_equivalence():
     rng = np.random.default_rng(47)
     plane = rng.uniform(0, 1, (13, 17))
     padded = np.pad(plane, ((0, 3), (0, 7)), mode="edge")
-    direct = decode_planes(PlaneStack.of(plane[None]).encode(60), 17, 13, 60)[0]
-    via_padded = decode_planes(PlaneStack.of(padded[None]).encode(60), 24, 16, 60)[0, :13, :17]
+    direct = decode_planes(encode_planes(PlaneStack.of(plane[None]), 60), 17, 13, 60)[0]
+    via_padded = decode_planes(encode_planes(PlaneStack.of(padded[None]), 60), 24, 16, 60)[0, :13, :17]
     assert np.array_equal(direct, via_padded)
 
 
@@ -671,7 +693,7 @@ def test_encode_validation():
                            match=r"scale must be a real number in \(0, inf\), got inf"):
             PlaneStack.of(np.array([[[-1e308, 1e308]]]))
     with pytest.raises(ArgumentError):
-        PlaneStack.of(np.zeros((1, 4, 4))).encode(0)
+        PlaneStack.of(np.zeros((1, 4, 4))).probe(0)
 
 
 _ODD_SIDE = st.integers(1, 30).filter(lambda side: side % 8)
@@ -705,12 +727,12 @@ def test_stacked_emit_matches_reference_plane_by_plane(dct_tensor, planes, quali
     # one per run, a few, or all of them in one
     with mock.patch("cubecodec.cube.CHUNK_SAMPLES", 128 * run_blocks):
         stack = PlaneStack.of(planes)
-        encoded = stack.encode(quality)
-        counted = stack.count_nbytes(quality)
+        probe = stack.probe(quality)
+        encoded = stack.encode(probe)
     count = len(planes)
-    assert len(encoded) == len(counted) == count
+    assert len(encoded) == len(probe.nbytes) == count
     # the last run takes the planes left over
-    assert len(stack._probe[1]) == max(1, count // max(1, run_blocks // stack.nblocks))
+    assert len(probe.symbols) == max(1, count // max(1, run_blocks // stack.nblocks))
     for plane, offset in zip(planes, stack.offsets):
         assert offset == plane.min()
     # the transform: per-block DCT of the normalized, edge-padded, level-shifted plane
@@ -721,11 +743,11 @@ def test_stacked_emit_matches_reference_plane_by_plane(dct_tensor, planes, quali
     for i, (plane, qblocks) in enumerate(zip(encoded, _stack_qblocks(stack, quality))):
         assert (plane.offset, plane.scale) == (stack.offsets[i], stack.scales[i])
         assert plane.payload == reference_huffman_encode(qblocks)
-        assert counted[i] == len(plane.payload)
-        assert plane == PlaneStack.of(planes[i][None]).encode(quality)[0]
+        assert probe.nbytes[i] == len(plane.payload)
+        assert plane == encode_planes(PlaneStack.of(planes[i][None]), quality)[0]
 
 
-def _stack_for_reuse():
+def _stack_for_probes():
     # 5 planes of 30 blocks: with chunks of 30 blocks' samples, one plane per run
     planes = np.random.default_rng(49).normal(0.0, 40.0, (5, 37, 45))
     return PlaneStack.of(planes)
@@ -734,31 +756,47 @@ def _stack_for_reuse():
 @pytest.mark.parametrize("probed", [None, 90, 40], ids=["fresh", "same_quality", "other_quality"])
 def test_emit_after_a_probe_matches_a_fresh_emit(probed):
     with mock.patch("cubecodec.cube.CHUNK_SAMPLES", 128 * 30):
-        expected = _stack_for_reuse().encode(90)
-        stack = _stack_for_reuse()
+        expected = encode_planes(_stack_for_probes(), 90)
+        stack = _stack_for_probes()
+        probe = stack.probe(90)
         if probed is not None:
-            stack.count_nbytes(probed)
-        first, second = stack.encode(90), stack.encode(90)
-        counted = stack.count_nbytes(90)
-    assert len(stack._probe[1]) == 5
+            stack.probe(probed)  # a later probe leaves nothing behind in the stack
+        first, second = stack.encode(probe), stack.encode(probe)
+    assert len(probe.symbols) == 5
     assert first == expected
-    assert second == expected
-    assert [len(plane.payload) for plane in expected] == counted.tolist()
+    assert second == expected  # the probe is a value: it packs again the same
+    assert [len(plane.payload) for plane in expected] == probe.nbytes.tolist()
 
 
-def test_emit_reuses_the_symbols_of_the_last_probe_only(monkeypatch):
-    built = []
-    symbols = spatial._Symbols
-    monkeypatch.setattr(spatial, "_Symbols", lambda *args: built.append(1) or symbols(*args))
+def test_emit_packs_exactly_the_symbols_of_its_probe(monkeypatch):
     monkeypatch.setattr("cubecodec.cube.CHUNK_SAMPLES", 128 * 30)
-    stack = _stack_for_reuse()
-    stack.count_nbytes(40)
-    stack.count_nbytes(90)
-    assert len(built) == 10  # five runs a probe
-    stack.encode(90)
-    assert len(built) == 10  # the probe's symbols, packed as they are
-    stack.encode(40)
-    assert len(built) == 15  # only the last probe's symbols are kept
+    stack = _stack_for_probes()
+    probe = stack.probe(40)
+    init, pack = spatial._Symbols.__init__, spatial._Symbols.pack
+    built, packed = [], []
+    monkeypatch.setattr(spatial._Symbols, "__init__",
+                        lambda self, *args: built.append(self) or init(self, *args))
+    monkeypatch.setattr(spatial._Symbols, "pack",
+                        lambda self, *args: packed.append(self) or pack(self, *args))
+    encoded = stack.encode(probe)
+    assert not built  # the emit builds no symbols of its own
+    assert len(packed) == len(probe.symbols) == 5  # five runs of one plane
+    assert all(got is kept for got, kept in zip(packed, probe.symbols))
+    expected = [reference_huffman_encode(qblocks) for qblocks in _stack_qblocks(stack, 40)]
+    assert [plane.payload for plane in encoded] == expected
+
+
+def test_plane_stack_is_frozen_and_takes_its_arrays_over():
+    coeffs = np.zeros((2, 64))
+    stack = PlaneStack(offsets=np.zeros(1), scales=np.ones(1), coeffs=coeffs)
+    assert stack.coeffs is coeffs  # made read-only in place, not copied
+    for array in (stack.offsets, stack.scales, coeffs):
+        assert not array.flags.writeable
+    stack = _stack_for_probes()
+    stack.encode(stack.probe(50))
+    assert set(vars(stack)) == {"offsets", "scales", "coeffs"}  # probes leave no state behind
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        stack.coeffs = coeffs
 
 
 def test_plane_stack_validation():
@@ -769,7 +807,7 @@ def test_plane_stack_validation():
     with pytest.raises(ValidationError):
         PlaneStack.of(np.full((2, 3, 3), np.nan))
     with pytest.raises(ArgumentError):
-        PlaneStack.of(np.zeros((2, 3, 3))).count_nbytes(True)
+        PlaneStack.of(np.zeros((2, 3, 3))).probe(True)
 
 
 def test_plane_bands_need_a_plane_record():

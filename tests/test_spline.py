@@ -85,6 +85,15 @@ def test_errors():
         natural_cubic_spline([0.0, 1.0], [np.nan, 2.0], [0.5])
 
 
+@pytest.mark.parametrize("knot_x,knot_y,query_x", [
+    ([0.0, 1.0, 2.0], [1e308, -1e308, 1e308], [0.5, 1.5]),  # differences overflow
+    ([0.0, 1e-320, 2e-320], [1.0, 2.0, 3.0], [0.5e-320]),  # slopes overflow
+], ids=["huge-ordinates", "subnormal-knot-spacing"])
+def test_overflowing_spline_is_an_argument_error(knot_x, knot_y, query_x):
+    with pytest.raises(ArgumentError, match="spline values must be finite"):
+        natural_cubic_spline(knot_x, knot_y, query_x)
+
+
 def _fd_second_derivative(f, x, h):
     return (f(x - h) - 2.0 * f(x) + f(x + h)) / (h * h)
 
