@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Subcommands: compress, decompress, evaluate, bench, synth, dump-constants.
-Exit codes: 0 success, 1 usage error, 2 data error, 3 rate error.
+Exit codes: 0 success, 1 usage error, 2 data error (running out of memory
+included), 3 rate error.  Interrupted by Ctrl-C, a command prints
+``interrupted`` and exits 130, 128 + SIGINT: the shell's convention for a
+process ended by a signal, not a fifth outcome.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_RATE = 3
+EXIT_INTERRUPTED = 128 + 2  # SIGINT
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -172,6 +176,12 @@ def cli_main(argv: list[str] | None = None) -> int:
     except (CodecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError:
+        print(f"error: out of memory running {args.command}", file=sys.stderr)
+        return EXIT_DATA
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def main():

@@ -16,9 +16,11 @@ symbols with array operations (ITU-T T.81 Annex F.1.2 with the Annex K.3
 tables): a DC category and amplitude, an AC run/size symbol per nonzero
 coefficient with any ZRL codes of its zero run folded into the same field,
 and an EOB unless the last coefficient is nonzero.  A :class:`Probe` holds
-them with each plane's bytes, summed from the symbol lengths; the emit packs
-exactly a probe's symbols, each plane's fields from a byte boundary, and
-cuts the packed bits into per-plane payloads.  Both work on runs of whole
+them, with the AC magnitudes as uint16, and each plane's bytes, summed from
+the symbol lengths.  The emit quantizes nothing: it packs exactly a probe's
+symbols, the amplitude bits from their magnitudes and the signs of the
+stack's coefficients, each plane's fields from a byte boundary, and cuts
+the packed bits into per-plane payloads.  Both work on runs of whole
 planes sized by :func:`~cubecodec.cube.chunks`, as the decoder's bands of
 rows are.  The decoder
 (:func:`entropy_decode_planes`) has no per-symbol loop either: it finds
@@ -174,6 +176,9 @@ def _ac_field_tables():
 
 _AC_FIELD_BITS, _AC_FIELD_LEN = _ac_field_tables()
 _AC_POS = np.arange(1, 64, dtype=np.uint8)
+#: the size category, i.e. the bit length, of each AC magnitude 0..2048 (Table
+#: F.1); a probe clips its magnitudes at 2048, whose category 12 is refused
+_AC_SIZE = np.array([int(v).bit_length() for v in range(2049)], dtype=np.uint8)
 #: ``16 * (k - 1)`` per zigzag position k = 1..63: the index of a run over
 #: every AC position before k
 _RUN_BASE = np.arange(0, 16 * 63, 16, dtype=np.uint16)
@@ -189,28 +194,31 @@ class _Symbols:
     """Annex F.1.2 symbols of quantized blocks, built with array operations.
 
     Takes whole planes of ``nblocks`` blocks each, back to back, as their DC
-    values ``dc`` and the size categories ``ac_size`` of their AC
-    coefficients in zigzag order; the DC prediction restarts at each plane's
-    first block.  ``lengths`` is an ``(n, 65)`` array in stream order: per
-    block the DC difference, the 63 AC positions of the zigzag scan, then
-    the EOB.  The DC entry and each nonzero AC entry are one whole field --
-    the ZRL codes of the zero run before the coefficient, its Huffman code
-    and its amplitude bits, at most 3 * 11 + 16 + 10 bits -- and every other
-    entry has length 0.  :meth:`pack` emits them.
+    values ``dc`` and the uint16 magnitudes ``ac`` of their AC coefficients
+    in zigzag order, clipped at 2048; the DC prediction restarts at each
+    plane's first block.  Keeps ``ac``, the amplitude bits that :meth:`pack`
+    emits.  ``lengths`` is an ``(n, 65)`` array in stream order: per block
+    the DC difference, the 63 AC positions of the zigzag scan, then the EOB.
+    The DC entry and each nonzero AC entry are one whole field -- the ZRL
+    codes of the zero run before the coefficient, its Huffman code and its
+    amplitude bits, at most 3 * 11 + 16 + 10 bits -- and every other entry
+    has length 0.
     """
 
-    def __init__(self, dc: np.ndarray, ac_size: np.ndarray, nblocks: int):
+    def __init__(self, dc: np.ndarray, ac: np.ndarray, nblocks: int):
         dc = np.asarray(dc, dtype=np.int64)
         diff = np.diff(dc, prepend=0)
         diff[::nblocks] = dc[::nblocks]
         too_big = (diff < -2047) | (diff > 2047)
         if too_big.any():
             raise ValidationError(f"DC difference {diff[too_big][0]} exceeds category 11")
+        ac_size = _AC_SIZE.take(ac)
         if ac_size.size and ac_size.max() > 10:
             raise ValidationError(f"AC coefficient of category {ac_size.max()} exceeds category 10")
         self.nblocks = nblocks
+        self.ac = ac
         self.dc = diff
-        self.dc_size = np.frexp(np.abs(diff))[1].astype(np.uint8)  # bit length, as in ac_size
+        self.dc_size = np.frexp(np.abs(diff))[1].astype(np.uint8)  # bit length, as in _AC_SIZE
         # zigzag position of the last nonzero AC up to each position (0 = none)
         last = np.maximum.accumulate((ac_size > 0) * _AC_POS, axis=1)
         # run << 4 | size, the run being the zeros since the previous nonzero AC
@@ -225,10 +233,10 @@ class _Symbols:
         """Each plane's bit count before its byte padding."""
         return self.lengths.reshape(-1, self.nblocks * 65).sum(axis=1, dtype=np.int64)
 
-    def pack(self, ac: np.ndarray, negative: np.ndarray) -> list[bytes]:
+    def pack(self, negative: np.ndarray) -> list[bytes]:
         """Every plane's Huffman bitstream, zero-padded to a whole byte.
 
-        ``ac`` holds the AC magnitudes and ``negative`` marks the negative ones.
+        ``negative`` marks the negative AC coefficients.
         """
         # the bit patterns of the fields, 0 where the length is 0
         fields = np.empty(self.lengths.shape, dtype=np.int64)
@@ -236,7 +244,7 @@ class _Symbols:
         # JPEG amplitude bits: v for v >= 0, v + 2**size - 1 for v < 0
         amplitude = np.where(dc < 0, dc + (1 << dc_size) - 1, dc)
         fields[:, 0] = (_DC_CODE[dc_size] << dc_size) | amplitude
-        fields[:, 1:64] = _AC_FIELD_BITS.take((self.index << 1) | negative) ^ ac
+        fields[:, 1:64] = _AC_FIELD_BITS.take((self.index << 1) | negative) ^ self.ac
         fields[:, 64] = (self.lengths[:, 64] > 0) * _AC_CODE[_EOB]
         fields = fields.ravel().view(np.uint64)
         # the end bit of every field, the fields of each plane back to back
@@ -655,34 +663,29 @@ class PlaneStack:
         """Blocks per plane."""
         return len(self.coeffs) // len(self.offsets)
 
-    def _slabs(self, quality: int):
-        """Per run of whole planes (:func:`_runs`) at ``quality``: (coefficients,
-        quantized magnitudes)."""
+    def probe(self, quality: int) -> Probe:
+        """Every plane's symbols at ``quality`` and the payload bytes they pack to."""
         table = quality_to_table(quality).ravel()[ZIGZAG_ORDER]
+        symbols = []
         for lo, hi in _runs(len(self.offsets), self.nblocks):
             coeffs = self.coeffs[lo * self.nblocks:hi * self.nblocks]
             magnitude = np.abs(coeffs)
             magnitude /= table
             magnitude += 0.5
-            np.floor(magnitude, out=magnitude)
-            yield coeffs, magnitude
-
-    def probe(self, quality: int) -> Probe:
-        """Every plane's symbols at ``quality`` and the payload bytes they pack to."""
-        symbols = []
-        for coeffs, magnitude in self._slabs(quality):
-            # the size category of a whole number is frexp's exponent (0 for 0)
-            ac_size = np.frexp(magnitude[:, 1:])[1].astype(np.uint8)
-            dc = np.where(coeffs[:, 0] < 0, -magnitude[:, 0], magnitude[:, 0])
-            symbols.append(_Symbols(dc, ac_size, self.nblocks))
+            dc = np.copysign(np.floor(magnitude[:, 0]), coeffs[:, 0])
+            # the uint16 cast truncates, i.e. floors, the magnitudes; clipped at
+            # 2048, every one fits and a too large one keeps a refused category
+            np.minimum(magnitude, 2048.0, out=magnitude)
+            symbols.append(_Symbols(dc, magnitude[:, 1:].astype(np.uint16), self.nblocks))
         nbytes = (np.concatenate([s.plane_bits() for s in symbols]) + 7) // 8
         return Probe(quality, tuple(symbols), nbytes)
 
     def encode(self, probe: Probe) -> list[EncodedPlane]:
         """Entropy code every plane: pack the symbols of ``probe``, a probe of this stack."""
-        payloads = []
-        for symbols, (coeffs, magnitude) in zip(probe.symbols, self._slabs(probe.quality)):
-            payloads += symbols.pack(magnitude[:, 1:].astype(np.int64), coeffs[:, 1:] < 0)
+        payloads, start = [], 0
+        for symbols in probe.symbols:
+            payloads += symbols.pack(self.coeffs[start:start + len(symbols.ac), 1:] < 0)
+            start += len(symbols.ac)
         return list(map(EncodedPlane, self.offsets.tolist(), self.scales.tolist(), payloads))
 
 

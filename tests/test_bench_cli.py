@@ -3,15 +3,20 @@
 import dataclasses
 import hashlib
 import math
+import os
+import signal
 import struct
+import subprocess
+import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from cubecodec import bench, colorimetry, spatial
+from cubecodec import bench, cli, colorimetry, spatial
 from cubecodec.bench import (
     BenchConfig,
     CSV_COLUMNS,
@@ -46,6 +51,7 @@ from conftest import flip_bit, forged_scmp
 
 _TINY = "synth:gaussian-spectra:16x16x31:3"
 _CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+_SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _tiny_config(**overrides):
@@ -414,6 +420,70 @@ def test_cli_out_of_memory_is_a_data_error(tmp_path, capsys, monkeypatch, comman
     assert cli_main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "out of memory" in err
+
+
+_COMMAND_ARGS = {
+    "compress": ["--in", "c.scub", "--out", "c.scmp", "--method", "pca", "--p", "4"],
+    "decompress": ["--in", "c.scmp", "--out", "c.scub"],
+    "evaluate": ["--original", "a.scub", "--reconstructed", "b.scub"],
+    "bench": [],
+    "synth": ["--out", "c.scub", "--width", "4", "--height", "4", "--bands", "31",
+              "--pattern", "ramp"],
+    "dump-constants": [],
+}
+
+
+@pytest.mark.parametrize("raised,code,message", [
+    (KeyboardInterrupt, 130, "interrupted\n"),
+    (MemoryError, 2, "error: out of memory running {}\n"),
+], ids=["interrupt", "out-of-memory"])
+@pytest.mark.parametrize("command", sorted(_COMMAND_ARGS))
+def test_cli_interrupt_and_out_of_memory_show_no_traceback(monkeypatch, capsys, command, raised,
+                                                         code, message):
+    def run(args):
+        raise raised
+
+    monkeypatch.setitem(cli._COMMANDS, command, run)
+    assert cli_main([command, *_COMMAND_ARGS[command]]) == code
+    captured = capsys.readouterr()
+    assert captured.err == message.format(command)
+    assert captured.out == ""
+
+
+def test_cli_out_of_memory_reading_a_file_is_a_data_error(tmp_path, capsys, monkeypatch):
+    def exhausted(path):
+        raise MemoryError
+
+    cube_path = tmp_path / "cube.scub"
+    cube_path.write_bytes(write_cube(synthesize_cube(8, 8, 31, "ramp", 0)))
+    monkeypatch.setattr(Path, "read_bytes", exhausted)
+    assert cli_main(["compress", "--in", str(cube_path), "--out", str(tmp_path / "x.scmp"),
+                     "--method", "pca", "--p", "4", "--quality", "50"]) == 2
+    assert capsys.readouterr().err == "error: out of memory running compress\n"
+
+
+def test_cli_bench_stops_on_sigint_without_a_traceback(tmp_path):
+    # a bench of several seconds, interrupted once it runs: the process ends
+    # with the shell's code for SIGINT and one line on stderr
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("corpus = skin\nmethods = pca\np_values = 20\nrepetitions = 500\n")
+    script = ("import sys; from cubecodec import cli; "
+              "print('ready', file=sys.stderr, flush=True); cli.main()")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(_SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-c", script, "bench", "--config", str(cfg)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    try:
+        assert proc.stderr.readline() == "ready\n"
+        time.sleep(0.5)
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert "Traceback" not in err
+    assert proc.returncode == 130
+    assert err == "interrupted\n"
+    assert out == ""
 
 
 def test_cli_decompress_rejects_oversized_dimensions(tmp_path, capsys):

@@ -492,10 +492,11 @@ def test_compress_out_of_memory_raises_size_limit_error(monkeypatch, method):
 def test_sweep256_compress_peak_memory(method, drive):
     # PCA peaks at its fit's (H*W, N) float64 centered samples or at the
     # (P, H, W) float64 scores beside the stack's coefficients (21.0 MiB); CSI's
-    # float32 knot bands are widened a run at a time (18.7 MiB at CR 8, 18.0
-    # MiB at q90).  The plane transform works a run of planes at a time, and
-    # the rate search and a fixed quality each keep one probe's symbols, both
-    # a few MiB over the planes.
+    # float32 knot bands are widened a run at a time, and CSI peaks in the
+    # emit, beside the probe it packs (20.2 MiB at CR 8, 19.5 MiB at q90).
+    # The plane transform works a run of planes at a time, and the rate
+    # search and a fixed quality each keep one probe's symbols and AC
+    # magnitudes, about 6.4 MiB at 256x256.
     cube = make_sweep_cube(256, 256)
     peak = _peak_bytes(lambda: compress_with_report(cube, method, 20, **drive))
     assert peak <= 23.0 * 2 ** 20

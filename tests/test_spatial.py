@@ -210,13 +210,12 @@ def _pack_planes(planes):
     the packed stream, each plane from its byte-aligned start.
     """
     zz = np.concatenate(planes).astype(np.int64)
-    magnitude = np.abs(zz[:, 1:])
-    symbols = spatial._Symbols(zz[:, 0], np.frexp(magnitude)[1].astype(np.uint8), len(planes[0]))
+    symbols = spatial._Symbols(zz[:, 0], np.abs(zz[:, 1:]).astype(np.uint16), len(planes[0]))
     plane_bytes = (symbols.plane_bits() + 7) // 8
     starts = 8 * (np.cumsum(plane_bytes) - plane_bytes)
     lengths = symbols.lengths.reshape(len(planes), -1).astype(np.int64)
     ends = np.cumsum(lengths, axis=1) + starts[:, None]
-    return symbols.pack(magnitude, zz[:, 1:] < 0), sorted(set(ends[lengths > 0].tolist()))
+    return symbols.pack(zz[:, 1:] < 0), sorted(set(ends[lengths > 0].tolist()))
 
 
 def _zigzag_blocks(*blocks):
@@ -589,6 +588,19 @@ def test_entropy_encoder_rejects_oversized_categories():
             entropy_encode_blocks(blocks)
 
 
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+@pytest.mark.parametrize("magnitude", [1024, 2048, 65_536, 65_537, 2 ** 31 - 1])
+def test_entropy_encoder_rejects_ac_magnitudes_past_category_10(magnitude, sign):
+    # a probe clips the magnitudes at 2048 before their uint16 cast, which
+    # would wrap 65 536 to 0 and 65 537 to 1; the DC is taken before the clip
+    # (test_entropy_encoder_edge_blocks[extreme_categories] codes DC 1023 and
+    # -1024 beside ACs of category 10)
+    blocks = np.zeros((2, 8, 8), dtype=np.int32)
+    blocks[1, 0, 1] = sign * magnitude
+    with pytest.raises(ValidationError, match="exceeds category 10"):
+        entropy_encode_blocks(blocks)
+
+
 def test_entropy_encoder_rejects_misshaped_or_float_blocks():
     for blocks in (np.zeros((2, 8, 7), dtype=np.int32), np.zeros((2, 8, 8))):
         with pytest.raises(ArgumentError):
@@ -784,6 +796,19 @@ def test_emit_packs_exactly_the_symbols_of_its_probe(monkeypatch):
     assert all(got is kept for got, kept in zip(packed, probe.symbols))
     expected = [reference_huffman_encode(qblocks) for qblocks in _stack_qblocks(stack, 40)]
     assert [plane.payload for plane in encoded] == expected
+
+
+def test_emit_quantizes_nothing(monkeypatch):
+    monkeypatch.setattr("cubecodec.cube.CHUNK_SAMPLES", 128 * 30)
+    stack = _stack_for_probes()
+    probe = stack.probe(40)
+    expected = [reference_huffman_encode(qblocks) for qblocks in _stack_qblocks(stack, 40)]
+
+    def no_table(quality):
+        raise AssertionError("the emit builds a quantization table")
+
+    monkeypatch.setattr(spatial, "quality_to_table", no_table)
+    assert [plane.payload for plane in stack.encode(probe)] == expected
 
 
 def test_plane_stack_is_frozen_and_takes_its_arrays_over():
