@@ -127,6 +127,14 @@ def _finish(values: np.ndarray, rng: np.random.Generator,
     return np.clip(values, 0.02, 0.98)
 
 
+def _cube(samples: np.ndarray) -> SpectralCube:
+    """The cube of ``(bands, height, width)`` samples, as float32, on the default grid."""
+    bands, height, width = samples.shape
+    return SpectralCube(width=width, height=height, bands=bands,
+                        wavelengths=default_wavelengths(bands),
+                        samples=samples.astype(np.float32, copy=False))
+
+
 def _gauss(wl, center, width):
     return np.exp(-0.5 * ((wl - center) / width) ** 2)
 
@@ -142,9 +150,7 @@ def make_skin_cube(width: int = 64, height: int = 64, seed: int = 2101) -> Spect
     tilt = smooth_field(rng, height, width, -0.06, 0.08, cells=4)
     spectra = base[:, None, None] * brightness[None] \
         + tilt[None] * ((wl[:, None, None] - 550.0) / 150.0) * 0.5
-    return SpectralCube(width=width, height=height, bands=31,
-                        wavelengths=default_wavelengths(31),
-                        samples=_finish(spectra, rng).astype(np.float32))
+    return _cube(_finish(spectra, rng))
 
 
 def make_narrowband_cube(width: int = 64, height: int = 64, seed: int = 2102) -> SpectralCube:
@@ -157,9 +163,7 @@ def make_narrowband_cube(width: int = 64, height: int = 64, seed: int = 2102) ->
     lam = wl[:, None, None]
     spectra = (0.05 + 0.04 * _gauss(wl, 460.0, 35.0)[:, None, None]
                + amp[None] * np.exp(-0.5 * ((lam - center[None]) / sigma[None]) ** 2))
-    return SpectralCube(width=width, height=height, bands=31,
-                        wavelengths=default_wavelengths(31),
-                        samples=_finish(spectra, rng).astype(np.float32))
+    return _cube(_finish(spectra, rng))
 
 
 def make_dark_cube(width: int = 64, height: int = 64, seed: int = 2103) -> SpectralCube:
@@ -170,9 +174,7 @@ def make_dark_cube(width: int = 64, height: int = 64, seed: int = 2103) -> Spect
     amp = smooth_field(rng, height, width, 0.08, 0.28, cells=4)
     floor = smooth_field(rng, height, width, 0.03, 0.08, cells=3)
     spectra = floor[None] + amp[None] * shape[:, None, None]
-    return SpectralCube(width=width, height=height, bands=31,
-                        wavelengths=default_wavelengths(31),
-                        samples=_finish(spectra, rng, noise=0.006).astype(np.float32))
+    return _cube(_finish(spectra, rng, noise=0.006))
 
 
 def make_chart_cube(width: int = 64, height: int = 64, seed: int = 2104) -> SpectralCube:
@@ -192,10 +194,7 @@ def make_chart_cube(width: int = 64, height: int = 64, seed: int = 2104) -> Spec
     spectra = patch_spectra[patch_index].transpose(2, 0, 1)  # (bands, H, W)
     vignette = smooth_field(rng, height, width, 0.92, 1.05, cells=2)
     shading = 1.0 + 0.05 * smooth_field(rng, height, width, -1.0, 1.0, cells=16)
-    return SpectralCube(width=width, height=height, bands=bands,
-                        wavelengths=default_wavelengths(bands),
-                        samples=_finish(spectra * (vignette * shading)[None], rng,
-                                        noise=0.02).astype(np.float32))
+    return _cube(_finish(spectra * (vignette * shading)[None], rng, noise=0.02))
 
 
 def make_sweep_cube(width: int, height: int, seed: int = 2105) -> SpectralCube:
@@ -209,8 +208,7 @@ def make_sweep_cube(width: int, height: int, seed: int = 2105) -> SpectralCube:
     for lo, hi in chunks(31, width * height, align=1):
         peak = amp[None] * gauss[lo:hi, None, None]
         samples[lo:hi] = _finish(0.8 * base.samples[lo:hi].astype(np.float64) + peak, rng)
-    return SpectralCube(width=width, height=height, bands=31,
-                        wavelengths=base.wavelengths, samples=samples)
+    return _cube(samples)
 
 
 _BUILTIN_BUILDERS = {

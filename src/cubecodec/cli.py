@@ -79,12 +79,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_compress(args) -> int:
     cube = read_cube(Path(args.infile).read_bytes())
-    if args.quality is not None:
-        stream, report = compress_with_report(cube, args.method, args.p,
-                                              quality=args.quality)
-    else:
+    rate = None  # --quality overrides --target-cr and --tolerance
+    if args.quality is None:
         rate = RateTarget(target_cr=args.target_cr, tolerance=args.tolerance)
-        stream, report = compress_with_report(cube, args.method, args.p, rate=rate)
+    stream, report = compress_with_report(cube, args.method, args.p, rate, args.quality)
     blob = serialize_stream(stream)
     Path(args.outfile).write_bytes(blob)
     print(f"achieved_cr={report.achieved_cr:.6g} quality={report.quality} "

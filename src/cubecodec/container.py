@@ -278,8 +278,11 @@ def serialize_stream(stream: CompressedStream) -> bytes:
 
 
 def parse_stream(data: bytes) -> CompressedStream:
-    """Parse SCMP bytes back into a stream; exact inverse of serialization."""
-    if len(check_type("data", data, (bytes, bytearray, memoryview))) < _HEADER.size:
+    """Parse SCMP bytes, or the raw bytes in C order of a ``bytearray`` or any
+    ``memoryview``, back into a stream; exact inverse of serialization."""
+    if not isinstance(check_type("data", data, (bytes, bytearray, memoryview)), bytes):
+        data = bytes(data)
+    if len(data) < _HEADER.size:
         raise CorruptError("SCMP truncated before header end")
     magic, version, tag, p, n, width, height, quality = _HEADER.unpack_from(data, 0)
     if magic != SCMP_MAGIC:
@@ -297,7 +300,7 @@ def parse_stream(data: bytes) -> CompressedStream:
     off = side_at + spec.side_nbytes(n, p)
     if off > len(data):
         raise CorruptError("SCMP truncated before the plane records")
-    wavelengths = np.frombuffer(data, dtype="<f4", count=n, offset=_HEADER.size).copy()
+    wavelengths = np.frombuffer(data, dtype="<f4", count=n, offset=_HEADER.size)
     try:  # every record raises ValidationError: here, and only here, it becomes CorruptError
         what = f"{method.upper()} side info"
         side = spec.read_side(data[side_at:off], n, p)
@@ -312,7 +315,7 @@ def parse_stream(data: bytes) -> CompressedStream:
             if off + count > len(data):
                 raise CorruptError("truncated plane payload")
             what = f"normalization in plane record {i}"
-            planes.append(EncodedPlane(offset, scale, bytes(data[off:off + count])))
+            planes.append(EncodedPlane(offset, scale, data[off:off + count]))
             off += count
         if off != len(data):
             raise CorruptError(f"{len(data) - off} trailing bytes after last plane")
@@ -427,7 +430,7 @@ def decompress_with_report(stream: CompressedStream) -> tuple[SpectralCube, Stag
     transformed and synthesized one band of rows at a time: the spectral time
     is the synthesis's share of that.  A plane scale that takes the planes
     past float64, or a reconstruction outside float32 (non-finite planes make
-    one), raises :class:`CorruptError` before it is cast; running out of
+    one), raises :class:`CorruptError` and no numpy warning; running out of
     memory raises :class:`SizeLimitError`.
     """
     check_type("stream", stream, CompressedStream)

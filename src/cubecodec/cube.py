@@ -77,13 +77,6 @@ def chunks(count: int, item_samples: int, align: int = CHUNK_ALIGN) -> list[tupl
     return list(zip(edges, edges[1:]))
 
 
-def check_float32_range(values: np.ndarray) -> None:
-    """Raise :class:`ValidationError` unless every value is finite and within
-    float32: two reductions and no temporary, as a NaN makes both bounds NaN."""
-    if values.size and not (-_F32_MAX <= values.min() and values.max() <= _F32_MAX):
-        raise ValidationError("samples are non-finite or outside the float32 range")
-
-
 def scub_nbytes(width: int, height: int, bands: int) -> int:
     """Serialized SCUB size in bytes for the given dimensions."""
     return _HEADER.size + 4 * bands + 4 * width * height * bands
@@ -132,7 +125,10 @@ class SpectralCube:
         wl = check_axis("wavelengths", self.wavelengths, np.float32,
                         range(self.bands, self.bands + 1), ValidationError)
         s = np.ascontiguousarray(check_array("samples", self.samples, np.float32, ValidationError))
-        check_float32_range(s)  # a sample past float32 was cast to inf
+        # a sample past float32 was cast to inf; two reductions and no
+        # temporary, as a NaN makes both bounds NaN
+        if s.size and not (-_F32_MAX <= s.min() and s.max() <= _F32_MAX):
+            raise ValidationError("samples are non-finite or outside the float32 range")
         if s.shape != (self.bands, self.height, self.width):
             raise ValidationError(
                 f"samples has shape {s.shape}, expected "
@@ -172,10 +168,13 @@ def read_cube(data: bytes) -> SpectralCube:
     """Parse SCUB bytes; the exact inverse of :func:`write_cube`.
 
     From immutable ``bytes`` the cube's arrays are read-only views of
-    ``data``; from any other buffer (``bytearray``, ``memoryview``) they are
-    copies, so a later change to the buffer leaves the cube as it is.
+    ``data``.  Any other buffer (``bytearray``, any ``memoryview``) is first
+    copied to ``bytes``, its raw bytes in C order, so a later change to the
+    buffer leaves the cube as it is.
     """
-    if len(check_type("data", data, (bytes, bytearray, memoryview))) < _HEADER.size:
+    if not isinstance(check_type("data", data, (bytes, bytearray, memoryview)), bytes):
+        data = bytes(data)
+    if len(data) < _HEADER.size:
         raise CorruptError(f"SCUB truncated: {len(data)} bytes < {_HEADER.size} header")
     magic, version, dtype, reserved, width, height, bands = _HEADER.unpack_from(data, 0)
     if magic != SCUB_MAGIC:
@@ -193,8 +192,6 @@ def read_cube(data: bytes) -> SpectralCube:
         raise CorruptError(f"SCUB length {len(data)} != expected {expected}")
     values = np.frombuffer(data, dtype="<f4", count=bands + width * height * bands,
                            offset=_HEADER.size)
-    if not isinstance(data, bytes):
-        values = values.copy()
     return SpectralCube(
         width=width,
         height=height,

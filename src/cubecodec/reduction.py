@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import (CHUNK_ALIGN, MAX_DIM, SpectralCube, check_float32_range, chunks, freeze,
-                   values_equal)
+from .cube import CHUNK_ALIGN, MAX_DIM, SpectralCube, chunks, freeze, values_equal
 from .errors import (ArgumentError, ValidationError, check_array, check_axis, check_int,
                      check_type)
 from .spatial import PlaneBands
@@ -220,8 +219,8 @@ def _synthesize(matrix: np.ndarray, planes, wavelengths,
     """The cube ``matrix @ planes (+ mean)``: an (N, P) matrix times (P, H, W) planes,
     given as one array or as :class:`~cubecodec.spatial.PlaneBands`.
 
-    A sample outside float32 (non-finite planes make one) raises
-    :class:`ValidationError` before it is cast, and no numpy warning.
+    A sample outside float32 (non-finite planes make one) is stored with no numpy
+    warning, and :class:`SpectralCube` refuses it with :class:`ValidationError`.
     """
     n, p = matrix.shape
     if isinstance(planes, PlaneBands):
@@ -238,11 +237,10 @@ def _synthesize(matrix: np.ndarray, planes, wavelengths,
         band = band.reshape(p, -1)
         start = row * width  # a multiple of 16 pixels, as the chunks' edges are
         for lo, hi in chunks(band.shape[1], n):
-            with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            with np.errstate(over="ignore", invalid="ignore"):  # the cube refuses inf and NaN
                 recon = matrix @ band[:, lo:hi]
                 if mean is not None:
                     recon += mean[:, None]
-            check_float32_range(recon)
-            samples[:, start + lo:start + hi] = recon
+                samples[:, start + lo:start + hi] = recon
     return SpectralCube(width=width, height=height, bands=n, wavelengths=wl,
                         samples=samples.reshape(n, height, width))

@@ -176,9 +176,10 @@ def _ac_field_tables():
 
 _AC_FIELD_BITS, _AC_FIELD_LEN = _ac_field_tables()
 _AC_POS = np.arange(1, 64, dtype=np.uint8)
-#: the size category, i.e. the bit length, of each AC magnitude 0..2048 (Table
-#: F.1); a probe clips its magnitudes at 2048, whose category 12 is refused
-_AC_SIZE = np.array([int(v).bit_length() for v in range(2049)], dtype=np.uint8)
+#: the size category, i.e. the bit length, of each magnitude 0..2048 (Tables F.1
+#: and F.2): of an AC coefficient, which a probe clips at 2048, whose category 12
+#: is refused, and of a DC difference, which is refused past 2047
+_SIZE = np.array([int(v).bit_length() for v in range(2049)], dtype=np.uint8)
 #: ``16 * (k - 1)`` per zigzag position k = 1..63: the index of a run over
 #: every AC position before k
 _RUN_BASE = np.arange(0, 16 * 63, 16, dtype=np.uint16)
@@ -212,13 +213,13 @@ class _Symbols:
         too_big = (diff < -2047) | (diff > 2047)
         if too_big.any():
             raise ValidationError(f"DC difference {diff[too_big][0]} exceeds category 11")
-        ac_size = _AC_SIZE.take(ac)
+        ac_size = _SIZE.take(ac)
         if ac_size.size and ac_size.max() > 10:
             raise ValidationError(f"AC coefficient of category {ac_size.max()} exceeds category 10")
         self.nblocks = nblocks
         self.ac = ac
         self.dc = diff
-        self.dc_size = np.frexp(np.abs(diff))[1].astype(np.uint8)  # bit length, as in _AC_SIZE
+        self.dc_size = _SIZE.take(np.abs(diff))
         # zigzag position of the last nonzero AC up to each position (0 = none)
         last = np.maximum.accumulate((ac_size > 0) * _AC_POS, axis=1)
         # run << 4 | size, the run being the zeros since the previous nonzero AC

@@ -368,6 +368,17 @@ def test_cli_quality_override(tmp_path):
     assert out_path.exists()
 
 
+def test_cli_quality_ignores_the_rate_flags(tmp_path):
+    # a rate target that RateTarget refuses is never built for a fixed quality
+    cube_path = tmp_path / "cube.scub"
+    cube_path.write_bytes(write_cube(synthesize_cube(16, 16, 8, "ramp", 0)))
+    fixed, flagged = tmp_path / "fixed.scmp", tmp_path / "flagged.scmp"
+    args = ["compress", "--in", str(cube_path), "--method", "pca", "--p", "4", "--quality", "50"]
+    assert cli_main([*args, "--out", str(fixed)]) == 0
+    assert cli_main([*args, "--out", str(flagged), "--tolerance", "5", "--target-cr", "0.5"]) == 0
+    assert flagged.read_bytes() == fixed.read_bytes()
+
+
 def test_cli_usage_errors():
     assert cli_main(["no-such-command"]) == 1
     assert cli_main([]) == 1

@@ -677,7 +677,7 @@ def test_every_truncation_and_bit_flip_decodes_or_raises_codec_error(method):
 
 @pytest.mark.parametrize("method", ["pca", "csi"])
 @pytest.mark.parametrize("scale", [1e300, 1e308])
-def test_huge_plane_scale_is_corrupt_before_the_float32_cast(method, scale):
+def test_huge_plane_scale_is_corrupt_without_a_warning(method, scale):
     stream = compress(synthesize_cube(16, 16, 8, "ramp", 0), method, 3, quality=50)
     blob = bytearray(serialize_stream(stream))
     record = len(blob) - sum(container._PLANE_HEADER.size + len(plane.payload)

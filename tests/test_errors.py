@@ -215,6 +215,35 @@ def test_parsers_take_any_bytes_like_buffer(buffer):
     assert read_cube(buffer(write_cube(_CUBE))) == _CUBE
 
 
+def _uint32_view(blob):
+    return memoryview(blob).cast("I")
+
+
+def _2d_view(blob):
+    return memoryview(blob).cast("B", (4, len(blob) // 4))
+
+
+def _strided_view(blob):
+    spread = np.zeros(2 * len(blob), dtype=np.uint8)
+    spread[::2] = np.frombuffer(blob, dtype=np.uint8)
+    return memoryview(spread)[::2]
+
+
+@pytest.mark.parametrize("view", [_uint32_view, _2d_view, _strided_view],
+                         ids=["uint32", "2-d", "non-contiguous"])
+def test_parsers_read_any_memoryview_byte_for_byte(view):
+    # a typed or 2-D view counts items, not bytes, and a strided one has no
+    # contiguous buffer: each parser reads the view's raw bytes in C order
+    stream = compress(_CUBE, "pca", 3, quality=42)
+    blobs = [serialize_stream(stream), write_cube(_CUBE)]
+    assert [len(blob) % 4 for blob in blobs] == [0, 0]  # so that a uint32 view holds each
+    assert all(bytes(view(blob)) == blob for blob in blobs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert parse_stream(view(blobs[0])) == parse_stream(blobs[0]) == stream
+        assert read_cube(view(blobs[1])) == read_cube(blobs[1]) == _CUBE
+
+
 def test_cli_bench_exits_2_for_a_p_value_scmp_cannot_hold(tmp_path, capsys):
     cfg = tmp_path / "bench.cfg"
     cfg.write_text("corpus = synth:flat:8x8x6:0\nmethods = csi\np_values = 70000\n")

@@ -96,15 +96,17 @@ def test_zero_planes_invert_to_mean():
 
 @pytest.mark.parametrize("method", ["pca", "csi"])
 def test_infinite_planes_raise_the_documented_error(method):
-    # +inf, -inf and 0 planes make inf - inf in the synthesis: a ValidationError
-    # and no numpy warning before it
+    # +inf, -inf and 0 planes make inf - inf in the synthesis, and finite planes
+    # of +-1e300 make finite samples past float32, stored as inf: a
+    # ValidationError and no numpy warning before it
     cube = random_cube(23, width=8, height=8, bands=6)
-    planes = np.stack([np.full((8, 8), np.inf), np.full((8, 8), -np.inf), np.zeros((8, 8))])
-    with pytest.raises(ValidationError, match="non-finite or outside the float32 range"):
-        if method == "pca":
-            pca_inverse(planes, pca_fit(cube, 3), cube.wavelengths)
-        else:
-            csi_inverse(planes, csi_select_knots(6, 3), cube.wavelengths)
+    for big in (np.inf, 1e300):
+        planes = np.stack([np.full((8, 8), big), np.full((8, 8), -big), np.zeros((8, 8))])
+        with pytest.raises(ValidationError, match="non-finite or outside the float32 range"):
+            if method == "pca":
+                pca_inverse(planes, pca_fit(cube, 3), cube.wavelengths)
+            else:
+                csi_inverse(planes, csi_select_knots(6, 3), cube.wavelengths)
 
 
 @pytest.mark.parametrize("seed", range(5))
