@@ -50,7 +50,6 @@ CSV_COLUMNS = (
     "de_mean", "de_p95", "de_max",
 )
 
-BUILTIN_CORPUS = ("skin", "narrowband", "dark", "chart")
 DEFAULT_P_VALUES = (20, 24, 28)
 _NOISE_SIGMA = 0.012  # broadband sensor-noise stand-in, reflectance units
 
@@ -217,6 +216,7 @@ _BUILTIN_BUILDERS = {
     "dark": make_dark_cube,
     "chart": make_chart_cube,
 }
+BUILTIN_CORPUS = tuple(_BUILTIN_BUILDERS)
 
 
 def _load_corpus_entry(entry: str) -> SpectralCube:

@@ -292,8 +292,6 @@ def parse_stream(data: bytes) -> CompressedStream:
     method = next((name for name, m in SPECTRAL_METHODS.items() if m.tag == tag), None)
     if method is None:
         raise CorruptError(f"unknown method tag {tag}")
-    if min(p, n, width, height) < 1 or not 1 <= quality <= 100:
-        raise CorruptError("bad header fields")
     check_cube_size(n, width, height)
     spec = SPECTRAL_METHODS[method]
     side_at = _HEADER.size + 4 * n
@@ -319,7 +317,7 @@ def parse_stream(data: bytes) -> CompressedStream:
             off += count
         if off != len(data):
             raise CorruptError(f"{len(data) - off} trailing bytes after last plane")
-        what = "stream"  # the wavelengths, the one field not checked above
+        what = "stream"  # size, quality and wavelengths: the fields only the stream checks
         return CompressedStream(method=method, side=side, wavelengths=wavelengths,
                                 quality=quality, planes=planes, width=width, height=height)
     except ValidationError as exc:
@@ -435,12 +433,11 @@ def decompress_with_report(stream: CompressedStream) -> tuple[SpectralCube, Stag
     """
     check_type("stream", stream, CompressedStream)
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            t0 = time.perf_counter_ns()
-            planes = PlaneBands(stream.planes, stream.width, stream.height, stream.quality)
-            t1 = time.perf_counter_ns()
-            cube = SPECTRAL_METHODS[stream.method].expand(planes, stream.side, stream.wavelengths)
-            t2 = time.perf_counter_ns()
+        t0 = time.perf_counter_ns()
+        planes = PlaneBands(stream.planes, stream.width, stream.height, stream.quality)
+        t1 = time.perf_counter_ns()
+        cube = SPECTRAL_METHODS[stream.method].expand(planes, stream.side, stream.wavelengths)
+        t2 = time.perf_counter_ns()
     except ValidationError as exc:
         raise CorruptError(f"decoded values out of range: {exc}") from None
     except MemoryError:

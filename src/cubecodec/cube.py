@@ -32,10 +32,6 @@ SCUB_DTYPE_F32 = 1
 _HEADER = struct.Struct("<4sBBHIII")
 _F32_MAX = float(np.finfo(np.float32).max)
 
-#: patterns understood by :func:`synthesize_cube`
-PATTERNS = ("flat", "ramp", "gaussian-spectra", "random-smooth")
-
-
 #: the most samples (bands x width x height) a cube may hold to be synthesized
 #: or compressed, or a stream may claim to be parsed.  A decode peaks near 4
 #: bytes per sample, the float32 cube, beside the int32 quantized blocks of its
@@ -285,6 +281,9 @@ _GENERATORS = {
     "gaussian-spectra": _synth_gaussian,
     "random-smooth": _synth_random_smooth,
 }
+
+#: patterns understood by :func:`synthesize_cube`
+PATTERNS = tuple(_GENERATORS)
 
 
 def synthesize_cube(width: int, height: int, bands: int,

@@ -221,6 +221,8 @@ def _synthesize(matrix: np.ndarray, planes, wavelengths,
 
     A sample outside float32 (non-finite planes make one) is stored with no numpy
     warning, and :class:`SpectralCube` refuses it with :class:`ValidationError`.
+    One ``np.errstate`` around the band loop covers the decoder's dequantize and
+    scale steps too, as each band is drawn inside it.
     """
     n, p = matrix.shape
     if isinstance(planes, PlaneBands):
@@ -233,11 +235,12 @@ def _synthesize(matrix: np.ndarray, planes, wavelengths,
     wl = check_axis("wavelengths", wavelengths, np.float32, range(n, n + 1))
     _, height, width = shape
     samples = np.empty((n, height * width), dtype=np.float32)
-    for row, band in bands:
-        band = band.reshape(p, -1)
-        start = row * width  # a multiple of 16 pixels, as the chunks' edges are
-        for lo, hi in chunks(band.shape[1], n):
-            with np.errstate(over="ignore", invalid="ignore"):  # the cube refuses inf and NaN
+    # the cube refuses inf and NaN; the decoder's bands are dequantized and scaled in here too
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row, band in bands:
+            band = band.reshape(p, -1)
+            start = row * width  # a multiple of 16 pixels, as the chunks' edges are
+            for lo, hi in chunks(band.shape[1], n):
                 recon = matrix @ band[:, lo:hi]
                 if mean is not None:
                     recon += mean[:, None]

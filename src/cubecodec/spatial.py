@@ -700,16 +700,11 @@ class PlaneBands:
     padded layout, and yields ``(row, band)``: the ``(P, rows, W)`` float64
     planes (no clamping) from image row ``row`` on.  ``shape`` is the whole
     ``(P, H, W)``; ``ns`` counts the nanoseconds spent iterating, so a
-    consumer can tell its own time from the decoder's.  The size must be
-    integers in 1..2**32 - 1, as SCMP stores them.
+    consumer can tell its own time from the decoder's.  The arguments are the
+    fields of a :class:`~cubecodec.container.CompressedStream`, checked there once.
     """
 
-    def __init__(self, planes: list[EncodedPlane], width: int, height: int, quality: int):
-        width = check_int("width", width, 1, 0xFFFFFFFF)
-        height = check_int("height", height, 1, 0xFFFFFFFF)
-        planes = list(planes)
-        if not planes:
-            raise ArgumentError("no plane records to decode")
+    def __init__(self, planes: tuple[EncodedPlane, ...], width: int, height: int, quality: int):
         self.table = quality_to_table(quality)
         self.shape = (len(planes), height, width)
         self.scales = np.array([p.scale for p in planes])[:, None, None]

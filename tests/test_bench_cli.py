@@ -288,6 +288,9 @@ def test_parse_config_errors():
     # a repeated key is an error too, not a silent last-one-wins
     with pytest.raises(ValidationError, match="line 2: repeated key 'corpus'"):
         parse_config("corpus = skin\ncorpus = dark\n")
+    # a known key with no "=" is refused, not read as an empty value
+    with pytest.raises(ValidationError, match="line 2: expected key = value"):
+        parse_config("corpus = skin\nsize_sweep\n")
 
 
 def test_default_config_uses_builtin_corpus():
@@ -360,7 +363,6 @@ def test_cli_stream_and_evaluate_output_are_pinned(tmp_path, capsys, bands, meth
 
 def test_cli_quality_override(tmp_path):
     cube_path = tmp_path / "cube.scub"
-    write_cube(synthesize_cube(16, 16, 8, "ramp", 0))
     cube_path.write_bytes(write_cube(synthesize_cube(16, 16, 8, "ramp", 0)))
     out_path = tmp_path / "out.scmp"
     assert cli_main(["compress", "--in", str(cube_path), "--out", str(out_path),

@@ -301,10 +301,40 @@ def test_a_mutated_stream_is_rejected_or_round_trips(blob):
 @pytest.mark.parametrize("at,word,message", [
     (_EIGEN_AT + 4 * (_INVERSE_P - 1), 0xBF800000, "eigenvalues must be numerically nonnegative"),
     (_SIDE_AT, 0x7F800001, "side info contains non-finite values"),
-], ids=["last-eigenvalue-minus-one", "first-mean-signaling-nan"])
+    (_EIGEN_AT + 4 * (_INVERSE_P - 1), 0x7F7FFFFF, "eigenvalues must be non-increasing"),
+], ids=["last-eigenvalue-minus-one", "first-mean-signaling-nan", "last-eigenvalue-float32-max"])
 def test_pca_side_info_is_kept_as_written_and_checked(at, word, message):
     with pytest.raises(CorruptError, match=f"bad PCA side info: {message}"):
         _parse_as_errors(_with_word(_INVERSE_BLOBS["pca"], at, word))
+
+
+#: SCMP header fields and plane record fields: (byte offset, struct format)
+_HEADER_FIELDS = {"p": (6, "<H"), "bands": (8, "<H"), "width": (10, "<I"), "height": (14, "<I"),
+                  "quality": (18, "<B")}
+_RECORD_FIELDS = {"width": (0, "<I"), "height": (4, "<I"), "quality": (8, "<B")}
+
+
+@pytest.mark.parametrize("method", ["pca", "csi"])
+@pytest.mark.parametrize("field,value", [
+    ("p", 0), ("bands", 0), ("width", 0), ("height", 0), ("quality", 0), ("quality", 101),
+    ("quality", 255),
+])
+def test_a_forged_header_field_is_corrupt(field, value, method):
+    # the plane records agree with the forged header: the record that owns the
+    # field refuses it, the side info p and N, the stream its size and quality
+    blob = bytearray(_INVERSE_BLOBS[method])
+    struct.pack_into(_HEADER_FIELDS[field][1], blob, _HEADER_FIELDS[field][0], value)
+    if field in _RECORD_FIELDS:
+        record = container._PLANE_HEADER.size
+        at = stream_nbytes(method, _INVERSE_P, _INVERSE_BANDS, 0) - _INVERSE_P * record
+        for plane in parse_stream(_INVERSE_BLOBS[method]).planes:
+            struct.pack_into(_RECORD_FIELDS[field][1], blob, at + _RECORD_FIELDS[field][0], value)
+            at += record + len(plane.payload)
+        match = f"bad stream: {field} must be an integer in"
+    else:
+        match = f"bad {method.upper()} side info"
+    with pytest.raises(CorruptError, match=match):
+        _parse_as_errors(bytes(blob))
 
 
 def test_codec_calls_the_reducers_and_scorers_through_their_module_names(monkeypatch):

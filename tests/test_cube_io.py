@@ -78,10 +78,14 @@ def test_truncation_is_corrupt_error():
 
 
 def test_zero_dimension_is_corrupt_error():
-    blob = bytearray(write_cube(random_cube(4)))
+    cube = random_cube(4)
+    blob = bytearray(write_cube(cube))
     struct.pack_into("<I", blob, 8, 0)  # width field
     with pytest.raises(CorruptError):
         read_cube(bytes(blob))
+    # the header and wavelengths alone are the length a zero-width cube claims
+    with pytest.raises(CorruptError, match="non-positive dimensions"):
+        read_cube(bytes(blob[:20 + 4 * cube.bands]))
 
 
 def test_nonincreasing_wavelengths_is_validation_error():
@@ -201,6 +205,12 @@ def test_unknown_pattern_is_argument_error():
 def test_bad_dims_are_argument_errors():
     with pytest.raises(ArgumentError):
         synthesize_cube(0, 4, 4, "flat", seed=0)
+
+
+def test_one_pixel_random_smooth_is_mid_range():
+    # a 1 x 1 field has one lattice value, so smooth_field returns the middle of its range
+    cube = synthesize_cube(1, 1, 5, "random-smooth")
+    assert np.all(cube.samples == np.float32(0.5))
 
 
 @pytest.mark.parametrize("bands", [1, 2, 31])

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubecodec import spatial
+from cubecodec.container import compress, decompress
 from cubecodec.cube import synthesize_cube
 from cubecodec.errors import ArgumentError, CorruptError, ValidationError
 from cubecodec.spatial import (
@@ -22,6 +23,10 @@ from cubecodec.spatial import (
 
 from conftest import (decode_planes, encode_planes, flip_bit, naive_dct,
                       reference_huffman_decode, reference_huffman_encode)
+
+
+#: the decoder's input record: PlaneBands decodes the fields it has checked
+_STREAM = compress(synthesize_cube(8, 8, 3, "flat"), "csi", 2, quality=50)
 
 
 def _random_qblocks(rng, n, zero_fraction=0.8):
@@ -639,11 +644,12 @@ def test_nonmultiple_dimensions_roundtrip():
     (8, True), (8, 0), (8, -1), (8, np.float64(8.0)),
 ])
 def test_decode_size_must_be_a_positive_u32(width, height):
-    (enc,) = encode_planes(PlaneStack.of(np.full((1, 8, 8), 0.5)), 50)
-    with pytest.raises(ArgumentError, match="must be an integer in"):
-        decode_planes([enc], width, height, 50)
+    # a decode's size comes from a CompressedStream, the one record that checks it
+    with pytest.raises(ValidationError, match="must be an integer in"):
+        dataclasses.replace(_STREAM, width=width, height=height)
     # numpy integers in range are sizes too
-    assert decode_planes([enc], np.uint32(8), np.int64(8), 50).shape == (1, 8, 8)
+    sized = dataclasses.replace(_STREAM, width=np.uint32(8), height=np.int64(8))
+    assert decompress(sized) == decompress(_STREAM)
 
 
 def test_ramp_block_matches_hand_pipeline(dct_tensor):
@@ -836,8 +842,9 @@ def test_plane_stack_validation():
 
 
 def test_plane_bands_need_a_plane_record():
-    with pytest.raises(ArgumentError, match="no plane records to decode"):
-        spatial.PlaneBands([], 8, 8, 50)
+    # a decode's plane records come from a CompressedStream, which needs one
+    with pytest.raises(ValidationError, match="planes must hold 1 to 65535 plane records, got 0"):
+        dataclasses.replace(_STREAM, planes=[])
 
 
 def test_plane_norm_validation():

@@ -81,8 +81,9 @@ def test_errors():
         natural_cubic_spline([0.0, 1.0], [1.0, 2.0], [1.5])  # extrapolation
     with pytest.raises(ArgumentError):
         natural_cubic_spline([0.0, 1.0], [1.0, 2.0], [-0.1])
-    with pytest.raises(ArgumentError):
-        natural_cubic_spline([0.0, 1.0], [np.nan, 2.0], [0.5])
+    for knot_y, query_x in (([np.nan, 2.0], [0.5]), ([1.0, 2.0], [np.nan])):
+        with pytest.raises(ArgumentError, match="knots and queries must be finite"):
+            natural_cubic_spline([0.0, 1.0], knot_y, query_x)
 
 
 @pytest.mark.parametrize("knot_x,knot_y,query_x", [
