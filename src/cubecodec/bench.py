@@ -54,9 +54,9 @@ DEFAULT_P_VALUES = (20, 24, 28)
 _NOISE_SIGMA = 0.012  # broadband sensor-noise stand-in, reflectance units
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalReport:
-    """One benchmark row; failed rows carry ``error`` and NaN metrics."""
+    """One benchmark row, built once; failed rows carry ``error`` and NaN metrics."""
 
     image: str
     method: str
@@ -69,7 +69,6 @@ class EvalReport:
     de_mean: float = float("nan")
     de_p95: float = float("nan")
     de_max: float = float("nan")
-    quality: int | None = None
     rate_in_window: bool = False
     error: str | None = None
 
@@ -235,16 +234,16 @@ def _load_corpus_entry(entry: str) -> SpectralCube:
 
 
 def resolve_corpus(config: BenchConfig):
-    """Yield (name, cube-or-None, error-or-None) for every effective corpus entry."""
+    """Yield (name, cube-or-None, error-or-None) for every effective corpus entry,
+    loading each entry only when the loop reaches it: one cube is built at a time."""
     loaders = [(entry, partial(_load_corpus_entry, entry)) for entry in config.corpus]
     loaders += [(f"sweep_{w}x{h}", partial(make_sweep_cube, w, h)) for w, h in config.size_sweep]
-    out = []
     for name, load in loaders:
         try:
-            out.append((name, load(), None))
+            cube, err = load(), None
         except (CodecError, OSError) as exc:
-            out.append((name, None, f"{type(exc).__name__}: {exc}"))
-    return out
+            cube, err = None, f"{type(exc).__name__}: {exc}"
+        yield name, cube, err
 
 
 # ---------------------------------------------------------------------------
@@ -252,17 +251,19 @@ def resolve_corpus(config: BenchConfig):
 
 def evaluate_row(cube: SpectralCube, image: str, method: str, p: int,
                  target: RateTarget, repetitions: int) -> EvalReport:
-    """Benchmark one (image, method, p) combination."""
-    report = EvalReport(image=image, method=method, p=p, target_cr=target.target_cr)
+    """Benchmark one (image, method, p) combination; one round trip's stream and
+    reconstruction are alive at a time, and the last reconstruction is scored."""
+    row = partial(EvalReport, image=image, method=method, p=p, target_cr=target.target_cr)
     try:
-        _, rate_report = compress_with_report(cube, method, p, rate=target)
+        rate_report = compress_with_report(cube, method, p, rate=target)[1]
         achieved = rate_report.achieved_cr
         lo, hi = target.window
         if rate_report.in_window and not lo <= achieved <= hi:
             raise RateError(f"rate search reported CR {achieved:.4g} as inside its window "
                             f"[{lo:.4g}, {hi:.4g}]", best_cr=achieved)
-        t_spec, t_spat, t_tot, recon = [], [], [], None
+        t_spec, t_spat, t_tot = [], [], []
         for _ in range(repetitions):
+            fixed = recon = None  # free the previous round trip outside the timed span
             t0 = time.perf_counter()
             fixed, enc = compress_with_report(cube, method, p, quality=rate_report.quality)
             recon, dec = decompress_with_report(parse_stream(serialize_stream(fixed)))
@@ -270,18 +271,13 @@ def evaluate_row(cube: SpectralCube, image: str, method: str, p: int,
             t_spec.append(enc.times.spectral_ms + dec.spectral_ms)
             t_spat.append(enc.times.spatial_ms + dec.spatial_ms)
         stats = cube_delta_e(cube, recon)
-        report.achieved_cr = achieved
-        report.quality = rate_report.quality
-        report.rate_in_window = rate_report.in_window
-        report.t_spectral_ms = statistics.median(t_spec)
-        report.t_spatial_ms = statistics.median(t_spat)
-        report.t_total_ms = statistics.median(t_tot)
-        report.de_mean = stats.mean
-        report.de_p95 = stats.p95
-        report.de_max = stats.max
     except CodecError as exc:
-        report.error = f"{type(exc).__name__}: {exc}"
-    return report
+        return row(error=f"{type(exc).__name__}: {exc}")
+    return row(achieved_cr=achieved, rate_in_window=rate_report.in_window,
+               t_spectral_ms=statistics.median(t_spec),
+               t_spatial_ms=statistics.median(t_spat),
+               t_total_ms=statistics.median(t_tot),
+               de_mean=stats.mean, de_p95=stats.p95, de_max=stats.max)
 
 
 def run_benchmark(config: BenchConfig) -> list[EvalReport]:
@@ -292,13 +288,11 @@ def run_benchmark(config: BenchConfig) -> list[EvalReport]:
     for name, cube, err in resolve_corpus(config):
         for method in config.methods:
             for p in config.p_values:
-                if err is not None:
+                if err is None:
+                    reports.append(evaluate_row(cube, name, method, p, target, config.repetitions))
+                else:
                     reports.append(EvalReport(image=name, method=method, p=p,
                                               target_cr=config.target_cr, error=err))
-                    continue
-                reports.append(
-                    evaluate_row(cube, name, method, p, target, config.repetitions)
-                )
     return reports
 
 

@@ -13,8 +13,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import bench as bench_mod
 from .colorimetry import _CMF_TABLE, _D65_POWER, cube_delta_e
 from .container import (SPECTRAL_METHODS, RateTarget, compress_with_report, decompress,

@@ -88,7 +88,6 @@ from .spatial import (
     PlaneBands,
     PlaneStack,
     Probe,
-    quality_to_table,
 )
 
 SCMP_MAGIC = b"SCMP"
@@ -124,6 +123,7 @@ def _pca_write(side: PcaSideInfo) -> bytes:
 
 
 def _pca_read(data: bytes, n: int, p: int) -> PcaSideInfo:
+    check_int("bands", n, 1, 0xFFFF, ValidationError)
     with np.errstate(invalid="ignore"):  # a signaling NaN turns quiet, and PcaSideInfo rejects it
         values = np.frombuffer(data, dtype="<f4").astype(np.float64)
     side = PcaSideInfo(mean=values[:n], basis=values[n:n + n * p].reshape(p, n).T,
@@ -139,6 +139,7 @@ def _csi_reduce(cube: SpectralCube, p: int):
 
 
 def _csi_read(data: bytes, n: int, p: int) -> CsiSideInfo:
+    check_int("bands", n, 1, 0xFFFF, ValidationError)
     side = CsiSideInfo(knot_indices=np.frombuffer(data, dtype="<u2").astype(np.int64))
     side.check_for_bands(n, ValidationError)
     return side
@@ -382,7 +383,7 @@ def compress_with_report(cube: SpectralCube, method: str, p: int,
     if (rate is None) == (quality is None):
         raise ArgumentError("provide exactly one of rate target or fixed quality")
     if quality is not None:
-        quality_to_table(quality)  # raises unless an integer in 1..100
+        quality = check_int("quality", quality, 1, 100)
     else:
         check_type("rate", rate, RateTarget)
     p = check_int("p", p, 1, 0xFFFF)
@@ -399,7 +400,7 @@ def compress_with_report(cube: SpectralCube, method: str, p: int,
         if quality is None:
             probe, in_window, probes = _search_quality(cube, rate, overhead, stack)
         else:
-            probe, in_window, probes = stack.probe(int(quality)), True, 1
+            probe, in_window, probes = stack.probe(quality), True, 1
         encoded, quality = stack.encode(probe), probe.quality
         t2 = time.perf_counter_ns()
     except MemoryError:

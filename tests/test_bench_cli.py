@@ -11,6 +11,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -201,6 +202,49 @@ def test_bad_size_sweep_entries_flag_their_rows():
     assert all(r.ok for r in reports[:2])
     assert all(r.error.startswith("SizeLimitError: ") for r in reports[2:4])
     assert all(r.error.startswith("ArgumentError: ") for r in reports[4:])
+
+
+def test_a_row_keeps_one_reconstruction_alive(monkeypatch):
+    # each repetition drops the previous round trip before it decodes the next one
+    decoded = []
+
+    def decompress(stream):
+        assert all(ref() is None for ref in decoded), "an earlier reconstruction is alive"
+        recon, report = real(stream)
+        decoded.append(weakref.ref(recon))
+        return recon, report
+
+    real = bench.decompress_with_report
+    monkeypatch.setattr(bench, "decompress_with_report", decompress)
+    [row] = run_benchmark(_tiny_config(methods=["csi"]))
+    assert row.ok and len(decoded) == 3
+
+
+def test_corpus_entries_load_as_the_rows_reach_them(monkeypatch):
+    # the second cube is built after the first cube's rows ran, not before them
+    calls = []
+
+    def recording(name, fn):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(bench, "_load_corpus_entry",
+                        recording("load", bench._load_corpus_entry))
+    monkeypatch.setattr(bench, "compress_with_report",
+                        recording("compress", bench.compress_with_report))
+    reports = run_benchmark(_tiny_config(corpus=[_TINY, "synth:flat:8x8x31:0"], methods=["csi"]))
+    assert [r.ok for r in reports] == [True, True]
+    loads = [i for i, name in enumerate(calls) if name == "load"]
+    assert len(loads) == 2 and "compress" in calls[loads[0]:loads[1]]
+
+
+def test_a_row_is_frozen():
+    row = _sample_reports()[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.de_mean = 0.0
+    assert row.de_mean == 0.1234567
 
 
 # ---------------------------------------------------------------------------

@@ -337,6 +337,16 @@ def test_a_forged_header_field_is_corrupt(field, value, method):
         _parse_as_errors(bytes(blob))
 
 
+@pytest.mark.parametrize("method", ["pca", "csi"])
+def test_a_zero_band_count_is_named(method):
+    # each side-info reader checks N before it reads by it: the message names N, not p or the knots
+    blob = bytearray(_INVERSE_BLOBS[method])
+    struct.pack_into(_HEADER_FIELDS["bands"][1], blob, _HEADER_FIELDS["bands"][0], 0)
+    with pytest.raises(CorruptError, match=rf"^bad {method.upper()} side info: "
+                                           r"bands must be an integer in \[1, 65535\], got 0$"):
+        _parse_as_errors(bytes(blob))
+
+
 def test_codec_calls_the_reducers_and_scorers_through_their_module_names(monkeypatch):
     # codecbench's tracer wraps these attributes: a lookup that bypasses one
     # would leave its layer time at 0 with no error
