@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -82,22 +82,24 @@ class BenchConfig:
     """Benchmark run description (see ``parse_config`` for the file format); frozen,
     so its checks hold for as long as it lives: vary one with ``dataclasses.replace``."""
 
-    corpus: list[str]
-    methods: list[str] = field(default_factory=lambda: list(SPECTRAL_METHODS))
-    p_values: list[int] = field(default_factory=lambda: list(DEFAULT_P_VALUES))
+    corpus: tuple[str, ...]
+    methods: tuple[str, ...] = tuple(SPECTRAL_METHODS)
+    p_values: tuple[int, ...] = DEFAULT_P_VALUES
     target_cr: float = 8.0
     tolerance: float = 0.05
     repetitions: int = 5
-    size_sweep: list[tuple[int, int]] = field(default_factory=list)
+    size_sweep: tuple[tuple[int, int], ...] = ()
 
-    def __post_init__(self):
+    def __post_init__(self):  # a list field is stored as a tuple, so no caller mutates it
         for name in ("corpus", "methods", "p_values", "size_sweep"):
-            check_type(name, getattr(self, name), (list, tuple), ValidationError)
+            value = tuple(check_type(name, getattr(self, name), (list, tuple), ValidationError))
+            object.__setattr__(self, name, value)
         for entry in self.corpus:
             check_type("corpus entry", entry, str, ValidationError)
         for size in self.size_sweep:
             if len(check_type("size_sweep entry", size, (list, tuple), ValidationError)) != 2:
                 raise ValidationError(f"size_sweep entries are (width, height) pairs, got {size!r}")
+        object.__setattr__(self, "size_sweep", tuple(map(tuple, self.size_sweep)))
         if not self.corpus and not self.size_sweep:
             raise ValidationError("config needs a non-empty corpus or a size sweep")
         if not self.methods:
@@ -109,10 +111,14 @@ class BenchConfig:
         for p in self.p_values:
             check_int("p", p, 1, 0xFFFF, ValidationError)
         check_int("repetitions", self.repetitions, 3, error=ValidationError)
+        try:  # the rate window's own rule, so a config that loads can run
+            RateTarget(target_cr=self.target_cr, tolerance=self.tolerance)
+        except ArgumentError as exc:
+            raise ValidationError(str(exc)) from None
 
 
 def default_config() -> BenchConfig:
-    return BenchConfig(corpus=list(BUILTIN_CORPUS))
+    return BenchConfig(corpus=BUILTIN_CORPUS)
 
 
 # ---------------------------------------------------------------------------
@@ -391,4 +397,9 @@ def parse_config(text: str) -> BenchConfig:
 
 
 def load_config(path) -> BenchConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"config {path} is not UTF-8 text (byte {exc.start}: "
+                              f"{exc.reason})") from None
+    return parse_config(text)

@@ -389,6 +389,7 @@ def cube_delta_e(original: SpectralCube, reconstructed: SpectralCube) -> DeltaES
         raise SizeLimitError(f"out of memory scoring a {original.bands} x {original.width} x "
                              f"{original.height} cube") from None
     de = de.reshape(original.height, original.width)
+    de.setflags(write=False)  # the map stays what mean, max and p95 were taken from
     return DeltaEStats(
         mean=float(de.mean()),
         max=float(de.max()),

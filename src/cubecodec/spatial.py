@@ -374,19 +374,16 @@ def _extend_table() -> np.ndarray:
 _EXTEND = _extend_table().astype(np.int16)
 
 
-def _bit_windows(data: bytes) -> np.ndarray:
-    """``windows[i]``: the 40 bits of bytes i .. i + 4, zero past the end.
+def _bit_windows(*payloads: bytes) -> np.ndarray:
+    """``windows[i]``: the 40 bits of bytes i .. i + 4 of the joined payloads,
+    zero past the end, from one big-endian read of them at a stride of one byte.
 
-    A peek of up to 32 bits at any bit position is then one lookup and one
-    shift.
+    A peek of up to 32 bits at any bit position is then one lookup and one shift.
     """
-    padded = data + bytes(8)
-    windows = np.empty(len(data) + 1, dtype=np.int64)
-    for offset in range(8):
-        words = np.frombuffer(padded, dtype=">u8", offset=offset,
-                              count=len(range(offset, windows.size, 8)))
-        windows[offset::8] = words >> 24
-    return windows
+    padded = b"".join((*payloads, bytes(8)))
+    windows = np.ndarray(len(padded) - 7, dtype=">u8", buffer=padded, strides=1).astype(np.uint64)
+    windows >>= 24
+    return windows.view(np.int64)
 
 
 def _symbol_tables(windows: np.ndarray, lo: int, hi: int, out: np.ndarray) -> list[memoryview]:
@@ -561,7 +558,7 @@ def entropy_decode_planes(payloads: list[bytes], nblocks: list[int]) -> np.ndarr
             raise CorruptError(f"{len(payload)}-byte payload cannot hold {count} blocks")
         total_bits += len(payload) * 8
         plane_ends.append(total_bits)
-    windows = _bit_windows(b"".join(payloads))
+    windows = _bit_windows(*payloads)
     starts = _block_starts(windows, plane_ends, nblocks)
     return _decode_coefficients(windows, starts, nblocks).reshape(-1, 8, 8)
 
@@ -679,6 +676,7 @@ class PlaneStack:
             np.minimum(magnitude, 2048.0, out=magnitude)
             symbols.append(_Symbols(dc, magnitude[:, 1:].astype(np.uint16), self.nblocks))
         nbytes = (np.concatenate([s.plane_bits() for s in symbols]) + 7) // 8
+        nbytes.setflags(write=False)
         return Probe(quality, tuple(symbols), nbytes)
 
     def encode(self, probe: Probe) -> list[EncodedPlane]:

@@ -308,11 +308,11 @@ def test_parse_full_config():
     size_sweep = 32x32, 64x64
     """
     config = parse_config(text)
-    assert config.corpus == ["skin", "narrowband"]
-    assert config.methods == ["pca", "csi"]
-    assert config.p_values == [8, 12]
+    assert config.corpus == ("skin", "narrowband")
+    assert config.methods == ("pca", "csi")
+    assert config.p_values == (8, 12)
     assert config.target_cr == 8.0
-    assert config.size_sweep == [(32, 32), (64, 64)]
+    assert config.size_sweep == ((32, 32), (64, 64))
 
 
 def test_parse_config_errors():
@@ -339,10 +339,46 @@ def test_parse_config_errors():
 
 def test_default_config_uses_builtin_corpus():
     config = default_config()
-    assert config.corpus == ["skin", "narrowband", "dark", "chart"]
+    assert config.corpus == ("skin", "narrowband", "dark", "chart")
     assert config.target_cr == 8.0
     names = [n for n, _, _ in resolve_corpus(config)]
-    assert names == config.corpus
+    assert tuple(names) == config.corpus
+
+
+@pytest.mark.parametrize("field,value", [
+    ("target_cr", math.nan), ("target_cr", 1.0), ("target_cr", "8"),
+    ("tolerance", 0), ("tolerance", 1), ("tolerance", 3),
+])
+def test_config_checks_the_rate_window_at_construction(field, value):
+    with pytest.raises(ValidationError, match=f"^{field} must be a real number"):
+        BenchConfig(corpus=["skin"], **{field: value})
+
+
+@pytest.mark.parametrize("line", ["target_cr = nan", "tolerance = 3"])
+def test_parse_config_refuses_a_rate_window_it_cannot_run(line):
+    with pytest.raises(ValidationError, match=f"^{line.split()[0]} "):
+        parse_config(f"corpus = skin\n{line}\n")
+
+
+def test_config_list_fields_are_tuples():
+    # a tuple never equals a list, so each comparison checks the type too
+    config = BenchConfig(corpus=["skin"], methods=["csi"], p_values=[4], size_sweep=[[8, 8]])
+    assert (config.corpus, config.methods, config.p_values, config.size_sweep) == (
+        ("skin",), ("csi",), (4,), ((8, 8),))
+    config = default_config()
+    assert (config.methods, config.p_values, config.size_sweep) == (("pca", "csi"), (20, 24, 28), ())
+
+
+def test_a_config_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"corpus = skin\xff\n")
+    with pytest.raises(ValidationError, match="not UTF-8 text"):
+        load_config(cfg)
+    assert cli_main(["bench", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "not UTF-8 text" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_shipped_configs():

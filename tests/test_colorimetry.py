@@ -212,6 +212,15 @@ def test_mean_is_mean_of_map():
     assert stats.map.min() >= 0.0
 
 
+def test_delta_e_map_is_read_only():
+    # the map stays the one its mean, max and p95 were taken from
+    a = random_cube(53, width=6, height=3, bands=31)
+    stats = cube_delta_e(a, random_cube(54, width=6, height=3, bands=31))
+    assert not stats.map.flags.writeable
+    with pytest.raises(ValueError):
+        stats.map[0, 0] = 0.0
+
+
 def test_scoring_out_of_memory_raises_size_limit_error(monkeypatch):
     def exhausted(spectra, wavelengths):
         raise MemoryError

@@ -345,6 +345,33 @@ def test_multi_plane_decode_across_stage1_windows():
             entropy_decode_planes(payloads, sizes[:i] + [sizes[i] + 1] + sizes[i + 1:])
 
 
+def _reference_bit_windows(data: bytes) -> list[int]:
+    """Window i: bytes i .. i + 4 read as one big-endian 40-bit number, zero past the end."""
+    padded = data + bytes(5)
+    return [int.from_bytes(padded[i:i + 5], "big") for i in range(len(data) + 1)]
+
+
+def _check_bit_windows(chunks: list[bytes]):
+    windows = spatial._bit_windows(*chunks)
+    assert windows.dtype == np.int64
+    assert windows.tolist() == _reference_bit_windows(b"".join(chunks))
+
+
+@settings(max_examples=300)
+@given(st.binary(max_size=17).flatmap(
+    lambda data: st.tuples(st.just(data), st.lists(st.integers(0, len(data)), max_size=5))))
+def test_bit_windows_equal_a_per_byte_reference(split):
+    # any split of the payloads, empty chunks included, reads as their join
+    data, cuts = split
+    edges = [0, *sorted(cuts), len(data)]
+    _check_bit_windows([data[lo:hi] for lo, hi in zip(edges, edges[1:])])
+
+
+def test_bit_windows_of_a_megabyte():
+    data = np.random.default_rng(50).integers(0, 256, 1 << 20, dtype=np.uint8).tobytes()
+    _check_bit_windows([data[:333_333], b"", data[333_333:]])
+
+
 def _reference_level0(data: bytes, lo: int, hi: int):
     """Per local position of the window ``lo``..``hi``: (end, k-step) of one AC
     symbol, walked with the Huffman lookup; (itself, 64) at an invalid code
@@ -828,6 +855,11 @@ def test_plane_stack_is_frozen_and_takes_its_arrays_over():
     assert set(vars(stack)) == {"offsets", "scales", "coeffs"}  # probes leave no state behind
     with pytest.raises(dataclasses.FrozenInstanceError):
         stack.coeffs = coeffs
+
+
+def test_probe_byte_counts_are_read_only():
+    probe = _stack_for_probes().probe(50)
+    assert not probe.nbytes.flags.writeable
 
 
 def test_plane_stack_validation():
