@@ -11,19 +11,17 @@ conversion uses the standard cube-root/linear branch, and the color
 difference implements the full CIEDE2000 formula with unit weighting
 factors, including the hue-angle special cases.
 
-The array functions take and return pixel-interleaved (..., 3) arrays but
-work channel-planar, and their results are views of (3, M) planes, so no
-step interleaves and de-interleaves again.  Spectra are rendered band-major:
-the input's (N, M) band view is cast to float64 in its own memory order, or,
-off the observer grid, only the bands the resampling reads are, and one
-(3, 31) @ (31, M) product follows.  Lab runs f once on the (3, M) X/Y/Z
-planes, and CIEDE2000 runs on contiguous 1-D L/a/b planes, each step in place
-in a buffer an earlier one is done with.  Every step is the same
-floating-point operation, in the same order, as a plain one-temporary-per-step
-formula, so the values do not depend on the buffering.
-:func:`cube_delta_e` feeds them each cube's own band-major float32 samples, a
-chunk of pixels at a time, as :func:`~cubecodec.cube.chunks` sizes and aligns
-them.
+The array functions work on channel planes, the first axis: spectra are
+(N, ...), bands first, and XYZ and Lab are (3, ...).  Spectra are rendered
+band-major: the input's (N, M) view is cast to float64 in its own memory
+order, or, off the observer grid, only the bands the resampling reads are,
+and one (3, 31) @ (31, M) product follows.  Lab runs f once on the X/Y/Z
+planes, and CIEDE2000 runs on the L/a/b planes, each array holding one
+quantity under one name.  Every step is the same floating-point operation, in
+the same order, as a plain one-temporary-per-step formula, so the values do
+not depend on which steps run in place.  :func:`cube_delta_e` feeds them each
+cube's own band-major float32 samples, a chunk of pixels at a time, as
+:func:`~cubecodec.cube.chunks` sizes and aligns them.
 """
 
 from __future__ import annotations
@@ -144,11 +142,11 @@ class _ObserverGrid:
 
 @np.errstate(over="ignore", invalid="ignore")  # see the docstring
 def spectra_to_xyz(spectra: np.ndarray, wavelengths) -> np.ndarray:
-    """Render (..., N) reflectance spectra to (..., 3) XYZ, Y in [0, 100].
+    """Render (N, ...) reflectance spectra, bands first, to (3, ...) XYZ planes,
+    Y in [0, 100].
 
     The product runs band-major, (3, N) weights times the (N, M) float64
-    spectra :meth:`_ObserverGrid.resample` makes of the input's band-major
-    view, and the result is a (..., 3) view of the (3, M) X/Y/Z planes.
+    spectra :meth:`_ObserverGrid.resample` makes of the input's (N, M) view.
     ``wavelengths`` is checked against N, unless it is an :class:`_ObserverGrid`
     already checked for N, as :func:`cube_delta_e` passes for every chunk.
 
@@ -158,22 +156,21 @@ def spectra_to_xyz(spectra: np.ndarray, wavelengths) -> np.ndarray:
     Non-finite or overflowing spectra give non-finite XYZ, without a warning.
     """
     spectra = check_array("spectra", spectra, None)
-    if spectra.ndim == 0 or spectra.shape[-1] == 0:
-        raise ArgumentError(f"spectra need at least one band on the last axis, got shape {spectra.shape}")
-    bands = spectra.reshape(-1, spectra.shape[-1]).T
+    if spectra.ndim == 0 or len(spectra) == 0:
+        raise ArgumentError(f"spectra need at least one band on the first axis, got shape {spectra.shape}")
     grid = wavelengths
     if not isinstance(grid, _ObserverGrid):
-        grid = _ObserverGrid(wavelengths, len(bands))
-    xyz = _WEIGHTS.T @ grid.resample(bands)
+        grid = _ObserverGrid(wavelengths, len(spectra))
+    xyz = _WEIGHTS.T @ grid.resample(spectra.reshape(len(spectra), -1))
     xyz /= _Y_NORM
     xyz *= 100.0
-    return xyz.T.reshape(spectra.shape[:-1] + (3,))
+    return xyz.reshape((3,) + spectra.shape[1:])
 
 
 #: (3,) XYZ of the reference white of every Lab conversion: the perfect
 #: reflector under D65 (Y = 100 exactly), rendered as one spectrum: a product
 #: over more columns can round the last bits differently
-_WHITE = spectra_to_xyz(np.ones((1, _WAVELENGTHS.shape[0])), _WAVELENGTHS)[0]
+_WHITE = spectra_to_xyz(np.ones((_WAVELENGTHS.shape[0], 1)), _WAVELENGTHS)[:, 0]
 
 
 _LAB_DELTA3 = (6.0 / 29.0) ** 3
@@ -189,23 +186,23 @@ def _lab_f(t: np.ndarray) -> np.ndarray:
     return t
 
 
-def _planes(values: np.ndarray) -> np.ndarray:
-    """(..., 3) values as contiguous (3, K) planes; no copy for a view of planes."""
-    if values.shape[-1:] != (3,):
-        raise ArgumentError(f"expected (..., 3) color arrays, got shape {values.shape}")
-    return np.ascontiguousarray(np.moveaxis(values, -1, 0).reshape(3, -1))
+def _check_planes(name: str, values) -> np.ndarray:
+    """``values`` as float64 (3, ...) channel planes."""
+    values = check_array(name, values, np.float64)
+    if values.shape[:1] != (3,):
+        raise ArgumentError(f"{name} must be three channel planes (3, ...), got shape {values.shape}")
+    return values
 
 
 @np.errstate(over="ignore", invalid="ignore")  # see the docstring
 def xyz_array_to_lab(xyz: np.ndarray) -> np.ndarray:
-    """(..., 3) XYZ -> (..., 3) Lab against the D65 white :data:`_WHITE`.
+    """(3, ...) XYZ planes -> (3, ...) Lab planes against the D65 white :data:`_WHITE`.
 
-    f runs once on the (3, K) X/Y/Z planes, and L, a and b are written into one
-    (3, K) array; the result is a (..., 3) view of its planes.  Non-finite
-    XYZ gives non-finite Lab, without a warning.
+    f runs once on the X/Y/Z planes, and L, a and b are written into one new
+    (3, ...) array.  Non-finite XYZ gives non-finite Lab, without a warning.
     """
-    xyz = check_array("xyz", xyz, np.float64)
-    fx, fy, fz = f = _lab_f(_planes(xyz) / _WHITE[:, None])
+    xyz = _check_planes("xyz", xyz)
+    fx, fy, fz = f = _lab_f(xyz.reshape(3, -1) / _WHITE[:, None])
     lab = np.empty_like(f)
     np.multiply(fy, 116.0, out=lab[0])
     lab[0] -= 16.0
@@ -213,7 +210,7 @@ def xyz_array_to_lab(xyz: np.ndarray) -> np.ndarray:
     lab[1] *= 500.0
     np.subtract(fy, fz, out=lab[2])
     lab[2] *= 200.0
-    return np.moveaxis(lab.reshape((3,) + xyz.shape[:-1]), 0, -1)
+    return lab.reshape(xyz.shape)
 
 
 _POW25_7 = 25.0 ** 7
@@ -240,32 +237,38 @@ def _cos_degrees(angle: np.ndarray, weight: float) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")  # see the docstring
 def ciede2000_array(lab1: np.ndarray, lab2: np.ndarray) -> np.ndarray:
-    """CIEDE2000 on (..., 3) Lab arrays with kL = kC = kH = 1.
+    """CIEDE2000 with kL = kC = kH = 1 of (3, ...) Lab planes whose trailing
+    axes broadcast, as one (...) array of those axes.
 
-    The formula runs on contiguous 1-D L/a/b planes, each step written into
-    a buffer an earlier step is done with.  Nothing is checked: non-finite or
-    overflowing Lab gives a non-finite value for its pair, and no warning.
+    Each array holds one quantity under one name; a quantity of several steps
+    is built in place under its own name.  Values are not checked: non-finite
+    or overflowing Lab gives a non-finite value for its pair, and no warning.
     """
-    lab1, lab2 = np.broadcast_arrays(check_array("lab1", lab1, np.float64),
-                                     check_array("lab2", lab2, np.float64))
-    l1, a1, b1 = _planes(lab1)
-    l2, a2, b2 = _planes(lab2)
+    lab1 = _check_planes("lab1", lab1)
+    lab2 = _check_planes("lab2", lab2)
+    try:
+        shape = np.broadcast_shapes(lab1.shape[1:], lab2.shape[1:])
+    except ValueError:
+        raise ArgumentError(f"Lab planes of shapes {lab1.shape} and {lab2.shape} do not broadcast") from None
+    # channels of at least one axis: a ufunc cannot write into a 0-d one
+    l1, a1, b1 = lab1[:, None]
+    l2, a2, b2 = lab2[:, None]
 
     c1 = np.hypot(a1, b1)
     c2 = np.hypot(a2, b2)
     # 1 + G, with G = 0.5 * (1 - sqrt(C^7 / (C^7 + 25^7))) of the mean chroma C
-    g1 = np.add(c1, c2)
-    g1 *= 0.5
-    _chroma_ratio(g1)
-    np.subtract(1.0, g1, out=g1)
-    g1 *= 0.5
-    g1 += 1.0
-    a1p = g1 * a1
-    a2p = np.multiply(g1, a2, out=g1)
-    c1p = np.hypot(a1p, b1, out=c1)
-    c2p = np.hypot(a2p, b2, out=c2)
-    h1p = np.arctan2(b1, a1p, out=a1p)
-    h2p = np.arctan2(b2, a2p, out=a2p)
+    scale = c1 + c2
+    scale *= 0.5
+    _chroma_ratio(scale)
+    np.subtract(1.0, scale, out=scale)
+    scale *= 0.5
+    scale += 1.0
+    a1p = scale * a1
+    a2p = scale * a2
+    c1p = np.hypot(a1p, b1)
+    c2p = np.hypot(a2p, b2)
+    h1p = np.arctan2(b1, a1p)
+    h2p = np.arctan2(b2, a2p)
     h1p *= _DEGREES
     h2p *= _DEGREES
     # arctan2 lies in [-180, 180] degrees: adding 360 to the negative angles
@@ -273,24 +276,26 @@ def ciede2000_array(lab1: np.ndarray, lab2: np.ndarray) -> np.ndarray:
     h1p += 360.0 * (h1p < 0.0)
     h2p += 360.0 * (h2p < 0.0)
 
-    dl = l2 - l1
-    c12 = c1p * c2p
-    zero_chroma = c12 == 0.0
-    # the hue difference, wrapped into [-180, 180] and 0 where a chroma is 0
-    dh = h2p - h1p
-    np.subtract(dh, 360.0, out=dh, where=dh > 180.0)
-    np.add(dh, 360.0, out=dh, where=dh < -180.0)
-    dh[zero_chroma] = 0.0
-    dh *= _RADIANS
-    dh /= 2.0
-    dbig_h = np.sqrt(c12, out=c12)
-    dbig_h *= 2.0
-    dbig_h *= np.sin(dh, out=dh)
+    # dH' = 2 sqrt(C1' C2') sin(dh' / 2), built from C1' C2'
+    big_dh = c1p * c2p
+    zero_chroma = big_dh == 0.0
+    # sin(dh' / 2), built from the hue difference dh' = h2' - h1', wrapped
+    # into [-180, 180] where the hues lie more than 180 apart, 0 at a zero chroma
+    sin_half = h2p - h1p
+    apart = np.abs(sin_half) > 180.0
+    np.subtract(sin_half, 360.0, out=sin_half, where=sin_half > 180.0)
+    np.add(sin_half, 360.0, out=sin_half, where=sin_half < -180.0)
+    sin_half[zero_chroma] = 0.0
+    sin_half *= _RADIANS
+    sin_half /= 2.0
+    np.sin(sin_half, out=sin_half)
+    np.sqrt(big_dh, out=big_dh)
+    big_dh *= 2.0
+    big_dh *= sin_half
 
     # the mean hue: half the hue sum, moved by 360 first where the hues lie
     # more than 180 apart; the sum itself where a chroma is 0
     hsum = h1p + h2p
-    apart = np.abs(np.subtract(h1p, h2p, out=dh), out=dh) > 180.0
     low = hsum < 360.0
     hbar = hsum.copy()
     np.add(hbar, 360.0, out=hbar, where=apart & low)
@@ -299,64 +304,60 @@ def ciede2000_array(lab1: np.ndarray, lab2: np.ndarray) -> np.ndarray:
     np.copyto(hbar, hsum, where=zero_chroma)
 
     # T = 1 - 0.17 cos(hbar - 30) + 0.24 cos(2 hbar) + 0.32 cos(3 hbar + 6) - 0.20 cos(4 hbar - 63)
-    t = _cos_degrees(np.subtract(hbar, 30.0, out=h1p), 0.17)
+    t = _cos_degrees(hbar - 30.0, 0.17)
     np.subtract(1.0, t, out=t)
-    t += _cos_degrees(np.multiply(2.0, hbar, out=h2p), 0.24)
-    w = np.multiply(3.0, hbar, out=h2p)
-    w += 6.0
-    t += _cos_degrees(w, 0.32)
-    w = np.multiply(4.0, hbar, out=h2p)
-    w -= 63.0
-    t -= _cos_degrees(w, 0.20)
-    # the hue rotation term R_T = -sin(2 dtheta) R_C, dtheta = 30 exp(-((hbar - 275) / 25)^2)
-    dtheta = np.subtract(hbar, 275.0, out=hbar)
-    dtheta /= 25.0
-    np.square(dtheta, out=dtheta)
-    np.negative(dtheta, out=dtheta)
-    np.exp(dtheta, out=dtheta)
-    dtheta *= 30.0
-    cbar_p = np.add(c1p, c2p, out=hsum)
+    t += _cos_degrees(2.0 * hbar, 0.24)
+    t += _cos_degrees(3.0 * hbar + 6.0, 0.32)
+    t -= _cos_degrees(4.0 * hbar - 63.0, 0.20)
+    # the mean chroma C' and R_C = 2 sqrt(C'^7 / (C'^7 + 25^7))
+    cbar_p = c1p + c2p
     cbar_p *= 0.5
     rc = _chroma_ratio(cbar_p.copy())
     rc *= 2.0
-    rt = dtheta
-    rt *= 2.0
-    rt *= _RADIANS
-    np.sin(rt, out=rt)
-    np.negative(rt, out=rt)
-    rt *= rc
+    # the rotation term R_T y z (y and z below), with
+    # R_T = -sin(2 dtheta) R_C and dtheta = 30 exp(-((hbar - 275) / 25)^2)
+    rotation = hbar - 275.0
+    rotation /= 25.0
+    np.square(rotation, out=rotation)
+    np.negative(rotation, out=rotation)
+    np.exp(rotation, out=rotation)
+    rotation *= 30.0
+    rotation *= 2.0
+    rotation *= _RADIANS
+    np.sin(rotation, out=rotation)
+    np.negative(rotation, out=rotation)
+    rotation *= rc
 
     # the weights S_L = 1 + 0.015 (lbar - 50)^2 / sqrt(20 + (lbar - 50)^2), S_C and S_H
-    lbar = np.add(l1, l2, out=rc)
-    lbar *= 0.5
-    sl = np.subtract(lbar, 50.0, out=lbar)
+    sl = l1 + l2
+    sl *= 0.5
+    sl -= 50.0
     np.square(sl, out=sl)
-    root = np.add(20.0, sl, out=dh)
+    root = 20.0 + sl
     np.sqrt(root, out=root)
     sl *= 0.015
     sl /= root
     sl += 1.0
-    sh = np.multiply(0.015, cbar_p, out=root)
+    sh = 0.015 * cbar_p
     sh *= t
     sh += 1.0
-    sc = cbar_p
-    sc *= 0.045
+    sc = cbar_p * 0.045
     sc += 1.0
 
-    # sqrt(x^2 + y^2 + z^2 + R_T y z) of the weighted differences x, y and z
-    x = np.divide(dl, sl, out=dl)
-    y = np.subtract(c2p, c1p, out=c2p)
+    # dE00 = sqrt(x^2 + y^2 + z^2 + R_T y z) of the weighted differences
+    # x = dL' / S_L, y = dC' / S_C and z = dH' / S_H, built from x
+    de = l2 - l1
+    de /= sl
+    y = c2p - c1p
     y /= sc
-    z = np.divide(dbig_h, sh, out=dbig_h)
-    rt *= y
-    rt *= z
-    np.multiply(x, x, out=x)
-    np.multiply(z, z, out=z)
-    np.multiply(y, y, out=y)
-    x += y
-    x += z
-    x += rt
-    return np.sqrt(x, out=x).reshape(lab1.shape[:-1])
+    z = big_dh / sh
+    rotation *= y
+    rotation *= z
+    np.square(de, out=de)
+    de += y * y
+    de += z * z
+    de += rotation
+    return np.sqrt(de, out=de).reshape(shape)
 
 
 def cube_delta_e(original: SpectralCube, reconstructed: SpectralCube) -> DeltaEStats:
@@ -382,8 +383,8 @@ def cube_delta_e(original: SpectralCube, reconstructed: SpectralCube) -> DeltaES
     try:
         de = np.empty(bands_a.shape[1])
         for lo, hi in chunks(len(de), 16):
-            lab_a = xyz_array_to_lab(spectra_to_xyz(bands_a[:, lo:hi].T, grid))
-            lab_b = xyz_array_to_lab(spectra_to_xyz(bands_b[:, lo:hi].T, grid))
+            lab_a = xyz_array_to_lab(spectra_to_xyz(bands_a[:, lo:hi], grid))
+            lab_b = xyz_array_to_lab(spectra_to_xyz(bands_b[:, lo:hi], grid))
             de[lo:hi] = ciede2000_array(lab_a, lab_b)
     except MemoryError:
         raise SizeLimitError(f"out of memory scoring a {original.bands} x {original.width} x "

@@ -47,8 +47,9 @@ reports ``in_window=False``.  Targets that are unreachable even at quality 1
 raise :class:`RateError`.
 
 A cube of more than :data:`cubecodec.cube.MAX_CUBE_SAMPLES` samples is
-neither compressed nor, going by its header, parsed: :class:`SizeLimitError`
-from :func:`cubecodec.cube.check_cube_size`, the one place the cap is read.
+neither compressed, held by a :class:`CompressedStream` nor, going by its
+header, parsed: :class:`SizeLimitError` from
+:func:`cubecodec.cube.check_cube_size`, the one place the cap is read.
 """
 
 from __future__ import annotations
@@ -234,6 +235,7 @@ class CompressedStream:
         check_int("height", self.height, 1, 2 ** 32 - 1, ValidationError)
         freeze(self, wavelengths=check_axis("wavelengths", self.wavelengths, np.float32,
                                             range(1, 0x10000), ValidationError))
+        check_cube_size(self.bands, self.width, self.height)
         if check_type("side", self.side, spec.side_type, ValidationError).p != self.p:
             raise ValidationError(f"side info for p={self.side.p} beside {self.p} plane records")
         self.side.check_for_bands(self.bands, ValidationError)

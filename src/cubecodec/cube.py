@@ -150,7 +150,7 @@ class SpectralCube:
 
 def write_cube(cube: SpectralCube) -> bytes:
     """Serialize a cube to SCUB bytes (deterministic, bit-exact round trip)."""
-    check_type("cube", cube, SpectralCube, ValidationError)
+    check_type("cube", cube, SpectralCube)
     header = _HEADER.pack(
         SCUB_MAGIC, SCUB_VERSION, SCUB_DTYPE_F32, 0,
         cube.width, cube.height, cube.bands,

@@ -124,7 +124,9 @@ def pca_fit(cube: SpectralCube, p: int) -> PcaSideInfo:
     centered -= mean  # in place: one (HW, N) array, not two
     # finite float32 samples center to below 6.8e38, so each product is below
     # 4.7e77 and a sum over 2^27 pixels below 6.2e85: float64 cannot overflow
-    cov = centered.T @ centered / (npix - 1)
+    cov = centered.T @ centered
+    del centered  # not kept through the divide and eigh
+    cov /= npix - 1
     if not cov.any():
         # zero variance everywhere: deterministic canonical completion
         basis = np.eye(n)[:, :p]

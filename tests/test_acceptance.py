@@ -8,12 +8,17 @@ runs its own median-of-5 size sweep.
 
 import dataclasses
 import itertools
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cubecodec.bench import BenchConfig, default_config, run_benchmark
+from cubecodec.bench import default_config, run_benchmark
 from cubecodec.colorimetry import ciede2000_array
 from cubecodec.container import (
     RateTarget,
@@ -55,6 +60,7 @@ from conftest import (
 from data_ciede2000 import CIEDE2000_PAIRS
 
 RATE_WINDOW = (7.6, 8.4)
+_SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _announce(number: int, name: str, elapsed: float, note: str = ""):
@@ -74,7 +80,7 @@ def corpus_run():
 def test_criterion_1_ciede2000_verification_pairs():
     start = time.perf_counter()
     pairs = np.array(CIEDE2000_PAIRS)
-    diffs = np.abs(ciede2000_array(pairs[:, 0:3], pairs[:, 3:6]) - pairs[:, 6])
+    diffs = np.abs(ciede2000_array(pairs[:, 0:3].T, pairs[:, 3:6].T) - pairs[:, 6])
     worst = float(diffs.max())
     assert len(diffs) == 34 and worst <= 1e-4
     elapsed = time.perf_counter() - start
@@ -104,20 +110,38 @@ def test_criterion_2_table1_ordering(corpus_run):
               "; ".join(notes))
 
 
+#: criterion 3's sweep sizes, and the sweep, run in a child process
+_SWEEP_SIZES = [(32, 32), (64, 64), (128, 128), (256, 256)]
+_SWEEP = f"""
+import json
+from cubecodec.bench import BenchConfig, run_benchmark
+config = BenchConfig(
+    corpus=[], methods=["pca", "csi"], p_values=[20],
+    target_cr=8.0, repetitions=5,
+    size_sweep={_SWEEP_SIZES!r},
+)
+print(json.dumps([(r.image, r.method, r.ok, r.error, r.t_spectral_ms)
+                  for r in run_benchmark(config)]))
+"""
+
+
 def test_criterion_3_complexity_sweep():
     start = time.perf_counter()
-    config = BenchConfig(
-        corpus=[], methods=["pca", "csi"], p_values=[20],
-        target_cr=8.0, repetitions=5,
-        size_sweep=[(32, 32), (64, 64), (128, 128), (256, 256)],
-    )
-    reports = run_benchmark(config)
+    # BLAS on one thread: with a thread per vCPU, a process competing for the
+    # host lands in one method's medians and not the other's.  OpenBLAS reads
+    # the setting when numpy loads, so the sweep runs in a child process.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(filter(None, [
+        str(_SRC), os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-W", "error", "-c", _SWEEP], env=env,
+                           capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    reports = json.loads(child.stdout)
     assert len(reports) == 8
-    spectral = {(r.image, r.method): r.t_spectral_ms for r in reports}
-    for r in reports:
-        assert r.ok, f"{r.image}/{r.method}: {r.error}"
+    spectral = {(image, method): t_spectral_ms for image, method, _, _, t_spectral_ms in reports}
+    for image, method, ok, error, _ in reports:
+        assert ok, f"{image}/{method}: {error}"
     ratios = {}
-    for w, h in config.size_sweep:
+    for w, h in _SWEEP_SIZES:
         name = f"sweep_{w}x{h}"
         pca = spectral[(name, "pca")]
         csi = spectral[(name, "csi")]

@@ -100,27 +100,27 @@ def test_wavelength_grid_must_be_finite_and_increasing(spectra, wavelengths):
         spectra_to_xyz(spectra, wavelengths)
 
 
-@pytest.mark.parametrize("spectra", [np.ones((2, 0)), np.ones(0), np.ones((3, 4, 0)), np.float64(1.0)],
-                         ids=["2x0", "0", "3x4x0", "0-d"])
+@pytest.mark.parametrize("spectra", [np.ones((0, 2)), np.ones(0), np.ones((0, 3, 4)), np.float64(1.0)],
+                         ids=["0x2", "0", "0x3x4", "0-d"])
 def test_spectra_without_bands_are_an_argument_error(spectra):
     with pytest.raises(ArgumentError, match="at least one band"):
         spectra_to_xyz(spectra, [])
 
 
 def test_renderings_are_views_of_channel_planes():
-    spectra = np.random.default_rng(58).uniform(0, 1, (4, 5, 31))
+    spectra = np.random.default_rng(58).uniform(0, 1, (31, 4, 5))
     xyz = spectra_to_xyz(spectra, _GRID)
     lab = xyz_array_to_lab(xyz)
     for values in (xyz, lab):
-        assert values.shape == (4, 5, 3)
-        assert np.moveaxis(values, -1, 0).flags.c_contiguous
+        assert values.shape == (3, 4, 5)
+        assert values.flags.c_contiguous
 
 
 def test_color_arrays_must_have_three_channels():
     with pytest.raises(ArgumentError):
-        xyz_array_to_lab(np.ones((5, 4)))
+        xyz_array_to_lab(np.ones((4, 5)))
     with pytest.raises(ArgumentError):
-        ciede2000_array(np.ones((6, 2)), np.ones((6, 2)))
+        ciede2000_array(np.ones((2, 6)), np.ones((2, 6)))
 
 
 def test_lab_of_white_and_black():
@@ -149,7 +149,7 @@ def test_lab_linear_branch():
 
 def test_published_verification_pairs():
     pairs = np.array(CIEDE2000_PAIRS)
-    got = ciede2000_array(pairs[:, 0:3], pairs[:, 3:6])
+    got = ciede2000_array(pairs[:, 0:3].T, pairs[:, 3:6].T)
     for row, value in zip(CIEDE2000_PAIRS, got):
         assert abs(value - row[6]) <= 1e-4, row
 
@@ -171,11 +171,11 @@ def test_nonnegative(lab1, lab2):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: spectra_to_xyz(np.full((4, 31), np.inf), default_wavelengths(31)),
-    lambda: spectra_to_xyz(np.full((4, 31), 1e308), default_wavelengths(31)),
-    lambda: xyz_array_to_lab(np.full((4, 3), np.inf)),
-    lambda: ciede2000_array(np.full((4, 3), np.inf), np.zeros(3)),
-    lambda: ciede2000_array(np.full((4, 3), 1e200), np.zeros(3)),
+    lambda: spectra_to_xyz(np.full((31, 4), np.inf), default_wavelengths(31)),
+    lambda: spectra_to_xyz(np.full((31, 4), 1e308), default_wavelengths(31)),
+    lambda: xyz_array_to_lab(np.full((3, 4), np.inf)),
+    lambda: ciede2000_array(np.full((3, 4), np.inf), np.zeros(3)),
+    lambda: ciede2000_array(np.full((3, 4), 1e200), np.zeros(3)),
 ], ids=["xyz-of-inf", "xyz-of-1e308", "lab-of-inf", "de-of-inf", "de-of-1e200"])
 def test_non_finite_or_overflowing_input_gives_non_finite_output(call):
     # no RuntimeWarning escapes: the tests run with warnings as errors
@@ -184,13 +184,23 @@ def test_non_finite_or_overflowing_input_gives_non_finite_output(call):
 
 def test_batched_call_matches_one_pair_calls():
     rng = np.random.default_rng(51)
-    lab1 = rng.uniform([-0, -100, -100], [100, 100, 100], (40, 3))
-    lab2 = rng.uniform([-0, -100, -100], [100, 100, 100], (40, 3))
+    lab1 = rng.uniform([-0, -100, -100], [100, 100, 100], (40, 3)).T
+    lab2 = rng.uniform([-0, -100, -100], [100, 100, 100], (40, 3)).T
     batch = ciede2000_array(lab1, lab2)
-    against_first = ciede2000_array(lab1, lab2[0])  # broadcast against one color
+    against_first = ciede2000_array(lab1, lab2[:, 0])  # broadcast against one color
     for i in range(40):
-        assert batch[i] == ciede2000_array(lab1[i], lab2[i])
-        assert against_first[i] == ciede2000_array(lab1[i], lab2[0])
+        assert batch[i] == ciede2000_array(lab1[:, i], lab2[:, i])
+        assert against_first[i] == ciede2000_array(lab1[:, i], lab2[:, 0])
+
+
+def test_trailing_axes_broadcast():
+    rng = np.random.default_rng(60)
+    lab1 = rng.uniform(-100, 100, (3, 4, 5))
+    lab2 = rng.uniform(-100, 100, (3, 5))
+    de = ciede2000_array(lab1, lab2)
+    assert de.shape == (4, 5)
+    for i, j in np.ndindex(4, 5):
+        assert de[i, j] == ciede2000_array(lab1[:, i, j], lab2[:, j])
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +267,7 @@ def test_chunked_map_matches_whole_frame(width, height, bands):
     a, b = (SpectralCube(width, height, bands, wl, rng.uniform(0, 1, (bands, height, width)))
             for _ in range(2))
     wl = wl.astype(np.float64)
-    labs = [xyz_array_to_lab(spectra_to_xyz(c.samples.reshape(bands, -1).T, wl))
+    labs = [xyz_array_to_lab(spectra_to_xyz(c.samples.reshape(bands, -1), wl))
             for c in (a, b)]
     whole = ciede2000_array(*labs).reshape(height, width)
     assert np.array_equal(cube_delta_e(a, b).map, whole)

@@ -542,6 +542,15 @@ def test_sweep256_compress_peak_memory(method, drive):
     assert peak <= 23.0 * 2 ** 20
 
 
+def test_many_band_pca_compress_peak_memory():
+    # the fit holds its (H*W, N) float64 centered samples and one N x N
+    # covariance (13.7 MiB for this 6.25 MiB cube); dividing the covariance
+    # into a second one beside them peaked at 15.1 MiB
+    cube = synthesize_cube(64, 64, 400, "random-smooth", seed=3)
+    peak = _peak_bytes(lambda: compress_with_report(cube, "pca", 20, quality=50))
+    assert peak <= 14.5 * 2 ** 20
+
+
 @pytest.mark.parametrize("method", ["pca", "csi"])
 def test_sweep256_decompress_peak_memory(method):
     # entropy decoding peaks first (16.2 MiB: its bit windows, 8 bytes per

@@ -59,6 +59,7 @@ from cubecodec import (
     write_cube,
 )
 from cubecodec.cli import cli_main
+from cubecodec.colorimetry import ciede2000_array
 from cubecodec.errors import check_array, check_axis, check_int, check_real, check_type
 from cubecodec.spatial import EncodedPlane
 
@@ -158,6 +159,7 @@ _ESCAPES = {
     "synthesize_cube-list-pattern": (lambda: synthesize_cube(8, 8, 6, ["flat"]), ArgumentError),
     "parse_stream-none": (lambda: parse_stream(None), ArgumentError),
     "read_cube-none": (lambda: read_cube(None), ArgumentError),
+    "write_cube-none": (lambda: write_cube(None), ArgumentError),
     "compress-none-cube": (lambda: compress(None, "pca", 3, quality=50), ArgumentError),
     "compress-float-rate": (lambda: compress(_CUBE, "pca", 3, rate=8.0), ArgumentError),
     "compress-list-method": (lambda: compress(_CUBE, ["pca"], 3, quality=50), ArgumentError),
@@ -167,12 +169,17 @@ _ESCAPES = {
     "pca_forward-none-side": (lambda: pca_forward(_CUBE, None), ArgumentError),
     "csi_forward-none-side": (lambda: csi_forward(_CUBE, None), ArgumentError),
     "cube_delta_e-none": (lambda: cube_delta_e(_CUBE, None), ArgumentError),
+    "ciede2000_array-unbroadcastable": (
+        lambda: ciede2000_array(np.zeros((3, 4)), np.zeros((3, 5))), ArgumentError),
     "CompressedStream-list-method": (
         lambda: CompressedStream(**_stream_fields(method=["pca"])), ValidationError),
     "CompressedStream-none-planes": (
         lambda: CompressedStream(**_stream_fields(planes=None)), ValidationError),
     "CompressedStream-none-plane-records": (
         lambda: CompressedStream(**_stream_fields(planes=[None] * 3)), ValidationError),
+    # parse_stream refuses such a stream's bytes: every stream that builds also parses
+    "CompressedStream-past-size-cap": (
+        lambda: CompressedStream(**_stream_fields(width=2 ** 16, height=2 ** 16)), SizeLimitError),
     "EncodedPlane-none-payload": (lambda: EncodedPlane(0.0, 1.0, None), ValidationError),
     "EncodedPlane-str-offset": (lambda: EncodedPlane(offset="a", scale=1.0, payload=b""),
                                 ValidationError),

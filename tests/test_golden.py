@@ -357,12 +357,12 @@ def test_delta_e_branch_maps_are_pinned(case):
 @pytest.mark.parametrize("case", list(GOLDEN_DELTA_E_BRANCH_CASES))
 def test_delta_e_branch_cases_take_every_branch(case):
     # hues from Lab's a and b: a' scales a by 1 + G > 0, so it keeps the quadrant
-    labs = [xyz_array_to_lab(spectra_to_xyz(c.pixel_matrix(), c.wavelengths))
+    labs = [xyz_array_to_lab(spectra_to_xyz(c.pixel_matrix().T, c.wavelengths))
             for c in _branch_cubes(*GOLDEN_DELTA_E_BRANCH_CASES[case])]
-    hue = [np.degrees(np.arctan2(lab[:, 2], lab[:, 1])) % 360.0 for lab in labs]
-    gray = np.hypot(labs[0][:, 1], labs[0][:, 2]) * np.hypot(labs[1][:, 1], labs[1][:, 2]) == 0.0
+    hue = [np.degrees(np.arctan2(lab[2], lab[1])) % 360.0 for lab in labs]
+    gray = np.hypot(labs[0][1], labs[0][2]) * np.hypot(labs[1][1], labs[1][2]) == 0.0
     diff, total = hue[1] - hue[0], hue[0] + hue[1]
     wrapped = (np.abs(diff) > 180.0) & ~gray
     for taken in (gray, diff > 180.0, diff < -180.0, wrapped & (total < 360.0),
-                  wrapped & (total >= 360.0), labs[0][:, 0] < 8.0, labs[1][:, 0] < 8.0):
+                  wrapped & (total >= 360.0), labs[0][0] < 8.0, labs[1][0] < 8.0):
         assert taken.sum() >= 50
