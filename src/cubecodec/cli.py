@@ -37,6 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compress", help="compress a SCUB cube to an SCMP stream")
+    p.set_defaults(run=_cmd_compress)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
     p.add_argument("--method", choices=tuple(SPECTRAL_METHODS), required=True)
@@ -48,14 +49,17 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="fixed plane quality 1..100; overrides rate control")
 
     p = sub.add_parser("decompress", help="decode an SCMP stream back to a SCUB cube")
+    p.set_defaults(run=_cmd_decompress)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
 
     p = sub.add_parser("evaluate", help="CIEDE2000 statistics between two cubes")
+    p.set_defaults(run=_cmd_evaluate)
     p.add_argument("--original", required=True)
     p.add_argument("--reconstructed", required=True)
 
     p = sub.add_parser("bench", help="run the benchmark and emit CSV")
+    p.set_defaults(run=_cmd_bench)
     p.add_argument("--config", default=None,
                    help="benchmark config file; defaults to the built-in corpus")
     p.add_argument("--out", dest="outfile", default=None,
@@ -64,6 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also print the aligned text table to stderr")
 
     p = sub.add_parser("synth", help="write a synthetic SCUB cube")
+    p.set_defaults(run=_cmd_synth)
     p.add_argument("--out", dest="outfile", required=True)
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--height", type=int, required=True)
@@ -71,7 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", choices=PATTERNS, required=True)
     p.add_argument("--seed", type=int, default=0)
 
-    sub.add_parser("dump-constants", help="print compiled-in tables for audit")
+    p = sub.add_parser("dump-constants", help="print compiled-in tables for audit")
+    p.set_defaults(run=_cmd_dump_constants)
     return parser
 
 
@@ -147,16 +153,6 @@ def _cmd_dump_constants(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "compress": _cmd_compress,
-    "decompress": _cmd_decompress,
-    "evaluate": _cmd_evaluate,
-    "bench": _cmd_bench,
-    "synth": _cmd_synth,
-    "dump-constants": _cmd_dump_constants,
-}
-
-
 def cli_main(argv: list[str] | None = None) -> int:
     """Run the CLI; returns the process exit code instead of exiting."""
     parser = _build_parser()
@@ -165,7 +161,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except RateError as exc:
         print(f"rate error: {exc}", file=sys.stderr)
         return EXIT_RATE

@@ -259,7 +259,7 @@ def stream_nbytes(method: str, p: int, bands: int, payload_nbytes: int) -> int:
 
     Equals ``len(serialize_stream(stream))`` without building the bytes.
     """
-    side = SPECTRAL_METHODS[method].side_nbytes(bands, p)
+    side = spectral_method(method).side_nbytes(bands, p)
     return _HEADER.size + 4 * bands + side + p * _PLANE_HEADER.size + payload_nbytes
 
 

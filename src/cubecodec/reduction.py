@@ -204,16 +204,14 @@ def csi_reconstruction_matrix(side: CsiSideInfo, wavelengths: np.ndarray) -> np.
     the j-th unit vector.  Rows at knot bands are exact unit rows, which
     keeps retained bands bit-exact through reconstruction.
     """
-    wl = np.asarray(wavelengths, dtype=np.float64)
-    knot_x = wl[side.knot_indices]
-    return natural_cubic_spline(knot_x, np.eye(side.p), wl)
+    wl = check_axis("wavelengths", wavelengths, np.float64, range(1, MAX_DIM + 1))
+    check_type("side", side, CsiSideInfo).check_for_bands(len(wl))
+    return natural_cubic_spline(wl[side.knot_indices], np.eye(side.p), wl)
 
 
 def csi_inverse(planes: np.ndarray, side: CsiSideInfo, wavelengths) -> SpectralCube:
     """Reconstruct all bands per pixel by natural-spline interpolation over knots."""
-    wl = check_axis("wavelengths", wavelengths, np.float64, range(1, MAX_DIM + 1))
-    check_type("side", side, CsiSideInfo).check_for_bands(len(wl))
-    return _synthesize(csi_reconstruction_matrix(side, wl), planes, wavelengths)
+    return _synthesize(csi_reconstruction_matrix(side, wavelengths), planes, wavelengths)
 
 
 def _synthesize(matrix: np.ndarray, planes, wavelengths,

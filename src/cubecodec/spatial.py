@@ -22,12 +22,12 @@ symbols, the amplitude bits from their magnitudes and the signs of the
 stack's coefficients, each plane's fields from a byte boundary, and cuts
 the packed bits into per-plane payloads.  Both work on runs of whole
 planes sized by :func:`~cubecodec.cube.chunks`, as the decoder's bands of
-rows are.  The decoder
-(:func:`entropy_decode_planes`) has no per-symbol loop either: it finds
-every block's start by pointer doubling over per-bit-position symbol
-tables, four levels of one uint32 array each packing the end and the
-k-step of a chain of 8, 4, 2 or 1 symbols, then steps all blocks of all
-planes at once, one symbol each per step.
+rows are.  The decoder (:func:`entropy_decode_planes`) takes P payloads of
+one block count and has no per-symbol loop either: it finds every block's
+start by pointer doubling over per-bit-position symbol tables, four levels
+of one uint32 array each packing the end and the k-step of a chain of 8, 4,
+2 or 1 symbols, then steps the ``(P, nblocks)`` grid of blocks at once, one
+symbol each per step.
 
 The bitstream is MSB-first and zero-padded to a whole byte.
 """
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cube import chunks
-from .errors import ArgumentError, CorruptError, ValidationError, check_int, check_real, check_type
+from .errors import ArgumentError, CorruptError, ValidationError, check_array, check_int, check_real, check_type
 
 # ---------------------------------------------------------------------------
 # fixed tables (JPEG Annex K: luminance quantization + typical Huffman)
@@ -284,7 +284,7 @@ def entropy_encode_blocks(qblocks: np.ndarray) -> bytes:
     :class:`PlaneStack` probed at quality 100, whose steps are all 1, so the
     emit codes the integers themselves.
     """
-    q = np.asarray(qblocks)
+    q = check_array("qblocks", qblocks, None)
     if q.ndim != 3 or q.shape[1:] != (8, 8) or q.dtype.kind not in "iu":
         raise ArgumentError(f"expected (n, 8, 8) integer blocks, got {q.dtype} {q.shape}")
     if not len(q):
@@ -421,9 +421,9 @@ def _symbol_tables(windows: np.ndarray, lo: int, hi: int, out: np.ndarray) -> li
     return [memoryview(level[:m]) for level in out]
 
 
-def _block_starts(windows: np.ndarray, plane_ends: list[int], nblocks: list[int]) -> np.ndarray:
+def _block_starts(windows: np.ndarray, plane_ends: list[int], nblocks: int) -> np.ndarray:
     """Stage 1: the bit position of every block's DC symbol, planes back to back."""
-    starts = np.empty(sum(nblocks), dtype=np.int64)
+    starts = np.empty(len(plane_ends) * nblocks, dtype=np.int64)
     words = memoryview(windows)
     dc_advance = _DC_ADVANCE
     stop = plane_ends[-1] if plane_ends else 0  # the last plane's last bit
@@ -432,9 +432,9 @@ def _block_starts(windows: np.ndarray, plane_ends: list[int], nblocks: list[int]
     i = 0  # block index over all planes
     built = -1  # the tables cover the block starts below this position
     begin = 0
-    for end, count in zip(plane_ends, nblocks):
+    for end in plane_ends:
         s = begin
-        for _ in range(count):
+        for _ in range(nblocks):
             if s >= end:
                 raise CorruptError(f"block {i} starts past its plane's payload")
             if s >= built:
@@ -482,8 +482,9 @@ def _block_starts(windows: np.ndarray, plane_ends: list[int], nblocks: list[int]
     return starts
 
 
-def _decode_coefficients(windows: np.ndarray, starts: np.ndarray, nblocks: list[int]) -> np.ndarray:
-    """Stage 2: the quantized coefficients of every block, natural order, as (n, 64)."""
+def _decode_coefficients(windows: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Stage 2: the quantized coefficients of every block, natural order, as (n, 64),
+    from the ``(P, nblocks)`` grid of block starts."""
     # take/put, bounds checked, in place of fancy indexing, and each step's
     # shifts and masks in place on its fresh arrays: at 20 480 lanes (20
     # planes of 256²) a put costs about half a fancy-indexed store and a take
@@ -497,16 +498,14 @@ def _decode_coefficients(windows: np.ndarray, starts: np.ndarray, nblocks: list[
     pos = starts + _DC_LUT_LEN.take(peeks) + size
     diff = _EXTEND.take((size << 11) | ((bits >> (40 - (pos - starts))) & 0x7FF))
     del bits, peeks, size
-    # DC differences accumulate within each plane
-    counts = np.asarray(nblocks)
-    first = (np.cumsum(counts) - counts)[counts > 0]
-    running = np.cumsum(diff)
-    running -= np.repeat((running - diff)[first], counts[counts > 0])
+    # the DC prediction restarts at each plane's first block, as the encoder's does
+    running = np.cumsum(diff, axis=1)
     if n and (running.min() < -2 ** 31 or running.max() >= 2 ** 31):
         raise CorruptError("DC predictor leaves the int32 range")
     out = np.zeros((n, 64), dtype=np.int32)
-    out[:, 0] = running
+    out[:, 0] = running.ravel()
     del diff, running
+    pos = pos.ravel()
     flat = out.reshape(-1)
     row = np.arange(0, 64 * n, 64)
     k = np.ones(n, dtype=np.int64)
@@ -539,28 +538,26 @@ def _decode_coefficients(windows: np.ndarray, starts: np.ndarray, nblocks: list[
     return out
 
 
-def entropy_decode_planes(payloads: list[bytes], nblocks: list[int]) -> np.ndarray:
-    """Decode the Huffman bitstreams of several planes in one pass.
+def entropy_decode_planes(payloads: list[bytes] | tuple[bytes, ...], nblocks: int) -> np.ndarray:
+    """Decode the Huffman bitstreams of P planes of ``nblocks`` blocks each in one pass.
 
-    ``payloads[i]`` holds ``nblocks[i]`` blocks.  Returns every plane's
-    quantized blocks (natural order) back to back as an
-    ``(sum(nblocks), 8, 8)`` int32 array.  Raises :class:`CorruptError` on
-    truncated or invalid bitstreams, when more than 7 padding bits remain
-    after a plane's last block, or when the DC predictor leaves int32.
+    Returns the quantized blocks (natural order), plane after plane, as a ``(P * nblocks,
+    8, 8)`` int32 array.  Raises :class:`ArgumentError` unless ``payloads`` is a list or
+    tuple of ``bytes`` and ``nblocks`` an integer >= 0; :class:`CorruptError` on truncated
+    or invalid bitstreams, when more than 7 padding bits remain after a plane's last
+    block, or when the DC predictor leaves int32.
     """
-    nblocks = [int(count) for count in nblocks]
-    plane_ends = []
-    total_bits = 0
-    for payload, count in zip(payloads, nblocks, strict=True):
+    check_type("payloads", payloads, (list, tuple))
+    nblocks = check_int("nblocks", nblocks, 0)
+    for payload in payloads:
         # every block costs at least 6 bits (DC category 0 + EOB): bound the
         # claimed count by the payload before it sizes an allocation
-        if count * 6 > len(payload) * 8:
-            raise CorruptError(f"{len(payload)}-byte payload cannot hold {count} blocks")
-        total_bits += len(payload) * 8
-        plane_ends.append(total_bits)
+        if nblocks * 6 > len(check_type("payload", payload, bytes)) * 8:
+            raise CorruptError(f"{len(payload)}-byte payload cannot hold {nblocks} blocks")
+    plane_ends = np.cumsum([8 * len(payload) for payload in payloads], dtype=np.int64).tolist()
     windows = _bit_windows(*payloads)
     starts = _block_starts(windows, plane_ends, nblocks)
-    return _decode_coefficients(windows, starts, nblocks).reshape(-1, 8, 8)
+    return _decode_coefficients(windows, starts.reshape(len(payloads), nblocks)).reshape(-1, 8, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +615,7 @@ class PlaneStack:
         are kept as they are and widened to float64 a run at a time; any other
         stack is taken as float64.
         """
-        p = np.asarray(planes)
+        p = check_array("planes", planes, None, ValidationError)
         if p.dtype != np.float32:
             p = p.astype(np.float64, copy=False)
         if p.ndim != 3 or min(p.shape) < 1:
@@ -708,7 +705,7 @@ class PlaneBands:
         self.scales = np.array([p.scale for p in planes])[:, None, None]
         self.offsets = np.array([p.offset for p in planes])[:, None, None]
         rows, cols = (height + 7) // 8, (width + 7) // 8
-        qblocks = entropy_decode_planes([p.payload for p in planes], [rows * cols] * len(planes))
+        qblocks = entropy_decode_planes([p.payload for p in planes], rows * cols)
         self.qblocks = qblocks.reshape(len(planes), rows, cols, 8, 8)
         self.ns = 0
 

@@ -267,7 +267,7 @@ def test_criterion_6_invariant_suites():
     blocks[rng.uniform(size=blocks.shape) < 0.85] = 0
     blocks[:, 0, 0] = rng.integers(-1000, 1000, 10_000)
     payload = entropy_encode_blocks(blocks)
-    assert np.array_equal(entropy_decode_planes([payload], [10_000]), blocks)
+    assert np.array_equal(entropy_decode_planes([payload], 10_000), blocks)
 
     # SCUB and SCMP serialization round trips, bit-exact
     cube = random_cube(6200, width=5, height=4, bands=6)

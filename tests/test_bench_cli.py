@@ -536,7 +536,7 @@ def test_cli_interrupt_and_out_of_memory_show_no_traceback(monkeypatch, capsys, 
     def run(args):
         raise raised
 
-    monkeypatch.setitem(cli._COMMANDS, command, run)
+    monkeypatch.setattr(cli, f"_cmd_{command.replace('-', '_')}", run)
     assert cli_main([command, *_COMMAND_ARGS[command]]) == code
     captured = capsys.readouterr()
     assert captured.err == message.format(command)

@@ -551,6 +551,29 @@ def test_many_band_pca_compress_peak_memory():
     assert peak <= 14.5 * 2 ** 20
 
 
+@pytest.mark.parametrize("size,method,p,bound", [
+    ((8192, 16, 31), "pca", 20, 45.0),
+    ((128, 1024, 31), "pca", 20, 44.5),
+    ((128, 1024, 31), "csi", 20, 40.5),
+    ((256, 256, 31), "pca", 1, 17.5),
+    ((256, 256, 31), "pca", 2, 18.5),
+    ((256, 256, 31), "csi", 20, 20.5),
+    ((64, 64, 2000), "csi", 20, 5.0),
+    ((64, 64, 2000), "pca", 20, 98.0),
+], ids=["8192x16-pca", "128x1024-pca", "128x1024-csi", "256x256-pca-p1", "256x256-pca-p2",
+        "256x256-csi", "64x64x2000-csi", "64x64x2000-pca"])
+def test_compress_peak_memory_on_every_shape(size, method, p, bound):
+    # measured peaks in MiB, in order: 42.5, 42.0, 38.2, 16.5, 17.5, 19.1, 4.4
+    # and 93.0.  At 31 bands and p=20 the float64 planes and the float64
+    # coefficients are each 1.29 times the cube; at p <= 2 the PCA forward
+    # holds one whole-cube float64 chunk; the 2000-band PCA fit holds its
+    # float64 centered samples and a 2000 x 2000 covariance, and CSI copies
+    # only its 20 knot bands
+    cube = synthesize_cube(*size, "random-smooth", seed=3)
+    peak = _peak_bytes(lambda: compress_with_report(cube, method, p, quality=50))
+    assert peak <= bound * 2 ** 20
+
+
 @pytest.mark.parametrize("method", ["pca", "csi"])
 def test_sweep256_decompress_peak_memory(method):
     # entropy decoding peaks first (16.2 MiB: its bit windows, 8 bytes per

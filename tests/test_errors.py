@@ -60,8 +60,10 @@ from cubecodec import (
 )
 from cubecodec.cli import cli_main
 from cubecodec.colorimetry import ciede2000_array
+from cubecodec.container import stream_nbytes
 from cubecodec.errors import check_array, check_axis, check_int, check_real, check_type
-from cubecodec.spatial import EncodedPlane
+from cubecodec.reduction import csi_reconstruction_matrix
+from cubecodec.spatial import EncodedPlane, PlaneStack, entropy_decode_planes, entropy_encode_blocks
 
 _CUBE = synthesize_cube(8, 8, 6, "random-smooth", seed=1)
 _STREAM = compress(_CUBE, "pca", 3, quality=50)
@@ -207,6 +209,26 @@ _ESCAPES = {
     "emit_csv-str": (lambda: emit_csv("abc"), ArgumentError),
     "emit_table-none-report": (lambda: emit_table([None]), ArgumentError),
     "run_benchmark-none": (lambda: run_benchmark(None), ArgumentError),
+    # the entropy decoder takes a list or tuple of bytes payloads and one block count
+    "entropy_decode_planes-negative-count": (lambda: entropy_decode_planes([b"\0"], -1), ArgumentError),
+    "entropy_decode_planes-bool-count": (lambda: entropy_decode_planes([b"\0"], True), ArgumentError),
+    "entropy_decode_planes-float-count": (lambda: entropy_decode_planes([b"\0"], 1.5), ArgumentError),
+    "entropy_decode_planes-str-count": (lambda: entropy_decode_planes([b"\0"], "1"), ArgumentError),
+    "entropy_decode_planes-list-count": (
+        lambda: entropy_decode_planes([b"", b""], [0]), ArgumentError),
+    "entropy_decode_planes-none-payloads": (lambda: entropy_decode_planes(None, 0), ArgumentError),
+    "entropy_decode_planes-bytes-payloads": (lambda: entropy_decode_planes(b"\0", 1), ArgumentError),
+    "entropy_decode_planes-none-payload": (lambda: entropy_decode_planes([None], 0), ArgumentError),
+    "entropy_decode_planes-str-payload": (lambda: entropy_decode_planes(["\0"], 1), ArgumentError),
+    "stream_nbytes-unknown-method": (lambda: stream_nbytes("x", 2, 3, 0), ArgumentError),
+    "PlaneStack.of-str-sample": (lambda: PlaneStack.of([[[1, "a"]]]), ValidationError),
+    "PlaneStack.of-ragged": (lambda: PlaneStack.of([[[1, 2], [3]]]), ValidationError),
+    "PlaneStack.of-complex": (lambda: PlaneStack.of(np.ones((1, 8, 8), complex)), ValidationError),
+    "entropy_encode_blocks-ragged": (lambda: entropy_encode_blocks([[[1], [1, 2]]]), ArgumentError),
+    "csi_reconstruction_matrix-none-side": (
+        lambda: csi_reconstruction_matrix(None, _CUBE.wavelengths), ArgumentError),
+    "csi_reconstruction_matrix-knots-past-grid": (
+        lambda: csi_reconstruction_matrix(CsiSideInfo([0, 3, 9]), _CUBE.wavelengths), ArgumentError),
 }
 
 

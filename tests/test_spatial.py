@@ -103,7 +103,7 @@ def test_entropy_roundtrip_fixed_batch():
     rng = np.random.default_rng(42)
     blocks = _random_qblocks(rng, 500)
     payload = entropy_encode_blocks(blocks)
-    assert np.array_equal(entropy_decode_planes([payload], [500]), blocks)
+    assert np.array_equal(entropy_decode_planes([payload], 500), blocks)
 
 
 @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 12))
@@ -111,7 +111,7 @@ def test_entropy_roundtrip_random(seed, n):
     rng = np.random.default_rng(seed)
     blocks = _random_qblocks(rng, n, zero_fraction=float(rng.uniform(0.3, 0.99)))
     payload = entropy_encode_blocks(blocks)
-    assert np.array_equal(entropy_decode_planes([payload], [n]), blocks)
+    assert np.array_equal(entropy_decode_planes([payload], n), blocks)
 
 
 def test_entropy_rejects_truncation_and_garbage():
@@ -119,22 +119,22 @@ def test_entropy_rejects_truncation_and_garbage():
     blocks = _random_qblocks(rng, 20, zero_fraction=0.5)
     payload = entropy_encode_blocks(blocks)
     with pytest.raises(CorruptError):
-        entropy_decode_planes([payload[: len(payload) // 2]], [20])
+        entropy_decode_planes([payload[: len(payload) // 2]], 20)
     with pytest.raises(CorruptError):
-        entropy_decode_planes([payload + b"\xff\xff\xff\xff"], [20])
+        entropy_decode_planes([payload + b"\xff\xff\xff\xff"], 20)
     with pytest.raises(CorruptError):
-        entropy_decode_planes([b"\xff\xff\xff"], [1])
+        entropy_decode_planes([b"\xff\xff\xff"], 1)
 
 
 def test_entropy_decode_peek_at_payload_end():
     # the second block's AC code starts on the last payload bit
     with pytest.raises(CorruptError):
-        entropy_decode_planes([bytes.fromhex("bb40")], [2])
+        entropy_decode_planes([bytes.fromhex("bb40")], 2)
 
 
 def test_entropy_decode_bounds_block_count_before_allocating():
     with pytest.raises(CorruptError):
-        entropy_decode_planes([b"\x00" * 8], [2 ** 40])
+        entropy_decode_planes([b"\x00" * 8], 2 ** 40)
 
 
 def _blocks_from_zigzag(zz):
@@ -182,7 +182,7 @@ def _dense_qblocks(draw):
 def _check_entropy_stage(blocks):
     payload = entropy_encode_blocks(blocks)
     assert payload == reference_huffman_encode(blocks)
-    assert np.array_equal(entropy_decode_planes([payload], [len(blocks)]), blocks)
+    assert np.array_equal(entropy_decode_planes([payload], len(blocks)), blocks)
 
 
 @given(_sparse_qblocks())
@@ -285,8 +285,9 @@ def _reference_or_none(payload, nblocks):
 
 
 def _assert_decodes_like_reference(payloads, nblocks):
-    """All planes decode to the reference's blocks, or CorruptError when any plane's reference raises."""
-    expected = [_reference_or_none(p, n) for p, n in zip(payloads, nblocks)]
+    """All planes of ``nblocks`` blocks decode to the reference's blocks, or CorruptError
+    when any plane's reference raises."""
+    expected = [_reference_or_none(p, nblocks) for p in payloads]
     if any(e is None for e in expected):
         with pytest.raises(CorruptError):
             entropy_decode_planes(payloads, nblocks)
@@ -297,52 +298,56 @@ def _assert_decodes_like_reference(payloads, nblocks):
 
 
 @st.composite
-def _damaged_payloads(draw):
-    """A valid payload, or one truncation, single-bit flip or wrong block count of it."""
-    blocks = draw(st.one_of(_sparse_qblocks(), _dense_qblocks()))
-    payload = entropy_encode_blocks(blocks)
+def _damaged_payloads(draw, max_planes=1):
+    """1 to ``max_planes`` payloads of one block count, each valid or cut by one
+    truncation or single-bit flip, and that count or, for the whole call, a wrong one."""
+    qblocks = st.one_of(_sparse_qblocks(), _dense_qblocks())
+    blocks = draw(qblocks)
     nblocks = len(blocks)
-    kind = draw(st.sampled_from(("intact", "truncate", "flip", "miscount")))
-    if kind == "truncate":
-        payload = payload[:draw(st.integers(0, len(payload) - 1))]
-    elif kind == "flip":
-        payload = flip_bit(payload, draw(st.integers(0, 8 * len(payload) - 1)))
-    elif kind == "miscount":
-        nblocks += draw(st.sampled_from((-1, 1)))
-    return payload, nblocks
+    payloads = []
+    for plane in range(draw(st.integers(1, max_planes))):
+        if plane:  # the blocks of a further plane, cut or repeated to the same count
+            blocks = np.resize(draw(qblocks), (nblocks, 8, 8))
+        payload = entropy_encode_blocks(blocks)
+        kind = draw(st.sampled_from(("intact", "truncate", "flip")))
+        if kind == "truncate":
+            payload = payload[:draw(st.integers(0, len(payload) - 1))]
+        elif kind == "flip":
+            payload = flip_bit(payload, draw(st.integers(0, 8 * len(payload) - 1)))
+        payloads.append(payload)
+    return payloads, nblocks + draw(st.sampled_from((0, 0, -1, 1)))
 
 
 @settings(max_examples=300)
 @given(_damaged_payloads())
 def test_entropy_decoder_matches_reference_on_damaged_payloads(case):
-    payload, nblocks = case
-    _assert_decodes_like_reference([payload], [nblocks])
+    _assert_decodes_like_reference(*case)
 
 
 @settings(max_examples=100)
-@given(st.lists(_damaged_payloads(), min_size=1, max_size=4), st.integers(1, 256))
-def test_multi_plane_decode_matches_reference_with_tiny_stage1_windows(cases, window_bits):
+@given(_damaged_payloads(max_planes=4), st.integers(1, 256))
+def test_multi_plane_decode_matches_reference_with_tiny_stage1_windows(case, window_bits):
     # windows of 1-256 bit positions rebuild the stage-1 tables at almost every
     # block and across plane boundaries; real streams rebuild them every 2**15 bits
-    payloads, nblocks = zip(*cases)
     with mock.patch.object(spatial, "_STAGE1_BITS", window_bits):
-        _assert_decodes_like_reference(list(payloads), list(nblocks))
+        _assert_decodes_like_reference(*case)
 
 
 def test_multi_plane_decode_across_stage1_windows():
     rng = np.random.default_rng(49)
-    sizes = [700, 3, 1, 1200, 40]
-    blocks = [_random_qblocks(rng, n, zero_fraction=0.85) for n in sizes]
+    n = 400
+    blocks = [_random_qblocks(rng, n, zero_fraction=0.85) for _ in range(5)]
     payloads = [entropy_encode_blocks(b) for b in blocks]
     assert sum(map(len, payloads)) * 8 > 3 * spatial._STAGE1_BITS
-    assert np.array_equal(entropy_decode_planes(payloads, sizes), np.concatenate(blocks))
-    for i in range(len(sizes)):
+    assert np.array_equal(entropy_decode_planes(payloads, n), np.concatenate(blocks))
+    for i in range(len(payloads)):
         # a damaged plane fails the whole call; its blocks may not run on into the next plane
         cut = payloads[:i] + [payloads[i][:-1]] + payloads[i + 1:]
         with pytest.raises(CorruptError):
-            entropy_decode_planes(cut, sizes)
+            entropy_decode_planes(cut, n)
+        short = payloads[:i] + [entropy_encode_blocks(blocks[i][:-1])] + payloads[i + 1:]
         with pytest.raises(CorruptError):
-            entropy_decode_planes(payloads, sizes[:i] + [sizes[i] + 1] + sizes[i + 1:])
+            entropy_decode_planes(short, n)
 
 
 def _reference_bit_windows(data: bytes) -> list[int]:
@@ -451,13 +456,13 @@ def test_stage1_packed_fields_hold_a_window():
     # the widest window the bound allows still decodes a stream of several windows
     widest = 0xFFFF - spatial._BLOCK_BITS - spatial._AC_SYMBOL_BITS
     rng = np.random.default_rng(50)
-    sizes = [900, 2, 1300]
-    blocks = [_random_qblocks(rng, n, zero_fraction=0.85) for n in sizes]
+    n = 750
+    blocks = [_random_qblocks(rng, n, zero_fraction=0.85) for _ in range(3)]
     payloads = [entropy_encode_blocks(b) for b in blocks]
     assert sum(map(len, payloads)) * 8 > 2 * widest
     with mock.patch.object(spatial, "_STAGE1_BITS", widest):
-        got = entropy_decode_planes(payloads, sizes)
-    expected = [reference_huffman_decode(p, n) for p, n in zip(payloads, sizes)]
+        got = entropy_decode_planes(payloads, n)
+    expected = [reference_huffman_decode(p, n) for p in payloads]
     assert np.array_equal(got, np.concatenate(expected))
     assert np.array_equal(got, np.concatenate(blocks))
 
@@ -474,7 +479,7 @@ def test_stage2_fields_unpack_to_the_peek_tables():
 
 
 def _walk_case(case):
-    """Payloads and block counts that take the stage-1 walk through its edges."""
+    """Payloads and their one block count that take the stage-1 walk through its edges."""
     rng = np.random.default_rng(51)
     if case == "ac_symbols_1_to_63":
         # block n - 1 holds n - 1 coefficients, then an EOB: n AC symbols, n = 1..63;
@@ -483,7 +488,7 @@ def _walk_case(case):
         for n in range(1, 65):
             zz[n - 1, 1:n] = rng.integers(1, 1024, n - 1) * rng.choice((-1, 1), n - 1)
         zz[:, 0] = rng.integers(-1023, 1024, 64)
-        return [entropy_encode_blocks(_blocks_from_zigzag(zz))], [64]
+        return [entropy_encode_blocks(_blocks_from_zigzag(zz))], 64
     if case == "coefficient_63":
         blocks = [{63: 1}, {62: 3, 63: -2}, {0: 5, 10: 5, 63: 7},
                   {k: (-1) ** k * k for k in range(64)}, {1: 1}]
@@ -493,24 +498,20 @@ def _walk_case(case):
             c = next(c for c in range(63) if c + (62 - c) // 16 + 1 == total)
             blocks.append({**{k: 2 for k in range(1, c + 1)}, 63: -1})
         zz = _zigzag_blocks(*blocks)
-        return [entropy_encode_blocks(_blocks_from_zigzag(zz))], [len(zz)]
+        return [entropy_encode_blocks(_blocks_from_zigzag(zz))], len(zz)
     if case == "three_zrls":
         # runs of 48 to 62 zeros: three ZRLs before the coefficient; {48: 1}'s
         # run of 47 takes two and the (15, 1) code
         zz = _zigzag_blocks({49: -3}, {1: 2, 50: 1}, {63: 1}, {3: 1, 52: 9, 63: -1},
                             {14: 4, 63: 1}, {48: 1})
-        return [entropy_encode_blocks(_blocks_from_zigzag(zz))], [len(zz)]
+        return [entropy_encode_blocks(_blocks_from_zigzag(zz))], len(zz)
     # case == "invalid_after_jump": a block of one coefficient, then DC category
     # 0 and m (0, 1) coefficients of 3 bits, then 16 one bits, which are no AC
     # code: after 1..7 8-symbol jumps, with 0, 1 or 6 symbols more
     valid = "00" + "001" + "1010"
     assert _bit_string_bytes(valid) == entropy_encode_blocks(_blocks_from_zigzag(_zigzag_blocks({1: 1})))
-    payloads, nblocks = [], []
-    for m in range(8, 57, 8):
-        for extra in (0, 1, 6):
-            payloads.append(_bit_string_bytes(valid + "00" + "001" * (m + extra) + "1" * 16))
-            nblocks.append(2)
-    return payloads, nblocks
+    return [_bit_string_bytes(valid + "00" + "001" * (m + extra) + "1" * 16)
+            for m in range(8, 57, 8) for extra in (0, 1, 6)], 2
 
 
 def _bit_string_bytes(bits):
@@ -528,15 +529,15 @@ def test_stage1_walk_matches_reference(case):
     payloads, nblocks = _walk_case(case)
     for window_bits in (spatial._STAGE1_BITS, *range(1, 65)):
         with mock.patch.object(spatial, "_STAGE1_BITS", window_bits):
-            for payload, count in zip(payloads, nblocks):
-                _assert_decodes_like_reference([payload], [count])
+            for payload in payloads:
+                _assert_decodes_like_reference([payload], nblocks)
             _assert_decodes_like_reference(payloads, nblocks)
     if case == "invalid_after_jump":
-        for payload, count in zip(payloads, nblocks):
+        for payload in payloads:
             with pytest.raises(CorruptError, match="bad AC code"):
-                reference_huffman_decode(payload, count)
+                reference_huffman_decode(payload, nblocks)
             with pytest.raises(CorruptError, match="^bad AC code or truncated payload in block 1$"):
-                entropy_decode_planes([payload], [count])
+                entropy_decode_planes([payload], nblocks)
 
 
 def _ac_code(symbol):
@@ -562,19 +563,19 @@ def test_stage2_overflow_names_the_reference_block(case, planes):
     # block 2 of 3 overflows on its last symbol, which stage 1 takes as the
     # block's end; blocks 1 and 3 end a step earlier, so the overflowing lane
     # is no longer at its block's index among the lanes.  In a two-plane call
-    # the 3 blocks follow a plane of 5, and the block is counted over both.
+    # the 3 blocks follow a plane of 3 empty ones, and the block is counted over both.
     overflow, what = _OVERFLOWS[case]
     payload = _bit_string_bytes(_EMPTY_BLOCK + overflow + _EMPTY_BLOCK)
     with pytest.raises(CorruptError, match=f"^{what} overflows block ") as reference:
         reference_huffman_decode(payload, 3)
     block = int(str(reference.value).rsplit(" ", 1)[1])
     assert block == 1
-    payloads, nblocks = [payload], [3]
+    payloads = [payload]
     if planes == 2:
-        payloads, nblocks = [_bit_string_bytes(_EMPTY_BLOCK * 5), payload], [5, 3]
-        block += 5
+        payloads = [_bit_string_bytes(_EMPTY_BLOCK * 3), payload]
+        block += 3
     with pytest.raises(CorruptError, match=f"^zero run or coefficient index overflows block {block}$"):
-        entropy_decode_planes(payloads, nblocks)
+        entropy_decode_planes(payloads, 3)
 
 
 def test_entropy_decode_keeps_blocks_inside_their_plane():
@@ -587,27 +588,27 @@ def test_entropy_decode_keeps_blocks_inside_their_plane():
     assert payloads[1][0] >> 4 == 0b1010
     with pytest.raises(CorruptError):
         reference_huffman_decode(payloads[0], 1)
-    _assert_decodes_like_reference(payloads, [1, 1])
+    _assert_decodes_like_reference(payloads, 1)
 
 
 def test_entropy_decode_rejects_invalid_dc_code():
     # nine 1 bits are no DC code; read as AC codes, the same bits end a block
     with pytest.raises(CorruptError):
-        entropy_decode_planes([bytes.fromhex("ffa0af2c28")], [1])
+        entropy_decode_planes([bytes.fromhex("ffa0af2c28")], 1)
 
 
 def test_entropy_decode_empty_plane():
     assert entropy_encode_blocks(np.zeros((0, 8, 8), np.int32)) == b""
-    assert entropy_decode_planes([b""], [0]).shape == (0, 8, 8)
+    assert entropy_decode_planes([b""], 0).shape == (0, 8, 8)
     with pytest.raises(CorruptError):
-        entropy_decode_planes([b"\x00"], [0])
+        entropy_decode_planes([b"\x00"], 0)
 
 
 def test_entropy_decode_rejects_dc_predictor_overflow():
     # each block adds +2047 to the DC predictor (category 11, then EOB), which
     # leaves int32 after 1_049_088 blocks
     with pytest.raises(CorruptError):
-        entropy_decode_planes([bytes.fromhex("ff7ffa") * 1_050_000], [1_050_000])
+        entropy_decode_planes([bytes.fromhex("ff7ffa") * 1_050_000], 1_050_000)
 
 
 def test_entropy_encoder_rejects_oversized_categories():
@@ -650,7 +651,7 @@ def test_zigzag_order_is_a_permutation():
 
 def test_flat_plane_minimal_payload():
     (enc,) = encode_planes(PlaneStack.of(np.full((1, 16, 16), 0.7)), 50)
-    qblocks = entropy_decode_planes([enc.payload], [4])
+    qblocks = entropy_decode_planes([enc.payload], 4)
     assert np.all(qblocks.reshape(4, 64)[:, 1:] == 0)  # every AC is zero
     assert len(enc.payload) <= 8
     dec = decode_planes([enc], 16, 16, 50)[0]
@@ -684,7 +685,7 @@ def test_ramp_block_matches_hand_pipeline(dct_tensor):
     plane = (np.arange(64, dtype=np.float64).reshape(8, 8) * 255.0) / 63.0
     (enc,) = encode_planes(PlaneStack.of(plane[None]), 50)
     assert enc.offset == 0.0 and enc.scale == 1.0
-    got = entropy_decode_planes([enc.payload], [1])[0]
+    got = entropy_decode_planes([enc.payload], 1)[0]
     coeffs = naive_dct(plane - 128.0, dct_tensor)
     table = quality_to_table(50)
     expected = np.sign(coeffs) * np.floor(np.abs(coeffs) / table + 0.5)
