@@ -382,7 +382,7 @@ def cube_delta_e(original: SpectralCube, reconstructed: SpectralCube) -> DeltaES
     bands_b = reconstructed.samples.reshape(reconstructed.bands, -1)
     try:
         de = np.empty(bands_a.shape[1])
-        for lo, hi in chunks(len(de), 16):
+        for lo, hi in chunks(len(de), 16):  # 16 a pixel: measured, not a count of live samples
             lab_a = xyz_array_to_lab(spectra_to_xyz(bands_a[:, lo:hi], grid))
             lab_b = xyz_array_to_lab(spectra_to_xyz(bands_b[:, lo:hi], grid))
             de[lo:hi] = ciede2000_array(lab_a, lab_b)

@@ -437,7 +437,8 @@ def decompress_with_report(stream: CompressedStream) -> tuple[SpectralCube, Stag
     check_type("stream", stream, CompressedStream)
     try:
         t0 = time.perf_counter_ns()
-        planes = PlaneBands(stream.planes, stream.width, stream.height, stream.quality)
+        planes = PlaneBands(stream.planes, stream.width, stream.height, stream.quality,
+                            stream.bands)
         t1 = time.perf_counter_ns()
         cube = SPECTRAL_METHODS[stream.method].expand(planes, stream.side, stream.wavelengths)
         t2 = time.perf_counter_ns()

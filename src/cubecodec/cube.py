@@ -35,7 +35,7 @@ _F32_MAX = float(np.finfo(np.float32).max)
 #: the most samples (bands x width x height) a cube may hold to be synthesized
 #: or compressed, or a stream may claim to be parsed.  A decode peaks near 4
 #: bytes per sample, the float32 cube, beside the int32 quantized blocks of its
-#: planes and chunks of about 1 MiB (34.8 MiB for a 31.25 MiB, 2000-band cube
+#: planes and chunks of about 1 MiB (33.6 MiB for a 31.25 MiB, 2000-band cube
 #: with 20 planes), so this bounds it near 0.5 GB, or twice that when every
 #: band is a plane, whatever a header says.  The cap lives here only:
 #: every check reads it through :func:`check_cube_size` at call time.
@@ -50,7 +50,9 @@ def check_cube_size(bands: int, width: int, height: int) -> None:
                              f"MAX_CUBE_SAMPLES = {MAX_CUBE_SAMPLES}")
 
 
-#: about how many samples one chunk of a large temporary holds (1 MiB of float64)
+#: about how many float64 samples (1 MiB) one chunk of a pass keeps alive, summed
+#: over every temporary the pass holds at once, so that its working set stays
+#: near 1 MiB and its freed arrays are reused instead of faulted in anew
 CHUNK_SAMPLES = 1 << 17
 
 #: the pixel alignment of :func:`chunks`' edges, and the multiple the PCA forward
@@ -64,6 +66,11 @@ CHUNK_ALIGN = 16
 def chunks(count: int, item_samples: int, align: int = CHUNK_ALIGN) -> list[tuple[int, int]]:
     """``(lo, hi)`` spans splitting ``range(count)`` into chunks of about
     :data:`CHUNK_SAMPLES` samples at ``item_samples`` per item.
+
+    ``item_samples`` counts every float64 sample the pass keeps alive per
+    item, in all the arrays it holds together, not only the largest; each
+    caller names the arrays it counts where it calls, or says why its count
+    is a measured choice or set by a BLAS kernel's rounding instead.
 
     Every edge but the last is a multiple of ``align``, and the last chunk
     takes what is left, so none is narrower than the others.

@@ -240,7 +240,9 @@ def _synthesize(matrix: np.ndarray, planes, wavelengths,
         for row, band in bands:
             band = band.reshape(p, -1)
             start = row * width  # a multiple of 16 pixels, as the chunks' edges are
-            for lo, hi in chunks(band.shape[1], n):
+            # per pixel, the float64 samples alive in the decoder's band loop, as
+            # PlaneBands counts them: its IDCT pair and band (3 * p) and this product
+            for lo, hi in chunks(band.shape[1], 3 * p + n):
                 recon = matrix @ band[:, lo:hi]
                 if mean is not None:
                     recon += mean[:, None]

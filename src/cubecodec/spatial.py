@@ -187,7 +187,7 @@ _RUN_BASE = np.arange(0, 16 * 63, 16, dtype=np.uint16)
 
 def _runs(count: int, nblocks: int) -> list[tuple[int, int]]:
     """Runs of whole planes, at least one, that the stacked coder codes at once: at 128
-    samples a block, as the transform makes two float64 temporaries of 64."""
+    samples a block, the two float64 temporaries of 64 that the transform keeps alive."""
     return chunks(count, 128 * nblocks, align=1)
 
 
@@ -690,18 +690,23 @@ class PlaneBands:
 
     The constructor entropy decodes every plane (:func:`entropy_decode_planes`),
     whose bit windows are freed before it returns.  Iterating dequantizes and
-    inverse transforms a band of 16 * k rows of all planes, sized by
-    :func:`~cubecodec.cube.chunks`, with one batched matmul into the band's
-    padded layout, and yields ``(row, band)``: the ``(P, rows, W)`` float64
-    planes (no clamping) from image row ``row`` on.  ``shape`` is the whole
-    ``(P, H, W)``; ``ns`` counts the nanoseconds spent iterating, so a
-    consumer can tell its own time from the decoder's.  The arguments are the
-    fields of a :class:`~cubecodec.container.CompressedStream`, checked there once.
+    inverse transforms a band of rows of all planes, with one batched matmul
+    into the band's padded layout, and yields ``(row, band)``: the
+    ``(P, rows, W)`` float64 planes (no clamping) from image row ``row`` on.
+    :func:`~cubecodec.cube.chunks` sizes a band by every array the loop keeps
+    alive, its consumer's synthesis of the stream's ``bands`` spectral bands
+    included, so a band is a multiple of 16 rows that fits one chunk budget
+    with that synthesis, or 16 rows.  ``shape`` is the whole ``(P, H, W)``;
+    ``ns`` counts the nanoseconds spent iterating, so a consumer can tell its
+    own time from the decoder's.  The arguments are the fields of a
+    :class:`~cubecodec.container.CompressedStream`, checked there once.
     """
 
-    def __init__(self, planes: tuple[EncodedPlane, ...], width: int, height: int, quality: int):
+    def __init__(self, planes: tuple[EncodedPlane, ...], width: int, height: int, quality: int,
+                 bands: int):
         self.table = quality_to_table(quality)
         self.shape = (len(planes), height, width)
+        self.bands = bands
         self.scales = np.array([p.scale for p in planes])[:, None, None]
         self.offsets = np.array([p.offset for p in planes])[:, None, None]
         rows, cols = (height + 7) // 8, (width + 7) // 8
@@ -712,7 +717,10 @@ class PlaneBands:
     def __iter__(self):
         count, height, width = self.shape
         cols = self.qblocks.shape[2]
-        for lo, hi in chunks(height, count * 8 * cols):
+        # per image row, 8 * cols float64 samples a plane or band of each array
+        # alive in the loop: the IDCT's pair of band temporaries (2 * count),
+        # the band it yields (count) and the synthesis's product (bands)
+        for lo, hi in chunks(height, (3 * count + self.bands) * 8 * cols):
             t0 = time.perf_counter_ns()
             coeffs = self.qblocks[:, lo // 8:(hi + 7) // 8].astype(np.float64)
             coeffs *= self.table

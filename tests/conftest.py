@@ -290,7 +290,7 @@ def encode_planes(stack: PlaneStack, quality: int) -> list:
 def decode_planes(planes, width: int, height: int, quality: int) -> np.ndarray:
     """Decode ``width`` x ``height`` planes coded at ``quality`` into a ``(P, H, W)``
     float64 array (no clamping), from the bands of :class:`PlaneBands`."""
-    bands = PlaneBands(planes, width, height, quality)
+    bands = PlaneBands(planes, width, height, quality, 0)  # no synthesis: bands are copied out
     out = np.empty(bands.shape)
     for row, band in bands:
         out[:, row:row + band.shape[1]] = band

@@ -36,7 +36,8 @@ from cubecodec.errors import (
     SizeLimitError,
     ValidationError,
 )
-from cubecodec.bench import make_chart_cube, make_skin_cube, make_sweep_cube
+from cubecodec.bench import (make_chart_cube, make_dark_cube, make_narrowband_cube, make_skin_cube,
+                              make_sweep_cube)
 from cubecodec.reduction import CsiSideInfo, PcaSideInfo
 
 from conftest import flip_bit, forged_scmp, random_cube
@@ -507,7 +508,7 @@ def test_compress_refuses_cubes_above_the_size_cap(monkeypatch):
 def test_decode_out_of_memory_raises_size_limit_error(monkeypatch):
     stream = compress(random_cube(72), "pca", 2, quality=50)
 
-    def exhausted(planes, width, height, quality):
+    def exhausted(planes, width, height, quality, bands):
         raise MemoryError
 
     monkeypatch.setattr(container, "PlaneBands", exhausted)
@@ -576,9 +577,9 @@ def test_compress_peak_memory_on_every_shape(size, method, p, bound):
 
 @pytest.mark.parametrize("method", ["pca", "csi"])
 def test_sweep256_decompress_peak_memory(method):
-    # entropy decoding peaks first (16.2 MiB: its bit windows, 8 bytes per
-    # payload byte, and the quantized blocks); the float32 cube (7.8 MiB) is
-    # then written a band of rows at a time beside the quantized blocks
+    # entropy decoding peaks at 14.3 MiB (its bit windows, 8 bytes per payload
+    # byte, and the quantized blocks); the float32 cube (7.8 MiB) is then
+    # written a band of rows at a time beside the quantized blocks (15.9 MiB)
     cube = make_sweep_cube(256, 256)
     stream = parse_stream(serialize_stream(compress(cube, method, 20, rate=RateTarget(8.0))))
     peak = _peak_bytes(lambda: decompress(stream))
@@ -595,10 +596,27 @@ def _decodes_in_proportion_to_its_cube(stream):
 @pytest.mark.parametrize("method,p", [("csi", 2), ("pca", 20)])
 def test_many_band_stream_decodes_in_proportion_to_its_cube(method, p):
     # an 8.5 KB CSI stream of a 31.25 MiB cube peaked at 101.7 MiB when the
-    # float64 reconstruction was made whole; 33.4 MiB (CSI) and 34.8 MiB (PCA) now
+    # float64 reconstruction was made whole; 33.3 MiB (CSI) and 33.6 MiB (PCA) now
     cube = synthesize_cube(64, 64, 2000, "random-smooth", seed=0)
     stream = parse_stream(serialize_stream(compress(cube, method, p, quality=50)))
     del cube
+    _decodes_in_proportion_to_its_cube(stream)
+
+
+@pytest.mark.parametrize("method", ["pca", "csi"])
+@pytest.mark.parametrize("make,drive", [
+    (make_skin_cube, {"rate": RateTarget(8.0)}),
+    (make_narrowband_cube, {"rate": RateTarget(8.0)}),
+    (make_dark_cube, {"rate": RateTarget(8.0)}),
+    (make_chart_cube, {"rate": RateTarget(8.0)}),
+    (functools.partial(make_sweep_cube, 128, 128), {"quality": 90}),
+], ids=["skin64-cr8", "narrowband64-cr8", "dark64-cr8", "chart64-cr8", "sweep128-q90"])
+def test_benchmark_streams_decode_in_proportion_to_their_cube(make, drive, method):
+    # the codecbench workloads' streams at p=20: the band loop's float64
+    # arrays, the synthesis's product included, fit one chunk budget.  Sized
+    # by one temporary each, a 64x64 decode peaked at 3.1 MiB and a 128x128
+    # one at 9.7 MiB, past its 6.9 MiB bound; 1.7 and 4.9 MiB now
+    stream = parse_stream(serialize_stream(compress(make(), method, 20, **drive)))
     _decodes_in_proportion_to_its_cube(stream)
 
 
