@@ -534,7 +534,7 @@ def test_sweep256_compress_peak_memory(method, drive):
     # PCA peaks at its fit's (H*W, N) float64 centered samples or at the
     # (P, H, W) float64 scores beside the stack's coefficients (21.0 MiB); CSI's
     # float32 knot bands are widened a run at a time, and CSI peaks in the
-    # emit, beside the probe it packs (20.2 MiB at CR 8, 19.5 MiB at q90).
+    # emit, beside the probe it packs (18.5 MiB at CR 8, 17.9 MiB at q90).
     # The plane transform works a run of planes at a time, and the rate
     # search and a fixed quality each keep one probe's symbols and AC
     # magnitudes, about 6.4 MiB at 256x256.
@@ -552,6 +552,20 @@ def test_many_band_pca_compress_peak_memory():
     assert peak <= 14.5 * 2 ** 20
 
 
+def test_emit_working_set():
+    # the emit of the 64x64 skin stack at its CR 8 quality, one run of 20
+    # planes of 64 blocks, peaked at 1.43 MiB: the int64 fields and three
+    # uint16 arrays, 14 bytes a field.  With int64 end bits, shift counts and
+    # tails beside the fields it peaked at 3.56 MiB
+    cube = make_skin_cube()
+    planes, _ = container.spectral_method("pca").reduce(cube, 20)
+    stack = container.PlaneStack.of(planes)
+    probe = stack.probe(compress_with_report(cube, "pca", 20, rate=RateTarget(8.0))[1].quality)
+    assert len(probe.symbols) == 1 and len(stack.coeffs) == 20 * 64
+    peak = _peak_bytes(lambda: stack.encode(probe))
+    assert peak <= 1.75 * 2 ** 20
+
+
 @pytest.mark.parametrize("size,method,p,bound", [
     ((8192, 16, 31), "pca", 20, 45.0),
     ((128, 1024, 31), "pca", 20, 44.5),
@@ -564,7 +578,7 @@ def test_many_band_pca_compress_peak_memory():
 ], ids=["8192x16-pca", "128x1024-pca", "128x1024-csi", "256x256-pca-p1", "256x256-pca-p2",
         "256x256-csi", "64x64x2000-csi", "64x64x2000-pca"])
 def test_compress_peak_memory_on_every_shape(size, method, p, bound):
-    # measured peaks in MiB, in order: 42.5, 42.0, 38.2, 16.5, 17.5, 19.1, 4.4
+    # measured peaks in MiB, in order: 42.5, 42.0, 35.1, 16.5, 17.5, 17.6, 2.5
     # and 93.0.  At 31 bands and p=20 the float64 planes and the float64
     # coefficients are each 1.29 times the cube; at p <= 2 the PCA forward
     # holds one whole-cube float64 chunk; the 2000-band PCA fit holds its

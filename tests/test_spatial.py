@@ -236,6 +236,9 @@ def test_numpy_shifts_a_uint64_by_64_to_zero():
     # _Symbols.pack relies on it: a field that ends on a word boundary has no tail
     ones = np.full(4, 2 ** 64 - 1, dtype=np.uint64)
     assert not (ones << (64 - np.zeros(4, dtype=np.uint64))).any()
+    # the emit's shift counts are uint16; the shift still runs in uint64
+    tails = ones << (64 - np.zeros(4, dtype=np.uint16))
+    assert tails.dtype == np.uint64 and not tails.any()
 
 
 # two blocks of 64 bits: DC 16 and an EOB (12 bits), then the same DC and a
@@ -252,9 +255,15 @@ def _dense_plane(seed, n=2):
 
 
 @pytest.mark.parametrize("case", ["end_on_word", "end_before_64", "padding_to_word",
-                                  "eob_then_dense", "dense_then_eob"])
+                                  "eob_then_dense", "dense_then_eob", "longest_block"])
 def test_pack_edge_layouts_match_reference(case):
-    if case == "end_on_word":
+    if case == "longest_block":
+        # DC category 11 and 63 category-10 ACs, no EOB: the longest block
+        longest = np.zeros((2, 64), dtype=np.int64)
+        longest[:, 0] = [1023, -1024]  # DC differences 1023 and -2047
+        longest[:, 1:] = np.where(np.arange(63) % 2, 1023, -512)
+        planes = [longest, _dense_plane(7)]
+    elif case == "end_on_word":
         # the 50-bit field ends on bit 64 and the next plane's on bit 128, the
         # stream's end, with the zero-length EOB slot after each
         planes = [_WORD_PLANE, _WORD_PLANE]
@@ -274,6 +283,11 @@ def test_pack_edge_layouts_match_reference(case):
         assert ends[-1] < 64
     elif case == "padding_to_word":
         assert ends[:4] == [2, 6, 8, 58] and ends[4] > 64
+    elif case == "longest_block":
+        # the emit's uint16 end bits count from the start of the word a block
+        # starts in, at most 63 bits before it, and a block is under _BLOCK_BITS
+        assert ends[127] - ends[63] == 9 + 11 + 63 * (16 + 10) < spatial._BLOCK_BITS
+        assert spatial._BLOCK_BITS + 63 <= 0xFFFF
     assert payloads == [reference_huffman_encode(_blocks_from_zigzag(zz)) for zz in planes]
 
 
