@@ -398,7 +398,7 @@ def parse_config(text: str) -> BenchConfig:
 
 def load_config(path) -> BenchConfig:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # with or without a BOM
     except UnicodeDecodeError as exc:
         raise ValidationError(f"config {path} is not UTF-8 text (byte {exc.start}: "
                               f"{exc.reason})") from None

@@ -16,12 +16,12 @@ Each spectral method is defined once, as an entry of :data:`SPECTRAL_METHODS`
 (tag, side-info type, reduce, expand, side-info size, writer and reader).
 Reduce returns the P planes as a plain ``(P, H, W)`` array (PCA's float64
 scores, CSI's float32 knot bands), which goes straight to the plane coder.
-The decoder entropy decodes every plane first; expand then takes the planes
-as :class:`~cubecodec.spatial.PlaneBands`, dequantized and inverse
-transformed one band of rows at a time, and both methods run one synthesis,
-``matrix @ planes (+ mean)``, chunk by chunk into the float32 cube.  The
-decoder makes no whole-cube float64 array, so a decode peaks near the size
-of its cube.
+The decoder entropy decodes every plane first, into
+:class:`~cubecodec.spatial.PlaneBands`; expand then runs both methods' one
+synthesis, ``matrix @ planes (+ mean)``, whose loop asks it for one span of
+rows at a time, dequantized and inverse transformed, and writes each chunk
+into the float32 cube (:mod:`~cubecodec.reduction`).  The decoder makes no
+whole-cube float64 array, so a decode peaks near the size of its cube.
 Side info is stored uncompressed: PCA writes the band-mean vector, the N x P
 basis (column-major by component) and the P eigenvalues as f32
 (4N + 4NP + 4P bytes); CSI writes P u16 knot indices (2P bytes).  Each
@@ -428,7 +428,7 @@ def decompress_with_report(stream: CompressedStream) -> tuple[SpectralCube, Stag
     """Decode all planes and invert the spectral reduction; returns (cube, StageTimes).
 
     The planes are entropy decoded first, then dequantized, inverse
-    transformed and synthesized one band of rows at a time: the spectral time
+    transformed and synthesized one span of rows at a time: the spectral time
     is the synthesis's share of that.  A plane scale that takes the planes
     past float64, or a reconstruction outside float32 (non-finite planes make
     one), raises :class:`CorruptError` and no numpy warning; running out of
@@ -437,8 +437,7 @@ def decompress_with_report(stream: CompressedStream) -> tuple[SpectralCube, Stag
     check_type("stream", stream, CompressedStream)
     try:
         t0 = time.perf_counter_ns()
-        planes = PlaneBands(stream.planes, stream.width, stream.height, stream.quality,
-                            stream.bands)
+        planes = PlaneBands(stream.planes, stream.width, stream.height, stream.quality)
         t1 = time.perf_counter_ns()
         cube = SPECTRAL_METHODS[stream.method].expand(planes, stream.side, stream.wavelengths)
         t2 = time.perf_counter_ns()

@@ -11,9 +11,9 @@ float32 as the cube holds them.  The side-info records are frozen.
 
 Both inverses are linear and share one synthesis, ``matrix @ planes (+ mean)``:
 the matrix is the PCA basis (plus the band means) or the natural-spline
-matrix of :func:`csi_reconstruction_matrix`.  It takes the planes whole or
-as the decoder's row bands, and writes the float32 samples of each chunk of
-pixels straight into the cube, so it makes no whole-cube float64 array.
+matrix of :func:`csi_reconstruction_matrix`.  The synthesis owns the decode
+loop, over spans of rows of planes given whole or as the decoder's
+:class:`~cubecodec.spatial.PlaneBands`, so it makes no whole-cube float64 array.
 """
 
 from __future__ import annotations
@@ -219,33 +219,34 @@ def _synthesize(matrix: np.ndarray, planes, wavelengths,
     """The cube ``matrix @ planes (+ mean)``: an (N, P) matrix times (P, H, W) planes,
     given as one array or as :class:`~cubecodec.spatial.PlaneBands`.
 
+    The one decode loop: each span of rows, sliced from the array or decoded by
+    :meth:`PlaneBands.rows`, goes a chunk of pixels at a time into the float32 cube.
     A sample outside float32 (non-finite planes make one) is stored with no numpy
-    warning, and :class:`SpectralCube` refuses it with :class:`ValidationError`.
-    One ``np.errstate`` around the band loop covers the decoder's dequantize and
-    scale steps too, as each band is drawn inside it.
+    warning, and :class:`SpectralCube` refuses it with :class:`ValidationError`;
+    the ``np.errstate`` around the loop covers the decoder's dequantize and scale steps.
     """
     n, p = matrix.shape
     if isinstance(planes, PlaneBands):
-        shape, bands = planes.shape, planes
+        shape, rows = planes.shape, planes.rows
     else:
         planes = check_array("planes", planes, None)  # the product casts each chunk
-        shape, bands = planes.shape, [(0, planes)]
+        shape, rows = planes.shape, lambda lo, hi: planes[:, lo:hi]
     if len(shape) != 3 or shape[0] != p:
         raise ArgumentError(f"planes of shape {shape} for {p} components")
     wl = check_axis("wavelengths", wavelengths, np.float32, range(n, n + 1))
     _, height, width = shape
     samples = np.empty((n, height * width), dtype=np.float32)
-    # the cube refuses inf and NaN; the decoder's bands are dequantized and scaled in here too
+    # per pixel, the float64 samples alive in the loop: a decoded span with the
+    # pair of arrays PlaneBands.rows makes it from (3 * p) and this product (n)
+    live = 3 * p + n
     with np.errstate(over="ignore", invalid="ignore"):
-        for row, band in bands:
-            band = band.reshape(p, -1)
-            start = row * width  # a multiple of 16 pixels, as the chunks' edges are
-            # per pixel, the float64 samples alive in the decoder's band loop, as
-            # PlaneBands counts them: its IDCT pair and band (3 * p) and this product
-            for lo, hi in chunks(band.shape[1], 3 * p + n):
-                recon = matrix @ band[:, lo:hi]
+        for lo, hi in chunks(height, live * width):
+            span = rows(lo, hi).reshape(p, -1)
+            start = lo * width  # a multiple of 16 pixels, as the chunks' edges are
+            for a, b in chunks(span.shape[1], live):
+                recon = matrix @ span[:, a:b]
                 if mean is not None:
                     recon += mean[:, None]
-                samples[:, start + lo:start + hi] = recon
+                samples[:, start + a:start + b] = recon
     return SpectralCube(width=width, height=height, bands=n, wavelengths=wl,
                         samples=samples.reshape(n, height, width))

@@ -21,8 +21,8 @@ the symbol lengths.  The emit quantizes nothing: it packs exactly a probe's
 symbols, the amplitude bits from their magnitudes and the signs of the
 stack's coefficients, each plane's fields from a byte boundary, and cuts
 the packed bits into per-plane payloads.  Both work on runs of whole
-planes sized by :func:`~cubecodec.cube.chunks`, as the decoder's bands of
-rows are.  The decoder (:func:`entropy_decode_planes`) takes P payloads of
+planes sized by :func:`~cubecodec.cube.chunks`, as the decode loop's spans
+of rows are.  The decoder (:func:`entropy_decode_planes`) takes P payloads of
 one block count and has no per-symbol loop either: it finds every block's
 start by pointer doubling over per-bit-position symbol tables, four levels
 of one uint32 array each packing the end and the k-step of a chain of 8, 4,
@@ -213,12 +213,14 @@ class _Symbols:
     """
 
     def __init__(self, dc: np.ndarray, ac: np.ndarray, nblocks: int):
-        dc = np.asarray(dc, dtype=np.int64)
+        # float64 differences, exact to 2**53: a DC past int64 is refused before the cast
+        dc = np.asarray(dc, dtype=np.float64)
         diff = np.diff(dc, prepend=0)
         diff[::nblocks] = dc[::nblocks]
-        too_big = (diff < -2047) | (diff > 2047)
+        too_big = np.abs(diff) > 2047
         if too_big.any():
-            raise ValidationError(f"DC difference {diff[too_big][0]} exceeds category 11")
+            raise ValidationError(f"DC difference {int(diff[too_big][0])} exceeds category 11")
+        diff = diff.astype(np.int64)
         ac_size = _SIZE.take(ac)
         if ac_size.size and ac_size.max() > 10:
             raise ValidationError(f"AC coefficient of category {ac_size.max()} exceeds category 10")
@@ -715,27 +717,21 @@ class PlaneStack:
 
 
 class PlaneBands:
-    """The planes of one stream, decoded one band of image rows at a time.
+    """The planes of one stream, decoded a span of image rows at a time.
 
     The constructor entropy decodes every plane (:func:`entropy_decode_planes`),
-    whose bit windows are freed before it returns.  Iterating dequantizes and
-    inverse transforms a band of rows of all planes, with one batched matmul
-    into the band's padded layout, and yields ``(row, band)``: the
-    ``(P, rows, W)`` float64 planes (no clamping) from image row ``row`` on.
-    :func:`~cubecodec.cube.chunks` sizes a band by every array the loop keeps
-    alive, its consumer's synthesis of the stream's ``bands`` spectral bands
-    included, so a band is a multiple of 16 rows that fits one chunk budget
-    with that synthesis, or 16 rows.  ``shape`` is the whole ``(P, H, W)``;
-    ``ns`` counts the nanoseconds spent iterating, so a consumer can tell its
-    own time from the decoder's.  The arguments are the fields of a
+    whose bit windows are freed before it returns.  :meth:`rows` dequantizes
+    and inverse transforms the rows of all planes that the spectral synthesis's
+    loop asks for (:mod:`~cubecodec.reduction`), with one batched matmul into
+    their padded layout.  ``shape`` is the whole ``(P, H, W)``; ``ns`` counts the
+    nanoseconds spent in :meth:`rows`, so a consumer can tell its own time from
+    the decoder's.  The arguments are the fields of a
     :class:`~cubecodec.container.CompressedStream`, checked there once.
     """
 
-    def __init__(self, planes: tuple[EncodedPlane, ...], width: int, height: int, quality: int,
-                 bands: int):
+    def __init__(self, planes: tuple[EncodedPlane, ...], width: int, height: int, quality: int):
         self.table = quality_to_table(quality)
         self.shape = (len(planes), height, width)
-        self.bands = bands
         self.scales = np.array([p.scale for p in planes])[:, None, None]
         self.offsets = np.array([p.offset for p in planes])[:, None, None]
         rows, cols = (height + 7) // 8, (width + 7) // 8
@@ -743,27 +739,24 @@ class PlaneBands:
         self.qblocks = qblocks.reshape(len(planes), rows, cols, 8, 8)
         self.ns = 0
 
-    def __iter__(self):
-        count, height, width = self.shape
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Image rows ``lo`` (a multiple of 8) to ``hi`` of every plane: a ``(P, hi - lo, W)``
+        float64 array (no clamping), which keeps two more of its size alive while it is made."""
+        t0 = time.perf_counter_ns()
+        count, _, width = self.shape
         cols = self.qblocks.shape[2]
-        # per image row, 8 * cols float64 samples a plane or band of each array
-        # alive in the loop: the IDCT's pair of band temporaries (2 * count),
-        # the band it yields (count) and the synthesis's product (bands)
-        for lo, hi in chunks(height, (3 * count + self.bands) * 8 * cols):
-            t0 = time.perf_counter_ns()
-            coeffs = self.qblocks[:, lo // 8:(hi + 7) // 8].astype(np.float64)
-            coeffs *= self.table
-            half = _DCT.T @ coeffs
-            del coeffs
-            padded = np.empty((count, half.shape[1] * 8, cols * 8))
-            # (P, rows/8, 8, cols, 8) viewed block-major: the IDCT's output lands in place
-            blocks = padded.reshape(count, -1, 8, cols, 8).transpose(0, 1, 3, 2, 4)
-            np.matmul(half, _DCT, out=blocks)
-            del half
-            band = np.add(padded[:, :hi - lo, :width], 128.0)
-            del padded
-            band *= self.scales
-            band += self.offsets
-            self.ns += time.perf_counter_ns() - t0
-            yield lo, band
-
+        coeffs = self.qblocks[:, lo // 8:(hi + 7) // 8].astype(np.float64)
+        coeffs *= self.table
+        half = _DCT.T @ coeffs
+        del coeffs
+        padded = np.empty((count, half.shape[1] * 8, cols * 8))
+        # (P, rows/8, 8, cols, 8) viewed block-major: the IDCT's output lands in place
+        blocks = padded.reshape(count, -1, 8, cols, 8).transpose(0, 1, 3, 2, 4)
+        np.matmul(half, _DCT, out=blocks)
+        del half
+        span = np.add(padded[:, :hi - lo, :width], 128.0)
+        del padded
+        span *= self.scales
+        span += self.offsets
+        self.ns += time.perf_counter_ns() - t0
+        return span

@@ -289,12 +289,8 @@ def encode_planes(stack: PlaneStack, quality: int) -> list:
 
 def decode_planes(planes, width: int, height: int, quality: int) -> np.ndarray:
     """Decode ``width`` x ``height`` planes coded at ``quality`` into a ``(P, H, W)``
-    float64 array (no clamping), from the bands of :class:`PlaneBands`."""
-    bands = PlaneBands(planes, width, height, quality, 0)  # no synthesis: bands are copied out
-    out = np.empty(bands.shape)
-    for row, band in bands:
-        out[:, row:row + band.shape[1]] = band
-    return out
+    float64 array (no clamping), all rows of :class:`PlaneBands` at once."""
+    return PlaneBands(planes, width, height, quality).rows(0, height)
 
 
 def forged_scmp(bands: int, width: int, height: int, p: int = 2, planes: bool = True) -> bytes:

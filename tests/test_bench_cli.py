@@ -381,6 +381,15 @@ def test_a_config_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_a_config_with_a_utf8_bom_parses_as_without_one(tmp_path):
+    # Windows Notepad saves UTF-8 text with a byte order mark
+    text = "corpus = skin\nmethods = csi\np_values = 20\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert load_config(marked) == load_config(plain) == parse_config(text)
+
+
 def test_shipped_configs():
     assert load_config(_CONFIGS / "bench-default.cfg") == default_config()
     # the processing-time sweep of acceptance criterion 3

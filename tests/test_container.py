@@ -40,7 +40,7 @@ from cubecodec.bench import (make_chart_cube, make_dark_cube, make_narrowband_cu
                               make_sweep_cube)
 from cubecodec.reduction import CsiSideInfo, PcaSideInfo
 
-from conftest import flip_bit, forged_scmp, random_cube
+from conftest import decode_planes, flip_bit, forged_scmp, random_cube
 
 
 def _flat_cube(width=16, height=16, bands=8):
@@ -508,7 +508,7 @@ def test_compress_refuses_cubes_above_the_size_cap(monkeypatch):
 def test_decode_out_of_memory_raises_size_limit_error(monkeypatch):
     stream = compress(random_cube(72), "pca", 2, quality=50)
 
-    def exhausted(planes, width, height, quality, bands):
+    def exhausted(planes, width, height, quality):
         raise MemoryError
 
     monkeypatch.setattr(container, "PlaneBands", exhausted)
@@ -678,9 +678,16 @@ _BUDGET_CUBES = {
 
 
 def _budget_run(cube, method, p):
-    """The SCMP bytes, decoded cube and ΔE map of a rate-controlled round trip."""
+    """The SCMP bytes, decoded cube and ΔE map of a rate-controlled round trip.
+
+    The method's public inverse, given the decoded planes as one array, must
+    make the decoded cube bit for bit: both inputs run the one synthesis loop.
+    """
     stream = compress(cube, method, p, rate=RateTarget(8.0))
     recon = decompress(stream)
+    planes = decode_planes(stream.planes, stream.width, stream.height, stream.quality)
+    inverse = reduction.pca_inverse if method == "pca" else reduction.csi_inverse
+    assert inverse(planes, stream.side, stream.wavelengths) == recon
     return serialize_stream(stream), recon, cube_delta_e(cube, recon).map
 
 

@@ -234,6 +234,27 @@ GOLDEN_DELTA_E_MAPS = {
 }
 
 
+# the odd-shaped cubes of test_container's chunk-budget test: no side is a
+# multiple of 16 and only one (synth61's width, 40) of 8, so the decoder's
+# padded blocks, row spans and pixel chunks all end inside the image
+GOLDEN_ODD_CUBE_BUILDERS = {
+    "sweep37x53": lambda: make_sweep_cube(37, 53),
+    "sweep100x90": lambda: make_sweep_cube(100, 90),
+    "synth61": lambda: synthesize_cube(40, 30, 61, "random-smooth", seed=3),
+}
+
+# (image, method) -> sha256 of the float32 samples of the cube decompressed
+# from the rate-controlled stream, p = 20 at CR 8
+GOLDEN_ODD_CUBES = {
+    ("sweep37x53", "pca"): "7034ae66a002f828387aa3af3295fa5b40998d4f9870c911939b606c0e1267ce",
+    ("sweep37x53", "csi"): "1efaf5542ff4a52ecb3bb9b737a360c4cd7d5ef0f3379a16d6d760026a0eff3c",
+    ("sweep100x90", "pca"): "85252a7776fdbbc9c979f5c99737f2a168a5083e329b3aaba9679cea6226904c",
+    ("sweep100x90", "csi"): "c2bdcb6abe089dd5bdcea323e717666af97b27393f8eb2d67e2d355a150336f1",
+    ("synth61", "pca"): "b60a6a1530f0cbaf3d420b664056f301644b07a9db88393225fb993842d5e5ed",
+    ("synth61", "csi"): "329c995ae2738c4faf309ed7889984be7b0c9e3260c81177d9795db3c96f26ca",
+}
+
+
 def _branch_cubes(width, height, bands, seed):
     """Two cubes whose pixels are, at random, black, flat gray, uniform-random
     spectra, or dark ones (0.004 times uniform-random) on Lab's linear branch."""
@@ -335,6 +356,13 @@ def test_decoded_cubes_are_pinned(image, method):
     stats = cube_delta_e(cube, decoded)
     assert (stats.mean.hex(), stats.p95.hex(), stats.max.hex(),
             hashlib.sha256(stats.map.tobytes()).hexdigest()) == GOLDEN_DELTA_E[image, method]
+
+
+@pytest.mark.parametrize("image,method", list(GOLDEN_ODD_CUBES))
+def test_decoded_odd_shaped_cubes_are_pinned(image, method):
+    cube = GOLDEN_ODD_CUBE_BUILDERS[image]()
+    decoded = decompress(compress(cube, method, 20, rate=RateTarget(8.0)))
+    assert hashlib.sha256(decoded.samples.tobytes()).hexdigest() == GOLDEN_ODD_CUBES[image, method]
 
 
 @pytest.mark.parametrize("image,method", list(GOLDEN_DELTA_E_MAPS))

@@ -633,6 +633,14 @@ def test_entropy_encoder_rejects_oversized_categories():
     for blocks in (dc12, ac11):
         with pytest.raises(ValidationError):
             entropy_encode_blocks(blocks)
+    # DCs at the ends of int64 and uint64, refused with no numpy warning from a
+    # cast past int64; the error names each as the float64 the coder rounds it to
+    for dtype, dc, named in ((np.int64, 2 ** 63 - 1, 2 ** 63), (np.uint64, 2 ** 64 - 1, 2 ** 64),
+                             (np.int64, -2 ** 63, -2 ** 63)):
+        blocks = np.zeros((1, 8, 8), dtype=dtype)
+        blocks[0, 0, 0] = dc
+        with pytest.raises(ValidationError, match=f"DC difference {named} exceeds category 11"):
+            entropy_encode_blocks(blocks)
 
 
 @pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
