@@ -114,6 +114,10 @@ class SpectralMethod:
 
 def _pca_reduce(cube: SpectralCube, p: int):
     side = pca_fit(cube, p)
+    with np.errstate(over="ignore"):  # the mean (within the samples' range) and basis (|entries| <= 1) fit
+        if np.isinf(np.float32(side.eigenvalues[0])):
+            raise ValidationError(f"largest eigenvalue {side.eigenvalues[0]:.4g} exceeds float32, "
+                                  "in which the SCMP side info holds it")
     return pca_forward(cube, side), side
 
 

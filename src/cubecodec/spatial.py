@@ -342,10 +342,11 @@ def entropy_encode_blocks(qblocks: np.ndarray) -> bytes:
 # decodes the coefficients of every block of every plane at once, one AC
 # symbol per block per step, in at most 63 steps.
 #
-# Stage 1 follows the chain of symbol lengths only.  It rejects invalid codes,
-# and a block that runs past its plane's payload, which then ends or starts
-# past the payload's last bit.  Stage 2 rejects what depends on k (a ZRL that
-# reaches 64, a run past index 63) and a DC predictor that leaves int32.
+# Stage 1 rejects every malformed block in stream order, as a symbol-at-a-time
+# decoder does: an invalid code, a block that ends past its plane's payload, a
+# last symbol other than an EOB or a coefficient that takes k to 64 exactly (a
+# ZRL that reaches 64, a run past index 63).  Stage 2 only decodes the values;
+# it rejects a DC predictor that leaves int32.
 
 #: bit positions whose stage-1 tables are built at once; bounds them to four
 #: levels of 4 bytes per position, about 0.56 MB, whatever the stream size.
@@ -367,21 +368,18 @@ _DOUBLINGS = 4
 def _ac_peek_tables():
     """Per 16-bit peek, stage 2's ``fields = advance | size << 11 | step << 16``
     (intp like the lanes; advance at most 26, size 15: ``fields & 0x7800`` is the
-    size key of :data:`_EXTEND`), stage 1's level-0 entry ``packed = advance | step
-    << 16``, and ``k_limit``, the most k may reach after the symbol: 64 after a
-    coefficient, 63 after a ZRL, any value after an EOB.  The advance is the code
-    and amplitude bits, 0 for an invalid code, which steps 64 like an EOB, so no
-    doubling jump passes one."""
+    size key of :data:`_EXTEND`) and stage 1's level-0 entry ``packed = advance |
+    step << 16``.  The advance is the code and amplitude bits, 0 for an invalid
+    code, which steps 64 like an EOB, so no doubling jump passes one, and the
+    walk rejects it as a block's last symbol."""
     size = (_AC_LUT_SYM & 15).astype(np.intp)
     advance = np.where(_AC_LUT_LEN > 0, _AC_LUT_LEN + size, 0).astype(np.intp)
     step = np.select([_AC_LUT_LEN == 0, _AC_LUT_SYM == _EOB, _AC_LUT_SYM == _ZRL],
                      [64, 64, 16], (_AC_LUT_SYM >> 4) + 1).astype(np.intp)
-    k_limit = np.select([_AC_LUT_SYM == _EOB, _AC_LUT_SYM == _ZRL], [255, 63], 64)
-    return (advance | size << 11 | step << 16, (advance | step << 16).astype(np.uint32),
-            k_limit.astype(np.uint8))
+    return advance | size << 11 | step << 16, (advance | step << 16).astype(np.uint32)
 
 
-_AC_FIELDS, _AC_PACKED, _AC_K_LIMIT = _ac_peek_tables()
+_AC_FIELDS, _AC_PACKED = _ac_peek_tables()
 _DC_SIZE = np.maximum(_DC_LUT_SYM, 0).astype(np.uint8)
 _DC_ADVANCE = bytes(np.where(_DC_LUT_LEN > 0, _DC_LUT_LEN + _DC_SIZE, 0).astype(np.uint8))
 #: zigzag slot written after a step to k: the coefficient's, k - 1.  A ZRL
@@ -453,7 +451,8 @@ def _symbol_tables(windows: np.ndarray, lo: int, hi: int, out: np.ndarray) -> li
 
 
 def _block_starts(windows: np.ndarray, plane_ends: list[int], nblocks: int) -> np.ndarray:
-    """Stage 1: the bit position of every block's DC symbol, planes back to back."""
+    """Stage 1: the bit position of every block's DC symbol, planes back to back;
+    raises :class:`CorruptError` at the first malformed block in stream order."""
     starts = np.empty(len(plane_ends) * nblocks, dtype=np.int64)
     words = memoryview(windows)
     dc_advance = _DC_ADVANCE
@@ -477,37 +476,41 @@ def _block_starts(windows: np.ndarray, plane_ends: list[int], nblocks: int) -> n
             advance = dc_advance[(words[s >> 3] >> (24 - (s & 7))) & 0xFFFF]
             if not advance:
                 raise CorruptError(f"bad DC code in block {i}")
-            # jump 8 symbols while k = 1 + moved stays below 64, then 4, 2 and 1
-            # once each: every step is positive, so this finds the most symbols
-            # that keep k below 64, and a taken 8-symbol jump moves k by at
-            # least 8, so those stop within 8 lookups.  A jump across an
-            # invalid code or past hi steps at least 64 and is never taken.
+            # jump 8 symbols while k stays below 64 (t < budget, 64 - k in the high
+            # half), then 4, 2 and 1 once each: every step is positive, so this
+            # finds the most symbols that keep k below 64, and a taken 8-symbol
+            # jump moves k by at least 8, so those stop within 8 lookups.  A jump
+            # across an invalid code or past hi steps at least 64 and is never taken.
             pos = s + advance - lo
-            moved = 0
+            budget = 63 << 16
             t = eight[pos]
-            while moved + (t >> 16) < 63:
-                moved += t >> 16
+            while t < budget:
+                budget -= t & 0xFFFF0000
                 pos = t & 0xFFFF
                 t = eight[pos]
             t = four[pos]
-            if moved + (t >> 16) < 63:
-                moved += t >> 16
+            if t < budget:
+                budget -= t & 0xFFFF0000
                 pos = t & 0xFFFF
             t = two[pos]
-            if moved + (t >> 16) < 63:
-                moved += t >> 16
+            if t < budget:
+                budget -= t & 0xFFFF0000
                 pos = t & 0xFFFF
-            # then the block's last symbol: the one that takes k to 64
             t = one[pos]
-            if moved + (t >> 16) < 63:
+            if t < budget:
+                budget -= t & 0xFFFF0000
                 pos = t & 0xFFFF
                 t = one[pos]
+            # then the block's last symbol: an EOB, or a coefficient whose step
+            # fills the budget (not the ZRL, the one 11-bit symbol of step 16)
             last = t & 0xFFFF
-            if last == pos:
+            if last == pos or last + lo > end:
                 raise CorruptError(f"bad AC code or truncated payload in block {i}")
+            if t >> 16 != 64 and (t & 0xFFFF0000 != budget or t >> 16 == 16 and last - pos == _AC_LEN[_ZRL]):
+                raise CorruptError(f"zero run or coefficient index overflows block {i}")
             s = last + lo
             i += 1
-        if not 0 <= end - s < 8:
+        if end - s >= 8:
             raise CorruptError(f"the last block ends at bit {s - begin} of a {end - begin}-bit payload")
         begin = end
     return starts
@@ -543,18 +546,8 @@ def _decode_coefficients(windows: np.ndarray, starts: np.ndarray) -> np.ndarray:
     while k.size:
         bits = windows.take(pos >> 3)
         bits <<= pos & 7  # the bit at pos is bit 39
-        peeks = bits >> 24
-        peeks &= 0xFFFF
-        fields = _AC_FIELDS.take(peeks)
+        fields = _AC_FIELDS.take((bits >> 24) & 0xFFFF)  # the 16-bit peek at pos
         k += fields >> 16
-        # stage 1 keeps k <= 63 before a block's last symbol, so only a step
-        # that ends a block can overflow it
-        ending = k.max() >= 64
-        if ending:
-            over = k > _AC_K_LIMIT.take(peeks)
-            if over.any():
-                block = int(row[over.argmax()]) // 64
-                raise CorruptError(f"zero run or coefficient index overflows block {block}")
         advance = fields & 31
         pos += advance
         np.subtract(40, advance, out=advance)
@@ -563,7 +556,7 @@ def _decode_coefficients(windows: np.ndarray, starts: np.ndarray) -> np.ndarray:
         fields &= 0x7800  # size << 11
         fields |= bits
         flat.put(row + _STEP_SLOT.take(k), _EXTEND.take(fields))
-        if ending:
+        if k.max() >= 64:
             going = np.flatnonzero(k < 64)
             row, pos, k = row.take(going), pos.take(going), k.take(going)
     return out
@@ -575,8 +568,8 @@ def entropy_decode_planes(payloads: list[bytes] | tuple[bytes, ...], nblocks: in
     Returns the quantized blocks (natural order), plane after plane, as a ``(P * nblocks,
     8, 8)`` int32 array.  Raises :class:`ArgumentError` unless ``payloads`` is a list or
     tuple of ``bytes`` and ``nblocks`` an integer >= 0; :class:`CorruptError` on truncated
-    or invalid bitstreams, when more than 7 padding bits remain after a plane's last
-    block, or when the DC predictor leaves int32.
+    or invalid bitstreams, naming the first corrupt block in stream order, when more than
+    7 padding bits remain after a plane's last block, or when the DC predictor leaves int32.
     """
     check_type("payloads", payloads, (list, tuple))
     nblocks = check_int("nblocks", nblocks, 0)

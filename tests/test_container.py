@@ -118,8 +118,8 @@ def test_side_info_beyond_float32_is_a_validation_error():
 
 
 def test_oversized_pca_side_info_raises_only_a_codec_error():
-    # eigenvalues near 8e60 overflow the f32 side info: the cast warns nothing
-    # and PcaSideInfo refuses the inf; CSI keeps no eigenvalues and round-trips the cube
+    # eigenvalues near 8e60 overflow the f32 side info: the PCA reduce refuses
+    # them and warns nothing; CSI keeps no eigenvalues and round-trips the cube
     sign = np.where(np.indices((16, 16)).sum(axis=0) % 2 == 0, 1e30, -1e30)
     samples = np.broadcast_to(sign, (8, 16, 16)).astype(np.float32)
     cube = SpectralCube(width=16, height=16, bands=8,
@@ -132,6 +132,25 @@ def test_oversized_pca_side_info_raises_only_a_codec_error():
         stream = compress(cube, "csi", 4, quality=90)
         decoded = decompress(parse_stream(serialize_stream(stream)))
     assert np.abs(decoded.samples - samples).max() < 0.05e30
+
+
+def _checkerboard_cube(value):
+    """A 16x16x8 float32 cube of +-value in a checkerboard over bands and pixels."""
+    samples = np.where(np.indices((8, 16, 16)).sum(axis=0) % 2 == 0, value, -value)
+    return SpectralCube(width=16, height=16, bands=8,
+                        wavelengths=(400.0 + 10.0 * np.arange(8)).astype(np.float32),
+                        samples=samples.astype(np.float32))
+
+
+def test_pca_refuses_an_eigenvalue_past_float32_before_the_spatial_stage(monkeypatch):
+    # at +-9e18 the largest eigenvalue, about 6.5e38, passes float32 max; +-5e18 fits
+    cube = _checkerboard_cube(5e18)
+    decoded = decompress(parse_stream(serialize_stream(compress(cube, "pca", 4, quality=90))))
+    assert np.abs(decoded.samples - cube.samples).max() < 0.05 * 5e18
+    monkeypatch.setattr(container.PlaneStack, "of", lambda planes: pytest.fail("the spatial stage ran"))
+    with pytest.raises(ValidationError, match=r"^largest eigenvalue 6\.5\d*e\+38 exceeds float32, "
+                                              "in which the SCMP side info holds it$"):
+        compress(_checkerboard_cube(9e18), "pca", 4, quality=90)
 
 
 def test_parse_rejects_damage():

@@ -1,6 +1,7 @@
 """Plane codec tests: DCT, quality scaling, entropy stage, full pipeline."""
 
 import dataclasses
+import re
 import warnings
 from unittest import mock
 
@@ -291,20 +292,27 @@ def test_pack_edge_layouts_match_reference(case):
     assert payloads == [reference_huffman_encode(_blocks_from_zigzag(zz)) for zz in planes]
 
 
-def _reference_or_none(payload, nblocks):
+def _reference_or_error(payload, nblocks):
     try:
         return reference_huffman_decode(payload, nblocks)
-    except CorruptError:
-        return None
+    except CorruptError as error:
+        return error
 
 
 def _assert_decodes_like_reference(payloads, nblocks):
     """All planes of ``nblocks`` blocks decode to the reference's blocks, or CorruptError
-    when any plane's reference raises."""
-    expected = [_reference_or_none(p, nblocks) for p in payloads]
-    if any(e is None for e in expected):
-        with pytest.raises(CorruptError):
+    when any plane's reference raises.  When the first failing plane's reference and the
+    decoder both name a block, they name the same one, counted over all planes."""
+    expected = [_reference_or_error(p, nblocks) for p in payloads]
+    failed = [plane for plane, e in enumerate(expected) if isinstance(e, CorruptError)]
+    if failed:
+        with pytest.raises(CorruptError) as error:
             entropy_decode_planes(payloads, nblocks)
+        reference = re.search(r"\bblock (\d+)", str(expected[failed[0]]))
+        named = re.search(r"\bblock (\d+)", str(error.value))
+        if reference and named:
+            assert int(named[1]) == failed[0] * nblocks + int(reference[1]), (
+                f"{error.value}; the reference: {expected[failed[0]]} (plane {failed[0]})")
     else:
         got = entropy_decode_planes(payloads, nblocks)
         assert got.dtype == np.int32
@@ -574,10 +582,10 @@ _OVERFLOWS = {
 @pytest.mark.parametrize("planes", [1, 2])
 @pytest.mark.parametrize("case", sorted(_OVERFLOWS))
 def test_stage2_overflow_names_the_reference_block(case, planes):
-    # block 2 of 3 overflows on its last symbol, which stage 1 takes as the
-    # block's end; blocks 1 and 3 end a step earlier, so the overflowing lane
-    # is no longer at its block's index among the lanes.  In a two-plane call
-    # the 3 blocks follow a plane of 3 empty ones, and the block is counted over both.
+    # block 2 of 3 overflows on its last symbol, which the stage-1 walk checks
+    # against what the block's earlier symbols left of k's budget, before it
+    # chains the next block.  In a two-plane call the 3 blocks follow a plane
+    # of 3 empty ones, and the block is counted over both.
     overflow, what = _OVERFLOWS[case]
     payload = _bit_string_bytes(_EMPTY_BLOCK + overflow + _EMPTY_BLOCK)
     with pytest.raises(CorruptError, match=f"^{what} overflows block ") as reference:
@@ -590,6 +598,46 @@ def test_stage2_overflow_names_the_reference_block(case, planes):
         block += 3
     with pytest.raises(CorruptError, match=f"^zero run or coefficient index overflows block {block}$"):
         entropy_decode_planes(payloads, 3)
+
+
+#: payload bits with a malformed block 1 and a later fault, the block counts to
+#: decode them at, and the errors of the reference and of the decoder, less the block
+_FIRST_CORRUPT_BLOCKS = {
+    # four ZRLs overflow block 1; block 2's 16 one bits are no AC code
+    "overflow_then_bad_code": (_EMPTY_BLOCK + _OVERFLOWS["fourth_zrl"][0] + _DC_0 + "1" * 16, (3,),
+                               "zero run overflows block", "zero run or coefficient index overflows block"),
+    # 47 (0, 1) coefficients take k to 48 and a ZRL to 64, which only a coefficient may
+    # reach; block 2's 16 one bits are no AC code
+    "zrl_to_64_then_bad_code": (_EMPTY_BLOCK + _DC_0 + (_ac_code(0x01) + "1") * 47 + _ac_code(0xF0)
+                                + _DC_0 + "1" * 16, (3,),
+                                "zero run overflows block", "zero run or coefficient index overflows block"),
+    # block 1's five (0, 2) and 57 (0, 1) coefficients end on bit 199; the (0, 3)
+    # code of its coefficient 63 starts on the payload's 200th and last bit, and
+    # the zero bits past the payload would complete it
+    "code_past_the_payload": (_EMPTY_BLOCK + _DC_0 + (_ac_code(0x02) + "11") * 5
+                              + (_ac_code(0x01) + "1") * 57 + _ac_code(0x03)[0], (2, 3),
+                              "bad AC code in block", "bad AC code or truncated payload in block"),
+}
+
+
+@pytest.mark.parametrize("planes", [1, 2])
+@pytest.mark.parametrize("case", sorted(_FIRST_CORRUPT_BLOCKS))
+def test_entropy_decode_names_the_first_corrupt_block(case, planes):
+    bits, counts, reference, decoder = _FIRST_CORRUPT_BLOCKS[case]
+    if case == "code_past_the_payload":
+        assert len(bits) == 200
+    payload = _bit_string_bytes(bits)
+    for nblocks in counts:
+        with pytest.raises(CorruptError, match=f"^{reference} 1$"):
+            reference_huffman_decode(payload, nblocks)
+        payloads = [payload]
+        block = 1
+        if planes == 2:  # after a plane of empty blocks, the block is counted over both
+            payloads = [_bit_string_bytes(_EMPTY_BLOCK * nblocks), payload]
+            block += nblocks
+        with pytest.raises(CorruptError, match=f"^{decoder} {block}$"):
+            entropy_decode_planes(payloads, nblocks)
+        _assert_decodes_like_reference(payloads, nblocks)
 
 
 def test_entropy_decode_keeps_blocks_inside_their_plane():
